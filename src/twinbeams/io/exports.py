@@ -98,9 +98,12 @@ def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
     """Write a complex matrix as a long CSV: omega,omega_prime,re,im,abs.
 
     One row per element in row-major order; ``omega`` labels the matrix row,
-    ``omega_prime`` the column.
+    ``omega_prime`` the column.  Each matrix row is written through one
+    ``%``-template whose grid labels are formatted once; ``'%.17g' % x`` is
+    the same conversion as ``format(x, ".17g")``, so the bytes are those of
+    ``write_csv`` fed one element at a time.
     """
-    mat = np.asarray(matrix)
+    mat = np.asarray(matrix, dtype=complex)
     rows_w = np.asarray(row_grid, dtype=float)
     cols_w = np.asarray(col_grid, dtype=float)
     if mat.shape != (len(rows_w), len(cols_w)):
@@ -108,11 +111,16 @@ def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
             f"matrix shape {mat.shape} does not match grids "
             f"({len(rows_w)} x {len(cols_w)})"
         )
-
-    def rows():
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                v = complex(mat[i, j])
-                yield (rows_w[i], cols_w[j], v.real, v.imag, abs(v))
-
-    return write_csv(path, ["omega", "omega_prime", "re", "im", "abs"], rows())
+    # Joined with the row label as separator: "" + label + cell0 + label + cell1 ...
+    cells = [""] + [f"{_fmt(w)},%.17g,%.17g,%.17g\n" for w in cols_w]
+    # np.hypot is the libm hypot of Python's abs(complex); np.abs(mat) is a
+    # SIMD routine that can differ from it in the last bit.
+    values = np.stack(
+        [mat.real, mat.imag, np.hypot(mat.real, mat.imag)], axis=-1
+    ).reshape(len(rows_w), -1)
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("omega,omega_prime,re,im,abs\n")
+        for w, row in zip(rows_w, values):
+            fh.write(f"{_fmt(w)},".join(cells) % tuple(row.tolist()))
+    return path

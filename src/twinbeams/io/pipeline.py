@@ -36,7 +36,7 @@ from ..mehler import (
     mode_overlap,
 )
 from ..pdc import build_frequency_grid, build_squeezing_matrix, extract_jsa
-from ..symplectic import GeneratorMatrix, exponentiate_generator, symplectic_residual
+from ..symplectic import GeneratorMatrix, exponentiate_generator
 from ..takagi import TakagiFactors, takagi_general, takagi_residual
 from ..twinbeam import (
     associated_spectral,
@@ -296,9 +296,8 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path) -> _Numerica
         "symplectic", GeneratorMatrix, n=n, h0=np.zeros((n, n)), hI=1j * sq.gamma
     )
     s_matrix = _stage("symplectic", exponentiate_generator, generator)
-    symplectic_res = float(symplectic_residual(s_matrix))
-    report.residuals["symplectic"] = symplectic_res
-    if symplectic_res > SYMPLECTIC_THRESHOLD:
+    report.residuals["symplectic"] = s_matrix.residual
+    if s_matrix.residual > SYMPLECTIC_THRESHOLD:
         report.threshold_failures.append("symplectic")
 
     detunings = np.concatenate([grid.signal, grid.idler])

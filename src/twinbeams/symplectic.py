@@ -10,7 +10,7 @@ symplectic matrices through S = exp(-i K H).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -63,11 +63,15 @@ class GeneratorMatrix:
 
 @dataclass(frozen=True)
 class SymplecticMatrix:
-    """Bogoliubov blocks (s0, sI) of a complex symplectic matrix."""
+    """Bogoliubov blocks (s0, sI) of a complex symplectic matrix.
+
+    ``residual`` is the ``symplectic_residual`` computed once on construction.
+    """
 
     n: int
     s0: np.ndarray
     sI: np.ndarray
+    residual: float = field(init=False)
 
     def __post_init__(self):
         s0 = np.asarray(self.s0, dtype=complex)
@@ -77,8 +81,10 @@ class SymplecticMatrix:
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "sI", sI)
         res = symplectic_residual(self)
-        if res > 1e-10:
+        # Written so that a NaN residual is rejected too.
+        if not res <= 1e-10:
             raise ValueError(f"matrix is not symplectic: residual {res:.3e}")
+        object.__setattr__(self, "residual", res)
 
     def full(self) -> np.ndarray:
         """Assemble the 2n x 2n matrix [[s0, sI], [conj(sI), conj(s0)]]."""
@@ -86,13 +92,19 @@ class SymplecticMatrix:
 
 
 def symplectic_residual(s: SymplecticMatrix) -> float:
-    """max|S K S^dagger - K| scaled by ||S||^2 (cosh growth makes absolute errors misleading)."""
-    n = s.n
-    full = np.block([[s.s0, s.sI], [s.sI.conj(), s.s0.conj()]])
-    k = np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(complex)
-    res = full @ k @ full.conj().T - k
-    norm2 = max(np.abs(full).max() ** 2, 1.0)
-    return float(np.abs(res).max() / norm2)
+    """max|S K S^dagger - K| scaled by ||S||^2 (cosh growth makes absolute errors misleading).
+
+    Evaluated from the blocks: the top row of S K S^dagger - K is
+    (s0 s0^H - sI sI^H - I, s0 sI^T - sI s0^T) and the bottom row is minus
+    its conjugate, so the two top blocks carry the whole maximum.
+    """
+    s0, sI = s.s0, s.sI
+    top_left = s0 @ s0.conj().T - sI @ sI.conj().T
+    top_left[np.diag_indices_from(top_left)] -= 1.0
+    top_right = s0 @ sI.T - sI @ s0.T
+    res = max(np.abs(top_left).max(), np.abs(top_right).max())
+    norm2 = max(np.abs(s0).max() ** 2, np.abs(sI).max() ** 2, 1.0)
+    return float(res / norm2)
 
 
 @dataclass(frozen=True)
@@ -152,14 +164,55 @@ class BlochMessiahFactors:
     q: np.ndarray
 
 
+#: Largest squeezing parameter whose cosh(r)^2 (the scale of s0 s0^H in the
+#: symplectic residual) stays finite in double precision.
+_R_OVERFLOW = 0.5 * float(np.log(np.finfo(float).max))
+
+
+def _pure_squeezer_blocks(hI: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s0, sI) of exp(-i K H) for h0 = 0, from one Hermitian eigendecomposition."""
+    b = -1j * hI
+    lam, w = np.linalg.eigh(b @ b.conj().T)
+    r = np.sqrt(np.clip(lam, 0.0, None))
+    r_max = float(r.max())
+    if r_max > _R_OVERFLOW:
+        raise ValueError(
+            f"squeezing parameter r_max = {r_max:.4g} exceeds {_R_OVERFLOW:.4g}: "
+            "cosh(r_max)^2 overflows double precision"
+        )
+    sinhc = np.divide(np.sinh(r), r, out=np.ones_like(r), where=r > 0.0)
+    s0 = (w * np.cosh(r)) @ w.conj().T
+    sI = (w * sinhc) @ (w.conj().T @ b)
+    return s0, sI
+
+
 def exponentiate_generator(g: GeneratorMatrix) -> SymplecticMatrix:
     """exp(-i K H) for the Hermitian generator with blocks (h0, hI).
 
-    The exponential is evaluated on the full 2n x 2n matrix -i K H with
-    scaling-and-squaring Pade approximation, which is robust for the
-    non-normal matrices this produces.
+    Pure squeezer (h0 identically zero): with B = -i hI, -i K H is
+    [[0, B], [conj(B), 0]], whose square is block diagonal with top block
+    B B^H = W diag(r^2) W^H (B is symmetric, so conj(B) = B^H).  Hence,
+    exactly,
+
+        s0 = W cosh(r) W^H,    sI = W diag(sinh(r) / r) W^H B,
+
+    with sinh(r)/r = 1 at r = 0.  cosh(r) and sinh(r)/r are functions of
+    r^2, so s0 and the factor in front of B are functions of B B^H itself:
+    the freedom of W inside a degenerate eigenspace does not matter, the
+    form is exact for every complex symmetric hI, and no Takagi
+    factorization is needed
+    (on the full squeezing matrix ``takagi_general`` often misses its
+    1e-10 residual limit).  A ValueError names r_max when cosh(r_max)^2
+    would overflow.
+
+    General h0: the exponential is evaluated on the full 2n x 2n matrix
+    -i K H with scaling-and-squaring Pade approximation, which is robust
+    for the non-normal matrices this produces.
     """
     n = g.n
+    if not np.any(g.h0):
+        s0, sI = _pure_squeezer_blocks(g.hI)
+        return SymplecticMatrix(n=n, s0=s0, sI=sI)
     h = np.block([[g.h0, g.hI], [g.hI.conj(), g.h0.conj()]])
     k = np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(complex)
     s = expm(-1j * k @ h)

@@ -31,10 +31,10 @@ class WorkingPoint:
 
 
 def build_working_point(
-    theta0_deg=28.81, length_mm=2.0, m=128, gain=10.0, width_factor=4.0
+    theta0_deg=28.81, length_mm=2.0, m=128, gain=10.0, width_factor=4.0, z0_fraction=0.5
 ):
     crystal = bbo_crystal(length_mm, theta0_deg)
-    pump = PumpConfig(lambda_p_nm=397.5, tau_p_fs=129.0, gain=gain)
+    pump = PumpConfig(lambda_p_nm=397.5, tau_p_fs=129.0, gain=gain, z0_fraction=z0_fraction)
     t = characteristic_times(crystal, pump)
     f = mehler_factors(gaussian_model_params(t))
     half_width = t.omega_s + max(width_factor / f.tau1, 3.0 * t.omega_p)

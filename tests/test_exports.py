@@ -18,6 +18,21 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def per_cell_heatmap(matrix, row_grid, col_grid, path):
+    """Reference: the element-by-element heatmap writer built on write_csv."""
+    mat = np.asarray(matrix)
+    rows_w = np.asarray(row_grid, dtype=float)
+    cols_w = np.asarray(col_grid, dtype=float)
+
+    def rows():
+        for i in range(mat.shape[0]):
+            for j in range(mat.shape[1]):
+                v = complex(mat[i, j])
+                yield (rows_w[i], cols_w[j], v.real, v.imag, abs(v))
+
+    return write_csv(path, ["omega", "omega_prime", "re", "im", "abs"], rows())
+
+
 def spectrum_with_gap():
     """Two clean duos, then a duo whose gap fails the default tolerance."""
     values = np.array([1.0, 1.0, 0.5, 0.499, 0.2, 0.15])
@@ -131,6 +146,35 @@ class TestMatrixHeatmap:
         _, rows = read_csv(path)
         assert len(rows) == 9
         assert all(float(r[3]) == 0.0 for r in rows)
+
+    @staticmethod
+    def assert_bytes_match_per_cell(tmp_path, mat, rg, cg):
+        got = export_matrix_heatmap(mat, rg, cg, tmp_path / "fast.csv").read_bytes()
+        want = per_cell_heatmap(mat, rg, cg, tmp_path / "ref.csv").read_bytes()
+        assert got == want
+
+    def test_bytes_match_per_cell_writer_random(self, tmp_path):
+        mat = np.random.randn(7, 7) + 1j * np.random.randn(7, 7)
+        g = np.linspace(-0.55, 0.55, 7)
+        self.assert_bytes_match_per_cell(tmp_path, mat, g, g)
+
+    def test_bytes_match_per_cell_writer_edge_values(self, tmp_path):
+        edge = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300, 0.1])
+        # Every (re, im) pair; set by part, since 1j * inf would put a nan in re.
+        mat = np.empty((8, 8), dtype=complex)
+        mat.real, mat.imag = np.meshgrid(edge, edge, indexing="ij")
+        mat = mat.reshape(16, 4)
+        rg = np.concatenate([edge, -edge])
+        cg = np.array([-0.0, 5e-324, 1e300, np.nan])
+        self.assert_bytes_match_per_cell(tmp_path, mat, rg, cg)
+
+    def test_bytes_match_per_cell_writer_real_input(self, tmp_path):
+        mat = np.array([[-0.0, np.nan, 1e300], [np.inf, 5e-324, -2.5]])
+        self.assert_bytes_match_per_cell(tmp_path, mat, [0.1, 0.2], [-1.0, 0.0, 1.0])
+
+    def test_bytes_match_per_cell_writer_non_square(self, tmp_path):
+        mat = np.random.randn(2, 3) + 1j * np.random.randn(2, 3)
+        self.assert_bytes_match_per_cell(tmp_path, mat, [-0.3, 0.3], [-0.1, 0.0, 0.1])
 
     def test_shape_mismatch_raises(self, tmp_path):
         with pytest.raises(ValueError, match="does not match grids"):

@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
+import twinbeams.symplectic as symplectic
 from twinbeams.io import (
     ENV_OUTPUT_DIR,
     PipelineError,
     config_from_dict,
     parse_config,
+    pipeline,
     resolve_output_dir,
     run_pipeline,
 )
@@ -254,6 +256,37 @@ class TestFailures:
         }
         report = run_pipeline(config_from_dict(raw), out_dir=tmp_path)
         assert report.summary["r1"] > 0.0
+
+    def test_overflowing_gain_fails_in_symplectic_stage(self, tmp_path):
+        """r1 ~ 478 would overflow cosh(r)^2: a labelled error, not a NaN residual."""
+        raw = {
+            "crystal": dict(MINIMAL["crystal"]),
+            "pump": {"lambda_p_nm": 397.5, "tau_p_fs": 129.0, "gain": 3e4},
+            "grid": {"m": 32},
+            "pipeline": "numerical",
+        }
+        with pytest.raises(PipelineError, match=r"\[symplectic\] squeezing parameter r_max") as info:
+            run_pipeline(config_from_dict(raw), out_dir=tmp_path)
+        assert info.value.stage == "symplectic"
+
+
+class TestSymplecticCheck:
+    """The symplectic residual is computed once per run."""
+
+    def test_one_residual_per_numerical_run(self, monkeypatch, tmp_path):
+        calls = []
+        original = symplectic.symplectic_residual
+
+        def counting(s):
+            calls.append(s.n)
+            return original(s)
+
+        monkeypatch.setattr(symplectic, "symplectic_residual", counting)
+        # Also any binding imported by name into the pipeline module.
+        monkeypatch.setattr(pipeline, "symplectic_residual", counting, raising=False)
+        report = run_pipeline(small_config(pipeline="numerical"), out_dir=tmp_path)
+        assert calls == [32]
+        assert report.residuals["symplectic"] <= 1e-10
 
 
 class TestOutputDir:

@@ -1,9 +1,12 @@
 """Tests for complex-symplectic algebra and Gaussian-state propagation."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import build_working_point
+from scipy.linalg import expm
 
 from twinbeams.symplectic import (
     BlochMessiahFactors,
@@ -37,6 +40,34 @@ def random_generator(n, scale=0.3):
 
 def random_symplectic(n, scale=0.3):
     return exponentiate_generator(random_generator(n, scale))
+
+
+def random_symmetric(n, scale=0.3):
+    b = np.random.randn(n, n) + 1j * np.random.randn(n, n)
+    return scale * (b + b.T) / 2
+
+
+def pure_squeezer(hI):
+    n = hI.shape[0]
+    return GeneratorMatrix(n=n, h0=np.zeros((n, n)), hI=hI)
+
+
+def k_matrix(n):
+    return np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
+
+
+def dense_exponential(g):
+    """Reference: scaling-and-squaring expm of the full 2n x 2n -i K H."""
+    h = np.block([[g.h0, g.hI], [g.hI.conj(), g.h0.conj()]])
+    return expm(-1j * k_matrix(g.n) @ h)
+
+
+def dense_residual(s):
+    """Reference: max|S K S^dagger - K| / max(max|S|^2, 1) on the assembled S."""
+    full = np.block([[s.s0, s.sI], [s.sI.conj(), s.s0.conj()]])
+    k = k_matrix(s.n)
+    res = full @ k @ full.conj().T - k
+    return float(np.abs(res).max() / max(np.abs(full).max() ** 2, 1.0))
 
 
 def random_unitary(n):
@@ -78,6 +109,78 @@ class TestGenerator:
         s = exponentiate_generator(g)
         assert np.abs(s.sI).max() < 1e-14
         assert np.allclose(s.s0 @ s.s0.conj().T, np.eye(3), atol=1e-13, rtol=0)
+
+
+class TestPureSqueezerClosedForm:
+    """The h0 = 0 branch of exponentiate_generator against a dense expm."""
+
+    @staticmethod
+    def assert_matches_expm(hI):
+        g = pure_squeezer(hI)
+        ref = dense_exponential(g)
+        got = exponentiate_generator(g).full()
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_random_complex_symmetric(self):
+        for n in (1, 2, 5, 16):
+            for scale in (0.3, 2.0):
+                self.assert_matches_expm(random_symmetric(n, scale))
+
+    def test_rank_deficient(self):
+        """Zero squeezing parameters: sinh(r)/r takes its limit 1 there."""
+        for rank in (1, 2):
+            v = np.random.randn(6, rank) + 1j * np.random.randn(6, rank)
+            self.assert_matches_expm(v @ v.T)
+
+    def test_exactly_degenerate_two_mode_blocks(self):
+        """Two equal two-mode squeezers: B B^H is exactly 0.49 I."""
+        hI = -0.7j * np.kron(np.eye(2), SIGMA_X)
+        self.assert_matches_expm(hI)
+
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25])
+    def test_pipeline_gamma(self, z0_fraction):
+        gamma = build_working_point(m=16, z0_fraction=z0_fraction).sq.gamma
+        complex_gamma = np.abs(gamma.imag).max() > 1e-10 * np.abs(gamma).max()
+        assert complex_gamma == (z0_fraction != 0.5)
+        self.assert_matches_expm(1j * gamma)
+
+    def test_overflow_names_r_max(self):
+        with pytest.raises(ValueError, match=r"r_max = 400 exceeds"):
+            exponentiate_generator(pure_squeezer(-400j * SIGMA_X))
+
+    def test_large_finite_r(self):
+        s = exponentiate_generator(pure_squeezer(-300j * SIGMA_X))
+        assert np.allclose(s.s0, math.cosh(300.0) * np.eye(2), atol=0, rtol=1e-13)
+
+
+class TestSymplecticResidual:
+    """The block residual against the dense formula."""
+
+    def test_matches_dense_formula_on_random_blocks(self):
+        for n in (1, 3, 6):
+            for scale in (0.1, 1.0, 10.0):
+                s = SimpleNamespace(
+                    n=n,
+                    s0=scale * (np.random.randn(n, n) + 1j * np.random.randn(n, n)),
+                    sI=scale * (np.random.randn(n, n) + 1j * np.random.randn(n, n)),
+                )
+                assert np.isclose(
+                    symplectic_residual(s), dense_residual(s), rtol=1e-12, atol=0
+                )
+
+    def test_matches_dense_formula_on_random_symplectic(self):
+        for n in (1, 3, 6):
+            s = random_symplectic(n, scale=1.0)
+            assert symplectic_residual(s) <= 1e-13
+            assert dense_residual(s) <= 1e-13
+
+    def test_attribute_is_the_residual(self):
+        for s in (random_symplectic(4), two_mode_squeezer(1.5)):
+            assert s.residual == symplectic_residual(s)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="not symplectic: residual nan"):
+            SymplecticMatrix(n=1, s0=np.array([[np.nan]]), sI=np.zeros((1, 1)))
 
 
 class TestSymplecticMatrix:
