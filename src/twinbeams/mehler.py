@@ -41,6 +41,7 @@ __all__ = [
     "analytic_schmidt_mode",
     "evaluate_kernel_lhs",
     "evaluate_kernel_sum",
+    "terms_for_tail_bound",
     "mode_overlap",
 ]
 
@@ -112,10 +113,8 @@ def characteristic_times(
     the degenerate cut the Gaussian model has no central detuning.
     """
     length = crystal.length_mm
-    _, kp1, kp2 = wave_vector_derivatives(0.0, "pump", crystal, pump)
-    _, k1, k2 = wave_vector_derivatives(0.0, "downconverted", crystal, pump)
-    kp0, _, _ = wave_vector_derivatives(0.0, "pump", crystal, pump)
-    k0, _, _ = wave_vector_derivatives(0.0, "downconverted", crystal, pump)
+    kp0, kp1, kp2 = wave_vector_derivatives(0.0, "pump", crystal, pump)
+    k0, k1, k2 = wave_vector_derivatives(0.0, "downconverted", crystal, pump)
     delta0 = kp0 - 2.0 * k0
     if delta0 == 0.0 or delta0 / k2 <= 0.0:
         raise ValueError(
@@ -381,13 +380,37 @@ def evaluate_kernel_sum(f: MehlerFactors, x, y, terms: int):
         * total
         * np.exp(1j * f.zeta * (xa**2 + ya**2))
     )
-    if f.q == 0.0:
-        bound = 0.0
-    else:
-        bound = f.norm * f.p * f.q**terms / (1.0 - f.q) / math.sqrt(math.pi)
+    bound = _tail_bound(f, terms)
     if not (np.ndim(x) or np.ndim(y)):
         return complex(value), bound
     return value, bound
+
+
+def _tail_bound(f: MehlerFactors, terms: int) -> float:
+    if f.q == 0.0:
+        return 0.0
+    return f.norm * f.p * f.q**terms / (1.0 - f.q) / math.sqrt(math.pi)
+
+
+def terms_for_tail_bound(f: MehlerFactors, rel_tol: float) -> int:
+    """Fewest terms whose ``evaluate_kernel_sum`` tail bound is <= rel_tol * norm.
+
+    Solves p q^N / ((1 - q) sqrt(pi)) = rel_tol for N, then steps N past
+    the rounding of the logarithms against the bound itself.
+    """
+    if not rel_tol > 0.0:
+        raise ValueError("rel_tol must be positive")
+    limit = rel_tol * f.norm
+    if _tail_bound(f, 1) <= limit:
+        return 1
+    terms = math.ceil(
+        math.log(rel_tol * (1.0 - f.q) * math.sqrt(math.pi) / f.p) / math.log(f.q)
+    )
+    while terms > 1 and _tail_bound(f, terms - 1) <= limit:
+        terms -= 1
+    while _tail_bound(f, terms) > limit:
+        terms += 1
+    return terms
 
 
 def mode_overlap(a, b, spacing: float = 1.0) -> complex:

@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 #: Relative gap below which neighbouring singular values are treated as
-#: one degenerate cluster when building the balancing matrix.
+#: one degenerate cluster by the balancing step of ``takagi_general``.
 DEGENERACY_GAP = 1e-8
 
 
@@ -51,16 +51,19 @@ def _check_symmetric(a: np.ndarray, rtol: float = 1e-10) -> None:
         )
 
 
-def _fix_column_signs(o: np.ndarray) -> np.ndarray:
-    """Force the largest-magnitude entry of each column to be positive.
+def _largest_entry_phase(u: np.ndarray) -> np.ndarray:
+    """Phase of the largest-magnitude entry of each column of ``u``.
 
-    Removes the per-column sign ambiguity of a real eigendecomposition so
-    that repeated runs produce identical output.
+    ``u / _largest_entry_phase(u)`` makes that entry real positive and so
+    removes the per-column phase (sign, for real input) ambiguity of a
+    decomposition; repeated runs then produce identical output.  Columns
+    whose largest entry is zero get phase 1.
     """
-    idx = np.argmax(np.abs(o), axis=0)
-    signs = np.sign(o[idx, np.arange(o.shape[1])])
-    signs[signs == 0] = 1.0
-    return o * signs
+    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    if not np.iscomplexobj(u):
+        return np.where(pivot == 0, 1.0, np.sign(pivot))
+    mag = np.hypot(pivot.real, pivot.imag)
+    return np.divide(pivot, mag, out=np.ones_like(pivot), where=mag != 0)
 
 
 def takagi_real_symmetric(a: np.ndarray) -> TakagiFactors:
@@ -91,7 +94,7 @@ def takagi_real_symmetric(a: np.ndarray) -> TakagiFactors:
     a = 0.5 * (a + a.T)
 
     lam, o = np.linalg.eigh(a)
-    o = _fix_column_signs(o)
+    o /= _largest_entry_phase(o)
     # Descending by magnitude; ties keep the eigh output order.
     order = np.argsort(-np.abs(lam), kind="stable")
     lam = lam[order]
@@ -153,8 +156,8 @@ def _unitary_symmetric_root(block: np.ndarray) -> np.ndarray:
                 basis[:, start:i] = sub @ w
             start = i
     phases = np.arctan2(
-        np.einsum("ji,jk,ki->i", basis, im_part, basis),
-        np.einsum("ji,jk,ki->i", basis, re_part, basis),
+        np.einsum("ji,ji->i", basis, im_part @ basis),
+        np.einsum("ji,ji->i", basis, re_part @ basis),
     )
     return basis * np.exp(0.5j * phases)[None, :]
 
@@ -162,11 +165,12 @@ def _unitary_symmetric_root(block: np.ndarray) -> np.ndarray:
 def takagi_general(a: np.ndarray) -> TakagiFactors:
     """Takagi factorization of a complex symmetric matrix.
 
-    Computes the SVD a = P S W^H, forms the unitary matrix D = W^H conj(P)
-    (block diagonal over clusters of equal singular values, symmetric on
-    each cluster), solves the balancing relation D_c conj(X_c) = X_c on
-    each cluster by joint diagonalization of Re D_c and Im D_c, and sets
-    V = P X so that V R V^T = a.  Stable for degenerate spectra.
+    Computes the SVD a = P S W^H.  The unitary matrix D = W^H conj(P) is
+    block diagonal over clusters c of equal singular values and symmetric
+    on each, so only its diagonal blocks D_c are formed.  The balancing
+    relation D_c conj(X_c) = X_c is solved on each cluster by joint
+    diagonalization of Re D_c and Im D_c, and V[:, c] = P[:, c] X_c gives
+    V R V^T = a.  Stable for degenerate spectra.
 
     Raises
     ------
@@ -185,18 +189,15 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
         return TakagiFactors(v=np.eye(n, dtype=complex), r=np.zeros(n))
 
     p, s, wh = np.linalg.svd(a)
-    d = wh @ p.conj()
-
-    balance = np.zeros_like(d)
-    for cluster in _degenerate_clusters(s):
-        if s[cluster.start] <= 1e-14 * s[0]:
-            # Zero block: columns are free, identity keeps V unitary.
-            balance[cluster, cluster] = np.eye(cluster.stop - cluster.start)
+    v = np.empty_like(p)
+    for c in _degenerate_clusters(s):
+        if s[c.start] <= 1e-14 * s[0]:
+            # Zero block: columns are free, P's own keep V unitary.
+            v[:, c] = p[:, c]
             continue
-        block = d[cluster, cluster]
+        block = wh[c, :] @ p[:, c].conj()
         block = 0.5 * (block + block.T)
-        balance[cluster, cluster] = _unitary_symmetric_root(block)
-    v = p @ balance
+        v[:, c] = p[:, c] @ _unitary_symmetric_root(block)
 
     factors = TakagiFactors(v=v, r=s.copy())
     residual = takagi_residual(a, factors)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .takagi import TakagiFactors
+from .takagi import TakagiFactors, _largest_entry_phase
 
 __all__ = [
     "JointSpectralAmplitude",
@@ -158,28 +158,19 @@ def block_squeezing_matrix(jsa: JointSpectralAmplitude) -> np.ndarray:
     return out
 
 
-def _fix_phases(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each (c_k, d_k) pair so the largest entry of c_k is real positive.
-
-    The common phase leaves C diag(r) D^dagger unchanged.
-    """
-    c = c.copy()
-    d = d.copy()
-    for k in range(c.shape[1]):
-        j = int(np.argmax(np.abs(c[:, k])))
-        pivot = c[j, k]
-        if pivot != 0:
-            phase = pivot / abs(pivot)
-            c[:, k] /= phase
-            d[:, k] /= phase
-    return c, d
-
-
 def schmidt_from_jsa(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
-    """Schmidt decomposition of the JSA via SVD of the stored block."""
+    """Schmidt decomposition of the JSA via SVD of the stored block.
+
+    Each (c_k, d_k) pair is rotated by one common phase, which leaves
+    C diag(r) D^dagger unchanged, so that the largest entry of c_k is
+    real positive.
+    """
     u, s, vh = np.linalg.svd(jsa.j_matrix)
-    c, d = _fix_phases(u, vh.conj().T)
-    return SchmidtDecomposition(c=c, d=d, values=s)
+    phase = _largest_entry_phase(u)
+    u /= phase
+    d = vh.conj().T
+    d /= phase
+    return SchmidtDecomposition(c=u, d=d, values=s)
 
 
 def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
@@ -203,16 +194,6 @@ def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
         modes[m:, 2 * j + 1] = -1j * dj_bar * inv_sqrt2
         values[2 * j] = values[2 * j + 1] = sd.values[j]
     return SqueezingSpectrum(values=values, modes=modes, source="jsa_svd")
-
-
-def _largest_entry_positive(u: np.ndarray) -> np.ndarray:
-    u = u.copy()
-    for k in range(u.shape[1]):
-        j = int(np.argmax(np.abs(u[:, k])))
-        pivot = u[j, k]
-        if pivot != 0:
-            u[:, k] /= pivot / abs(pivot)
-    return u
 
 
 def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
@@ -254,8 +235,8 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
         ):
             order[i], order[i + 1] = order[i + 1], order[i]
     lam = lam[order]
-    u = _largest_entry_positive(u[:, order])
-    modes = u.copy()
+    modes = u[:, order]
+    modes /= _largest_entry_phase(modes)
     modes[m:, :] = modes[m:, :].conj()
     neg = lam < 0
     modes[:, neg] *= 1j

@@ -8,23 +8,11 @@ the dispersion interfaces (nanometres accepted at config boundaries).
 
 from __future__ import annotations
 
-import math
-
 #: Speed of light in micrometres per femtosecond.
 C_UM_PER_FS = 0.299792458
 
 #: Micrometres per millimetre.
 UM_PER_MM = 1.0e3
-
-
-def wavelength_um_to_angular_frequency(lambda_um: float) -> float:
-    """Angular frequency (rad/fs) of light with vacuum wavelength in um."""
-    return 2.0 * math.pi * C_UM_PER_FS / lambda_um
-
-
-def angular_frequency_to_wavelength_um(omega: float) -> float:
-    """Vacuum wavelength (um) for an angular frequency in rad/fs."""
-    return 2.0 * math.pi * C_UM_PER_FS / omega
 
 
 def nm_to_um(value_nm: float) -> float:

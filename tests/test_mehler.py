@@ -18,6 +18,7 @@ from twinbeams.mehler import (
     mehler_factors,
     mode_overlap,
     sum_detuning_bound,
+    terms_for_tail_bound,
 )
 from twinbeams.pdc import PumpConfig, bbo_crystal
 
@@ -233,6 +234,33 @@ class TestKernelIdentity:
         lhs = evaluate_kernel_lhs(params, xx, yy)
         total, _ = evaluate_kernel_sum(f, xx, yy, 90)
         assert np.abs(lhs - total).max() <= 1e-6 * f.norm
+
+    def test_terms_for_tail_bound(self):
+        """Fewest terms whose tail bound is <= 1e-6 of the norm; they clear the mesh."""
+        params = gaussian_model_params(times_for(2.0))
+        f = mehler_factors(params)
+        n = terms_for_tail_bound(f, 1e-6)
+        assert n == 104
+        assert evaluate_kernel_sum(f, 0.0, 0.0, n)[1] <= 1e-6 * f.norm
+        assert evaluate_kernel_sum(f, 0.0, 0.0, n - 1)[1] > 1e-6 * f.norm
+        xx, yy = self.mesh()
+        total, _ = evaluate_kernel_sum(f, xx, yy, n)
+        assert np.abs(evaluate_kernel_lhs(params, xx, yy) - total).max() <= 1e-6 * f.norm
+
+    def test_terms_for_tail_bound_is_smallest(self):
+        for q in (0.0, 0.1, 0.5, 0.8685, 0.95, 0.999):
+            p = math.sqrt(1.0 - q * q)
+            f = MehlerFactors(
+                tau1=1.0, tau2=1.0, zeta1=0.0, zeta2=0.0, q=q,
+                p=p, theta0=0.0, theta=0.0, norm=2.0, zeta=0.0, xi_prime=0.0,
+            )
+            for rel_tol in (1e-3, 1e-6, 1e-12):
+                n = terms_for_tail_bound(f, rel_tol)
+                limit = rel_tol * f.norm
+                assert evaluate_kernel_sum(f, 0.0, 0.0, n)[1] <= limit
+                assert n == 1 or evaluate_kernel_sum(f, 0.0, 0.0, n - 1)[1] > limit
+        with pytest.raises(ValueError, match="rel_tol"):
+            terms_for_tail_bound(f, 0.0)
 
     def test_lhs_bitwise_symmetric(self):
         params = gaussian_model_params(times_for(2.0))

@@ -91,6 +91,7 @@ class TestCompareRun:
         report = compare_run[0]
         assert np.allclose(report.residuals["kernel_truncation"], 1.2856e-6, atol=2e-8, rtol=0)
         assert any("Mehler series truncated" in note for note in report.notes)
+        assert any("(104 terms bring its tail bound under 1e-6)" in note for note in report.notes)
 
     def test_artifact_manifest(self, compare_run):
         report, out = compare_run

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twinbeams import takagi
 from twinbeams.takagi import (
     TakagiFactors,
     takagi_general,
@@ -135,6 +138,124 @@ class TestGeneral:
         a = np.random.randn(4, 4) + 1j * np.random.randn(4, 4)
         with pytest.raises(ValueError, match="not symmetric"):
             takagi_general(a)
+
+
+def noisy_twin_beam_block(m=200, rank=10, noise=1e-13, seed=5):
+    """[[0, J], [J^T, 0]] with J of low rank plus complex noise.
+
+    The noise singular values form one wide cluster at the noise floor,
+    as the grid-truncated squeezing matrix does at large m.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank)))[0]
+    w = np.linalg.qr(rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank)))[0]
+    j = (u * (10.0 * 0.8 ** np.arange(rank))) @ w.conj().T
+    j = j + noise * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    a = np.zeros((2 * m, 2 * m), dtype=complex)
+    a[:m, m:] = j
+    a[m:, :m] = j.T
+    return a
+
+
+class TestBalancing:
+    """Cluster-by-cluster balancing inside ``takagi_general``."""
+
+    @pytest.mark.parametrize("width", [2, 32, 600])
+    def test_root_phases_match_quadratic_form(self, width):
+        """The phases in X equal arctan2(E^T Im D E, E^T Re D E) column by column."""
+        rng = np.random.default_rng(width)
+        z = rng.standard_normal((width, width)) + 1j * rng.standard_normal((width, width))
+        u = np.linalg.qr(z)[0]
+        block = u @ u.T
+        block = 0.5 * (block + block.T)
+        x = takagi._unitary_symmetric_root(block)
+        # X_i = E_i e^{i phi_i / 2} with E_i real of unit norm, so
+        # sum_j X_ji^2 = e^{i phi_i} and E_i = Re(X_i e^{-i phi_i / 2}) up to sign.
+        rotation = np.sum(x * x, axis=0)
+        unrotated = x * np.exp(-0.5j * np.angle(rotation))
+        assert np.abs(unrotated.imag).max() <= 1e-12
+        basis = unrotated.real
+        phases = np.arctan2(
+            np.einsum("ji,jk,ki->i", basis, block.imag, basis),
+            np.einsum("ji,jk,ki->i", basis, block.real, basis),
+        )
+        assert np.abs(np.exp(1j * phases) - rotation).max() <= 1e-12
+        assert np.abs(x.conj().T @ x - np.eye(width)).max() <= 1e-12
+        assert np.abs(block @ x.conj() - x).max() <= 1e-10
+
+    def test_wide_noise_floor_cluster(self, monkeypatch):
+        a = noisy_twin_beam_block()
+        p, s, wh = np.linalg.svd(a)
+        clusters = takagi._degenerate_clusters(s)
+        assert max(c.stop - c.start for c in clusters) >= 300
+
+        roots = []
+        solve = takagi._unitary_symmetric_root
+
+        def recording_root(block):
+            x = solve(block)
+            roots.append((block, x))
+            return x
+
+        monkeypatch.setattr(takagi, "_unitary_symmetric_root", recording_root)
+        factors = takagi_general(a)
+        n = a.shape[0]
+        assert takagi_residual(a, factors) <= 1e-10
+        assert np.abs(factors.v.conj().T @ factors.v - np.eye(n)).max() <= 1e-10
+        assert np.array_equal(factors.r, s)
+
+        # Dense reference: the diagonal blocks of D = W^H conj(P), and
+        # V = P blockdiag(X) with identity on the zero clusters.
+        d = wh @ p.conj()
+        balance = np.zeros((n, n), dtype=complex)
+        recorded = iter(roots)
+        for c in clusters:
+            if s[c.start] <= 1e-14 * s[0]:
+                balance[c, c] = np.eye(c.stop - c.start)
+                continue
+            block, x = next(recorded)
+            assert np.abs(block - 0.5 * (d[c, c] + d[c, c].T)).max() <= 1e-12
+            balance[c, c] = x
+        assert next(recorded, None) is None
+        assert np.abs(factors.v - p @ balance).max() <= 1e-12
+
+
+@st.composite
+def clustered_spectra(draw):
+    """Descending r with exact or ulp-split clusters, zeros and near zeros.
+
+    Cluster levels fall geometrically (ratio <= 0.9), so distinct clusters
+    are far apart compared with ``DEGENERACY_GAP``.
+    """
+    r0 = draw(st.floats(1e-3, 1e3))
+    ratio = draw(st.floats(0.1, 0.9))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    split = draw(st.sampled_from([0.0, 1e-15, 1e-13]))
+    n_tiny = draw(st.integers(0, 4))
+    n_zero = draw(st.integers(0, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    levels = [r0 * ratio**k for k, size in enumerate(sizes) for _ in range(size)]
+    r = np.array(levels) * (1.0 + split * rng.standard_normal(len(levels)))
+    r = np.concatenate(
+        [r, r0 * 10.0 ** rng.uniform(-16.0, -13.0, n_tiny), np.zeros(n_zero)]
+    )
+    r = np.sort(r[:40])[::-1]
+    n = len(r)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return (q * r) @ q.T, r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(clustered_spectra())
+def test_general_reconstructs_clustered_spectra(case):
+    a, r = case
+    a = 0.5 * (a + a.T)
+    factors = takagi_general(a)
+    n = len(r)
+    assert takagi_residual(a, factors) <= 1e-10
+    assert np.abs(factors.v.conj().T @ factors.v - np.eye(n)).max() <= 1e-10
+    assert np.allclose(factors.r, r, atol=1e-12 * r[0], rtol=0)
 
 
 class TestResidual:
