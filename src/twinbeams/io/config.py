@@ -2,28 +2,26 @@
 
 A run is described by one YAML mapping with sections ``crystal``, ``pump``,
 ``grid`` and ``output`` plus the scalars ``pipeline``, ``pairing_tol`` and
-``mehler_terms``.  Parsing applies defaults, rejects unknown keys, and turns
-every failure into a :class:`ConfigError` whose message names the offending
-field (and the source line for YAML syntax errors).  ``serialize_config``
-emits the fully resolved form; parse -> serialize -> parse is the identity.
+``mehler_terms``.  The config dataclasses are the only schema: parsing walks
+their fields, applies their defaults, rejects unknown keys, and turns every
+failure into a :class:`ConfigError` whose message names the offending field
+(and the source line for YAML syntax errors).  ``serialize_config`` emits the
+fully resolved form, :func:`dataclasses.asdict` of the config; parse ->
+serialize -> parse is the identity.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
-from ..pdc import (
-    BBO_SELLMEIER_EXTRAORDINARY,
-    BBO_SELLMEIER_ORDINARY,
-    CrystalConfig,
-    PumpConfig,
-    SellmeierSet,
-)
+from ..pdc import CrystalConfig, PumpConfig
 
 __all__ = [
     "PIPELINES",
@@ -42,9 +40,6 @@ __all__ = [
 
 PIPELINES = ("numerical", "analytic", "compare", "near_degenerate")
 FORMATS = ("csv", "json", "both")
-
-_MISSING = object()
-
 
 class ConfigError(ValueError):
     """Configuration parse or validation failure (CLI exit code 2)."""
@@ -147,17 +142,6 @@ def _as_str(value) -> str:
     return value
 
 
-def _section(raw: dict, name: str, required: bool = False) -> dict:
-    node = raw.get(name)
-    if node is None:
-        if required:
-            raise ConfigError(f"{name}: required section is missing")
-        return {}
-    if not isinstance(node, dict):
-        raise ConfigError(f"{name}: expected a mapping, got {type(node).__name__}")
-    return node
-
-
 def _reject_unknown(data: dict, where: str, known: tuple[str, ...]) -> None:
     unknown = sorted(k for k in data if k not in known)
     if unknown:
@@ -166,129 +150,67 @@ def _reject_unknown(data: dict, where: str, known: tuple[str, ...]) -> None:
         )
 
 
-def _scalar(data: dict, where: str, key: str, convert, default=_MISSING):
-    if key not in data or data[key] is None:
-        if default is _MISSING:
-            raise ConfigError(f"{where}.{key}: required field is missing")
-        return default
-    try:
-        return convert(data[key])
-    except ValueError as err:
-        raise ConfigError(f"{where}.{key}: {err}") from None
+_CONVERTERS = {float: _as_float, int: _as_int, bool: _as_bool, str: _as_str}
 
 
-def _build(where: str, cls, **kwargs):
+@functools.cache
+def _schema(cls) -> tuple:
+    """(name, type, nullable, required) of each field of dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    schema = []
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        nullable = type(None) in typing.get_args(kind)
+        if nullable:
+            (kind,) = (a for a in typing.get_args(kind) if a is not type(None))
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        schema.append((f.name, kind, nullable, required))
+    return tuple(schema)
+
+
+def _from_dict(cls, data: dict, where: str, prefix: str = ""):
+    """Build dataclass ``cls`` from ``data`` by walking its fields.
+
+    The fields give the known keys and their order, the defaults, which keys
+    are required, and the converter of each scalar; a nested dataclass is a
+    section.  Null means None where the field's type admits None and counts
+    as missing everywhere else.  Scalar errors name ``<where>.<key>``,
+    section errors ``<prefix><key>``, constructor errors ``<where>``.
+    """
+    schema = _schema(cls)
+    _reject_unknown(data, where, tuple(name for name, *_ in schema))
+    kwargs = {}
+    for name, kind, nullable, required in schema:
+        section = dataclasses.is_dataclass(kind)
+        label = f"{prefix}{name}" if section else f"{where}.{name}"
+        value = data.get(name)
+        if value is None:
+            if name in data and nullable:
+                kwargs[name] = None
+            elif required:
+                what = "section" if section else "field"
+                raise ConfigError(f"{label}: required {what} is missing")
+            continue
+        if section:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{label}: expected a mapping, got {type(value).__name__}")
+            kwargs[name] = _from_dict(kind, value, label, f"{label}.")
+            continue
+        try:
+            kwargs[name] = _CONVERTERS[kind](value)
+        except ValueError as err:
+            raise ConfigError(f"{label}: {err}") from None
     try:
         return cls(**kwargs)
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from None
 
 
-def _parse_sellmeier(raw: dict, where: str, default: SellmeierSet) -> SellmeierSet:
-    node = raw.get(where.rsplit(".", 1)[-1])
-    if node is None:
-        return default
-    if not isinstance(node, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(node).__name__}")
-    known = ("a", "b", "c", "d", "lambda_min_um", "lambda_max_um")
-    _reject_unknown(node, where, known)
-    return _build(
-        where,
-        SellmeierSet,
-        a=_scalar(node, where, "a", _as_float),
-        b=_scalar(node, where, "b", _as_float),
-        c=_scalar(node, where, "c", _as_float),
-        d=_scalar(node, where, "d", _as_float),
-        lambda_min_um=_scalar(node, where, "lambda_min_um", _as_float, default.lambda_min_um),
-        lambda_max_um=_scalar(node, where, "lambda_max_um", _as_float, default.lambda_max_um),
-    )
-
-
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a validated :class:`RunConfig` from a plain nested dict."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config: top level must be a mapping, got {type(raw).__name__}")
-    _reject_unknown(
-        raw,
-        "config",
-        (
-            "crystal",
-            "pump",
-            "grid",
-            "pipeline",
-            "pairing_tol",
-            "fit_pairs",
-            "mehler_terms",
-            "output",
-        ),
-    )
-
-    crystal_raw = _section(raw, "crystal", required=True)
-    _reject_unknown(
-        crystal_raw, "crystal", ("length_mm", "theta0_deg", "sellmeier_o", "sellmeier_e")
-    )
-    crystal = _build(
-        "crystal",
-        CrystalConfig,
-        length_mm=_scalar(crystal_raw, "crystal", "length_mm", _as_float),
-        theta0_deg=_scalar(crystal_raw, "crystal", "theta0_deg", _as_float),
-        sellmeier_o=_parse_sellmeier(crystal_raw, "crystal.sellmeier_o", BBO_SELLMEIER_ORDINARY),
-        sellmeier_e=_parse_sellmeier(crystal_raw, "crystal.sellmeier_e", BBO_SELLMEIER_EXTRAORDINARY),
-    )
-
-    pump_raw = _section(raw, "pump", required=True)
-    _reject_unknown(
-        pump_raw,
-        "pump",
-        ("lambda_p_nm", "tau_p_fs", "gain", "z0_fraction", "prechirp_compensated"),
-    )
-    pump = _build(
-        "pump",
-        PumpConfig,
-        lambda_p_nm=_scalar(pump_raw, "pump", "lambda_p_nm", _as_float),
-        tau_p_fs=_scalar(pump_raw, "pump", "tau_p_fs", _as_float),
-        gain=_scalar(pump_raw, "pump", "gain", _as_float, 1.0),
-        z0_fraction=_scalar(pump_raw, "pump", "z0_fraction", _as_float, 0.5),
-        prechirp_compensated=_scalar(
-            pump_raw, "pump", "prechirp_compensated", _as_bool, True
-        ),
-    )
-
-    grid_raw = _section(raw, "grid")
-    _reject_unknown(grid_raw, "grid", ("m", "half_width", "window_T", "width_factor"))
-    grid = _build(
-        "grid",
-        GridSpec,
-        m=_scalar(grid_raw, "grid", "m", _as_int, 128),
-        half_width=_scalar(grid_raw, "grid", "half_width", _as_float, None),
-        window_T=_scalar(grid_raw, "grid", "window_T", _as_float, None),
-        width_factor=_scalar(grid_raw, "grid", "width_factor", _as_float, 4.0),
-    )
-
-    output_raw = _section(raw, "output")
-    _reject_unknown(output_raw, "output", ("directory", "format"))
-    output = _build(
-        "output",
-        OutputConfig,
-        directory=_scalar(output_raw, "output", "directory", _as_str, None),
-        format=_scalar(output_raw, "output", "format", _as_str, "csv"),
-    )
-
-    return _build(
-        "config",
-        RunConfig,
-        crystal=crystal,
-        pump=pump,
-        grid=grid,
-        pipeline=_scalar(raw, "config", "pipeline", _as_str, "numerical"),
-        pairing_tol=_scalar(raw, "config", "pairing_tol", _as_float, 1e-2),
-        # an explicit null means "no cap", a missing key means the default
-        fit_pairs=None
-        if ("fit_pairs" in raw and raw["fit_pairs"] is None)
-        else _scalar(raw, "config", "fit_pairs", _as_int, 15),
-        mehler_terms=_scalar(raw, "config", "mehler_terms", _as_int, 80),
-        output=output,
-    )
+    return _from_dict(RunConfig, raw, "config")
 
 
 def parse_config_text(text: str, name: str = "<config>") -> RunConfig:
@@ -344,35 +266,7 @@ def parse_config(source) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Fully resolved plain-dict form of a config (defaults made explicit)."""
-    return {
-        "crystal": {
-            "length_mm": cfg.crystal.length_mm,
-            "theta0_deg": cfg.crystal.theta0_deg,
-            "sellmeier_o": dataclasses.asdict(cfg.crystal.sellmeier_o),
-            "sellmeier_e": dataclasses.asdict(cfg.crystal.sellmeier_e),
-        },
-        "pump": {
-            "lambda_p_nm": cfg.pump.lambda_p_nm,
-            "tau_p_fs": cfg.pump.tau_p_fs,
-            "gain": cfg.pump.gain,
-            "z0_fraction": cfg.pump.z0_fraction,
-            "prechirp_compensated": cfg.pump.prechirp_compensated,
-        },
-        "grid": {
-            "m": cfg.grid.m,
-            "half_width": cfg.grid.half_width,
-            "window_T": cfg.grid.window_T,
-            "width_factor": cfg.grid.width_factor,
-        },
-        "pipeline": cfg.pipeline,
-        "pairing_tol": cfg.pairing_tol,
-        "fit_pairs": cfg.fit_pairs,
-        "mehler_terms": cfg.mehler_terms,
-        "output": {
-            "directory": cfg.output.directory,
-            "format": cfg.output.format,
-        },
-    }
+    return dataclasses.asdict(cfg)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -47,6 +47,7 @@ from ..twinbeam import (
     pair_eigenvalues,
     schmidt_from_jsa,
     schmidt_number,
+    signal_first,
     spectrum_from_takagi,
 )
 from .config import RunConfig, config_to_dict
@@ -175,16 +176,6 @@ class RunReport:
         return lines
 
 
-def _signal_first(gamma: np.ndarray, m: int) -> np.ndarray:
-    """Reorder a grid-ordered (idler band first) matrix to signal-band-first."""
-    return np.block(
-        [
-            [gamma[m:, m:], gamma[m:, :m]],
-            [gamma[:m, m:], gamma[:m, :m]],
-        ]
-    )
-
-
 def _resolve_grid(cfg: RunConfig):
     """Build the detuning grid, sizing the band from the analytic model if needed."""
     spec = cfg.grid
@@ -246,7 +237,7 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path) -> _Numerica
 
     sd = None
     if cfg.pipeline == "near_degenerate" and not zero:
-        full = _signal_first(sq.gamma, grid.m)
+        full = signal_first(sq.gamma)
         if imag_fraction <= REAL_PATH_IMAG_FRACTION:
             spectrum = _stage("spectrum", associated_spectral, full)
         else:
@@ -318,9 +309,9 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path) -> _Numerica
 
 @dataclass
 class _AnalyticResult:
-    times: object
-    params: object
-    factors: object
+    q: float
+    #: (signal, idler) analytic Schmidt modes on the grid bands, k < N_MODE_EXPORTS.
+    modes: list
 
 
 def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path) -> _AnalyticResult:
@@ -368,11 +359,18 @@ def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path) -> _AnalyticR
     report.artifacts.append({"kind": "analytic_factors", "path": factors_path.name})
 
     grid = _stage("grid", _resolve_grid, cfg)
+    bands = (("signal", grid.signal), ("idler", grid.idler))
+    modes = [
+        tuple(
+            analytic_schmidt_mode(k, branch, f, t, band, include_delay=False)
+            for branch, band in bands
+        )
+        for k in range(N_MODE_EXPORTS)
+    ]
 
     def mode_rows():
-        for k in range(N_MODE_EXPORTS):
-            for branch, band in (("signal", grid.signal), ("idler", grid.idler)):
-                mode = analytic_schmidt_mode(k, branch, f, t, band, include_delay=False)
+        for k, pair in enumerate(modes):
+            for (branch, band), mode in zip(bands, pair):
                 for omega, value in zip(band, mode):
                     yield (k, branch, omega, value.real, value.imag)
 
@@ -381,7 +379,7 @@ def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path) -> _AnalyticR
     )
     report.artifacts.append({"kind": "analytic_modes", "path": modes_path.name})
 
-    return _AnalyticResult(times=t, params=params, factors=f)
+    return _AnalyticResult(q=f.q, modes=modes)
 
 
 def _compare_stages(
@@ -395,16 +393,13 @@ def _compare_stages(
         report.notes.append("comparison skipped: spectrum is identically zero")
         return
     grid = numerical.grid
-    t, f = analytic.times, analytic.factors
     sd = numerical.sd
 
     # SVD columns carry plain l2 normalization; dividing by sqrt(spacing)
     # puts them on the grid-weighted normalization of the analytic modes.
     weight = 1.0 / np.sqrt(grid.spacing)
     overlap_rows = []
-    for k in range(N_MODE_EXPORTS):
-        a_signal = analytic_schmidt_mode(k, "signal", f, t, grid.signal, include_delay=False)
-        a_idler = analytic_schmidt_mode(k, "idler", f, t, grid.idler, include_delay=False)
+    for k, (a_signal, a_idler) in enumerate(analytic.modes):
         ov_signal = abs(mode_overlap(sd.c[:, k] * weight, a_signal, grid.spacing))
         ov_idler = abs(mode_overlap(sd.d[:, k].conj() * weight, a_idler, grid.spacing))
         overlap_rows.append((k, "signal", ov_signal))
@@ -425,7 +420,7 @@ def _compare_stages(
     def ratio_rows():
         for k, mean in enumerate(means):
             ratio = "" if k == 0 else means[k] / means[k - 1]
-            diff = "" if k == 0 else means[k] / means[k - 1] - f.q
+            diff = "" if k == 0 else means[k] / means[k - 1] - analytic.q
             yield (k, mean, mean / means[0], ratio, diff)
 
     ratios_path = write_csv(

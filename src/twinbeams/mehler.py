@@ -14,6 +14,7 @@ of the kernel identity for verification.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,15 @@ SIGMA0 = 1.61
 HERMITE_MAX_ORDER = 10_000
 
 
+def _hermite_functions(xa: np.ndarray):
+    """Yield h_0(xa), h_1(xa), ... by the normalized three-term recurrence."""
+    h_prev = np.zeros_like(xa)
+    h = math.pi ** (-0.25) * np.exp(-0.5 * xa**2)
+    for j in itertools.count():
+        yield h
+        h, h_prev = xa * math.sqrt(2.0 / (j + 1)) * h - math.sqrt(j / (j + 1)) * h_prev, h
+
+
 def hermite_gauss(k: int, x):
     """Hermite-Gauss function h_k(x) = (2^k k! sqrt(pi))^(-1/2) H_k(x) e^(-x^2/2).
 
@@ -65,13 +75,7 @@ def hermite_gauss(k: int, x):
         raise ValueError("order must be nonnegative")
     if k > HERMITE_MAX_ORDER:
         raise ValueError(f"order {k} beyond supported bound {HERMITE_MAX_ORDER}")
-    xa = np.asarray(x, dtype=float)
-    h_prev = np.zeros_like(xa)
-    h = math.pi ** (-0.25) * np.exp(-0.5 * xa**2)
-    for j in range(k):
-        h, h_prev = xa * math.sqrt(2.0 / (j + 1)) * h - math.sqrt(
-            j / (j + 1)
-        ) * h_prev, h
+    h = next(itertools.islice(_hermite_functions(np.asarray(x, dtype=float)), k, None))
     return h if np.ndim(x) else float(h)
 
 
@@ -355,24 +359,12 @@ def evaluate_kernel_sum(f: MehlerFactors, x, y, terms: int):
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     xa, ya = np.broadcast_arrays(xa, ya)
-    hx_prev = np.zeros_like(xa)
-    hy_prev = np.zeros_like(ya)
-    hx = math.pi ** (-0.25) * np.exp(-0.5 * xa**2)
-    hy = math.pi ** (-0.25) * np.exp(-0.5 * ya**2)
     ratio = f.q * cmath.exp(1j * f.theta)
     coeff = 1.0 + 0.0j
     total = np.zeros(xa.shape, dtype=complex)
-    for k in range(terms):
+    for _, hx, hy in zip(range(terms), _hermite_functions(xa), _hermite_functions(ya)):
         total = total + coeff * hx * hy
         coeff *= ratio
-        hx, hx_prev = (
-            xa * math.sqrt(2.0 / (k + 1)) * hx - math.sqrt(k / (k + 1)) * hx_prev,
-            hx,
-        )
-        hy, hy_prev = (
-            ya * math.sqrt(2.0 / (k + 1)) * hy - math.sqrt(k / (k + 1)) * hy_prev,
-            hy,
-        )
     value = (
         f.norm
         * f.p

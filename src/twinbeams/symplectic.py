@@ -30,6 +30,8 @@ __all__ = [
     "bloch_messiah",
     "propagate_state",
     "evaluate_wigner",
+    "symplectic_residual",
+    "inverse",
 ]
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "PairingReport",
     "GeometricFit",
     "block_squeezing_matrix",
+    "signal_first",
     "schmidt_from_jsa",
     "eigenmodes_from_schmidt",
     "associated_spectral",
@@ -158,6 +159,11 @@ def block_squeezing_matrix(jsa: JointSpectralAmplitude) -> np.ndarray:
     return out
 
 
+def signal_first(gamma: np.ndarray) -> np.ndarray:
+    """Reorder a grid-ordered (idler band first) 2m x 2m matrix to signal-band-first."""
+    return np.roll(gamma, gamma.shape[0] // 2, axis=(0, 1))
+
+
 def schmidt_from_jsa(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
     """Schmidt decomposition of the JSA via SVD of the stored block.
 
@@ -182,17 +188,15 @@ def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
     multiplicity.
     """
     m = sd.c.shape[0]
-    modes = np.empty((2 * m, 2 * m), dtype=complex)
-    values = np.empty(2 * m)
+    c = sd.c
+    d_bar = sd.d.conj()
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for j in range(m):
-        cj = sd.c[:, j]
-        dj_bar = sd.d[:, j].conj()
-        modes[:m, 2 * j] = cj * inv_sqrt2
-        modes[m:, 2 * j] = dj_bar * inv_sqrt2
-        modes[:m, 2 * j + 1] = 1j * cj * inv_sqrt2
-        modes[m:, 2 * j + 1] = -1j * dj_bar * inv_sqrt2
-        values[2 * j] = values[2 * j + 1] = sd.values[j]
+    modes = np.empty((2 * m, 2 * m), dtype=complex)
+    modes[:m, 0::2] = c * inv_sqrt2
+    modes[m:, 0::2] = d_bar * inv_sqrt2
+    modes[:m, 1::2] = 1j * c * inv_sqrt2
+    modes[m:, 1::2] = -1j * d_bar * inv_sqrt2
+    values = np.repeat(sd.values, 2)
     return SqueezingSpectrum(values=values, modes=modes, source="jsa_svd")
 
 

@@ -42,6 +42,7 @@ from twinbeams.twinbeam import (
     pair_eigenvalues,
     schmidt_from_jsa,
     schmidt_number,
+    signal_first,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -49,13 +50,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 def verdict(n, ok, detail):
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def signal_first(gamma, m):
-    """Swap the grid's idler-first band order into signal-first blocks."""
-    return np.block(
-        [[gamma[m:, m:], gamma[m:, :m]], [gamma[:m, m:], gamma[:m, :m]]]
-    )
 
 
 def random_symmetric(n, complex_valued=True):
@@ -98,7 +92,7 @@ def test_criterion_1_nondegenerate_schmidt_statistics():
 def test_criterion_2_double_multiplicity(nondegenerate):
     """First 10 duos pair on the full matrix; exact duos once blocks are zeroed."""
     wp = nondegenerate
-    full = signal_first(wp.sq.gamma, wp.grid.m)
+    full = signal_first(wp.sq.gamma)
     pairing = pair_eigenvalues(associated_spectral(full), 1e-2)
     block = block_squeezing_matrix(wp.ext.jsa)
     gaps = np.array([gap for _, _, gap in associated_spectral(block).pairs[:10]])
@@ -120,7 +114,7 @@ def test_criterion_3_near_degenerate_pairing(near_degenerate):
     tolerance, so a red run shows how far the spectrum is from the target.
     """
     wp = near_degenerate
-    full = signal_first(wp.sq.gamma, wp.grid.m)
+    full = signal_first(wp.sq.gamma)
     spectrum = associated_spectral(full)
     pairing = pair_eigenvalues(spectrum, 1e-2)
     failed_duo = pairing.n_pairs + 1

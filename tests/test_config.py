@@ -1,10 +1,15 @@
 """Tests for run-configuration parsing, validation, and round-tripping."""
 
 import copy
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeams.io import (
+    FORMATS,
+    PIPELINES,
     ConfigError,
     GridSpec,
     OutputConfig,
@@ -34,18 +39,20 @@ class TestDefaults:
     """A minimal config resolves every optional field."""
 
     def test_minimal_config(self):
-        cfg = config_from_dict(minimal())
-        assert cfg.pipeline == "numerical"
-        assert cfg.pairing_tol == 1e-2
-        assert cfg.fit_pairs == 15
-        assert cfg.mehler_terms == 80
-        assert cfg.grid == GridSpec(m=128, half_width=None, window_T=None, width_factor=4.0)
-        assert cfg.output == OutputConfig(directory=None, format="csv")
-        assert cfg.pump.gain == 1.0
-        assert cfg.pump.z0_fraction == 0.5
-        assert cfg.pump.prechirp_compensated is True
-        assert cfg.crystal.sellmeier_o == BBO_SELLMEIER_ORDINARY
-        assert cfg.crystal.sellmeier_e == BBO_SELLMEIER_EXTRAORDINARY
+        # null means missing for m (not nullable) and None for half_width
+        for raw in (minimal(), minimal(grid={"m": None}), minimal(grid={"half_width": None})):
+            cfg = config_from_dict(raw)
+            assert cfg.pipeline == "numerical"
+            assert cfg.pairing_tol == 1e-2
+            assert cfg.fit_pairs == 15
+            assert cfg.mehler_terms == 80
+            assert cfg.grid == GridSpec(m=128, half_width=None, window_T=None, width_factor=4.0)
+            assert cfg.output == OutputConfig(directory=None, format="csv")
+            assert cfg.pump.gain == 1.0
+            assert cfg.pump.z0_fraction == 0.5
+            assert cfg.pump.prechirp_compensated is True
+            assert cfg.crystal.sellmeier_o == BBO_SELLMEIER_ORDINARY
+            assert cfg.crystal.sellmeier_e == BBO_SELLMEIER_EXTRAORDINARY
 
     def test_explicit_null_fit_pairs_means_no_cap(self):
         cfg = config_from_dict(minimal(fit_pairs=None))
@@ -239,3 +246,111 @@ class TestRoundTrip:
         assert d["fit_pairs"] == 15
         assert d["crystal"]["sellmeier_o"]["a"] == BBO_SELLMEIER_ORDINARY.a
         assert d["output"] == {"directory": None, "format": "csv"}
+
+    def test_to_dict_key_order(self):
+        """The report.json echo depends on this exact nested key order."""
+        d = config_to_dict(config_from_dict(minimal()))
+        assert list(d) == [
+            "crystal", "pump", "grid", "pipeline", "pairing_tol", "fit_pairs",
+            "mehler_terms", "output",
+        ]
+        assert list(d["crystal"]) == ["length_mm", "theta0_deg", "sellmeier_o", "sellmeier_e"]
+        for key in ("sellmeier_o", "sellmeier_e"):
+            assert list(d["crystal"][key]) == [
+                "a", "b", "c", "d", "lambda_min_um", "lambda_max_um",
+            ]
+        assert list(d["pump"]) == [
+            "lambda_p_nm", "tau_p_fs", "gain", "z0_fraction", "prechirp_compensated",
+        ]
+        assert list(d["grid"]) == ["m", "half_width", "window_T", "width_factor"]
+        assert list(d["output"]) == ["directory", "format"]
+
+
+def _number(lo, hi):
+    """A float in [lo, hi], sometimes written as an integer."""
+    floats = st.floats(lo, hi)
+    if math.ceil(lo) > math.floor(hi):
+        return floats
+    return st.one_of(floats, st.integers(math.ceil(lo), math.floor(hi)))
+
+
+@st.composite
+def raw_configs(draw):
+    """Valid raw config trees whose optional keys are omitted, null or given.
+
+    A value is a strategy, or a callable that builds a nested section.
+    """
+
+    def make(value):
+        return value() if callable(value) else draw(value)
+
+    def section(required, optional=None):
+        node = {key: make(value) for key, value in required.items()}
+        for key, value in (optional or {}).items():
+            choice = draw(st.sampled_from(("omit", "null", "value")))
+            if choice != "omit":
+                node[key] = None if choice == "null" else make(value)
+        return node
+
+    def sellmeier():
+        return section(
+            {key: _number(-10.0, 10.0) for key in "abcd"},
+            {"lambda_min_um": _number(0.1, 0.5), "lambda_max_um": _number(1.0, 5.0)},
+        )
+
+    positive = st.floats(1e-6, 1e6)
+    return section(
+        {
+            "crystal": lambda: section(
+                {"length_mm": _number(0.01, 100.0), "theta0_deg": st.floats(0.5, 89.5)},
+                {"sellmeier_o": sellmeier, "sellmeier_e": sellmeier},
+            ),
+            "pump": lambda: section(
+                {"lambda_p_nm": _number(200.0, 2000.0), "tau_p_fs": positive},
+                {
+                    "gain": _number(0.0, 1e4),
+                    "z0_fraction": st.floats(0.0, 1.0),
+                    "prechirp_compensated": st.booleans(),
+                },
+            ),
+        },
+        {
+            "grid": lambda: section(
+                {},
+                {
+                    "m": st.integers(1, 4096),
+                    "half_width": positive,
+                    "window_T": positive,
+                    "width_factor": positive,
+                },
+            ),
+            "pipeline": st.sampled_from(PIPELINES),
+            "pairing_tol": st.floats(1e-9, 0.999),
+            "fit_pairs": st.integers(3, 200),
+            "mehler_terms": st.integers(1, 1000),
+            "output": lambda: section(
+                {}, {"directory": st.text(min_size=1), "format": st.sampled_from(FORMATS)}
+            ),
+        },
+    )
+
+
+def _holds_given_values(resolved: dict, raw: dict) -> bool:
+    """Every non-null value of ``raw`` appears unchanged in ``resolved``."""
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            if not _holds_given_values(resolved[key], value):
+                return False
+        elif value is not None and resolved[key] != value:
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(raw_configs())
+def test_config_round_trips(raw):
+    """config_from_dict and parse_config_text invert config_to_dict and serialize_config."""
+    cfg = config_from_dict(raw)
+    assert _holds_given_values(config_to_dict(cfg), raw)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert parse_config_text(serialize_config(cfg)) == cfg

@@ -16,20 +16,11 @@ from twinbeams.twinbeam import (
     rotate_pair,
     schmidt_from_jsa,
     schmidt_number,
+    signal_first,
     spectrum_from_takagi,
 )
 
 np.random.seed(42)
-
-
-def signal_first(gamma, m):
-    """Swap the physical (idler-first) layout to the signal-first convention."""
-    return np.block(
-        [
-            [gamma[m:, m:], gamma[m:, :m]],
-            [gamma[:m, m:], gamma[:m, :m]],
-        ]
-    )
 
 
 def synthetic_spectrum(values):
@@ -87,6 +78,16 @@ class TestContainers:
         assert np.abs(g[:m, :m]).max() == 0.0
         assert np.abs(g[m:, m:]).max() == 0.0
 
+    def test_signal_first_swaps_bands(self):
+        for m in (1, 3):
+            g = np.arange(4.0 * m * m).reshape(2 * m, 2 * m) * (1 + 2j)
+            s = signal_first(g)
+            assert np.array_equal(s[:m, :m], g[m:, m:])
+            assert np.array_equal(s[:m, m:], g[m:, :m])
+            assert np.array_equal(s[m:, :m], g[:m, m:])
+            assert np.array_equal(s[m:, m:], g[:m, :m])
+            assert np.array_equal(signal_first(s), g)
+
 
 class TestSchmidt:
     """SVD of the JSA block."""
@@ -130,6 +131,29 @@ class TestThreePaths:
             recon = (spec.modes * spec.values) @ spec.modes.T
             assert np.abs(recon - target).max() <= 1e-10
 
+    def test_eigenmodes_match_column_loop(self):
+        """The strided assignments reproduce the per-column construction exactly."""
+        m = 7
+        rng = np.random.default_rng(3)
+        c, d = (
+            np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+            for _ in range(2)
+        )
+        sd = SchmidtDecomposition(c=c, d=d, values=np.sort(rng.random(m))[::-1])
+        modes = np.empty((2 * m, 2 * m), dtype=complex)
+        values = np.empty(2 * m)
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        for j in range(m):
+            dj_bar = d[:, j].conj()
+            modes[:m, 2 * j] = c[:, j] * inv_sqrt2
+            modes[m:, 2 * j] = dj_bar * inv_sqrt2
+            modes[:m, 2 * j + 1] = 1j * c[:, j] * inv_sqrt2
+            modes[m:, 2 * j + 1] = -1j * dj_bar * inv_sqrt2
+            values[2 * j] = values[2 * j + 1] = sd.values[j]
+        spec = eigenmodes_from_schmidt(sd)
+        assert np.array_equal(spec.modes, modes)
+        assert np.array_equal(spec.values, values)
+
     def test_values_come_in_duos(self, nondegenerate):
         spec = eigenmodes_from_schmidt(schmidt_from_jsa(nondegenerate.ext.jsa))
         assert np.array_equal(spec.values[::2], spec.values[1::2])
@@ -143,7 +167,7 @@ class TestThreePaths:
     def test_full_matrix_with_leakage(self, nondegenerate):
         """The associated route also handles the full matrix, leakage included."""
         wp = nondegenerate
-        gamma = signal_first(wp.sq.gamma, wp.grid.m)
+        gamma = signal_first(wp.sq.gamma)
         spec = associated_spectral(gamma)
         assert np.allclose(spec.values[0], 0.155931, atol=2e-6, rtol=0)
         recon = (spec.modes * spec.values) @ spec.modes.T
