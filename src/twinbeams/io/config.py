@@ -121,7 +121,10 @@ class RunConfig:
 def _as_float(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer too large to convert to a float") from None
 
 
 def _as_int(value) -> int:
@@ -143,7 +146,7 @@ def _as_str(value) -> str:
 
 
 def _reject_unknown(data: dict, where: str, known: tuple[str, ...]) -> None:
-    unknown = sorted(k for k in data if k not in known)
+    unknown = sorted((k for k in data if k not in known), key=str)
     if unknown:
         raise ConfigError(
             f"{where}: unknown key {unknown[0]!r} (known keys: {', '.join(known)})"

@@ -40,6 +40,7 @@ from ..pdc import build_frequency_grid, build_squeezing_matrix, extract_jsa
 from ..symplectic import GeneratorMatrix, exponentiate_generator
 from ..takagi import TakagiFactors, takagi_general, takagi_residual
 from ..twinbeam import (
+    _duo_means,
     associated_spectral,
     block_squeezing_matrix,
     eigenmodes_from_schmidt,
@@ -103,10 +104,10 @@ def resolve_output_dir(cfg: RunConfig, override=None) -> Path:
 
 @dataclass
 class RunReport:
-    """Everything one run produced: echo, summary, residuals, manifest."""
+    """One run's echo, summary, residuals and manifest, in ``report.json`` order."""
 
-    config: dict
     pipeline: str
+    config: dict
     summary: dict
     residuals: dict
     thresholds: dict
@@ -115,16 +116,7 @@ class RunReport:
     artifacts: list
 
     def to_dict(self) -> dict:
-        return {
-            "pipeline": self.pipeline,
-            "config": self.config,
-            "summary": self.summary,
-            "residuals": self.residuals,
-            "thresholds": self.thresholds,
-            "threshold_failures": list(self.threshold_failures),
-            "notes": list(self.notes),
-            "artifacts": list(self.artifacts),
-        }
+        return dataclasses.asdict(self)
 
     def write(self, path) -> Path:
         path = Path(path)
@@ -176,41 +168,37 @@ class RunReport:
         return lines
 
 
-def _resolve_grid(cfg: RunConfig):
-    """Build the detuning grid, sizing the band from the analytic model if needed."""
-    spec = cfg.grid
-    if spec.half_width is not None or spec.window_T is not None:
-        return build_frequency_grid(spec.m, spec.half_width, spec.window_T)
+def _band_sizing(_label: str, fn, *args):
+    """Run one model step for automatic band sizing; a failure names the grid."""
     try:
-        t = characteristic_times(cfg.crystal, cfg.pump)
-        f = mehler_factors(gaussian_model_params(t))
+        return fn(*args)
     except ValueError as err:
         raise PipelineError(
             "grid",
             f"automatic band sizing needs the nondegenerate analytic model ({err}); "
             "set grid.half_width or grid.window_T explicitly",
         ) from err
+
+
+def _analytic_model(cfg: RunConfig, stage=_stage):
+    """(times, Gaussian model, Mehler factors); ``stage`` runs each step."""
+    t = stage("characteristic-times", characteristic_times, cfg.crystal, cfg.pump)
+    params = stage("gaussian-model", gaussian_model_params, t)
+    return t, params, stage("mehler-factors", mehler_factors, params)
+
+
+def _resolve_grid(cfg: RunConfig, model):
+    """Build the detuning grid; an automatic band is sized from the analytic model."""
+    spec = cfg.grid
+    if spec.half_width is not None or spec.window_T is not None:
+        return build_frequency_grid(spec.m, spec.half_width, spec.window_T)
+    t, _, f = model
     half_width = t.omega_s + max(spec.width_factor / f.tau1, 3.0 * t.omega_p)
     return build_frequency_grid(spec.m, half_width=half_width)
 
 
-def _general_spectrum(full: np.ndarray):
-    return spectrum_from_takagi(takagi_general(full))
-
-
-@dataclass
-class _NumericalResult:
-    grid: object
-    sq: object
-    ext: object
-    sd: object
-    spectrum: object
-    pairing: object
-    zero: bool
-
-
-def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path) -> _NumericalResult:
-    grid = _stage("grid", _resolve_grid, cfg)
+def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
+    """Spectrum and checks; returns (Schmidt, spectrum), or None at zero gain."""
     report.summary["grid_m"] = int(grid.m)
     report.summary["grid_half_width"] = float(grid.half_width)
     report.summary["grid_spacing"] = float(grid.spacing)
@@ -241,7 +229,9 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path) -> _Numerica
         if imag_fraction <= REAL_PATH_IMAG_FRACTION:
             spectrum = _stage("spectrum", associated_spectral, full)
         else:
-            spectrum = _stage("spectrum", _general_spectrum, full)
+            spectrum = _stage(
+                "spectrum", lambda: spectrum_from_takagi(takagi_general(full))
+            )
         target = full
     else:
         sd = _stage("spectrum", schmidt_from_jsa, ext.jsa)
@@ -302,22 +292,12 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path) -> _Numerica
     )
     report.artifacts.append({"kind": "squeezing_matrix", "path": heat.name})
 
-    return _NumericalResult(
-        grid=grid, sq=sq, ext=ext, sd=sd, spectrum=spectrum, pairing=pairing, zero=zero
-    )
+    return None if zero else (sd, spectrum)
 
 
-@dataclass
-class _AnalyticResult:
-    q: float
-    #: (signal, idler) analytic Schmidt modes on the grid bands, k < N_MODE_EXPORTS.
-    modes: list
-
-
-def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path) -> _AnalyticResult:
-    t = _stage("characteristic-times", characteristic_times, cfg.crystal, cfg.pump)
-    params = _stage("gaussian-model", gaussian_model_params, t)
-    f = _stage("mehler-factors", mehler_factors, params)
+def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path, model, grid) -> list:
+    """Model artifacts; returns the (signal, idler) modes k < N_MODE_EXPORTS."""
+    t, params, f = model
 
     report.summary["q_analytic"] = float(f.q)
     report.summary["schmidt_number_analytic"] = float(2.0 * (1.0 + f.q) / (1.0 - f.q))
@@ -358,11 +338,13 @@ def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path) -> _AnalyticR
     )
     report.artifacts.append({"kind": "analytic_factors", "path": factors_path.name})
 
-    grid = _stage("grid", _resolve_grid, cfg)
     bands = (("signal", grid.signal), ("idler", grid.idler))
     modes = [
         tuple(
-            analytic_schmidt_mode(k, branch, f, t, band, include_delay=False)
+            _stage(
+                "analytic-modes", analytic_schmidt_mode, k, branch, f, t, band,
+                include_delay=False,
+            )
             for branch, band in bands
         )
         for k in range(N_MODE_EXPORTS)
@@ -379,27 +361,15 @@ def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path) -> _AnalyticR
     )
     report.artifacts.append({"kind": "analytic_modes", "path": modes_path.name})
 
-    return _AnalyticResult(q=f.q, modes=modes)
+    return modes
 
 
-def _compare_stages(
-    cfg: RunConfig,
-    report: RunReport,
-    out: Path,
-    numerical: _NumericalResult,
-    analytic: _AnalyticResult,
-) -> None:
-    if numerical.zero:
-        report.notes.append("comparison skipped: spectrum is identically zero")
-        return
-    grid = numerical.grid
-    sd = numerical.sd
-
+def _compare_stages(report: RunReport, out: Path, grid, q, modes, sd, spectrum) -> None:
     # SVD columns carry plain l2 normalization; dividing by sqrt(spacing)
     # puts them on the grid-weighted normalization of the analytic modes.
     weight = 1.0 / np.sqrt(grid.spacing)
     overlap_rows = []
-    for k, (a_signal, a_idler) in enumerate(analytic.modes):
+    for k, (a_signal, a_idler) in enumerate(modes[: grid.m]):
         ov_signal = abs(mode_overlap(sd.c[:, k] * weight, a_signal, grid.spacing))
         ov_idler = abs(mode_overlap(sd.d[:, k].conj() * weight, a_idler, grid.spacing))
         overlap_rows.append((k, "signal", ov_signal))
@@ -411,16 +381,12 @@ def _compare_stages(
     report.summary["mode_overlap_signal_k0"] = float(overlap_rows[0][2])
     report.summary["mode_overlap_idler_k0"] = float(overlap_rows[1][2])
 
-    values = numerical.spectrum.values
-    n_pairs = len(values) // 2
-    means = 0.5 * (values[0 : 2 * n_pairs : 2] + values[1 : 2 * n_pairs : 2])
-    keep = means >= 1e-6 * means[0]
-    means = means[np.nonzero(keep)[0]][:20]
+    means = _duo_means(spectrum.values)[:20]
 
     def ratio_rows():
         for k, mean in enumerate(means):
             ratio = "" if k == 0 else means[k] / means[k - 1]
-            diff = "" if k == 0 else means[k] / means[k - 1] - analytic.q
+            diff = "" if k == 0 else means[k] / means[k - 1] - q
             yield (k, mean, mean / means[0], ratio, diff)
 
     ratios_path = write_csv(
@@ -444,8 +410,8 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
 
     report = RunReport(
-        config=config_to_dict(cfg),
         pipeline=cfg.pipeline,
+        config=config_to_dict(cfg),
         summary={},
         residuals={},
         thresholds={
@@ -458,14 +424,24 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunReport:
         artifacts=[],
     )
 
-    analytic = None
-    if cfg.pipeline in ("analytic", "compare"):
-        analytic = _analytic_stages(cfg, report, out)
-    numerical = None
-    if cfg.pipeline in ("numerical", "compare", "near_degenerate"):
-        numerical = _numerical_stages(cfg, report, out)
+    # The analytic model and the grid are built once and handed to the stages.
+    analytic = cfg.pipeline in ("analytic", "compare")
+    model = None
+    if analytic:
+        model = _analytic_model(cfg)
+    elif cfg.grid.half_width is None and cfg.grid.window_T is None:
+        model = _stage("grid", _analytic_model, cfg, _band_sizing)
+    grid = _stage("grid", _resolve_grid, cfg, model)
+
+    if analytic:
+        modes = _analytic_stages(cfg, report, out, model, grid)
+    if cfg.pipeline != "analytic":
+        numerical = _numerical_stages(cfg, report, out, grid)
     if cfg.pipeline == "compare":
-        _compare_stages(cfg, report, out, numerical, analytic)
+        if numerical is None:
+            report.notes.append("comparison skipped: spectrum is identically zero")
+        else:
+            _compare_stages(report, out, grid, model[2].q, modes, *numerical)
 
     report.artifacts.append({"kind": "report", "path": "report.json"})
     report.write(out / "report.json")

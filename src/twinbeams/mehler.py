@@ -225,6 +225,14 @@ class MehlerFactors:
             raise ValueError("p^2 + q^2 must equal 1")
 
 
+def _rescaled_coupling(params: GaussianModelParams) -> tuple[float, float, float]:
+    """eta', xi' (eta, xi over sqrt(mu nu)) and w = sqrt((1+xi'^2)(1-eta'^2))."""
+    root = math.sqrt(params.mu * params.nu)
+    eta_p = params.eta / root
+    xi_p = params.xi / root
+    return eta_p, xi_p, math.sqrt((1.0 + xi_p**2) * (1.0 - eta_p**2))
+
+
 def mehler_factors(params: GaussianModelParams) -> MehlerFactors:
     """Mehler factorization parameters of a double-Gaussian kernel.
 
@@ -253,10 +261,7 @@ def mehler_factors(params: GaussianModelParams) -> MehlerFactors:
     zeta = eta * xi / (2.0 * uv)
     zeta1 = xi * (nu + eta) / (2.0 * uv)
     zeta2 = xi * (mu + eta) / (2.0 * uv)
-    root = math.sqrt(mn)
-    eta_p = eta / root
-    xi_p = xi / root
-    w = math.sqrt((1.0 + xi_p**2) * (1.0 - eta_p**2))
+    eta_p, xi_p, w = _rescaled_coupling(params)
     denom = 1.0 + w + 1j * eta_p * xi_p
     q_c = (eta_p + 1j * xi_p) / denom
     p_c = cmath.sqrt(2.0 * w / denom)
@@ -301,7 +306,7 @@ def analytic_schmidt_mode(
     """
     om = np.asarray(grid, dtype=float)
     if om.ndim != 1 or len(om) < 2:
-        raise ValueError("grid must be a 1-D detuning array")
+        raise ValueError("grid must be a 1-D detuning array of at least 2 points")
     spacing = om[1] - om[0]
     if branch == "signal":
         d_om = om - t.omega_s
@@ -327,11 +332,7 @@ def evaluate_kernel_lhs(params: GaussianModelParams, x, y):
     K(x, y) = pi^(-1/2) exp(-(x^2+y^2)/(2w) + (eta' + i xi') x y / w)
     in the rescaled coordinates x = tau1 * (physical), y = tau2 * (physical).
     """
-    mu, nu, eta, xi = params.mu, params.nu, params.eta, params.xi
-    root = math.sqrt(mu * nu)
-    eta_p = eta / root
-    xi_p = xi / root
-    w = math.sqrt((1.0 + xi_p**2) * (1.0 - eta_p**2))
+    eta_p, xi_p, w = _rescaled_coupling(params)
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     # (xa * ya) is grouped first so K(x, y) == K(y, x) holds bitwise.

@@ -241,6 +241,15 @@ class SqueezingMatrixPhysical:
         object.__setattr__(self, "gamma", g)
 
 
+def _check_range(crystal: CrystalConfig, lambda_um, polarization: str) -> None:
+    """Sellmeier validity checks of a polarization (extraordinary uses both sets)."""
+    if polarization not in ("ordinary", "extraordinary"):
+        raise ValueError(f"unknown polarization {polarization!r}")
+    crystal.sellmeier_o.check_range(lambda_um)
+    if polarization == "extraordinary":
+        crystal.sellmeier_e.check_range(lambda_um)
+
+
 def refractive_index(
     crystal: CrystalConfig,
     lambda_um,
@@ -254,20 +263,14 @@ def refractive_index(
     theta = 0 and to the principal n_e at theta = 90 deg.  ``theta_deg``
     defaults to the crystal's optic-axis angle.
     """
+    _check_range(crystal, lambda_um, polarization)
     if polarization == "ordinary":
-        crystal.sellmeier_o.check_range(lambda_um)
         return np.sqrt(crystal.sellmeier_o.n_squared(lambda_um))
-    if polarization == "extraordinary":
-        theta = math.radians(
-            crystal.theta0_deg if theta_deg is None else float(theta_deg)
-        )
-        crystal.sellmeier_o.check_range(lambda_um)
-        crystal.sellmeier_e.check_range(lambda_um)
-        no2 = crystal.sellmeier_o.n_squared(lambda_um)
-        ne2 = crystal.sellmeier_e.n_squared(lambda_um)
-        inv_n2 = np.cos(theta) ** 2 / no2 + np.sin(theta) ** 2 / ne2
-        return 1.0 / np.sqrt(inv_n2)
-    raise ValueError(f"unknown polarization {polarization!r}")
+    theta = math.radians(crystal.theta0_deg if theta_deg is None else float(theta_deg))
+    no2 = crystal.sellmeier_o.n_squared(lambda_um)
+    ne2 = crystal.sellmeier_e.n_squared(lambda_um)
+    inv_n2 = np.cos(theta) ** 2 / no2 + np.sin(theta) ** 2 / ne2
+    return 1.0 / np.sqrt(inv_n2)
 
 
 def _index_derivatives(crystal: CrystalConfig, lambda_um, polarization: str):
@@ -294,12 +297,15 @@ def _index_derivatives(crystal: CrystalConfig, lambda_um, polarization: str):
     return n, np1, np2
 
 
-def _branch_frequency(detuning, branch: str, pump: PumpConfig):
+def _branch_optics(detuning, branch: str, pump: PumpConfig):
+    """(omega, lambda in um, polarization) of a branch at a detuning."""
     if branch == "pump":
-        return pump.omega_p0 + np.asarray(detuning, dtype=float)
-    if branch == "downconverted":
-        return pump.omega_0 + np.asarray(detuning, dtype=float)
-    raise ValueError(f"unknown branch {branch!r}")
+        omega, pol = pump.omega_p0 + np.asarray(detuning, dtype=float), "extraordinary"
+    elif branch == "downconverted":
+        omega, pol = pump.omega_0 + np.asarray(detuning, dtype=float), "ordinary"
+    else:
+        raise ValueError(f"unknown branch {branch!r}")
+    return omega, 2.0 * math.pi * C_UM_PER_FS / omega, pol
 
 
 def wave_vector(detuning, branch: str, crystal: CrystalConfig, pump: PumpConfig):
@@ -309,9 +315,7 @@ def wave_vector(detuning, branch: str, crystal: CrystalConfig, pump: PumpConfig)
     omega_0 = omega_p0 / 2 (branch ``downconverted``); the pump is
     extraordinary at theta0, the downconverted light ordinary.
     """
-    omega = _branch_frequency(detuning, branch, pump)
-    lam = 2.0 * math.pi * C_UM_PER_FS / omega
-    pol = "extraordinary" if branch == "pump" else "ordinary"
+    omega, lam, pol = _branch_optics(detuning, branch, pump)
     n = refractive_index(crystal, lam, pol)
     return n * omega / C_UM_PER_FS * UM_PER_MM
 
@@ -325,14 +329,9 @@ def wave_vector_derivatives(
     model: k' = (n - lambda dn/dlambda)/c and
     k'' = lambda^3 d2n/dlambda2 / (2 pi c^2).
     """
-    omega = float(_branch_frequency(detuning, branch, pump))
-    lam = 2.0 * math.pi * C_UM_PER_FS / omega
-    pol = "extraordinary" if branch == "pump" else "ordinary"
-    if pol == "ordinary":
-        crystal.sellmeier_o.check_range(lam)
-    else:
-        crystal.sellmeier_o.check_range(lam)
-        crystal.sellmeier_e.check_range(lam)
+    omega, lam, pol = _branch_optics(detuning, branch, pump)
+    omega, lam = float(omega), float(lam)
+    _check_range(crystal, lam, pol)
     n, np1, np2 = _index_derivatives(crystal, lam, pol)
     k = n * omega / C_UM_PER_FS * UM_PER_MM
     kp = (n - lam * np1) / C_UM_PER_FS * UM_PER_MM

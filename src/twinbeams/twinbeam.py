@@ -330,6 +330,16 @@ class GeometricFit(NamedTuple):
     rms_residual: float
 
 
+def _duo_means(values) -> np.ndarray:
+    """Means of consecutive duos, dropping those below 1e-6 of the leading one."""
+    r = np.asarray(values, dtype=float)
+    n_pairs = len(r) // 2
+    means = 0.5 * (r[0 : 2 * n_pairs : 2] + r[1 : 2 * n_pairs : 2])
+    if n_pairs == 0 or means[0] <= 0:
+        raise ValueError("leading pair must be positive")
+    return means[(means >= 1e-6 * means[0]) & (means > 0)]
+
+
 def fit_geometric(values, max_pairs: int | None = None) -> GeometricFit:
     """Least-squares geometric fit r_l ~ r1 q^l of the duo means.
 
@@ -338,14 +348,7 @@ def fit_geometric(values, max_pairs: int | None = None) -> GeometricFit:
     and ``max_pairs`` optionally caps the window.  The fit is linear in
     log r, so the residual is a log-domain RMS.
     """
-    r = np.asarray(values, dtype=float)
-    n_pairs = len(r) // 2
-    means = 0.5 * (r[0 : 2 * n_pairs : 2] + r[1 : 2 * n_pairs + 1 : 2])
-    if n_pairs == 0 or means[0] <= 0:
-        raise ValueError("leading pair must be positive")
-    window = means >= 1e-6 * means[0]
-    window &= means > 0
-    means = means[np.nonzero(window)[0]]
+    means = _duo_means(values)
     if max_pairs is not None:
         means = means[:max_pairs]
     if len(means) < 3:

@@ -59,6 +59,24 @@ class TestValidate:
         assert result.exit_code == 2
         assert "theta0_deg must lie strictly between 0 and 90" in all_output(result)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1: 2\nzz: 3\n", "config: unknown key 1 "),
+            ("pairing_tol: 1" + "0" * 400 + "\n", "config.pairing_tol: integer too large"),
+        ],
+        ids=["mixed-key-types", "float-overflow"],
+    )
+    def test_crashing_inputs_exit_2(self, runner, tmp_path, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            "crystal:\n  length_mm: 2.0\n  theta0_deg: 28.81\n"
+            "pump:\n  lambda_p_nm: 397.5\n  tau_p_fs: 129.0\n" + text
+        )
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert message in all_output(result)
+
     def test_missing_config_exits_2(self, runner):
         result = runner.invoke(main, ["validate", "no_such_config"])
         assert result.exit_code == 2

@@ -102,6 +102,11 @@ class TestValidation:
         raw["crystal"]["sellmeier_o"] = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "e": 1.0}
         with pytest.raises(ConfigError, match="crystal.sellmeier_o: unknown key 'e'"):
             config_from_dict(raw)
+        # Mixed key types (YAML allows integer keys) are ordered by their text.
+        raw = minimal(zz=3)
+        raw[1] = 2
+        with pytest.raises(ConfigError, match="config: unknown key 1 "):
+            config_from_dict(raw)
 
     def test_unknown_key_lists_known_ones(self):
         with pytest.raises(ConfigError, match="known keys: .*pairing_tol"):
@@ -126,6 +131,9 @@ class TestValidation:
         raw = minimal(output={"format": 3})
         with pytest.raises(ConfigError, match="output.format: expected a string"):
             config_from_dict(raw)
+        with pytest.raises(ConfigError, match="config.pairing_tol: integer too large") as info:
+            config_from_dict(minimal(pairing_tol=10**400))
+        assert "0000" not in str(info.value)
 
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigError, match="pump: expected a mapping, got str"):

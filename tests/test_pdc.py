@@ -62,6 +62,17 @@ class TestSellmeier:
         with pytest.raises(ValueError, match="outside Sellmeier validity"):
             refractive_index(CRYSTAL, 1.6, "extraordinary")
 
+    def test_derivatives_check_the_same_range(self):
+        """The pump (extraordinary) is checked against both Sellmeier sets."""
+        with pytest.raises(ValueError, match="outside Sellmeier validity"):
+            wave_vector_derivatives(-1.2, "downconverted", CRYSTAL, PUMP)
+        narrow_e = SellmeierSet(a=2.3730, b=0.0128, c=0.0156, d=0.0044, lambda_min_um=0.5)
+        crystal = CrystalConfig(length_mm=2.0, theta0_deg=28.81, sellmeier_e=narrow_e)
+        wave_vector_derivatives(0.0, "downconverted", crystal, PUMP)
+        for fn in (wave_vector, wave_vector_derivatives):
+            with pytest.raises(ValueError, match="outside Sellmeier validity"):
+                fn(0.0, "pump", crystal, PUMP)
+
     def test_unknown_polarization_raises(self):
         with pytest.raises(ValueError, match="unknown polarization"):
             refractive_index(CRYSTAL, 0.6328, "diagonal")

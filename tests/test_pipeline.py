@@ -111,6 +111,17 @@ class TestCompareRun:
     def test_report_json(self, compare_run):
         report, out = compare_run
         payload = json.loads((out / "report.json").read_text())
+        assert list(payload) == [
+            "pipeline",
+            "config",
+            "summary",
+            "residuals",
+            "thresholds",
+            "threshold_failures",
+            "notes",
+            "artifacts",
+        ]
+        assert payload == report.to_dict()
         assert payload["pipeline"] == "compare"
         assert payload["summary"]["q_fit"] == report.summary["q_fit"]
         assert payload["config"]["crystal"]["sellmeier_o"]["a"] == 2.7405
@@ -230,22 +241,25 @@ class TestFailures:
     """Stage labels on pipeline errors."""
 
     def test_auto_band_sizing_fails_past_degeneracy(self, tmp_path):
-        raw = {
-            "crystal": {"length_mm": 2.0, "theta0_deg": 29.4},
-            "pump": dict(MINIMAL["pump"]),
-        }
-        with pytest.raises(PipelineError, match=r"\[grid\].*set grid.half_width") as info:
-            run_pipeline(config_from_dict(raw), out_dir=tmp_path)
-        assert info.value.stage == "grid"
+        for name in ("numerical", "near_degenerate"):
+            raw = {
+                "crystal": {"length_mm": 2.0, "theta0_deg": 29.4},
+                "pump": dict(MINIMAL["pump"]),
+                "pipeline": name,
+            }
+            with pytest.raises(PipelineError, match=r"\[grid\].*set grid.half_width") as info:
+                run_pipeline(config_from_dict(raw), out_dir=tmp_path)
+            assert info.value.stage == "grid"
 
     def test_analytic_pipeline_fails_past_degeneracy(self, tmp_path):
-        raw = {
-            "crystal": {"length_mm": 2.0, "theta0_deg": 29.4},
-            "pump": dict(MINIMAL["pump"]),
-            "pipeline": "analytic",
-        }
-        with pytest.raises(PipelineError, match=r"\[characteristic-times\] degenerate regime"):
-            run_pipeline(config_from_dict(raw), out_dir=tmp_path)
+        for name in ("analytic", "compare"):
+            raw = {
+                "crystal": {"length_mm": 2.0, "theta0_deg": 29.4},
+                "pump": dict(MINIMAL["pump"]),
+                "pipeline": name,
+            }
+            with pytest.raises(PipelineError, match=r"\[characteristic-times\] degenerate regime"):
+                run_pipeline(config_from_dict(raw), out_dir=tmp_path)
 
     def test_explicit_band_works_past_degeneracy(self, tmp_path):
         """The numerical pipeline still runs there once the band is given."""
@@ -269,6 +283,67 @@ class TestFailures:
         with pytest.raises(PipelineError, match=r"\[symplectic\] squeezing parameter r_max") as info:
             run_pipeline(config_from_dict(raw), out_dir=tmp_path)
         assert info.value.stage == "symplectic"
+
+
+class TestSmallGrids:
+    """m = 1, 2, 3 either run or fail with a stage label, never a bare error."""
+
+    @pytest.mark.parametrize("name", ["numerical", "analytic", "compare", "near_degenerate"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_small_grid(self, tmp_path, m, name):
+        cfg = small_config(pipeline=name, grid={"m": m})
+        try:
+            report = run_pipeline(cfg, out_dir=tmp_path)
+        except PipelineError as err:
+            # m = 1 leaves the analytic modes a single sample per band.
+            assert (m, err.stage) == (1, "analytic-modes")
+            assert name in ("analytic", "compare")
+            assert "1-D detuning array" in str(err)
+            return
+        assert (tmp_path / "report.json").exists()
+        if name == "compare":
+            # Overlaps cover the first min(4, m) Schmidt modes.
+            _, rows = read_csv(tmp_path / "mode_overlaps.csv")
+            assert [(int(r[0]), r[1]) for r in rows] == [
+                (k, branch) for k in range(min(4, m)) for branch in ("signal", "idler")
+            ]
+            assert "mode_overlap_signal_k0" in report.summary
+
+
+class TestSharedModelAndGrid:
+    """One analytic model and one grid per run, handed to every stage."""
+
+    @pytest.mark.parametrize("name", ["numerical", "analytic", "compare", "near_degenerate"])
+    @pytest.mark.parametrize("band", [{"m": 16}, {"m": 16, "half_width": 0.55}])
+    def test_model_and_grid_built_once(self, monkeypatch, tmp_path, name, band):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for fn in (
+            pipeline.characteristic_times,
+            pipeline.gaussian_model_params,
+            pipeline.mehler_factors,
+            pipeline.build_frequency_grid,
+        ):
+            monkeypatch.setattr(pipeline, fn.__name__, counting(fn))
+        run_pipeline(small_config(pipeline=name, grid=band), out_dir=tmp_path)
+        needs_model = name in ("analytic", "compare") or "half_width" not in band
+        for model_step in ("characteristic_times", "gaussian_model_params", "mehler_factors"):
+            assert calls.count(model_step) == int(needs_model)
+        assert calls.count("build_frequency_grid") == 1
+
+    @pytest.mark.parametrize("name", ["analytic", "compare"])
+    def test_inconsistent_band_fails_before_any_artifact(self, tmp_path, name):
+        cfg = small_config(pipeline=name, grid={"m": 16, "half_width": 0.5, "window_T": 10.0})
+        with pytest.raises(PipelineError, match=r"\[grid\] inconsistent grid"):
+            run_pipeline(cfg, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSymplecticCheck:
