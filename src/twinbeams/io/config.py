@@ -228,6 +228,12 @@ def parse_config_text(text: str, name: str = "<config>") -> RunConfig:
                 f"{name}: line {mark.line + 1}, column {mark.column + 1}: {problem}"
             ) from None
         raise ConfigError(f"{name}: {problem}") from None
+    except ValueError as err:
+        # PyYAML's constructors raise plain ValueErrors, e.g. for an integer
+        # literal past Python's 4300-digit int-string limit.  The message
+        # names the limit, not the literal; its advice after ";" is dropped.
+        reason = str(err).partition(";")[0]
+        raise ConfigError(f"{name}: unreadable value: {reason}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

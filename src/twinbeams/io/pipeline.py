@@ -37,8 +37,13 @@ from ..mehler import (
     terms_for_tail_bound,
 )
 from ..pdc import build_frequency_grid, build_squeezing_matrix, extract_jsa
-from ..symplectic import GeneratorMatrix, exponentiate_generator
-from ..takagi import TakagiFactors, takagi_general, takagi_residual
+from ..symplectic import GeneratorMatrix, exponentiate_generator, squeezer_from_takagi
+from ..takagi import (
+    TakagiFactors,
+    takagi_general,
+    takagi_real_symmetric,
+    takagi_residual,
+)
 from ..twinbeam import (
     _duo_means,
     associated_spectral,
@@ -273,11 +278,19 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         except ValueError as err:
             report.notes.append(f"geometric fit skipped: {err}")
 
-    n = 2 * grid.m
-    generator = _stage(
-        "symplectic", GeneratorMatrix, n=n, h0=np.zeros((n, n)), hI=1j * sq.gamma
-    )
-    s_matrix = _stage("symplectic", exponentiate_generator, generator)
+    if not np.any(sq.gamma.imag):
+        # Exactly real Gamma = V R V^T: the squeezer and its Bloch-Messiah
+        # factors (V, R, V) follow from one real eigendecomposition.
+        s_matrix = _stage(
+            "symplectic",
+            lambda: squeezer_from_takagi(takagi_real_symmetric(sq.gamma)),
+        )
+    else:
+        n = 2 * grid.m
+        generator = _stage(
+            "symplectic", GeneratorMatrix, n=n, h0=np.zeros((n, n)), hI=1j * sq.gamma
+        )
+        s_matrix = _stage("symplectic", exponentiate_generator, generator)
     report.residuals["symplectic"] = s_matrix.residual
     if s_matrix.residual > SYMPLECTIC_THRESHOLD:
         report.threshold_failures.append("symplectic")

@@ -401,9 +401,12 @@ def build_squeezing_matrix(
     """Assemble Gamma_jl = gain E0(O_j+O_l) e^{i Delta_jl (L/2 - z0)} sinc(Delta_jl L/2).
 
     Each continuum sample is scaled by the grid spacing so the spectrum is
-    grid-independent, the whole matrix is multiplied by -i, and a global
-    phase is removed (rotation by the argument of the largest element) so
-    that the transform-limited z0 = L/2 case comes out real.
+    grid-independent, the whole matrix is multiplied by -i, and the global
+    phase is removed by multiplying with conj(p / |p|), p the largest
+    element.  For a transform-limited pump (real E0) at z0 = L/2 every
+    element before the rotation is a real number times -i, p / |p| is
+    exactly -i or i, and the rotated Gamma has an imaginary part that is
+    exactly zero; otherwise Gamma is complex.
     """
     om = grid.detunings
     osum = om[:, None] + om[None, :]
@@ -419,10 +422,9 @@ def build_squeezing_matrix(
         * grid.spacing
     )
     gamma = -1j * gamma
-    peak = np.abs(gamma).max()
-    if peak > 0.0:
-        j, l = np.unravel_index(np.argmax(np.abs(gamma)), gamma.shape)
-        gamma = gamma * np.exp(-1j * np.angle(gamma[j, l]))
+    peak = gamma.flat[np.argmax(np.abs(gamma))]
+    if peak != 0.0:
+        gamma = gamma * (peak / abs(peak)).conjugate()
     gamma = 0.5 * (gamma + gamma.T)
     return SqueezingMatrixPhysical(grid=grid, gamma=gamma)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .takagi import takagi_general
+from .takagi import TakagiFactors, takagi_general
 
 __all__ = [
     "GeneratorMatrix",
@@ -23,6 +23,7 @@ __all__ = [
     "GaussianState",
     "BlochMessiahFactors",
     "exponentiate_generator",
+    "squeezer_from_takagi",
     "compose",
     "passive_transform",
     "mode_wise_squeezer",
@@ -98,7 +99,12 @@ def symplectic_residual(s: SymplecticMatrix) -> float:
 
     Evaluated from the blocks: the top row of S K S^dagger - K is
     (s0 s0^H - sI sI^H - I, s0 sI^T - sI s0^T) and the bottom row is minus
-    its conjugate, so the two top blocks carry the whole maximum.
+    its conjugate, so the two top blocks carry the whole maximum.  For a
+    squeezer built by ``squeezer_from_takagi`` from factors (V, R), both
+    blocks depend on V only through V^H V: with V unitary the top-left
+    block is V (cosh^2 - sinh^2)(R) V^H - I = 0 and the top-right block
+    V (cosh sinh - sinh cosh)(R) V^T = 0, so the residual measures how far
+    V is from unitary.
     """
     s0, sI = s.s0, s.sI
     top_left = s0 @ s0.conj().T - sI @ sI.conj().T
@@ -171,17 +177,22 @@ class BlochMessiahFactors:
 _R_OVERFLOW = 0.5 * float(np.log(np.finfo(float).max))
 
 
-def _pure_squeezer_blocks(hI: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s0, sI) of exp(-i K H) for h0 = 0, from one Hermitian eigendecomposition."""
-    b = -1j * hI
-    lam, w = np.linalg.eigh(b @ b.conj().T)
-    r = np.sqrt(np.clip(lam, 0.0, None))
+def _check_r_max(r: np.ndarray) -> None:
+    """ValueError naming r_max when cosh(r_max)^2 would overflow."""
     r_max = float(r.max())
     if r_max > _R_OVERFLOW:
         raise ValueError(
             f"squeezing parameter r_max = {r_max:.4g} exceeds {_R_OVERFLOW:.4g}: "
             "cosh(r_max)^2 overflows double precision"
         )
+
+
+def _pure_squeezer_blocks(hI: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s0, sI) of exp(-i K H) for h0 = 0, from one Hermitian eigendecomposition."""
+    b = -1j * hI
+    lam, w = np.linalg.eigh(b @ b.conj().T)
+    r = np.sqrt(np.clip(lam, 0.0, None))
+    _check_r_max(r)
     sinhc = np.divide(np.sinh(r), r, out=np.ones_like(r), where=r > 0.0)
     s0 = (w * np.cosh(r)) @ w.conj().T
     sI = (w * sinhc) @ (w.conj().T @ b)
@@ -219,6 +230,25 @@ def exponentiate_generator(g: GeneratorMatrix) -> SymplecticMatrix:
     k = np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(complex)
     s = expm(-1j * k @ h)
     return SymplecticMatrix(n=n, s0=s[:n, :n], sI=s[:n, n:])
+
+
+def squeezer_from_takagi(factors: TakagiFactors) -> SymplecticMatrix:
+    """Pure squeezer exp(-i K H) with hI = i V R V^T, from its Takagi factors.
+
+    With B = -i hI = V R V^T the closed form of ``exponentiate_generator``
+    reads, exactly,
+
+        s0 = V cosh(R) V^H,    sI = V sinh(R) V^T,
+
+    so (V, R, V) are its Bloch-Messiah factors.  No second factorization is
+    made: the symplectic residual of the result measures how far V is from
+    unitary.  A ValueError names r_max when cosh(r_max)^2 would overflow.
+    """
+    v, r = factors.v, factors.r
+    _check_r_max(r)
+    s0 = (v * np.cosh(r)) @ v.conj().T
+    sI = (v * np.sinh(r)) @ v.T
+    return SymplecticMatrix(n=v.shape[0], s0=s0, sI=sI)
 
 
 def compose(s2: SymplecticMatrix, s1: SymplecticMatrix) -> SymplecticMatrix:

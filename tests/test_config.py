@@ -174,6 +174,14 @@ class TestYamlParsing:
         with pytest.raises(ConfigError, match=r"broken\.yaml: line 3"):
             parse_config_text(text, name="broken.yaml")
 
+    def test_integer_literal_past_digit_limit(self):
+        """PyYAML's int constructor refuses > 4300 digits with a plain ValueError."""
+        text = "pairing_tol: 1" + "0" * 5000 + "\n"
+        with pytest.raises(ConfigError, match=r"long\.yaml: unreadable value: .*4300 digits") as info:
+            parse_config_text(text, name="long.yaml")
+        assert "0000" not in str(info.value)
+        assert "set_int_max_str_digits" not in str(info.value)
+
     def test_empty_text_is_missing_sections(self):
         with pytest.raises(ConfigError, match="crystal: required section is missing"):
             parse_config_text("")

@@ -328,9 +328,38 @@ class TestSqueezingMatrix:
         assert np.abs(g - g.T).max() == 0.0
 
     def test_transform_limited_matrix_is_real(self, nondegenerate):
-        """Prechirped pump with z0 = L/2 makes the matrix real up to rounding."""
+        """Prechirped pump with z0 = L/2: the unit-phase rotation makes Gamma exactly real."""
         g = nondegenerate.sq.gamma
-        assert np.abs(g.imag).max() < 1e-12 * np.abs(g.real).max()
+        assert not np.any(g.imag)
+        assert not np.any(np.signbit(g.imag))
+
+    @pytest.mark.parametrize(
+        "pump_kw", [{"z0_fraction": 0.25}, {"prechirp_compensated": False}]
+    )
+    def test_complex_matrix_matches_angle_rotation(self, pump_kw):
+        """A complex Gamma moves only at the rounding level against the rotation
+        by exp(-i angle(peak)) used before the exact unit phase."""
+        grid = build_frequency_grid(32, half_width=0.55)
+        pump = PumpConfig(397.5, 129.0, gain=10.0, **pump_kw)
+        gamma = build_squeezing_matrix(CRYSTAL, pump, grid).gamma
+
+        om = grid.detunings
+        delta = phase_mismatch(om[:, None], om[None, :], CRYSTAL, pump)
+        length = CRYSTAL.length_mm
+        raw = (
+            pump.gain
+            * pump_spectrum(om[:, None] + om[None, :], pump, CRYSTAL)
+            * np.exp(1j * delta * (0.5 * length - pump.z0_fraction * length))
+            * np.sinc(0.5 * delta * length / math.pi)
+            * grid.spacing
+        )
+        raw = -1j * raw
+        peak = raw.flat[np.argmax(np.abs(raw))]
+        old = raw * np.exp(-1j * np.angle(peak))
+        old = 0.5 * (old + old.T)
+
+        assert np.abs(gamma.imag).max() > 1e-3 * np.abs(gamma).max()
+        assert np.abs(gamma - old).max() <= 1e-15 * np.abs(old).max()
 
     def test_gain_scales_linearly(self):
         grid = build_frequency_grid(16, half_width=0.55)

@@ -2,15 +2,21 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twinbeams.symplectic as symplectic
+import twinbeams.takagi as takagi
 from twinbeams.io import (
     ENV_OUTPUT_DIR,
     PipelineError,
     config_from_dict,
+    config_to_dict,
     parse_config,
     pipeline,
     resolve_output_dir,
@@ -30,6 +36,15 @@ def small_config(**overrides):
         "grid": {"m": 16, "half_width": 0.55},
     }
     raw.update(overrides)
+    return config_from_dict(raw)
+
+
+def bundled_config(name, **overrides):
+    """A bundled config with ``section__key=value`` overrides; a bare key is top level."""
+    raw = config_to_dict(parse_config(name))
+    for key, value in overrides.items():
+        section, _, field = key.rpartition("__")
+        (raw[section] if section else raw)[field] = value
     return config_from_dict(raw)
 
 
@@ -363,6 +378,100 @@ class TestSymplecticCheck:
         report = run_pipeline(small_config(pipeline="numerical"), out_dir=tmp_path)
         assert calls == [32]
         assert report.residuals["symplectic"] <= 1e-10
+
+
+class TestRealGamma:
+    """Transform-limited pumps at z0 = L/2 give an exactly real Gamma."""
+
+    @pytest.mark.parametrize("m", [16, 64])
+    @pytest.mark.parametrize(
+        "name, theta0_deg",
+        [
+            ("bbo_nondegenerate", None),
+            ("bbo_near_degenerate", None),
+            ("bbo_nondegenerate", 28.50),
+            ("bbo_nondegenerate", 28.71),
+            ("bbo_nondegenerate", 28.95),
+        ],
+    )
+    def test_gamma_and_imag_fraction(self, monkeypatch, tmp_path, name, theta0_deg, m):
+        built = []
+        original = pipeline.build_squeezing_matrix
+
+        def keeping(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pipeline, "build_squeezing_matrix", keeping)
+        overrides = {"grid__m": m}
+        if theta0_deg is not None:
+            overrides["crystal__theta0_deg"] = theta0_deg
+        report = run_pipeline(bundled_config(name, **overrides), out_dir=tmp_path)
+        (sq,) = built
+        assert not np.any(sq.gamma.imag)
+        assert report.residuals["imag_fraction"] == 0.0
+        _, rows = read_csv(tmp_path / "squeezing_matrix.csv")
+        assert {row[3] for row in rows} == {"0"}
+
+
+class TestSymplecticPath:
+    """A real Gamma is factored once; a complex one goes through the exponential."""
+
+    @pytest.mark.parametrize("name", ["numerical", "compare"])
+    @pytest.mark.parametrize(
+        "z0_fraction, expected", [(0.5, {"exp": 0, "takagi": 1}), (0.25, {"exp": 1, "takagi": 0})]
+    )
+    def test_call_counts(self, monkeypatch, tmp_path, name, z0_fraction, expected):
+        calls = {"exp": 0, "takagi": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        exp = counting("exp", symplectic.exponentiate_generator)
+        real = counting("takagi", takagi.takagi_real_symmetric)
+        for module in (symplectic, pipeline):
+            monkeypatch.setattr(module, "exponentiate_generator", exp)
+        for module in (takagi, pipeline):
+            monkeypatch.setattr(module, "takagi_real_symmetric", real)
+        cfg = bundled_config(
+            "bbo_nondegenerate", pipeline=name, grid__m=16, pump__z0_fraction=z0_fraction
+        )
+        report = run_pipeline(cfg, out_dir=tmp_path)
+        assert calls == expected
+        assert report.residuals["symplectic"] <= 1e-14
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report.json holds {name}")
+
+
+@pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(m=st.integers(8, 16), gain=st.one_of(st.just(0.0), st.floats(1.0, 1e5)))
+@example(m=16, gain=0.0)
+@example(m=16, gain=11675.0)  # r_max = 354.87, just under the overflow bound
+@example(m=8, gain=1e5)
+def test_gain_edges(z0_fraction, m, gain):
+    """Any gain either passes the symplectic check or fails in its stage naming
+    r_max; no report ever holds NaN or Infinity."""
+    cfg = bundled_config(
+        "bbo_nondegenerate", grid__m=m, pump__gain=gain, pump__z0_fraction=z0_fraction
+    )
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            report = run_pipeline(cfg, out_dir=out)
+        except PipelineError as err:
+            assert err.stage == "symplectic"
+            assert "squeezing parameter r_max" in str(err)
+            return
+        assert np.isfinite(report.residuals["symplectic"])
+        assert report.residuals["symplectic"] <= 1e-10
+        text = (Path(out) / "report.json").read_text(encoding="utf-8")
+        json.loads(text, parse_constant=_reject_constant)
 
 
 class TestOutputDir:

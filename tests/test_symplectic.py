@@ -21,9 +21,11 @@ from twinbeams.symplectic import (
     mode_wise_squeezer,
     passive_transform,
     propagate_state,
+    squeezer_from_takagi,
     symplectic_residual,
     two_mode_squeezer,
 )
+from twinbeams.takagi import TakagiFactors, takagi_real_symmetric
 
 np.random.seed(42)
 
@@ -151,6 +153,47 @@ class TestPureSqueezerClosedForm:
     def test_large_finite_r(self):
         s = exponentiate_generator(pure_squeezer(-300j * SIGMA_X))
         assert np.allclose(s.s0, math.cosh(300.0) * np.eye(2), atol=0, rtol=1e-13)
+
+
+class TestSqueezerFromTakagi:
+    """s0 = V cosh(R) V^H, sI = V sinh(R) V^T from one real Takagi factorization."""
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_matches_exponentiate_generator(self, m):
+        gamma = build_working_point(m=m).sq.gamma
+        assert not np.any(gamma.imag)
+        got = squeezer_from_takagi(takagi_real_symmetric(gamma))
+        ref = exponentiate_generator(pure_squeezer(1j * gamma))
+        scale = max(np.abs(ref.s0).max(), np.abs(ref.sI).max())
+        assert np.abs(got.s0 - ref.s0).max() <= 1e-13 * scale
+        assert np.abs(got.sI - ref.sI).max() <= 1e-13 * scale
+        assert got.residual <= 1e-14
+
+    def test_random_real_symmetric_matches_expm(self):
+        for n in (1, 2, 5, 16):
+            a = np.random.randn(n, n)
+            gamma = a + a.T
+            ref = dense_exponential(pure_squeezer(1j * gamma))
+            got = squeezer_from_takagi(takagi_real_symmetric(gamma)).full()
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_zero_gain_is_exact_identity(self):
+        gamma = build_working_point(m=16, gain=0.0).sq.gamma
+        s = squeezer_from_takagi(takagi_real_symmetric(gamma))
+        assert np.array_equal(s.s0, np.eye(32))
+        assert not np.any(s.sI)
+
+    def test_overflow_names_r_max(self):
+        """The same message as the eigh-of-B B^H closed form."""
+        factors = TakagiFactors(v=np.eye(2, dtype=complex), r=np.array([400.0, 400.0]))
+        with pytest.raises(ValueError, match=r"r_max = 400 exceeds 354\.9"):
+            squeezer_from_takagi(factors)
+
+    def test_large_finite_r(self):
+        factors = TakagiFactors(v=np.eye(2, dtype=complex), r=np.array([300.0, 300.0]))
+        s = squeezer_from_takagi(factors)
+        assert np.array_equal(s.s0, math.cosh(300.0) * np.eye(2))
+        assert np.array_equal(s.sI, math.sinh(300.0) * np.eye(2))
 
 
 class TestSymplecticResidual:
