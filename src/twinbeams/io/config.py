@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 from dataclasses import dataclass, field
 from importlib import resources
@@ -63,12 +64,10 @@ class GridSpec:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be at least 1, got {self.m}")
-        if self.half_width is not None and not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-        if self.window_T is not None and not self.window_T > 0:
-            raise ValueError(f"window_T must be positive, got {self.window_T}")
-        if not self.width_factor > 0:
-            raise ValueError(f"width_factor must be positive, got {self.width_factor}")
+        for name in ("half_width", "window_T", "width_factor"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,11 @@
 
 Floats are written with 17 significant digits (``%.17g``), which round-trips
 every IEEE double exactly, so re-running an identical config reproduces the
-artifact files byte for byte.
+artifact files byte for byte.  The matrix heatmap formats each distinct
+cell string once: a bitwise-symmetric matrix (the squeezing matrix always
+is) reuses its upper triangle's strings for the lower one, and a zero
+imaginary part is spelled without formatting.  Both reuse exact strings, so
+the bytes are those of the per-cell writer for every input.
 """
 
 from __future__ import annotations
@@ -94,14 +98,34 @@ def export_spectrum(spectrum, stem, fmt="csv", detunings=None, pairing=None) -> 
     return written
 
 
+def _format_all(values) -> np.ndarray:
+    """``%.17g`` of each value, as fixed-width bytes (``S24`` fits every double)."""
+    text = b"%.17g\n" * len(values) % tuple(values.tolist())
+    return np.array(text.split(), dtype="S24")
+
+
 def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
     """Write a complex matrix as a long CSV: omega,omega_prime,re,im,abs.
 
     One row per element in row-major order; ``omega`` labels the matrix row,
-    ``omega_prime`` the column.  Each matrix row is written through one
-    ``%``-template whose grid labels are formatted once; ``'%.17g' % x`` is
-    the same conversion as ``format(x, ".17g")``, so the bytes are those of
-    ``write_csv`` fed one element at a time.
+    ``omega_prime`` the column.  The bytes are those of ``write_csv`` fed one
+    element at a time (``re``, ``im`` and ``abs(complex)``, each ``%.17g``),
+    for every input; only the number of values formatted depends on it:
+
+    - A square matrix that equals its transpose bit for bit (compared as
+      ``uint64``, so a ``-0.0``/``+0.0`` mirror pair is not symmetric) has
+      each upper-triangle element formatted once.  The strings go to a
+      packed ``S24`` table, and row i takes its cells left of the diagonal
+      from the table entries of column i.  Any other matrix formats every
+      cell of its row and stores nothing.
+    - Where ``im`` is exactly zero, nothing more is formatted: ``im`` reads
+      ``0`` or ``-0`` by its sign bit, and ``abs`` is the ``re`` string
+      without a leading ``-``.  This is exact, since hypot(x, +-0) = |x|
+      and ``%.17g`` of -x is ``-`` followed by ``%.17g`` of x (``nan``
+      carries no sign).
+
+    Each matrix row is written through one ``%``-template whose grid labels
+    are formatted once.
     """
     mat = np.asarray(matrix, dtype=complex)
     rows_w = np.asarray(row_grid, dtype=float)
@@ -111,16 +135,46 @@ def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
             f"matrix shape {mat.shape} does not match grids "
             f"({len(rows_w)} x {len(cols_w)})"
         )
+    n = len(cols_w)
+    re, im = mat.real, mat.imag
+    re_bits, im_bits = re.view(np.uint64), im.view(np.uint64)
+    mirrored = (
+        mat.shape == (n, n)
+        and np.array_equal(re_bits, re_bits.T)
+        and np.array_equal(im_bits, im_bits.T)
+    )
+    zero_im = im == 0
+    # Table columns: re, and im and abs when some im is not zero.
+    width = 1 if zero_im.all() else 3
+    if mirrored:
+        # Packed upper triangle: element (i, j >= i) sits at start[i] + j - i.
+        k = np.arange(n)
+        start = k * (2 * n - k + 1) // 2
+        table = np.empty((n * (n + 1) // 2, width), dtype="S24")
     # Joined with the row label as separator: "" + label + cell0 + label + cell1 ...
-    cells = [""] + [f"{_fmt(w)},%.17g,%.17g,%.17g\n" for w in cols_w]
-    # np.hypot is the libm hypot of Python's abs(complex); np.abs(mat) is a
-    # SIMD routine that can differ from it in the last bit.
-    values = np.stack(
-        [mat.real, mat.imag, np.hypot(mat.real, mat.imag)], axis=-1
-    ).reshape(len(rows_w), -1)
+    cells = [b""] + [f"{_fmt(w)},%s,%s,%s\n".encode() for w in cols_w]
+    row = np.empty((n, 3), dtype="S24")
+    re_s, im_s, abs_s = row.T
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("omega,omega_prime,re,im,abs\n")
-        for w, row in zip(rows_w, values):
-            fh.write(f"{_fmt(w)},".join(cells) % tuple(row.tolist()))
+    with open(path, "wb") as fh:
+        fh.write(b"omega,omega_prime,re,im,abs\n")
+        for i, w in enumerate(rows_w):
+            lo = i if mirrored else 0
+            if lo:
+                # Cells (i, j < i) are the stored (j, i).
+                row[:lo, :width] = table[start[:lo] + lo - np.arange(lo)]
+            re_s[lo:] = _format_all(re[i, lo:])
+            z = zero_im[i]
+            im_s[z] = np.where(np.signbit(im[i, z]), b"-0", b"0")
+            abs_s[z] = np.char.lstrip(re_s[z], b"-")
+            if width == 3:
+                fresh = lo + np.flatnonzero(~z[lo:])
+                im_s[fresh] = _format_all(im[i, fresh])
+                # np.hypot is the libm hypot of Python's abs(complex); np.abs
+                # is a SIMD routine that can differ from it in the last bit.
+                abs_s[fresh] = _format_all(np.hypot(re[i, fresh], im[i, fresh]))
+            if mirrored:
+                table[start[i] : start[i] + n - i] = row[i:, :width]
+            label = _fmt(w).encode() + b","
+            fh.write(label.join(cells) % tuple(row.ravel().tolist()))
     return path

@@ -62,6 +62,11 @@ class SellmeierSet:
     lambda_min_um: float = 0.19
     lambda_max_um: float = 1.50
 
+    def __post_init__(self):
+        for name in ("a", "b", "c", "d", "lambda_min_um", "lambda_max_um"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
     def check_range(self, lambda_um) -> None:
         lam = np.asarray(lambda_um, dtype=float)
         lo, hi = float(lam.min()), float(lam.max())
@@ -102,8 +107,8 @@ class CrystalConfig:
     sellmeier_e: SellmeierSet = BBO_SELLMEIER_EXTRAORDINARY
 
     def __post_init__(self):
-        if not self.length_mm > 0:
-            raise ValueError(f"length_mm must be positive, got {self.length_mm}")
+        if not 0.0 < self.length_mm < math.inf:
+            raise ValueError(f"length_mm must be positive and finite, got {self.length_mm}")
         if not 0.0 < self.theta0_deg < 90.0:
             raise ValueError(
                 f"theta0_deg must lie strictly between 0 and 90, got {self.theta0_deg}"
@@ -133,10 +138,12 @@ class PumpConfig:
     prechirp_compensated: bool = True
 
     def __post_init__(self):
-        if not self.tau_p_fs > 0:
-            raise ValueError(f"tau_p_fs must be positive, got {self.tau_p_fs}")
-        if self.gain < 0:
-            raise ValueError(f"gain must be nonnegative, got {self.gain}")
+        if not 0.0 < self.lambda_p_nm < math.inf:
+            raise ValueError(f"lambda_p_nm must be positive and finite, got {self.lambda_p_nm}")
+        if not 0.0 < self.tau_p_fs < math.inf:
+            raise ValueError(f"tau_p_fs must be positive and finite, got {self.tau_p_fs}")
+        if not 0.0 <= self.gain < math.inf:
+            raise ValueError(f"gain must be nonnegative and finite, got {self.gain}")
         if not 0.0 <= self.z0_fraction <= 1.0:
             raise ValueError(f"z0_fraction must lie in [0, 1], got {self.z0_fraction}")
 
@@ -206,8 +213,8 @@ def build_frequency_grid(
     if half_width is None and T is None:
         raise ValueError("provide half_width or T")
     if T is not None:
-        if T <= 0:
-            raise ValueError("window T must be positive")
+        if not 0.0 < T < math.inf:
+            raise ValueError("window T must be positive and finite")
         spacing = 2.0 * math.pi / T
         if half_width is not None and abs(m * spacing - half_width) > spacing:
             raise ValueError(
@@ -215,8 +222,8 @@ def build_frequency_grid(
                 f"half_width = {half_width:.6g} by more than one step"
             )
     else:
-        if half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0.0 < half_width < math.inf:
+            raise ValueError("half_width must be positive and finite")
         spacing = half_width / m
     lvals = np.arange(1, 2 * m + 1, dtype=float)
     detunings = (lvals - m - 0.5) * spacing

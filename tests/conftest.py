@@ -7,8 +7,10 @@ covers the phase-matched bands plus their pump-broadened wings.
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from twinbeams.io import write_csv
 from twinbeams.mehler import characteristic_times, gaussian_model_params, mehler_factors
 from twinbeams.pdc import (
     PumpConfig,
@@ -17,6 +19,21 @@ from twinbeams.pdc import (
     build_squeezing_matrix,
     extract_jsa,
 )
+
+
+def per_cell_heatmap(matrix, row_grid, col_grid, path):
+    """Reference: the element-by-element heatmap writer built on write_csv."""
+    mat = np.asarray(matrix)
+    rows_w = np.asarray(row_grid, dtype=float)
+    cols_w = np.asarray(col_grid, dtype=float)
+
+    def rows():
+        for i in range(mat.shape[0]):
+            for j in range(mat.shape[1]):
+                v = complex(mat[i, j])
+                yield (rows_w[i], cols_w[j], v.real, v.imag, abs(v))
+
+    return write_csv(path, ["omega", "omega_prime", "re", "im", "abs"], rows())
 
 
 @dataclass

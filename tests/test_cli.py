@@ -65,8 +65,9 @@ class TestValidate:
             ("1: 2\nzz: 3\n", "config: unknown key 1 "),
             ("pairing_tol: 1" + "0" * 400 + "\n", "config.pairing_tol: integer too large"),
             ("pairing_tol: 1" + "0" * 5000 + "\n", "bad.yaml: unreadable value"),
+            ("grid:\n  width_factor: .inf\n", "grid: width_factor must be positive and finite"),
         ],
-        ids=["mixed-key-types", "float-overflow", "digit-limit"],
+        ids=["mixed-key-types", "float-overflow", "digit-limit", "non-finite"],
     )
     def test_crashing_inputs_exit_2(self, runner, tmp_path, text, message):
         path = tmp_path / "bad.yaml"

@@ -4,6 +4,7 @@ import copy
 import math
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,6 +159,39 @@ class TestValidation:
             config_from_dict(minimal(grid={"m": 0}))
         with pytest.raises(ConfigError, match="grid: width_factor must be positive"):
             config_from_dict(minimal(grid={"width_factor": -1.0}))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("crystal", "length_mm", ".inf"),
+            ("pump", "lambda_p_nm", ".nan"),
+            ("pump", "lambda_p_nm", ".inf"),
+            ("pump", "tau_p_fs", ".inf"),
+            ("pump", "gain", ".nan"),
+            ("pump", "gain", ".inf"),
+            ("grid", "half_width", ".inf"),
+            ("grid", "window_T", ".inf"),
+            ("grid", "width_factor", ".inf"),
+            ("crystal.sellmeier_o", "a", ".nan"),
+            ("crystal.sellmeier_e", "lambda_max_um", ".inf"),
+        ],
+    )
+    def test_non_finite_values_name_the_field(self, section, key, value):
+        text = (
+            "crystal:\n  length_mm: 2.0\n  theta0_deg: 28.81\n"
+            "  sellmeier_o: {a: 2.7405, b: 0.0184, c: 0.0179, d: 0.0155}\n"
+            "  sellmeier_e: {a: 2.3730, b: 0.0128, c: 0.0156, d: 0.0044}\n"
+            "pump:\n  lambda_p_nm: 397.5\n  tau_p_fs: 129.0\n  gain: 10.0\n"
+            "grid:\n  m: 16\n"
+        )
+        raw = yaml.safe_load(text)
+        node = raw
+        for part in section.split("."):
+            node = node[part]
+        node[key] = yaml.safe_load(value)
+        shown = "nan" if value == ".nan" else "inf"
+        with pytest.raises(ConfigError, match=rf"^{section}: {key} must be .*finite, got {shown}$"):
+            parse_config_text(yaml.safe_dump(raw))
 
     def test_top_level_must_be_mapping(self):
         with pytest.raises(ConfigError, match="top level must be a mapping"):

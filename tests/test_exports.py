@@ -5,8 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from twinbeams.io import export_matrix_heatmap, export_spectrum, write_csv
+from conftest import per_cell_heatmap
+from twinbeams.io import export_matrix_heatmap, export_spectrum, exports, write_csv
 from twinbeams.twinbeam import SqueezingSpectrum, pair_eigenvalues
 
 np.random.seed(42)
@@ -18,19 +22,17 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
-def per_cell_heatmap(matrix, row_grid, col_grid, path):
-    """Reference: the element-by-element heatmap writer built on write_csv."""
-    mat = np.asarray(matrix)
-    rows_w = np.asarray(row_grid, dtype=float)
-    cols_w = np.asarray(col_grid, dtype=float)
+def symmetric(mat):
+    """``mat + mat.T``, which is symmetric bit for bit."""
+    return mat + mat.T
 
-    def rows():
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                v = complex(mat[i, j])
-                yield (rows_w[i], cols_w[j], v.real, v.imag, abs(v))
 
-    return write_csv(path, ["omega", "omega_prime", "re", "im", "abs"], rows())
+def assert_bytes_match_per_cell(tmp_path, mat, rg=None, cg=None):
+    rg = np.linspace(-0.5, 0.5, mat.shape[0]) if rg is None else rg
+    cg = rg if cg is None else cg
+    got = export_matrix_heatmap(mat, rg, cg, tmp_path / "fast.csv").read_bytes()
+    want = per_cell_heatmap(mat, rg, cg, tmp_path / "ref.csv").read_bytes()
+    assert got == want
 
 
 def spectrum_with_gap():
@@ -147,16 +149,10 @@ class TestMatrixHeatmap:
         assert len(rows) == 9
         assert all(float(r[3]) == 0.0 for r in rows)
 
-    @staticmethod
-    def assert_bytes_match_per_cell(tmp_path, mat, rg, cg):
-        got = export_matrix_heatmap(mat, rg, cg, tmp_path / "fast.csv").read_bytes()
-        want = per_cell_heatmap(mat, rg, cg, tmp_path / "ref.csv").read_bytes()
-        assert got == want
-
     def test_bytes_match_per_cell_writer_random(self, tmp_path):
         mat = np.random.randn(7, 7) + 1j * np.random.randn(7, 7)
         g = np.linspace(-0.55, 0.55, 7)
-        self.assert_bytes_match_per_cell(tmp_path, mat, g, g)
+        assert_bytes_match_per_cell(tmp_path, mat, g, g)
 
     def test_bytes_match_per_cell_writer_edge_values(self, tmp_path):
         edge = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300, 0.1])
@@ -166,16 +162,115 @@ class TestMatrixHeatmap:
         mat = mat.reshape(16, 4)
         rg = np.concatenate([edge, -edge])
         cg = np.array([-0.0, 5e-324, 1e300, np.nan])
-        self.assert_bytes_match_per_cell(tmp_path, mat, rg, cg)
+        assert_bytes_match_per_cell(tmp_path, mat, rg, cg)
 
     def test_bytes_match_per_cell_writer_real_input(self, tmp_path):
         mat = np.array([[-0.0, np.nan, 1e300], [np.inf, 5e-324, -2.5]])
-        self.assert_bytes_match_per_cell(tmp_path, mat, [0.1, 0.2], [-1.0, 0.0, 1.0])
+        assert_bytes_match_per_cell(tmp_path, mat, [0.1, 0.2], [-1.0, 0.0, 1.0])
 
     def test_bytes_match_per_cell_writer_non_square(self, tmp_path):
         mat = np.random.randn(2, 3) + 1j * np.random.randn(2, 3)
-        self.assert_bytes_match_per_cell(tmp_path, mat, [-0.3, 0.3], [-0.1, 0.0, 0.1])
+        assert_bytes_match_per_cell(tmp_path, mat, [-0.3, 0.3], [-0.1, 0.0, 0.1])
 
     def test_shape_mismatch_raises(self, tmp_path):
         with pytest.raises(ValueError, match="does not match grids"):
             export_matrix_heatmap(np.eye(3), np.zeros(2), np.zeros(3), tmp_path / "m.csv")
+
+
+class TestSymmetricHeatmap:
+    """A bitwise-symmetric matrix formats each upper-triangle cell once."""
+
+    def test_real_symmetric(self, tmp_path):
+        assert_bytes_match_per_cell(tmp_path, symmetric(np.random.randn(9, 9)))
+
+    def test_complex_symmetric(self, tmp_path):
+        a = np.random.randn(9, 9) + 1j * np.random.randn(9, 9)
+        assert_bytes_match_per_cell(tmp_path, symmetric(a))
+
+    def test_mixed_zero_and_nonzero_imaginary_rows(self, tmp_path):
+        a = symmetric(np.random.randn(8, 8) + 1j * np.random.randn(8, 8))
+        # Rows/columns 0, 3 and 4 purely real; row 6 real except one mirror pair.
+        for k in (0, 3, 4, 6):
+            a.imag[k, :] = a.imag[:, k] = 0.0
+        a[6, 2] = a[2, 6] = 0.25 - 3.5j
+        a.imag[1, 5] = a.imag[5, 1] = -0.0
+        assert_bytes_match_per_cell(tmp_path, a)
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_signed_zero_mirror_pair(self, tmp_path, part):
+        # -0.0 == +0.0, but the two print differently: not a symmetric matrix.
+        a = symmetric(np.random.randn(4, 4) + 1j * np.random.randn(4, 4))
+        getattr(a, part)[1, 3] = -0.0
+        getattr(a, part)[3, 1] = 0.0
+        assert_bytes_match_per_cell(tmp_path, a)
+        getattr(a, part)[3, 1] = -0.0
+        assert_bytes_match_per_cell(tmp_path, a)
+
+    @pytest.mark.parametrize("imag", [False, True])
+    def test_edge_values(self, tmp_path, imag):
+        edge = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300, 0.1])
+        n = len(edge)
+        a = np.zeros((n, n), dtype=complex)
+        iu = np.triu_indices(n)
+        a.real[iu] = np.resize(edge, len(iu[0]))
+        if imag:
+            a.imag[iu] = np.resize(edge[::-1], len(iu[0]))
+        a.real.T[iu] = a.real[iu]
+        a.imag.T[iu] = a.imag[iu]
+        assert_bytes_match_per_cell(tmp_path, a)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.array([[-2.5]]),
+            np.array([[1.0 - 2.0j]]),
+            np.array([[-0.0 + 0.0j]]),
+            np.array([[1.0, -0.5], [-0.5, 2.0]]),
+            np.array([[1.0 + 1.0j, -0.5], [-0.5, -0.0j]]),
+        ],
+    )
+    def test_small(self, tmp_path, mat):
+        assert_bytes_match_per_cell(tmp_path, mat)
+
+    def test_each_upper_cell_formatted_once(self, tmp_path, monkeypatch):
+        counted = []
+        original = exports._format_all
+
+        def counting(values):
+            counted.append(len(values))
+            return original(values)
+
+        monkeypatch.setattr(exports, "_format_all", counting)
+        g = np.linspace(-1.0, 1.0, 6)
+        real = symmetric(np.random.randn(6, 6))
+        export_matrix_heatmap(real, g, g, tmp_path / "r.csv")
+        assert sum(counted) == 6 * 7 // 2
+        counted.clear()
+        cplx = symmetric(np.random.randn(6, 6) + 1j * np.random.randn(6, 6))
+        export_matrix_heatmap(cplx, g, g, tmp_path / "c.csv")
+        assert sum(counted) == 3 * 6 * 7 // 2
+        counted.clear()
+        cplx[0, 1] += 1.0
+        export_matrix_heatmap(cplx, g, g, tmp_path / "n.csv")
+        assert sum(counted) == 3 * 6 * 6
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """``a + a.T`` of a random complex matrix, imaginary part zeroed on a
+    random subset of mirror pairs."""
+    n = draw(st.integers(1, 7))
+    parts = hnp.arrays(np.float64, (2, n, n), elements=st.floats(width=64))
+    a = np.empty((n, n), dtype=complex)
+    # Set by part: re + 1j * im would turn an infinite im into a nan re.
+    a.real, a.imag = draw(parts)
+    mask = draw(hnp.arrays(np.bool_, (n, n)))
+    a = symmetric(a)
+    a.imag[mask | mask.T] = 0.0
+    return a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(symmetric_matrices())
+def test_symmetric_heatmap_property(tmp_path_factory, mat):
+    assert_bytes_match_per_cell(tmp_path_factory.mktemp("heat"), mat)

@@ -119,6 +119,25 @@ class TestConfigs:
         with pytest.raises(ValueError, match="z0_fraction must lie in"):
             PumpConfig(lambda_p_nm=397.5, tau_p_fs=129.0, z0_fraction=1.5)
 
+    def test_non_finite_values_raise(self):
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ValueError, match="length_mm must be positive and finite"):
+            CrystalConfig(length_mm=inf, theta0_deg=28.81)
+        for kwargs, name in [
+            ({"lambda_p_nm": nan}, "lambda_p_nm"),
+            ({"tau_p_fs": inf}, "tau_p_fs"),
+            ({"gain": nan}, "gain"),
+            ({"gain": inf}, "gain"),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+                PumpConfig(**{"lambda_p_nm": 397.5, "tau_p_fs": 129.0, **kwargs})
+        with pytest.raises(ValueError, match="c must be finite, got nan"):
+            SellmeierSet(a=2.0, b=0.01, c=nan, d=0.01)
+        with pytest.raises(ValueError, match="window T must be positive and finite"):
+            build_frequency_grid(8, T=inf)
+        with pytest.raises(ValueError, match="half_width must be positive and finite"):
+            build_frequency_grid(8, half_width=nan)
+
     def test_pump_central_frequencies(self):
         assert np.allclose(PUMP.omega_p0, 4.738746, atol=1e-6, rtol=0)
         assert PUMP.omega_0 == 0.5 * PUMP.omega_p0

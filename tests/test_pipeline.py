@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import per_cell_heatmap
 import twinbeams.symplectic as symplectic
 import twinbeams.takagi as takagi
 from twinbeams.io import (
@@ -412,6 +413,38 @@ class TestRealGamma:
         assert report.residuals["imag_fraction"] == 0.0
         _, rows = read_csv(tmp_path / "squeezing_matrix.csv")
         assert {row[3] for row in rows} == {"0"}
+
+
+class TestHeatmapBytes:
+    """The heatmap is the per-cell writer's output for the run's own Gamma."""
+
+    @pytest.mark.parametrize(
+        "name, z0_fraction",
+        [
+            ("bbo_nondegenerate", 0.5),
+            ("bbo_near_degenerate", 0.5),
+            ("bbo_nondegenerate", 0.25),
+        ],
+    )
+    def test_matches_per_cell_writer(self, monkeypatch, tmp_path, name, z0_fraction):
+        built = []
+        original = pipeline.build_squeezing_matrix
+
+        def keeping(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pipeline, "build_squeezing_matrix", keeping)
+        cfg = bundled_config(name, grid__m=8, pump__z0_fraction=z0_fraction)
+        run_pipeline(cfg, out_dir=tmp_path / "run")
+        (sq,) = built
+        # Bitwise symmetric, so the writer formats each mirrored cell once.
+        for part in (sq.gamma.real, sq.gamma.imag):
+            assert np.array_equal(part.view(np.uint64), part.T.view(np.uint64))
+        assert np.any(sq.gamma.imag) == (z0_fraction != 0.5)
+        w = sq.grid.detunings
+        want = per_cell_heatmap(sq.gamma, w, w, tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "run" / "squeezing_matrix.csv").read_bytes() == want
 
 
 class TestSymplecticPath:
