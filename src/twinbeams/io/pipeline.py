@@ -2,11 +2,16 @@
 
 Four pipelines share the same plumbing:
 
-* ``numerical``        grid -> squeezing matrix -> JSA -> spectrum -> pairing/fit
+* ``numerical``        grid -> squeezing matrix -> JSA -> Takagi factors ->
+                       spectrum -> pairing/fit -> symplectic check
 * ``analytic``         characteristic times -> Gaussian model -> Mehler factors
 * ``compare``          both of the above plus mode overlaps and ratio tables
-* ``near_degenerate``  numerical, but the spectrum comes from the full matrix
-                       (leakage blocks included) instead of the JSA block
+* ``near_degenerate``  numerical, but the spectrum is the Takagi factorization
+                       of the full matrix (leakage blocks included) instead of
+                       the SVD of the JSA block
+
+The squeezing matrix is factored once per run; the symplectic check and the
+``near_degenerate`` spectrum both use those factors.
 
 Every run writes ``report.json`` with the resolved config (Sellmeier data
 included), a summary, the residual diagnostics with their thresholds, and a
@@ -37,16 +42,10 @@ from ..mehler import (
     terms_for_tail_bound,
 )
 from ..pdc import build_frequency_grid, build_squeezing_matrix, extract_jsa
-from ..symplectic import GeneratorMatrix, exponentiate_generator, squeezer_from_takagi
-from ..takagi import (
-    TakagiFactors,
-    takagi_general,
-    takagi_real_symmetric,
-    takagi_residual,
-)
+from ..symplectic import squeezer_from_takagi
+from ..takagi import TakagiFactors, takagi_general, takagi_residual
 from ..twinbeam import (
     _duo_means,
-    associated_spectral,
     block_squeezing_matrix,
     eigenmodes_from_schmidt,
     fit_geometric,
@@ -74,10 +73,9 @@ ENV_OUTPUT_DIR = "TWINBEAMS_OUTPUT_DIR"
 LEAKAGE_THRESHOLD = 1e-3
 #: Relative Takagi reconstruction residual allowed for a healthy run.
 TAKAGI_THRESHOLD = 1e-10
-#: Symplectic-identity residual allowed for the exponentiated generator.
+#: Symplectic-identity residual allowed for the squeezer built from the
+#: Takagi factors of the squeezing matrix.
 SYMPLECTIC_THRESHOLD = 1e-10
-#: Relative imaginary magnitude below which the real-path eigensolver is used.
-REAL_PATH_IMAG_FRACTION = 1e-10
 #: Number of leading modes written by the analytic/compare artifacts.
 N_MODE_EXPORTS = 4
 
@@ -228,16 +226,15 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
             "pairing are trivial"
         )
 
+    # The one factorization of the run: Gamma = V R V^T in grid order.
+    factors = _stage("takagi", takagi_general, sq.gamma)
+
     sd = None
     if cfg.pipeline == "near_degenerate" and not zero:
-        full = signal_first(sq.gamma)
-        if imag_fraction <= REAL_PATH_IMAG_FRACTION:
-            spectrum = _stage("spectrum", associated_spectral, full)
-        else:
-            spectrum = _stage(
-                "spectrum", lambda: spectrum_from_takagi(takagi_general(full))
-            )
-        target = full
+        # The same factors, rows reordered signal-band first.
+        rolled = TakagiFactors(v=np.roll(factors.v, grid.m, axis=0), r=factors.r)
+        spectrum = _stage("spectrum", spectrum_from_takagi, rolled)
+        target = signal_first(sq.gamma)
     else:
         sd = _stage("spectrum", schmidt_from_jsa, ext.jsa)
         spectrum = eigenmodes_from_schmidt(sd)
@@ -278,19 +275,8 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         except ValueError as err:
             report.notes.append(f"geometric fit skipped: {err}")
 
-    if not np.any(sq.gamma.imag):
-        # Exactly real Gamma = V R V^T: the squeezer and its Bloch-Messiah
-        # factors (V, R, V) follow from one real eigendecomposition.
-        s_matrix = _stage(
-            "symplectic",
-            lambda: squeezer_from_takagi(takagi_real_symmetric(sq.gamma)),
-        )
-    else:
-        n = 2 * grid.m
-        generator = _stage(
-            "symplectic", GeneratorMatrix, n=n, h0=np.zeros((n, n)), hI=1j * sq.gamma
-        )
-        s_matrix = _stage("symplectic", exponentiate_generator, generator)
+    # The squeezer and its Bloch-Messiah factors (V, R, V) from the same factors.
+    s_matrix = _stage("symplectic", squeezer_from_takagi, factors)
     report.residuals["symplectic"] = s_matrix.residual
     if s_matrix.residual > SYMPLECTIC_THRESHOLD:
         report.threshold_failures.append("symplectic")

@@ -305,13 +305,25 @@ def _index_derivatives(crystal: CrystalConfig, lambda_um, polarization: str):
 
 
 def _branch_optics(detuning, branch: str, pump: PumpConfig):
-    """(omega, lambda in um, polarization) of a branch at a detuning."""
+    """(omega, lambda in um, polarization) of a branch at a detuning.
+
+    A detuning that puts the optical frequency at or below zero is a
+    ValueError naming the branch and that detuning.
+    """
     if branch == "pump":
-        omega, pol = pump.omega_p0 + np.asarray(detuning, dtype=float), "extraordinary"
+        center, pol = pump.omega_p0, "extraordinary"
     elif branch == "downconverted":
-        omega, pol = pump.omega_0 + np.asarray(detuning, dtype=float), "ordinary"
+        center, pol = pump.omega_0, "ordinary"
     else:
         raise ValueError(f"unknown branch {branch!r}")
+    detuning = np.asarray(detuning, dtype=float)
+    omega = center + detuning
+    if np.any(omega <= 0.0):
+        low = float(detuning.min())
+        raise ValueError(
+            f"{branch} detuning {low:.6g} rad/fs puts the optical frequency at "
+            f"{center + low:.6g} rad/fs (center {center:.6g} rad/fs), at or below zero"
+        )
     return omega, 2.0 * math.pi * C_UM_PER_FS / omega, pol
 
 

@@ -213,9 +213,7 @@ def exponentiate_generator(g: GeneratorMatrix) -> SymplecticMatrix:
     r^2, so s0 and the factor in front of B are functions of B B^H itself:
     the freedom of W inside a degenerate eigenspace does not matter, the
     form is exact for every complex symmetric hI, and no Takagi
-    factorization is needed
-    (on the full squeezing matrix ``takagi_general`` often misses its
-    1e-10 residual limit).  A ValueError names r_max when cosh(r_max)^2
+    factorization is needed.  A ValueError names r_max when cosh(r_max)^2
     would overflow.
 
     General h0: the exponential is evaluated on the full 2n x 2n matrix

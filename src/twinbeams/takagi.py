@@ -1,8 +1,9 @@
 """Takagi factorization A = V R V^T of complex symmetric matrices.
 
 Two algorithmic paths are provided: a spectral shortcut for real
-symmetric input and a general SVD-plus-balancing algorithm that remains
-stable for degenerate singular values.  ``takagi_residual`` measures the
+symmetric input, and a general path (one real symmetric eigensolve of
+twice the size plus a polar step) that stays accurate for degenerate and
+near-degenerate singular values.  ``takagi_residual`` measures the
 reconstruction quality of any candidate factorization.
 """
 
@@ -18,11 +19,6 @@ __all__ = [
     "takagi_general",
     "takagi_residual",
 ]
-
-#: Relative gap below which neighbouring singular values are treated as
-#: one degenerate cluster by the balancing step of ``takagi_general``.
-DEGENERACY_GAP = 1e-8
-
 
 @dataclass(frozen=True)
 class TakagiFactors:
@@ -105,72 +101,20 @@ def takagi_real_symmetric(a: np.ndarray) -> TakagiFactors:
     return TakagiFactors(v=v, r=np.abs(lam))
 
 
-def _degenerate_clusters(s: np.ndarray) -> list[slice]:
-    """Split descending singular values into degeneracy clusters.
-
-    Neighbours stay in one cluster when their gap is below the local
-    relative threshold ``DEGENERACY_GAP * s[i-1]`` or below a small
-    absolute floor of a few machine epsilons of the largest value.  The
-    floor keeps exactly degenerate pairs together far down a decaying
-    spectrum (their computed splitting is a few ulps of ``s[0]``
-    regardless of their own size), while the local relative criterion
-    stops genuinely distinct values from being lumped together just
-    because both are tiny.
-    """
-    n = len(s)
-    scale = s[0] if n and s[0] > 0 else 1.0
-    floor = 32.0 * np.finfo(float).eps * scale
-    clusters = []
-    start = 0
-    for i in range(1, n):
-        if (s[i - 1] - s[i]) > max(DEGENERACY_GAP * s[i - 1], floor):
-            clusters.append(slice(start, i))
-            start = i
-    clusters.append(slice(start, n))
-    return clusters
-
-
-def _unitary_symmetric_root(block: np.ndarray) -> np.ndarray:
-    """Balancing factor X with block @ conj(X) = X and X unitary.
-
-    ``block`` is (numerically) unitary and complex symmetric, so its real
-    and imaginary parts are commuting real symmetric matrices and share a
-    real orthogonal eigenbasis: block = E diag(e^{i phi}) E^T.  The
-    half-angle factor X = E diag(e^{i phi/2}) satisfies the balancing
-    relation.  Unlike a principal matrix square root this has no branch
-    cut to fall over (a real twin-beam duo puts an eigenvalue exactly at
-    -1), and X is unitary by construction even when the cluster block
-    itself is noisy.
-    """
-    re_part = block.real
-    im_part = block.imag
-    rvals, basis = np.linalg.eigh(re_part)
-    # Re-diagonalize the imaginary part inside degenerate eigenspaces of
-    # the real part; outside them the shared basis is already fixed.
-    start = 0
-    for i in range(1, len(rvals) + 1):
-        if i == len(rvals) or (rvals[i] - rvals[start]) > 1e-8:
-            if i - start > 1:
-                sub = basis[:, start:i]
-                _, w = np.linalg.eigh(sub.T @ im_part @ sub)
-                basis[:, start:i] = sub @ w
-            start = i
-    phases = np.arctan2(
-        np.einsum("ji,ji->i", basis, im_part @ basis),
-        np.einsum("ji,ji->i", basis, re_part @ basis),
-    )
-    return basis * np.exp(0.5j * phases)[None, :]
-
-
 def takagi_general(a: np.ndarray) -> TakagiFactors:
     """Takagi factorization of a complex symmetric matrix.
 
-    Computes the SVD a = P S W^H.  The unitary matrix D = W^H conj(P) is
-    block diagonal over clusters c of equal singular values and symmetric
-    on each, so only its diagonal blocks D_c are formed.  The balancing
-    relation D_c conj(X_c) = X_c is solved on each cluster by joint
-    diagonalization of Re D_c and Im D_c, and V[:, c] = P[:, c] X_c gives
-    V R V^T = a.  Stable for degenerate spectra.
+    Exactly real input goes to ``takagi_real_symmetric``.  Otherwise
+    A conj(z) is a real-linear map of z = x + i y with the real symmetric
+    matrix M = [[Re A, Im A], [Im A, -Re A]]; its eigenvalues come in
+    pairs +-s_k (z and i z), and the top n eigenvectors [x; y] give the
+    columns of V = X + i Y with A conj(V) = V diag(s).  One ``eigh`` of M
+    therefore solves every degenerate or near-degenerate cluster at once.
+    Eigenvectors of +s and -s are orthogonal in M only for s != 0, so V is
+    replaced by its polar factor U W^H (V = U Sigma W^H); since the +-s
+    vectors mix by about eps ||A|| / (s_k + s_l), this moves each
+    s_k v_k v_k^T by about eps ||A|| only.  A column whose eigenvalue came
+    out negative is multiplied by i, and r = |s|.
 
     Raises
     ------
@@ -179,31 +123,27 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
     RuntimeError
         If the reconstruction residual exceeds tolerance (reported).
     """
-    a = _as_square(a).astype(complex)
+    a = _as_square(a)
+    if not np.any(np.imag(a)):
+        return takagi_real_symmetric(np.real(a))
     _check_symmetric(a)
     a = 0.5 * (a + a.T)
     n = a.shape[0]
 
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return TakagiFactors(v=np.eye(n, dtype=complex), r=np.zeros(n))
+    lam, w = np.linalg.eigh(np.block([[a.real, a.imag], [a.imag, -a.real]]))
+    s = lam[n:][::-1]
+    top = w[:, n:][:, ::-1]
+    v = top[:n] + 1j * top[n:]
+    u, _, wh = np.linalg.svd(v)
+    v = u @ wh
+    v[:, s < 0] *= 1j
+    order = np.argsort(-np.abs(s), kind="stable")
 
-    p, s, wh = np.linalg.svd(a)
-    v = np.empty_like(p)
-    for c in _degenerate_clusters(s):
-        if s[c.start] <= 1e-14 * s[0]:
-            # Zero block: columns are free, P's own keep V unitary.
-            v[:, c] = p[:, c]
-            continue
-        block = wh[c, :] @ p[:, c].conj()
-        block = 0.5 * (block + block.T)
-        v[:, c] = p[:, c] @ _unitary_symmetric_root(block)
-
-    factors = TakagiFactors(v=v, r=s.copy())
+    factors = TakagiFactors(v=v[:, order], r=np.abs(s[order]))
     residual = takagi_residual(a, factors)
     if residual > 1e-10:
         raise RuntimeError(
-            f"Takagi balancing failed to converge: residual {residual:.3e}"
+            f"Takagi factorization residual {residual:.3e} exceeds 1e-10"
         )
     return factors
 

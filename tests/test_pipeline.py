@@ -204,6 +204,34 @@ class TestNearDegenerateRun:
         assert report.residuals["takagi"] <= 1e-10
         assert report.summary["r1"] > 0.0
 
+    def test_complex_gamma(self, tmp_path):
+        """A z0 off the crystal center makes Gamma complex; it factors all the same."""
+        cfg = bundled_config("bbo_near_degenerate", grid__m=64, pump__z0_fraction=0.25)
+        report = run_pipeline(cfg, out_dir=tmp_path)
+        assert report.residuals["imag_fraction"] > 0.0
+        assert report.residuals["takagi"] <= 1e-10
+        assert report.residuals["symplectic"] <= 1e-10
+        assert report.summary["pairs_accepted"] == 3
+        assert report.threshold_failures == ["leakage"]
+
+    def test_one_eigendecomposition(self, monkeypatch, tmp_path):
+        """A real Gamma is factored once: the spectrum and the symplectic
+        check share one eigendecomposition."""
+        shapes = []
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cfg = bundled_config("bbo_near_degenerate", grid__m=64, output__format="json")
+        report = run_pipeline(cfg, out_dir=tmp_path)
+        assert report.residuals["imag_fraction"] == 0.0
+        assert shapes == [(128, 128)]
+        payload = json.loads((tmp_path / "spectrum.json").read_text(encoding="utf-8"))
+        assert payload["source"] == "direct_takagi"
+
 
 class TestZeroGain:
     """gain = 0 short-circuits gracefully."""
@@ -299,6 +327,20 @@ class TestFailures:
         with pytest.raises(PipelineError, match=r"\[symplectic\] squeezing parameter r_max") as info:
             run_pipeline(config_from_dict(raw), out_dir=tmp_path)
         assert info.value.stage == "symplectic"
+
+
+    def test_grid_past_optical_frequency(self, tmp_path):
+        """A band wider than the optical frequency is named, not a negative wavelength."""
+        cfg = bundled_config(
+            "bbo_nondegenerate", pipeline="numerical", grid__m=16, grid__half_width=20.0
+        )
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(cfg, out_dir=tmp_path)
+        assert info.value.stage == "squeezing-matrix"
+        message = str(info.value)
+        assert "pump detuning -38.75 rad/fs" in message
+        assert "at or below zero" in message
+        assert "wavelength" not in message
 
 
 class TestSmallGrids:
@@ -448,14 +490,18 @@ class TestHeatmapBytes:
 
 
 class TestSymplecticPath:
-    """A real Gamma is factored once; a complex one goes through the exponential."""
+    """Gamma is factored once by ``takagi_general``; no exponential is built."""
 
     @pytest.mark.parametrize("name", ["numerical", "compare"])
     @pytest.mark.parametrize(
-        "z0_fraction, expected", [(0.5, {"exp": 0, "takagi": 1}), (0.25, {"exp": 1, "takagi": 0})]
+        "z0_fraction, expected",
+        [
+            (0.5, {"general": 1, "real": 1, "exp": 0}),
+            (0.25, {"general": 1, "real": 0, "exp": 0}),
+        ],
     )
     def test_call_counts(self, monkeypatch, tmp_path, name, z0_fraction, expected):
-        calls = {"exp": 0, "takagi": 0}
+        calls = {"general": 0, "real": 0, "exp": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -464,18 +510,46 @@ class TestSymplecticPath:
 
             return wrapper
 
-        exp = counting("exp", symplectic.exponentiate_generator)
-        real = counting("takagi", takagi.takagi_real_symmetric)
-        for module in (symplectic, pipeline):
-            monkeypatch.setattr(module, "exponentiate_generator", exp)
+        monkeypatch.setattr(
+            symplectic, "exponentiate_generator", counting("exp", symplectic.exponentiate_generator)
+        )
+        general = counting("general", takagi.takagi_general)
         for module in (takagi, pipeline):
-            monkeypatch.setattr(module, "takagi_real_symmetric", real)
+            monkeypatch.setattr(module, "takagi_general", general)
+        monkeypatch.setattr(
+            takagi, "takagi_real_symmetric", counting("real", takagi.takagi_real_symmetric)
+        )
         cfg = bundled_config(
             "bbo_nondegenerate", pipeline=name, grid__m=16, pump__z0_fraction=z0_fraction
         )
         report = run_pipeline(cfg, out_dir=tmp_path)
         assert calls == expected
         assert report.residuals["symplectic"] <= 1e-14
+
+
+class TestBlochMessiah:
+    """The Bloch-Messiah reduction of the squeezer each run builds."""
+
+    @pytest.mark.parametrize("m", [64, 128])
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25])
+    @pytest.mark.parametrize("name", ["bbo_nondegenerate", "bbo_near_degenerate"])
+    def test_reduces_pipeline_squeezer(self, monkeypatch, tmp_path, name, z0_fraction, m):
+        kept = []
+        original = pipeline.squeezer_from_takagi
+
+        def keeping(factors):
+            kept.append((factors, original(factors)))
+            return kept[-1][1]
+
+        monkeypatch.setattr(pipeline, "squeezer_from_takagi", keeping)
+        cfg = bundled_config(name, grid__m=m, pump__z0_fraction=z0_fraction)
+        run_pipeline(cfg, out_dir=tmp_path)
+        ((factors, s),) = kept
+        bm = symplectic.bloch_messiah(s)
+        assert np.allclose(bm.r, factors.r, atol=1e-10 * factors.r[0], rtol=0)
+        n = s.n
+        assert np.abs(bm.v.conj().T @ bm.v - np.eye(n)).max() <= 1e-10
+        assert np.abs(bm.q.conj().T @ bm.q - np.eye(n)).max() <= 1e-10
 
 
 def _reject_constant(name):
