@@ -44,7 +44,7 @@ def _load(source):
         _fail(EXIT_VALIDATION, str(err))
 
 
-def _override(cfg, fmt=None, pairs_tol=None, terms=None):
+def _override(cfg, fmt=None, pairs_tol=None):
     try:
         if fmt is not None:
             cfg = dataclasses.replace(
@@ -52,8 +52,6 @@ def _override(cfg, fmt=None, pairs_tol=None, terms=None):
             )
         if pairs_tol is not None:
             cfg = dataclasses.replace(cfg, pairing_tol=pairs_tol)
-        if terms is not None:
-            cfg = dataclasses.replace(cfg, mehler_terms=terms)
     except ValueError as err:
         _fail(EXIT_VALIDATION, str(err))
     return cfg
@@ -79,12 +77,6 @@ _pairs_tol_option = click.option(
     default=None,
     help="Relative gap below which consecutive eigenvalues count as a pair.",
 )
-_terms_option = click.option(
-    "--terms",
-    type=int,
-    default=None,
-    help="Mehler series truncation used by the analytic diagnostics.",
-)
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -98,10 +90,9 @@ def main():
 @_out_option
 @_format_option
 @_pairs_tol_option
-@_terms_option
-def run(config_source, out_dir, fmt, pairs_tol, terms):
+def run(config_source, out_dir, fmt, pairs_tol):
     """Run the pipeline described by CONFIG (a path or a bundled name)."""
-    cfg = _override(_load(config_source), fmt=fmt, pairs_tol=pairs_tol, terms=terms)
+    cfg = _override(_load(config_source), fmt=fmt, pairs_tol=pairs_tol)
     try:
         report = run_pipeline(cfg, out_dir=out_dir)
     except PipelineError as err:
@@ -148,14 +139,13 @@ def _set_path(tree: dict, dotted: str, value) -> None:
 @_out_option
 @_format_option
 @_pairs_tol_option
-@_terms_option
-def sweep(config_source, param, values, out_dir, fmt, pairs_tol, terms):
+def sweep(config_source, param, values, out_dir, fmt, pairs_tol):
     """Run CONFIG once per value of --param and collect a summary table.
 
     Each point writes its artifacts to the subdirectory ``<param>=<value>``
     of the output directory; the table lands in ``sweep_summary.csv``.
     """
-    base_cfg = _override(_load(config_source), fmt=fmt, pairs_tol=pairs_tol, terms=terms)
+    base_cfg = _override(_load(config_source), fmt=fmt, pairs_tol=pairs_tol)
     base = config_to_dict(base_cfg)
     raw_values = [v.strip() for v in values.split(",") if v.strip()]
     if not raw_values:

@@ -2,7 +2,7 @@
 
 A run is described by one YAML mapping with sections ``crystal``, ``pump``,
 ``grid`` and ``output`` plus the scalars ``pipeline``, ``pairing_tol`` and
-``mehler_terms``.  The config dataclasses are the only schema: parsing walks
+``fit_pairs``.  The config dataclasses are the only schema: parsing walks
 their fields, applies their defaults, rejects unknown keys, and turns every
 failure into a :class:`ConfigError` whose message names the offending field
 (and the source line for YAML syntax errors).  ``serialize_config`` emits the
@@ -99,7 +99,6 @@ class RunConfig:
     pipeline: str = "numerical"
     pairing_tol: float = 1e-2
     fit_pairs: int | None = 15
-    mehler_terms: int = 80
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def __post_init__(self):
@@ -113,8 +112,6 @@ class RunConfig:
             )
         if self.fit_pairs is not None and self.fit_pairs < 3:
             raise ValueError(f"fit_pairs must be at least 3, got {self.fit_pairs}")
-        if self.mehler_terms < 1:
-            raise ValueError(f"mehler_terms must be at least 1, got {self.mehler_terms}")
 
 
 def _as_float(value) -> float:

@@ -454,18 +454,15 @@ class JsaExtraction:
 
     jsa: JointSpectralAmplitude
     leakage: float
-    flagged: bool
 
 
-def extract_jsa(
-    sq: SqueezingMatrixPhysical, leak_threshold: float = 1e-3
-) -> JsaExtraction:
+def extract_jsa(sq: SqueezingMatrixPhysical) -> JsaExtraction:
     """Signal x idler block of Gamma with a leakage report.
 
     Leakage is the energy fraction of the two diagonal (signal x signal,
     idler x idler) blocks, ||ss||_F^2 + ||ii||_F^2 over ||Gamma||_F^2;
-    it vanishes when the twin-beam block structure is exact and is
-    flagged when it exceeds ``leak_threshold``.
+    it vanishes when the twin-beam block structure is exact.  The caller
+    judges it against its own threshold.
     """
     m = sq.grid.m
     g = sq.gamma
@@ -481,7 +478,7 @@ def extract_jsa(
         signal_grid=sq.grid.signal.copy(),
         idler_grid=sq.grid.idler.copy(),
     )
-    return JsaExtraction(jsa=jsa, leakage=leakage, flagged=leakage > leak_threshold)
+    return JsaExtraction(jsa=jsa, leakage=leakage)
 
 
 def _max_valid_detuning(crystal: CrystalConfig, pump: PumpConfig) -> float:

@@ -307,9 +307,8 @@ def bloch_messiah(s: SymplecticMatrix) -> BlochMessiahFactors:
     unitary.  The reconstruction residual is the contract — V and Q are not
     unique for degenerate r.
     """
-    res = symplectic_residual(s)
-    if res > 1e-8:
-        raise ValueError(f"input is not symplectic to 1e-8 (residual {res:.3e})")
+    if s.residual > 1e-8:
+        raise ValueError(f"input is not symplectic to 1e-8 (residual {s.residual:.3e})")
     n = s.n
 
     z = s.s0 @ s.sI.T

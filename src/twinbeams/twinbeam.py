@@ -219,7 +219,8 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
     scale = max(np.abs(ga).max(), 1e-300)
     if np.abs(ga - ga.conj().T).max() > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian after the associated-matrix reshuffle")
-    if np.abs(ga.imag).max() <= 1e-12 * scale:
+    real = np.abs(ga.imag).max() <= 1e-12 * scale
+    if real:
         # Numerically real input: the real eigensolver keeps eigenvectors
         # exactly real, so the idler-half conjugation below stays unitary
         # even when leakage blocks couple near-degenerate duos.
@@ -244,6 +245,11 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
     modes[m:, :] = modes[m:, :].conj()
     neg = lam < 0
     modes[:, neg] *= 1j
+    if not real:
+        # Complex eigh mixes the +-lambda partners of small eigenvalues, which
+        # the idler conjugation makes non-orthogonal: take the polar factor.
+        w, _, vh = np.linalg.svd(modes)
+        modes = w @ vh
     return SqueezingSpectrum(
         values=np.abs(lam), modes=modes, source="associated_spectral"
     )

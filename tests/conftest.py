@@ -5,6 +5,8 @@ recipe half_width = omega_s + max(width_factor / tau1, 3 Omega_p) so the grid
 covers the phase-matched bands plus their pump-broadened wings.
 """
 
+import cmath
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,22 @@ def per_cell_heatmap(matrix, row_grid, col_grid, path):
                 yield (rows_w[i], cols_w[j], v.real, v.imag, abs(v))
 
     return write_csv(path, ["omega", "omega_prime", "re", "im", "abs"], rows())
+
+
+def rotating_first_mode(make_spectrum):
+    """Wrap a spectrum builder so its first mode carries a stray e^{i pi/4}.
+
+    The modes stay unitary, so the spectrum is accepted, but V R V^T picks
+    up a factor i on the leading term and no longer reconstructs the matrix.
+    """
+
+    def wrapper(*args, **kwargs):
+        spectrum = make_spectrum(*args, **kwargs)
+        modes = spectrum.modes.copy()
+        modes[:, 0] *= cmath.exp(0.25j * cmath.pi)
+        return dataclasses.replace(spectrum, modes=modes)
+
+    return wrapper
 
 
 @dataclass

@@ -1,15 +1,15 @@
 """Tests for the command-line interface."""
 
 import csv
-import json
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from conftest import rotating_first_mode
 from twinbeams import __version__
-from twinbeams.io import config_from_dict, parse_config_text, serialize_config
+from twinbeams.io import config_from_dict, parse_config_text, pipeline, serialize_config
 from twinbeams.io.cli import main
 
 
@@ -85,6 +85,18 @@ class TestValidate:
         assert "config not found" in all_output(result)
         assert "bbo_nondegenerate" in all_output(result)
 
+    def test_mehler_terms_key_exits_2(self, runner, tmp_path):
+        """The removed ``mehler_terms`` setting fails loudly, naming the key."""
+        path = tmp_path / "old.yaml"
+        path.write_text(
+            "crystal:\n  length_mm: 2.0\n  theta0_deg: 28.81\n"
+            "pump:\n  lambda_p_nm: 397.5\n  tau_p_fs: 129.0\n"
+            "mehler_terms: 80\n"
+        )
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert "config: unknown key 'mehler_terms'" in all_output(result)
+
 
 class TestRun:
     """twinbeams run"""
@@ -125,6 +137,18 @@ class TestRun:
         # the report is still written for inspection
         assert (out / "report.json").exists()
 
+    def test_takagi_failure_exits_3(self, runner, tmp_path, monkeypatch):
+        """A spectrum that stays unitary but reconstructs wrongly fails the check."""
+        monkeypatch.setattr(
+            pipeline, "eigenmodes_from_schmidt", rotating_first_mode(pipeline.eigenmodes_from_schmidt)
+        )
+        cfg_path = write_config(tmp_path, pipeline="numerical")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 3
+        assert "residual thresholds violated: takagi" in all_output(result)
+        assert (out / "report.json").exists()
+
     def test_pipeline_error_exits_3(self, runner, tmp_path):
         cfg_path = write_config(
             tmp_path,
@@ -141,16 +165,18 @@ class TestRun:
         assert result.exit_code == 2
         assert "pairing_tol" in all_output(result)
 
-    def test_terms_override_lands_in_report(self, runner, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_terms_option_is_a_usage_error(self, runner, tmp_path, command):
+        """The Mehler term count is derived from its tail bound, not set."""
         cfg_path = write_config(tmp_path, pipeline="analytic")
-        out = tmp_path / "out"
-        result = runner.invoke(
-            main, ["run", str(cfg_path), "--out", str(out), "--terms", "5"]
-        )
-        assert result.exit_code == 0
-        payload = json.loads((out / "report.json").read_text())
-        assert payload["config"]["mehler_terms"] == 5
-        assert payload["residuals"]["kernel_truncation"] > 1e-6
+        args = [command, str(cfg_path), "--out", str(tmp_path / "out"), "--terms", "5"]
+        if command == "sweep":
+            args += ["--param", "pump.gain", "--values", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "No such option" in all_output(result)
+        assert "--terms" in all_output(result)
+        assert not (tmp_path / "out").exists()
 
     def test_output_dir_from_environment(self, runner, tmp_path):
         cfg_path = write_config(tmp_path, pipeline="analytic")

@@ -46,7 +46,6 @@ class TestDefaults:
             assert cfg.pipeline == "numerical"
             assert cfg.pairing_tol == 1e-2
             assert cfg.fit_pairs == 15
-            assert cfg.mehler_terms == 80
             assert cfg.grid == GridSpec(m=128, half_width=None, window_T=None, width_factor=4.0)
             assert cfg.output == OutputConfig(directory=None, format="csv")
             assert cfg.pump.gain == 1.0
@@ -151,8 +150,8 @@ class TestValidation:
             config_from_dict(minimal(pairing_tol=2.0))
         with pytest.raises(ConfigError, match="config: fit_pairs must be at least 3"):
             config_from_dict(minimal(fit_pairs=1))
-        with pytest.raises(ConfigError, match="config: mehler_terms must be at least 1"):
-            config_from_dict(minimal(mehler_terms=0))
+        with pytest.raises(ConfigError, match="config: unknown key 'mehler_terms'"):
+            config_from_dict(minimal(mehler_terms=80))
         with pytest.raises(ConfigError, match="output: format must be one of"):
             config_from_dict(minimal(output={"format": "xml"}))
         with pytest.raises(ConfigError, match="grid: m must be at least 1"):
@@ -271,7 +270,6 @@ class TestRoundTrip:
             pipeline="compare",
             pairing_tol=0.05,
             fit_pairs=10,
-            mehler_terms=40,
             grid={"m": 64, "half_width": 0.5, "width_factor": 3.0},
             output={"directory": "out", "format": "both"},
         )
@@ -301,8 +299,7 @@ class TestRoundTrip:
         """The report.json echo depends on this exact nested key order."""
         d = config_to_dict(config_from_dict(minimal()))
         assert list(d) == [
-            "crystal", "pump", "grid", "pipeline", "pairing_tol", "fit_pairs",
-            "mehler_terms", "output",
+            "crystal", "pump", "grid", "pipeline", "pairing_tol", "fit_pairs", "output",
         ]
         assert list(d["crystal"]) == ["length_mm", "theta0_deg", "sellmeier_o", "sellmeier_e"]
         for key in ("sellmeier_o", "sellmeier_e"):
@@ -377,7 +374,6 @@ def raw_configs(draw):
             "pipeline": st.sampled_from(PIPELINES),
             "pairing_tol": st.floats(1e-9, 0.999),
             "fit_pairs": st.integers(3, 200),
-            "mehler_terms": st.integers(1, 1000),
             "output": lambda: section(
                 {}, {"directory": st.text(min_size=1), "format": st.sampled_from(FORMATS)}
             ),

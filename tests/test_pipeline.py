@@ -1,6 +1,7 @@
 """End-to-end tests of the run pipelines and their artifacts."""
 
 import csv
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import per_cell_heatmap
+from conftest import per_cell_heatmap, rotating_first_mode
 import twinbeams.symplectic as symplectic
 import twinbeams.takagi as takagi
 from twinbeams.io import (
@@ -104,10 +105,12 @@ class TestCompareRun:
         assert report.threshold_failures == []
 
     def test_kernel_truncation_diagnostic(self, compare_run):
+        """The series is summed to its 1e-6 tail bound (104 terms here), so
+        the bundled run agrees with the closed form and leaves no note."""
         report = compare_run[0]
-        assert np.allclose(report.residuals["kernel_truncation"], 1.2856e-6, atol=2e-8, rtol=0)
-        assert any("Mehler series truncated" in note for note in report.notes)
-        assert any("(104 terms bring its tail bound under 1e-6)" in note for note in report.notes)
+        assert report.residuals["kernel_truncation"] <= pipeline.KERNEL_THRESHOLD
+        assert np.allclose(report.residuals["kernel_truncation"], 3.773e-8, atol=2e-10, rtol=0)
+        assert report.notes == []
 
     def test_artifact_manifest(self, compare_run):
         report, out = compare_run
@@ -274,11 +277,52 @@ class TestAnalyticOnly:
         assert ks == {0, 1, 2, 3}
         assert branches == {"signal", "idler"}
 
-    def test_raising_terms_clears_truncation_note(self, tmp_path):
-        cfg = small_config(pipeline="analytic", mehler_terms=120)
+    @pytest.mark.parametrize(
+        "theta0_deg, terms", [(28.50, 78), (28.62, 85), (28.81, 104), (28.95, 129)]
+    )
+    def test_derived_terms_clear_truncation_note(self, monkeypatch, tmp_path, theta0_deg, terms):
+        """Each working point sums as many terms as its tail bound needs."""
+        counts = []
+        original = pipeline.evaluate_kernel_sum
+
+        def counting(f, x, y, n):
+            counts.append(n)
+            return original(f, x, y, n)
+
+        monkeypatch.setattr(pipeline, "evaluate_kernel_sum", counting)
+        crystal = dict(MINIMAL["crystal"], theta0_deg=theta0_deg)
+        report = run_pipeline(small_config(pipeline="analytic", crystal=crystal), out_dir=tmp_path)
+        assert counts == [terms]
+        assert report.residuals["kernel_truncation"] <= 5e-8
+        assert report.notes == []
+
+    def test_perturbed_factors_get_the_note(self, monkeypatch, tmp_path):
+        """The check stays live: factors that miss the model are reported."""
+        original = pipeline.mehler_factors
+
+        def perturbed(params):
+            f = original(params)
+            return dataclasses.replace(f, theta=f.theta + 1e-3)
+
+        monkeypatch.setattr(pipeline, "mehler_factors", perturbed)
+        report = run_pipeline(small_config(pipeline="analytic"), out_dir=tmp_path)
+        assert report.residuals["kernel_truncation"] > pipeline.KERNEL_THRESHOLD
+        (note,) = report.notes
+        assert "Mehler series (104 terms) and closed-form kernel disagree" in note
+        assert "terms bring" not in note and "mehler_terms" not in note
+
+    @pytest.mark.parametrize("half_width, flagged", [(1.0, False), (1.5, True), (20.0, True)])
+    def test_band_past_dispersion_range_gets_a_note(self, tmp_path, half_width, flagged):
+        """The numerical pipeline fails past the Sellmeier range; the analytic
+        one runs on but says so, quoting the dispersion model's reason."""
+        cfg = bundled_config("bbo_nondegenerate", pipeline="analytic", grid__half_width=half_width)
         report = run_pipeline(cfg, out_dir=tmp_path)
-        assert report.residuals["kernel_truncation"] <= 1e-6
-        assert not any("Mehler series" in note for note in report.notes)
+        notes = [n for n in report.notes if "outside the dispersion model's range" in n]
+        assert len(notes) == int(flagged)
+        if half_width == 1.5:
+            assert "outside Sellmeier validity range" in notes[0]
+        if half_width == 20.0:
+            assert "downconverted detuning" in notes[0] and "at or below zero" in notes[0]
 
 
 class TestFailures:
@@ -341,6 +385,36 @@ class TestFailures:
         assert "pump detuning -38.75 rad/fs" in message
         assert "at or below zero" in message
         assert "wavelength" not in message
+
+
+class TestCheckPaths:
+    """A failed check is recorded or raised where the run makes it."""
+
+    def test_takagi_failure_is_recorded(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            pipeline, "eigenmodes_from_schmidt", rotating_first_mode(pipeline.eigenmodes_from_schmidt)
+        )
+        report = run_pipeline(small_config(pipeline="numerical"), out_dir=tmp_path)
+        assert report.residuals["takagi"] > pipeline.TAKAGI_THRESHOLD
+        assert report.threshold_failures == ["takagi"]
+        payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert payload["threshold_failures"] == ["takagi"]
+
+    def test_non_unitary_factors_fail_symplectic_stage(self, monkeypatch, tmp_path):
+        """A residual past SYMPLECTIC_THRESHOLD fails the stage, not the report."""
+        original = pipeline.takagi_general
+
+        def stretched(gamma):
+            factors = original(gamma)
+            v = factors.v.copy()
+            v[:, 0] *= 1.001
+            return takagi.TakagiFactors(v=v, r=factors.r)
+
+        monkeypatch.setattr(pipeline, "takagi_general", stretched)
+        with pytest.raises(PipelineError, match=r"\[symplectic\] matrix is not symplectic") as info:
+            run_pipeline(small_config(pipeline="numerical"), out_dir=tmp_path)
+        assert info.value.stage == "symplectic"
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestSmallGrids:

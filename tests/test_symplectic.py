@@ -8,6 +8,7 @@ import pytest
 from conftest import build_working_point
 from scipy.linalg import expm
 
+import twinbeams.symplectic as symplectic
 from twinbeams.symplectic import (
     BlochMessiahFactors,
     GaussianState,
@@ -338,6 +339,14 @@ class TestBlochMessiah:
         r = np.array([1.5, 0.7, 0.2])
         bm = bloch_messiah(mode_wise_squeezer(r))
         assert np.allclose(bm.r, np.sort(r)[::-1], atol=1e-12, rtol=0)
+
+    def test_reads_the_stored_residual(self, monkeypatch):
+        """The residual computed on construction is not recomputed."""
+        s = random_symplectic(4, scale=0.5)
+        calls = []
+        monkeypatch.setattr(symplectic, "symplectic_residual", lambda m: calls.append(m))
+        bloch_messiah(s)
+        assert calls == []
 
 
 class TestGaussianState:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from twinbeams.takagi import takagi_general
+from conftest import build_working_point
+from twinbeams.takagi import TakagiFactors, takagi_general, takagi_residual
 from twinbeams.twinbeam import (
     JointSpectralAmplitude,
     SchmidtDecomposition,
@@ -172,6 +173,21 @@ class TestThreePaths:
         assert np.allclose(spec.values[0], 0.155931, atol=2e-6, rtol=0)
         recon = (spec.modes * spec.values) @ spec.modes.T
         assert np.abs(recon - gamma).max() <= 1e-10
+
+    @pytest.mark.parametrize("m", [64, 128])
+    @pytest.mark.parametrize("theta0_deg", [28.81, 29.18], ids=["nondegenerate", "near-degenerate"])
+    def test_associated_on_complex_block(self, theta0_deg, m):
+        """A z0 off the crystal center makes the block complex; the associated
+        route still returns unitary modes that reproduce the JSA spectrum."""
+        jsa = build_working_point(theta0_deg=theta0_deg, m=m, z0_fraction=0.25).ext.jsa
+        target = block_squeezing_matrix(jsa)
+        assert np.any(target.imag)
+        spec = associated_spectral(target)
+        ref = eigenmodes_from_schmidt(schmidt_from_jsa(jsa))
+        assert takagi_residual(target, TakagiFactors(v=spec.modes, r=spec.values)) <= 1e-10
+        assert np.abs(spec.modes.conj().T @ spec.modes - np.eye(2 * m)).max() <= 1e-12
+        assert np.abs(spec.values - ref.values).max() <= 1e-12 * ref.values[0]
+        assert max(gap for _, _, gap in spec.pairs[:10]) <= 1e-12
 
     def test_associated_rejects_odd_dimension(self):
         with pytest.raises(ValueError, match="even dimension"):
