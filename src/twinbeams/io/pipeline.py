@@ -44,7 +44,7 @@ from ..mehler import (
     terms_for_tail_bound,
 )
 from ..pdc import build_frequency_grid, build_squeezing_matrix, extract_jsa, wave_vector
-from ..symplectic import squeezer_from_takagi
+from ..symplectic import SYMPLECTIC_THRESHOLD, squeezer_from_takagi
 from ..takagi import TakagiFactors, takagi_general, takagi_residual
 from ..twinbeam import (
     _duo_means,
@@ -75,9 +75,6 @@ ENV_OUTPUT_DIR = "TWINBEAMS_OUTPUT_DIR"
 LEAKAGE_THRESHOLD = 1e-3
 #: Relative Takagi reconstruction residual allowed for a healthy run.
 TAKAGI_THRESHOLD = 1e-10
-#: Symplectic-identity residual of the squeezer built from the Takagi factors;
-#: ``SymplecticMatrix`` rejects a larger one, failing the ``symplectic`` stage.
-SYMPLECTIC_THRESHOLD = 1e-10
 #: Mehler series against closed-form kernel, relative to the kernel norm.
 KERNEL_THRESHOLD = 1e-6
 #: Number of leading modes written by the analytic/compare artifacts.

@@ -492,25 +492,22 @@ def _max_valid_detuning(crystal: CrystalConfig, pump: PumpConfig) -> float:
 
 
 def find_central_detuning(
-    crystal: CrystalConfig, pump: PumpConfig, method: str = "auto"
+    crystal: CrystalConfig, pump: PumpConfig, method: str
 ) -> float:
     """Central detuning Omega_s >= 0 of the phase-matched signal band.
 
     ``closed_form`` evaluates sqrt(Delta_0 / k''_0) (requires the
-    nondegenerate regime where both have the same sign);
-    ``quadratic_root`` root-finds the quadratic dispersion model (agrees
-    with the closed form to solver precision); ``root`` solves the full
-    Delta(Omega, -Omega) = 0 within the Sellmeier validity window;
-    ``auto`` uses the closed form and falls back to ``root`` when the
-    sign condition fails.
+    nondegenerate regime where both have the same sign); ``root`` solves
+    the full Delta(Omega, -Omega) = 0 within the Sellmeier validity window.
     """
+    if method not in ("closed_form", "root"):
+        raise ValueError(f"unknown method {method!r}")
     kp0, _, _ = wave_vector_derivatives(0.0, "pump", crystal, pump)
     k0, _, k2 = wave_vector_derivatives(0.0, "downconverted", crystal, pump)
     delta0 = kp0 - 2.0 * k0
-
-    def closed_form() -> float:
-        if delta0 == 0.0:
-            return 0.0
+    if delta0 == 0.0:
+        return 0.0
+    if method == "closed_form":
         ratio = delta0 / k2
         if ratio < 0.0:
             raise ValueError(
@@ -518,30 +515,12 @@ def find_central_detuning(
                 "use the root-finding method"
             )
         return math.sqrt(ratio)
-
-    if method == "closed_form":
-        return closed_form()
-    if method == "auto":
-        try:
-            return closed_form()
-        except ValueError:
-            method = "root"
-    if method == "quadratic_root":
-        target = closed_form()
-        if target == 0.0:
-            return 0.0
-        hi = min(1.5 * target, _max_valid_detuning(crystal, pump))
-        return float(brentq(lambda w: delta0 - k2 * w * w, 0.0, hi, xtol=1e-14))
-    if method == "root":
-        if delta0 == 0.0:
-            return 0.0
-        fun = lambda w: float(phase_mismatch(w, -w, crystal, pump))
-        hi = _max_valid_detuning(crystal, pump)
-        omegas = np.linspace(0.0, hi, 129)
-        vals = np.array([fun(w) for w in omegas])
-        sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-        if len(sign_change) == 0:
-            raise ValueError("no phase-matched solution in band")
-        i = sign_change[0]
-        return float(brentq(fun, omegas[i], omegas[i + 1], xtol=1e-14))
-    raise ValueError(f"unknown method {method!r}")
+    fun = lambda w: float(phase_mismatch(w, -w, crystal, pump))
+    hi = _max_valid_detuning(crystal, pump)
+    omegas = np.linspace(0.0, hi, 129)
+    vals = np.array([fun(w) for w in omegas])
+    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    if len(sign_change) == 0:
+        raise ValueError("no phase-matched solution in band")
+    i = sign_change[0]
+    return float(brentq(fun, omegas[i], omegas[i + 1], xtol=1e-14))

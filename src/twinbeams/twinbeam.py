@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .takagi import TakagiFactors, _largest_entry_phase
+from .takagi import TakagiFactors, _largest_entry_phase, takagi_real_symmetric
 
 __all__ = [
     "JointSpectralAmplitude",
@@ -119,14 +119,14 @@ def _duo_gaps(values: np.ndarray) -> tuple[tuple[int, int, float], ...]:
 class SqueezingSpectrum:
     """Squeezing eigenvalues and eigenmodes of a two-band matrix.
 
-    ``pairs`` records (i0, i1, relative gap) for every consecutive duo of
-    the descending ``values``; ``source`` names the path that produced
-    the spectrum.
+    ``pairs`` is derived from ``values``: (i0, i1, relative gap) for every
+    consecutive duo of the descending values.  ``source`` names the path
+    that produced the spectrum.
     """
 
     values: np.ndarray
     modes: np.ndarray = field(repr=False)
-    pairs: tuple = ()
+    pairs: tuple = field(init=False)
     source: str = "direct_takagi"
 
     def __post_init__(self):
@@ -142,12 +142,9 @@ class SqueezingSpectrum:
             raise ValueError("modes are not unitary")
         if self.source not in SPECTRUM_SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
-        pairs = tuple(self.pairs) if self.pairs else _duo_gaps(r)
-        if len(pairs) != n // 2:
-            raise ValueError("pairs must record every consecutive duo")
         object.__setattr__(self, "values", r)
         object.__setattr__(self, "modes", v)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", _duo_gaps(r))
 
 
 def block_squeezing_matrix(jsa: JointSpectralAmplitude) -> np.ndarray:
@@ -207,7 +204,9 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
     matrix yields a Hermitian matrix whose eigenpairs (lambda, U) map to
     squeezing eigenmodes: r = |lambda|, mode = U with the idler half
     conjugated, times i when lambda < 0.  The +-lambda signs of each duo
-    are what distinguishes the two partners.
+    are what distinguishes the two partners.  Eigenpairs are ordered as in
+    the Takagi module (descending |lambda|, stable), and a real matrix,
+    which is its own associated matrix, takes ``takagi_real_symmetric``.
     """
     g = np.asarray(gamma, dtype=complex)
     n = g.shape[0]
@@ -219,39 +218,21 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
     scale = max(np.abs(ga).max(), 1e-300)
     if np.abs(ga - ga.conj().T).max() > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian after the associated-matrix reshuffle")
-    real = np.abs(ga.imag).max() <= 1e-12 * scale
-    if real:
-        # Numerically real input: the real eigensolver keeps eigenvectors
-        # exactly real, so the idler-half conjugation below stays unitary
-        # even when leakage blocks couple near-degenerate duos.
-        lam, u = np.linalg.eigh(ga.real)
-        u = u.astype(complex)
-    else:
-        lam, u = np.linalg.eigh(ga)
-    # descending |lambda|; the positive member of each +-duo first.  Duo
-    # partners are only degenerate up to rounding, so "first" breaks
-    # ulp-level near-ties within each positional duo, not just exact
-    # float ties.
-    order = sorted(range(n), key=lambda k: (-abs(lam[k]), 0.0 if lam[k] >= 0 else 1.0))
-    tie = 1e-12 * abs(lam[order[0]])
-    for i in range(0, n - 1, 2):
-        if abs(abs(lam[order[i]]) - abs(lam[order[i + 1]])) <= tie and (
-            lam[order[i]] < 0 <= lam[order[i + 1]]
-        ):
-            order[i], order[i + 1] = order[i + 1], order[i]
+    if np.abs(ga.imag).max() <= 1e-12 * scale:
+        f = takagi_real_symmetric(ga.real)
+        return SqueezingSpectrum(values=f.r, modes=f.v, source="associated_spectral")
+    lam, u = np.linalg.eigh(ga)
+    order = np.argsort(-np.abs(lam), kind="stable")
     lam = lam[order]
     modes = u[:, order]
     modes /= _largest_entry_phase(modes)
     modes[m:, :] = modes[m:, :].conj()
-    neg = lam < 0
-    modes[:, neg] *= 1j
-    if not real:
-        # Complex eigh mixes the +-lambda partners of small eigenvalues, which
-        # the idler conjugation makes non-orthogonal: take the polar factor.
-        w, _, vh = np.linalg.svd(modes)
-        modes = w @ vh
+    modes[:, lam < 0] *= 1j
+    # Complex eigh mixes the +-lambda partners of small eigenvalues, which
+    # the idler conjugation makes non-orthogonal: take the polar factor.
+    w, _, vh = np.linalg.svd(modes)
     return SqueezingSpectrum(
-        values=np.abs(lam), modes=modes, source="associated_spectral"
+        values=np.abs(lam), modes=w @ vh, source="associated_spectral"
     )
 
 
@@ -399,8 +380,5 @@ def rotate_pair(
     modes[:, i0] = c * v1 + s * v2
     modes[:, i1] = -s * v1 + c * v2
     return SqueezingSpectrum(
-        values=spectrum.values.copy(),
-        modes=modes,
-        pairs=spectrum.pairs,
-        source=spectrum.source,
+        values=spectrum.values.copy(), modes=modes, source=spectrum.source
     )

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import build_working_point
-from twinbeams.takagi import TakagiFactors, takagi_general, takagi_residual
+from twinbeams.takagi import (
+    TakagiFactors,
+    takagi_general,
+    takagi_real_symmetric,
+    takagi_residual,
+)
 from twinbeams.twinbeam import (
     JointSpectralAmplitude,
     SchmidtDecomposition,
@@ -59,7 +64,7 @@ class TestContainers:
             SqueezingSpectrum(values=vals, modes=0.5 * eye)
         with pytest.raises(ValueError, match="unknown source"):
             SqueezingSpectrum(values=vals, modes=eye, source="guesswork")
-        with pytest.raises(ValueError, match="every consecutive duo"):
+        with pytest.raises(TypeError, match="pairs"):
             SqueezingSpectrum(values=vals, modes=eye, pairs=((0, 1, 0.0),))
 
     def test_spectrum_records_duo_gaps(self):
@@ -160,10 +165,28 @@ class TestThreePaths:
         assert np.array_equal(spec.values[::2], spec.values[1::2])
 
     def test_duo_partner_structure(self, nondegenerate):
-        """On a real matrix one partner is purely real, the other purely imaginary."""
+        """On a real matrix one partner of each duo is purely real, the other
+        purely imaginary, in either order."""
         spec = associated_spectral(block_squeezing_matrix(nondegenerate.ext.jsa))
-        assert np.abs(spec.modes[:, 0].imag).max() <= 1e-8
-        assert np.abs(spec.modes[:, 1].real).max() <= 1e-8
+        for i0, i1, _ in spec.pairs[:10]:
+            duo = spec.modes[:, [i0, i1]]
+            real = np.abs(duo.imag).max(axis=0) <= 1e-8
+            imag = np.abs(duo.real).max(axis=0) <= 1e-8
+            assert (real[0] and imag[1]) or (real[1] and imag[0])
+
+    def test_associated_takes_the_real_takagi_path(self, nondegenerate, near_degenerate):
+        """A real matrix is its own associated matrix, so the associated route
+        returns the real Takagi factors bit for bit: on a zeroed-leakage block
+        and on the full Gamma of both bundled configs (the two fixtures)."""
+        targets = [block_squeezing_matrix(nondegenerate.ext.jsa)]
+        targets += [signal_first(wp.sq.gamma) for wp in (nondegenerate, near_degenerate)]
+        for target in targets:
+            assert not np.any(target.imag)
+            spec = associated_spectral(target)
+            ref = takagi_real_symmetric(target.real)
+            assert spec.source == "associated_spectral"
+            assert np.array_equal(spec.values, ref.r)
+            assert np.array_equal(spec.modes, ref.v)
 
     def test_full_matrix_with_leakage(self, nondegenerate):
         """The associated route also handles the full matrix, leakage included."""
