@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .takagi import TakagiFactors, takagi_general
+from .takagi import TakagiFactors, _real_columns, takagi_general
 
 __all__ = [
     "GeneratorMatrix",
@@ -109,11 +109,20 @@ def symplectic_residual(s: SymplecticMatrix) -> float:
     block is V (cosh^2 - sinh^2)(R) V^H - I = 0 and the top-right block
     V (cosh sinh - sinh cosh)(R) V^T = 0, so the residual measures how far
     V is from unitary.
+
+    The top-right block is X - X^T with X = s0 sI^T, one product.  When
+    both blocks have an exactly zero imaginary part (the squeezer of a
+    real matrix) the products run on their real parts.
     """
     s0, sI = s.s0, s.sI
-    top_left = s0 @ s0.conj().T - sI @ sI.conj().T
+    if np.any(s0.imag) or np.any(sI.imag):
+        top_left = s0 @ s0.conj().T - sI @ sI.conj().T
+    else:
+        s0, sI = np.ascontiguousarray(s0.real), np.ascontiguousarray(sI.real)
+        top_left = s0 @ s0.T - sI @ sI.T
     top_left[np.diag_indices_from(top_left)] -= 1.0
-    top_right = s0 @ sI.T - sI @ s0.T
+    x = s0 @ sI.T
+    top_right = x - x.T
     res = max(np.abs(top_left).max(), np.abs(top_right).max())
     norm2 = max(np.abs(s0).max() ** 2, np.abs(sI).max() ** 2, 1.0)
     return float(res / norm2)
@@ -245,11 +254,26 @@ def squeezer_from_takagi(factors: TakagiFactors) -> SymplecticMatrix:
     so (V, R, V) are its Bloch-Messiah factors.  No second factorization is
     made: the symplectic residual of the result measures how far V is from
     unitary.  A ValueError names r_max when cosh(r_max)^2 would overflow.
+
+    When every column of V is purely real or purely imaginary,
+    V = O diag(1 or i) with O real, both blocks are real:
+    s0 = O cosh(R) O^T and sI = O diag(+-sinh R) O^T, with -sinh r_j for
+    each imaginary column.  They are built in real arithmetic and stored
+    as complex with an exactly zero imaginary part.
     """
     v, r = factors.v, factors.r
     _check_r_max(r)
-    s0 = (v * np.cosh(r)) @ v.conj().T
-    sI = (v * np.sinh(r)) @ v.T
+    real = _real_columns(v)
+    if real is None:
+        s0 = (v * np.cosh(r)) @ v.conj().T
+        sI = (v * np.sinh(r)) @ v.T
+    else:
+        o, imag = real
+        sinh = np.sinh(r)
+        s0 = ((o * np.cosh(r)) @ o.T).astype(complex)
+        sI = ((o * np.where(imag, -sinh, sinh)) @ o.T).astype(complex)
+        # O is not needed by the symplectic check the constructor runs.
+        del real, o
     return SymplecticMatrix(n=v.shape[0], s0=s0, sI=sI)
 
 

@@ -5,6 +5,12 @@ symmetric input, and a general path (one real symmetric eigensolve of
 twice the size plus a polar step) that stays accurate for degenerate and
 near-degenerate singular values.  ``takagi_residual`` measures the
 reconstruction quality of any candidate factorization.
+
+Factors of a real symmetric matrix (and the twin-beam duos built from a
+real JSA) have columns that are each purely real or purely imaginary,
+V = O diag(1 or i) with O real.  The checks recognize that structure with
+``_real_columns`` and evaluate the same quantities from O in real
+arithmetic; any other V keeps the complex products.
 """
 
 from __future__ import annotations
@@ -60,6 +66,36 @@ def _largest_entry_phase(u: np.ndarray) -> np.ndarray:
         return np.where(pivot == 0, 1.0, np.sign(pivot))
     mag = np.hypot(pivot.real, pivot.imag)
     return np.divide(pivot, mag, out=np.ones_like(pivot), where=mag != 0)
+
+
+def _real_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(O, imag) with v = O diag(where(imag, i, 1)) and O real, or None.
+
+    Applies when every column of ``v`` is purely real or purely imaginary;
+    then one part of each column is +-0, so O = v.real + v.imag is exact.
+    ``imag`` flags the imaginary columns.  A zero column counts as real.
+    """
+    re, im = v.real, v.imag
+    imag = np.any(im, axis=0)
+    if np.any(imag & np.any(re, axis=0)):
+        return None
+    return re + im, imag
+
+
+def _unitarity_defect(v: np.ndarray) -> float:
+    """max|V^H V - I|; equal to max|O^T O - I| when ``_real_columns`` applies.
+
+    The column factors i of V = O diag(1 or i) cancel on the diagonal of
+    V^H V and only change the phase of the off-diagonal entries.
+    """
+    real = _real_columns(v)
+    if real is None:
+        gram = v.conj().T @ v
+    else:
+        o = real[0]
+        gram = o.T @ o
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def takagi_real_symmetric(a: np.ndarray) -> TakagiFactors:
@@ -149,11 +185,21 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
 
 
 def takagi_residual(a: np.ndarray, factors: TakagiFactors) -> float:
-    """Relative reconstruction residual ||a - V R V^T||_F / max(||a||_F, eps)."""
+    """Relative reconstruction residual ||a - V R V^T||_F / max(||a||_F, eps).
+
+    When every column of V is purely real or purely imaginary (V = O D
+    with D = diag(1 or i)), V R V^T = O (D^2 R) O^T is rebuilt in real
+    arithmetic, with -r_j for each imaginary column (i^2 = -1).
+    """
     a = _as_square(a)
     v, r = factors.v, factors.r
     if v.shape[0] != a.shape[0] or len(r) != a.shape[0]:
         raise ValueError("factor dimensions do not match the matrix")
-    recon = (v * r) @ v.T
+    real = _real_columns(v)
+    if real is None:
+        recon = (v * r) @ v.T
+    else:
+        o, imag = real
+        recon = (o * np.where(imag, -r, r)) @ o.T
     denom = max(np.linalg.norm(a), np.finfo(float).eps)
     return float(np.linalg.norm(a - recon) / denom)

@@ -21,7 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .takagi import TakagiFactors, _largest_entry_phase, takagi_real_symmetric
+from .takagi import (
+    TakagiFactors,
+    _largest_entry_phase,
+    _unitarity_defect,
+    takagi_real_symmetric,
+)
 
 __all__ = [
     "JointSpectralAmplitude",
@@ -93,9 +98,8 @@ class SchmidtDecomposition:
         m = c.shape[0]
         if c.shape != (m, m) or d.shape != (m, m) or r.shape != (m,):
             raise ValueError("c, d must be m x m and values length m")
-        eye = np.eye(m)
         for name, u in (("c", c), ("d", d)):
-            if np.abs(u.conj().T @ u - eye).max() > 1e-10:
+            if _unitarity_defect(u) > 1e-10:
                 raise ValueError(f"{name} is not unitary")
         if np.any(r < -1e-15) or np.any(np.diff(r) > 1e-12 * max(r[0], 1.0)):
             raise ValueError("values must be nonnegative and descending")
@@ -121,7 +125,10 @@ class SqueezingSpectrum:
 
     ``pairs`` is derived from ``values``: (i0, i1, relative gap) for every
     consecutive duo of the descending values.  ``source`` names the path
-    that produced the spectrum.
+    that produced the spectrum.  The modes must be unitary to 1e-10,
+    max|V^H V - I|; modes whose columns are each purely real or purely
+    imaginary (every path, for a real matrix) are checked as O^T O in
+    real arithmetic.
     """
 
     values: np.ndarray
@@ -138,7 +145,7 @@ class SqueezingSpectrum:
         scale = max(r[0], 1.0) if n else 1.0
         if np.any(r < -1e-15) or np.any(np.diff(r) > 1e-12 * scale):
             raise ValueError("values must be nonnegative and descending")
-        if np.abs(v.conj().T @ v - np.eye(n)).max() > 1e-10:
+        if _unitarity_defect(v) > 1e-10:
             raise ValueError("modes are not unitary")
         if self.source not in SPECTRUM_SOURCES:
             raise ValueError(f"unknown source {self.source!r}")

@@ -38,6 +38,12 @@ def per_cell_heatmap(matrix, row_grid, col_grid, path):
     return write_csv(path, ["omega", "omega_prime", "re", "im", "abs"], rows())
 
 
+def random_unitary(n):
+    """Haar-random n x n unitary from the global NumPy RNG (QR, phases fixed by diag(R))."""
+    q, r = np.linalg.qr(np.random.randn(n, n) + 1j * np.random.randn(n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def rotating_first_mode(make_spectrum):
     """Wrap a spectrum builder so its first mode carries a stray e^{i pi/4}.
 

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import build_working_point
+from conftest import build_working_point, random_unitary
 from twinbeams.mehler import (
     GaussianModelParams,
     analytic_schmidt_mode,
@@ -57,11 +57,6 @@ def random_symmetric(n, complex_valued=True):
     if complex_valued:
         a = a + 1j * np.random.randn(n, n)
     return a + a.T
-
-
-def random_unitary(n):
-    q, r = np.linalg.qr(np.random.randn(n, n) + 1j * np.random.randn(n, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_symplectic(n, scale=0.3):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import build_working_point
+from conftest import build_working_point, random_unitary
 from scipy.linalg import expm
 
 import twinbeams.symplectic as symplectic
@@ -71,11 +71,6 @@ def dense_residual(s):
     k = k_matrix(s.n)
     res = full @ k @ full.conj().T - k
     return float(np.abs(res).max() / max(np.abs(full).max() ** 2, 1.0))
-
-
-def random_unitary(n):
-    q, r = np.linalg.qr(np.random.randn(n, n) + 1j * np.random.randn(n, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestGenerator:

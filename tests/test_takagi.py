@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +21,6 @@ def random_symmetric(n, complex_valued=True):
     if complex_valued:
         a = a + 1j * np.random.randn(n, n)
     return a + a.T
-
-
-def random_unitary(n):
-    q, r = np.linalg.qr(np.random.randn(n, n) + 1j * np.random.randn(n, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def check_factors(a, factors, res_tol=1e-10, uni_tol=1e-12):
