@@ -48,23 +48,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Detuning-grid sizing: 2m samples over +-half_width.
+    """Detuning-grid sizing: 2m samples over +-half_width (rad/fs).
 
-    Either ``half_width`` (rad/fs) or ``window_T`` (fs, the quantization
-    window 2 pi / spacing) may be given.  When both are omitted the pipeline
-    sizes the band automatically from the analytic model: half_width =
-    omega_s + max(width_factor / tau1, 3 Omega_p).
+    When ``half_width`` is omitted the pipeline sizes the band automatically
+    from the analytic model: half_width = omega_s + max(width_factor / tau1,
+    3 Omega_p).
     """
 
     m: int = 128
     half_width: float | None = None
-    window_T: float | None = None
     width_factor: float = 4.0
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be at least 1, got {self.m}")
-        for name in ("half_width", "window_T", "width_factor"):
+        for name in ("half_width", "width_factor"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")

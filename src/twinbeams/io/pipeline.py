@@ -45,7 +45,7 @@ from ..mehler import (
 )
 from ..pdc import build_frequency_grid, build_squeezing_matrix, extract_jsa, wave_vector
 from ..symplectic import SYMPLECTIC_THRESHOLD, squeezer_from_takagi
-from ..takagi import TakagiFactors, takagi_general, takagi_residual
+from ..takagi import TAKAGI_THRESHOLD, TakagiFactors, takagi_general, takagi_residual
 from ..twinbeam import (
     _duo_means,
     block_squeezing_matrix,
@@ -73,8 +73,6 @@ ENV_OUTPUT_DIR = "TWINBEAMS_OUTPUT_DIR"
 
 #: Band-leakage fraction above which the twin-beam block structure is degraded.
 LEAKAGE_THRESHOLD = 1e-3
-#: Relative Takagi reconstruction residual allowed for a healthy run.
-TAKAGI_THRESHOLD = 1e-10
 #: Mehler series against closed-form kernel, relative to the kernel norm.
 KERNEL_THRESHOLD = 1e-6
 #: Number of leading modes written by the analytic/compare artifacts.
@@ -180,7 +178,7 @@ def _band_sizing(_label: str, fn, *args):
         raise PipelineError(
             "grid",
             f"automatic band sizing needs the nondegenerate analytic model ({err}); "
-            "set grid.half_width or grid.window_T explicitly",
+            "set grid.half_width explicitly",
         ) from err
 
 
@@ -194,11 +192,11 @@ def _analytic_model(cfg: RunConfig, stage=_stage):
 def _resolve_grid(cfg: RunConfig, model):
     """Build the detuning grid; an automatic band is sized from the analytic model."""
     spec = cfg.grid
-    if spec.half_width is not None or spec.window_T is not None:
-        return build_frequency_grid(spec.m, spec.half_width, spec.window_T)
-    t, _, f = model
-    half_width = t.omega_s + max(spec.width_factor / f.tau1, 3.0 * t.omega_p)
-    return build_frequency_grid(spec.m, half_width=half_width)
+    half_width = spec.half_width
+    if half_width is None:
+        t, _, f = model
+        half_width = t.omega_s + max(spec.width_factor / f.tau1, 3.0 * t.omega_p)
+    return build_frequency_grid(spec.m, half_width)
 
 
 def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
@@ -433,7 +431,7 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunReport:
     model = None
     if analytic:
         model = _analytic_model(cfg)
-    elif cfg.grid.half_width is None and cfg.grid.window_T is None:
+    elif cfg.grid.half_width is None:
         model = _stage("grid", _analytic_model, cfg, _band_sizing)
     grid = _stage("grid", _resolve_grid, cfg, model)
 

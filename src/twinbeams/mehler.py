@@ -23,7 +23,6 @@ import numpy as np
 from .pdc import (
     CrystalConfig,
     PumpConfig,
-    find_central_detuning,
     pump_bandwidth,
     wave_vector_derivatives,
 )
@@ -113,8 +112,9 @@ def characteristic_times(
 ) -> CharacteristicTimes:
     """Characteristic times from the dispersion model.
 
-    Requires the nondegenerate regime Delta_0 / k''_0 > 0; at or past
-    the degenerate cut the Gaussian model has no central detuning.
+    omega_s = sqrt(Delta_0 / k''_0) is the central detuning of the
+    quadratic model.  Requires the nondegenerate regime Delta_0 / k''_0 > 0;
+    at or past the degenerate cut the Gaussian model has no central detuning.
     """
     length = crystal.length_mm
     kp0, kp1, kp2 = wave_vector_derivatives(0.0, "pump", crystal, pump)
@@ -131,7 +131,7 @@ def characteristic_times(
         tau_d=(kp1 - k1) * length,
         tau_s=math.sqrt(k2 * delta0) * length,
         omega_p=pump_bandwidth(pump),
-        omega_s=find_central_detuning(crystal, pump, method="closed_form"),
+        omega_s=math.sqrt(delta0 / k2),
     )
 
 

@@ -13,6 +13,7 @@ light is ordinary (type-I phase matching).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -167,29 +168,33 @@ def pump_bandwidth(pump: PumpConfig) -> float:
 class FrequencyGrid:
     """Uniform detuning grid: Omega_l = (l - m - 1/2) spacing, l = 1..2m.
 
-    The lower half (negative detunings) is the idler band, the upper half
-    the signal band.
+    The grid is stored as ``(m, spacing)``; the half-width, the window T and
+    the detunings are derived.  The lower half (negative detunings) is the
+    idler band, the upper half the signal band.
     """
 
     m: int
-    half_width: float
     spacing: float
-    detunings: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        det = np.asarray(self.detunings, dtype=float)
-        if det.shape != (2 * self.m,):
-            raise ValueError("detunings must have length 2m")
-        if np.any(np.diff(det) <= 0):
-            raise ValueError("detunings must be strictly increasing")
-        if np.abs(det + det[::-1]).max() > 1e-12 * max(self.half_width, 1.0):
-            raise ValueError("detunings must be odd-symmetric about zero")
-        object.__setattr__(self, "detunings", det)
+        if self.m < 1:
+            raise ValueError(f"m must be at least 1, got {self.m}")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+
+    @property
+    def half_width(self) -> float:
+        """Band half-width m * spacing (rad/fs)."""
+        return self.m * self.spacing
 
     @property
     def window_T(self) -> float:
         """Quantization window T = 2 pi / spacing (fs)."""
         return 2.0 * math.pi / self.spacing
+
+    @functools.cached_property
+    def detunings(self) -> np.ndarray:
+        return (np.arange(1, 2 * self.m + 1, dtype=float) - self.m - 0.5) * self.spacing
 
     @property
     def idler(self) -> np.ndarray:
@@ -200,34 +205,13 @@ class FrequencyGrid:
         return self.detunings[self.m:]
 
 
-def build_frequency_grid(
-    m: int, half_width: float | None = None, T: float | None = None
-) -> FrequencyGrid:
-    """Grid of 2m detunings with spacing 2 pi / T covering +-half_width.
-
-    Either ``half_width`` or ``T`` may be given; if both are, they must be
-    consistent to within one grid step (m * (2 pi / T) = half_width).
-    """
+def build_frequency_grid(m: int, half_width: float) -> FrequencyGrid:
+    """Grid of 2m detunings covering +-half_width, spacing half_width / m."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if half_width is None and T is None:
-        raise ValueError("provide half_width or T")
-    if T is not None:
-        if not 0.0 < T < math.inf:
-            raise ValueError("window T must be positive and finite")
-        spacing = 2.0 * math.pi / T
-        if half_width is not None and abs(m * spacing - half_width) > spacing:
-            raise ValueError(
-                f"inconsistent grid: m * (2 pi / T) = {m * spacing:.6g} differs from "
-                f"half_width = {half_width:.6g} by more than one step"
-            )
-    else:
-        if not 0.0 < half_width < math.inf:
-            raise ValueError("half_width must be positive and finite")
-        spacing = half_width / m
-    lvals = np.arange(1, 2 * m + 1, dtype=float)
-    detunings = (lvals - m - 0.5) * spacing
-    return FrequencyGrid(m=m, half_width=m * spacing, spacing=spacing, detunings=detunings)
+    if not 0.0 < half_width < math.inf:
+        raise ValueError("half_width must be positive and finite")
+    return FrequencyGrid(m=m, spacing=half_width / m)
 
 
 @dataclass(frozen=True)
@@ -472,12 +456,7 @@ def extract_jsa(sq: SqueezingMatrixPhysical) -> JsaExtraction:
     else:
         diag_energy = np.linalg.norm(g[:m, :m]) ** 2 + np.linalg.norm(g[m:, m:]) ** 2
         leakage = float(diag_energy / total)
-    jsa = JointSpectralAmplitude(
-        m=m,
-        j_matrix=g[m:, :m].copy(),
-        signal_grid=sq.grid.signal.copy(),
-        idler_grid=sq.grid.idler.copy(),
-    )
+    jsa = JointSpectralAmplitude(m=m, j_matrix=g[m:, :m].copy())
     return JsaExtraction(jsa=jsa, leakage=leakage)
 
 
@@ -491,30 +470,17 @@ def _max_valid_detuning(crystal: CrystalConfig, pump: PumpConfig) -> float:
     return 0.999999 * min(upper, lower)
 
 
-def find_central_detuning(
-    crystal: CrystalConfig, pump: PumpConfig, method: str
-) -> float:
+def find_central_detuning(crystal: CrystalConfig, pump: PumpConfig) -> float:
     """Central detuning Omega_s >= 0 of the phase-matched signal band.
 
-    ``closed_form`` evaluates sqrt(Delta_0 / k''_0) (requires the
-    nondegenerate regime where both have the same sign); ``root`` solves
-    the full Delta(Omega, -Omega) = 0 within the Sellmeier validity window.
+    Solves the full Delta(Omega, -Omega) = 0 within the Sellmeier validity
+    window.  The quadratic-model closed form sqrt(Delta_0 / k''_0) is
+    ``mehler.characteristic_times(...).omega_s``.
     """
-    if method not in ("closed_form", "root"):
-        raise ValueError(f"unknown method {method!r}")
     kp0, _, _ = wave_vector_derivatives(0.0, "pump", crystal, pump)
-    k0, _, k2 = wave_vector_derivatives(0.0, "downconverted", crystal, pump)
-    delta0 = kp0 - 2.0 * k0
-    if delta0 == 0.0:
+    k0, _, _ = wave_vector_derivatives(0.0, "downconverted", crystal, pump)
+    if kp0 - 2.0 * k0 == 0.0:
         return 0.0
-    if method == "closed_form":
-        ratio = delta0 / k2
-        if ratio < 0.0:
-            raise ValueError(
-                "Delta_0 and k''_0 have opposite signs (degenerate regime); "
-                "use the root-finding method"
-            )
-        return math.sqrt(ratio)
     fun = lambda w: float(phase_mismatch(w, -w, crystal, pump))
     hi = _max_valid_detuning(crystal, pump)
     omegas = np.linspace(0.0, hi, 129)

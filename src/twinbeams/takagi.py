@@ -26,6 +26,10 @@ __all__ = [
     "takagi_residual",
 ]
 
+#: Relative reconstruction residual above which a Takagi factorization fails.
+TAKAGI_THRESHOLD = 1e-10
+
+
 @dataclass(frozen=True)
 class TakagiFactors:
     """Factors of A = V R V^T: unitary ``v`` and nonnegative ``r`` (descending)."""
@@ -41,15 +45,15 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_symmetric(a: np.ndarray, rtol: float = 1e-10) -> None:
+def _check_symmetric(a: np.ndarray) -> None:
     scale = np.abs(a).max()
     if scale == 0.0:
         return
     asym = np.abs(a - a.T).max()
-    if asym > rtol * scale:
+    if asym > 1e-10 * scale:
         raise ValueError(
             f"matrix is not symmetric: max|A - A^T| = {asym:.3e} "
-            f"exceeds {rtol:.1e} * max|A| = {rtol * scale:.3e}"
+            f"exceeds 1.0e-10 * max|A| = {1e-10 * scale:.3e}"
         )
 
 
@@ -177,9 +181,9 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
 
     factors = TakagiFactors(v=v[:, order], r=np.abs(s[order]))
     residual = takagi_residual(a, factors)
-    if residual > 1e-10:
+    if residual > TAKAGI_THRESHOLD:
         raise RuntimeError(
-            f"Takagi factorization residual {residual:.3e} exceeds 1e-10"
+            f"Takagi factorization residual {residual:.3e} exceeds {TAKAGI_THRESHOLD:g}"
         )
     return factors
 

@@ -60,23 +60,12 @@ class JointSpectralAmplitude:
 
     m: int
     j_matrix: np.ndarray = field(repr=False)
-    signal_grid: np.ndarray = field(repr=False)
-    idler_grid: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         j = np.asarray(self.j_matrix, dtype=complex)
         if j.shape != (self.m, self.m):
             raise ValueError("j_matrix must be m x m")
-        sg = np.asarray(self.signal_grid, dtype=float)
-        ig = np.asarray(self.idler_grid, dtype=float)
-        for name, g in (("signal_grid", sg), ("idler_grid", ig)):
-            if g.shape != (self.m,):
-                raise ValueError(f"{name} must have length m")
-            if self.m > 1 and np.any(np.diff(g) <= 0):
-                raise ValueError(f"{name} must be strictly increasing")
         object.__setattr__(self, "j_matrix", j)
-        object.__setattr__(self, "signal_grid", sg)
-        object.__setattr__(self, "idler_grid", ig)
 
 
 @dataclass(frozen=True)

@@ -86,16 +86,21 @@ class TestValidate:
         assert "bbo_nondegenerate" in all_output(result)
 
     def test_mehler_terms_key_exits_2(self, runner, tmp_path):
-        """The removed ``mehler_terms`` setting fails loudly, naming the key."""
+        """The removed ``mehler_terms`` and ``grid.window_T`` settings fail
+        loudly, naming the key."""
         path = tmp_path / "old.yaml"
-        path.write_text(
+        base = (
             "crystal:\n  length_mm: 2.0\n  theta0_deg: 28.81\n"
             "pump:\n  lambda_p_nm: 397.5\n  tau_p_fs: 129.0\n"
-            "mehler_terms: 80\n"
         )
-        result = runner.invoke(main, ["validate", str(path)])
-        assert result.exit_code == 2
-        assert "config: unknown key 'mehler_terms'" in all_output(result)
+        for extra, message in (
+            ("mehler_terms: 80\n", "config: unknown key 'mehler_terms'"),
+            ("grid:\n  window_T: 50.0\n", "grid: unknown key 'window_T'"),
+        ):
+            path.write_text(base + extra)
+            result = runner.invoke(main, ["validate", str(path)])
+            assert result.exit_code == 2
+            assert message in all_output(result)
 
 
 class TestRun:

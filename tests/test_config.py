@@ -46,7 +46,7 @@ class TestDefaults:
             assert cfg.pipeline == "numerical"
             assert cfg.pairing_tol == 1e-2
             assert cfg.fit_pairs == 15
-            assert cfg.grid == GridSpec(m=128, half_width=None, window_T=None, width_factor=4.0)
+            assert cfg.grid == GridSpec(m=128, half_width=None, width_factor=4.0)
             assert cfg.output == OutputConfig(directory=None, format="csv")
             assert cfg.pump.gain == 1.0
             assert cfg.pump.z0_fraction == 0.5
@@ -169,7 +169,6 @@ class TestValidation:
             ("pump", "gain", ".nan"),
             ("pump", "gain", ".inf"),
             ("grid", "half_width", ".inf"),
-            ("grid", "window_T", ".inf"),
             ("grid", "width_factor", ".inf"),
             ("crystal.sellmeier_o", "a", ".nan"),
             ("crystal.sellmeier_e", "lambda_max_um", ".inf"),
@@ -309,7 +308,7 @@ class TestRoundTrip:
         assert list(d["pump"]) == [
             "lambda_p_nm", "tau_p_fs", "gain", "z0_fraction", "prechirp_compensated",
         ]
-        assert list(d["grid"]) == ["m", "half_width", "window_T", "width_factor"]
+        assert list(d["grid"]) == ["m", "half_width", "width_factor"]
         assert list(d["output"]) == ["directory", "format"]
 
 
@@ -367,7 +366,6 @@ def raw_configs(draw):
                 {
                     "m": st.integers(1, 4096),
                     "half_width": positive,
-                    "window_T": positive,
                     "width_factor": positive,
                 },
             ),

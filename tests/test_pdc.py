@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from twinbeams.mehler import characteristic_times
 from twinbeams.pdc import (
     BBO_SELLMEIER_EXTRAORDINARY,
     BBO_SELLMEIER_ORDINARY,
@@ -133,8 +134,6 @@ class TestConfigs:
                 PumpConfig(**{"lambda_p_nm": 397.5, "tau_p_fs": 129.0, **kwargs})
         with pytest.raises(ValueError, match="c must be finite, got nan"):
             SellmeierSet(a=2.0, b=0.01, c=nan, d=0.01)
-        with pytest.raises(ValueError, match="window T must be positive and finite"):
-            build_frequency_grid(8, T=inf)
         with pytest.raises(ValueError, match="half_width must be positive and finite"):
             build_frequency_grid(8, half_width=nan)
 
@@ -216,38 +215,37 @@ class TestCentralDetuning:
 
     def test_closed_form(self):
         """sqrt(Delta_0 / k''_0) from the quadratic dispersion model."""
-        w = find_central_detuning(CRYSTAL, PUMP, method="closed_form")
+        w = characteristic_times(CRYSTAL, PUMP).omega_s
         assert np.allclose(w, 0.411715, atol=5e-6, rtol=0)
 
     def test_full_dispersion_root(self):
-        """Root of the full Delta(Omega, -Omega); higher orders shift it slightly."""
-        w = find_central_detuning(CRYSTAL, PUMP, method="root")
+        """Root of the full Delta(Omega, -Omega); higher orders shift it slightly
+        from the closed form."""
+        w = find_central_detuning(CRYSTAL, PUMP)
         assert np.allclose(w, 0.412135, atol=5e-6, rtol=0)
         assert np.allclose(phase_mismatch(w, -w, CRYSTAL, PUMP), 0.0, atol=1e-9, rtol=0)
+        closed = characteristic_times(CRYSTAL, PUMP).omega_s
+        assert np.allclose(w - closed, 4.20e-4, atol=1e-5, rtol=0)
 
     def test_near_degenerate_angle(self):
         near = bbo_crystal(2.0, 29.18)
-        w = find_central_detuning(near, PUMP, method="closed_form")
+        w = characteristic_times(near, PUMP).omega_s
         assert np.allclose(w, 0.108796, atol=5e-5, rtol=0)
 
     def test_closed_form_raises_past_degeneracy(self):
         """Beyond the degenerate angle Delta_0 flips sign and the formula fails."""
         past = bbo_crystal(2.0, 29.4)
         with pytest.raises(ValueError, match="degenerate regime"):
-            find_central_detuning(past, PUMP, method="closed_form")
+            characteristic_times(past, PUMP)
 
     def test_band_wavelengths(self):
         """Signal/idler vacuum wavelengths and photon energy conservation."""
-        w = find_central_detuning(CRYSTAL, PUMP, method="closed_form")
+        w = characteristic_times(CRYSTAL, PUMP).omega_s
         lam_s = 2.0 * math.pi * C_UM_PER_FS / (PUMP.omega_0 + w) * 1e3
         lam_i = 2.0 * math.pi * C_UM_PER_FS / (PUMP.omega_0 - w) * 1e3
         assert np.allclose(lam_s, 677.3, atol=0.2, rtol=0)
         assert np.allclose(lam_i, 962.2, atol=0.2, rtol=0)
         assert np.allclose(1.0 / lam_s + 1.0 / lam_i, 1.0 / 397.5, atol=1e-15, rtol=0)
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            find_central_detuning(CRYSTAL, PUMP, method="bisect")
 
 
 class TestFrequencyGrid:
@@ -263,6 +261,11 @@ class TestFrequencyGrid:
             atol=1e-15,
             rtol=0,
         )
+        for m in (1, 7, 128, 256):
+            grid = build_frequency_grid(m, 0.55)
+            expected = (np.arange(1, 2 * m + 1, dtype=float) - m - 0.5) * (0.55 / m)
+            assert np.array_equal(grid.detunings, expected)
+            assert np.array_equal(grid.detunings, -grid.detunings[::-1])
 
     def test_halves_and_window(self):
         grid = build_frequency_grid(4, half_width=2.0)
@@ -271,36 +274,32 @@ class TestFrequencyGrid:
         assert np.allclose(grid.window_T, 2.0 * math.pi / 0.5, atol=1e-12, rtol=0)
 
     def test_window_and_half_width_interchangeable(self):
-        """T and half_width are interchangeable through spacing = 2 pi / T."""
+        """A window T maps to half_width = 2 pi m / T, and back through window_T."""
         a = build_frequency_grid(8, half_width=1.0)
-        b = build_frequency_grid(8, T=a.window_T)
+        b = build_frequency_grid(8, half_width=2.0 * math.pi * 8 / a.window_T)
+        assert np.allclose(b.window_T, a.window_T, atol=1e-12, rtol=0)
         assert np.allclose(a.detunings, b.detunings, atol=1e-12, rtol=0)
-        c = build_frequency_grid(8, half_width=1.0, T=a.window_T)
-        assert np.allclose(c.detunings, a.detunings, atol=1e-12, rtol=0)
 
-    def test_conflicting_window_arguments_raise(self):
-        a = build_frequency_grid(8, half_width=1.0)
-        with pytest.raises(ValueError, match="inconsistent grid"):
-            build_frequency_grid(8, half_width=2.0, T=a.window_T)
+    def test_equality_is_by_m_and_spacing(self):
+        assert build_frequency_grid(8, 0.5) == build_frequency_grid(8, 0.5)
+        assert FrequencyGrid(m=8, spacing=0.0625) == build_frequency_grid(8, 0.5)
+        assert build_frequency_grid(8, 0.5) != build_frequency_grid(9, 0.5)
+        assert build_frequency_grid(8, 0.5) != build_frequency_grid(8, 0.6)
+        assert FrequencyGrid(m=8, spacing=0.0625) != FrequencyGrid(m=16, spacing=0.0625)
 
     def test_bad_arguments_raise(self):
         with pytest.raises(ValueError, match="m must be at least 1"):
             build_frequency_grid(0, half_width=1.0)
-        with pytest.raises(ValueError, match="provide half_width or T"):
-            build_frequency_grid(8)
-        with pytest.raises(ValueError, match="window T must be positive"):
-            build_frequency_grid(8, T=-1.0)
-        with pytest.raises(ValueError, match="half_width must be positive"):
-            build_frequency_grid(8, half_width=-1.0)
+        for bad in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="half_width must be positive"):
+                build_frequency_grid(8, half_width=bad)
 
     def test_direct_construction_validates(self):
-        good = build_frequency_grid(2, half_width=1.0)
-        with pytest.raises(ValueError, match="length 2m"):
-            FrequencyGrid(m=2, half_width=1.0, spacing=0.5, detunings=good.detunings[:3])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            FrequencyGrid(m=2, half_width=1.0, spacing=0.5, detunings=good.detunings[::-1])
-        with pytest.raises(ValueError, match="odd-symmetric"):
-            FrequencyGrid(m=2, half_width=1.0, spacing=0.5, detunings=good.detunings + 0.1)
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            FrequencyGrid(m=0, spacing=0.5)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="spacing must be positive and finite"):
+                FrequencyGrid(m=2, spacing=bad)
 
 
 class TestPumpSpectrum:
@@ -397,8 +396,6 @@ class TestJsaExtraction:
         wp = nondegenerate
         m = wp.grid.m
         assert np.allclose(wp.ext.jsa.j_matrix, wp.sq.gamma[m:, :m], atol=0, rtol=0)
-        assert np.allclose(wp.ext.jsa.signal_grid, wp.grid.signal, atol=0, rtol=0)
-        assert np.allclose(wp.ext.jsa.idler_grid, wp.grid.idler, atol=0, rtol=0)
 
     def test_leakage_small_when_bands_separate(self, nondegenerate):
         assert np.allclose(nondegenerate.ext.leakage, 2.851e-4, atol=2e-6, rtol=0)

@@ -38,13 +38,8 @@ class TestContainers:
     """Validation of the JSA, Schmidt, and spectrum dataclasses."""
 
     def test_jsa_validation(self):
-        grid = np.linspace(1.0, 2.0, 4)
         with pytest.raises(ValueError, match="j_matrix must be m x m"):
-            JointSpectralAmplitude(m=4, j_matrix=np.zeros((3, 4)), signal_grid=grid, idler_grid=grid)
-        with pytest.raises(ValueError, match="signal_grid must have length m"):
-            JointSpectralAmplitude(m=4, j_matrix=np.zeros((4, 4)), signal_grid=grid[:3], idler_grid=grid)
-        with pytest.raises(ValueError, match="idler_grid must be strictly increasing"):
-            JointSpectralAmplitude(m=4, j_matrix=np.zeros((4, 4)), signal_grid=grid, idler_grid=grid[::-1])
+            JointSpectralAmplitude(m=4, j_matrix=np.zeros((3, 4)))
 
     def test_schmidt_validation(self):
         eye = np.eye(3, dtype=complex)
@@ -76,8 +71,7 @@ class TestContainers:
     def test_block_matrix_layout(self):
         m = 3
         j = np.arange(9.0).reshape(3, 3) + 1j
-        grid_s = np.linspace(1.0, 2.0, 3)
-        jsa = JointSpectralAmplitude(m=m, j_matrix=j, signal_grid=grid_s, idler_grid=-grid_s[::-1])
+        jsa = JointSpectralAmplitude(m=m, j_matrix=j)
         g = block_squeezing_matrix(jsa)
         assert np.array_equal(g[:m, m:], j)
         assert np.array_equal(g[m:, :m], j.T)
