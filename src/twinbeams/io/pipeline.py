@@ -343,10 +343,7 @@ def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path, model, grid) 
     bands = (("signal", grid.signal), ("idler", grid.idler))
     modes = [
         tuple(
-            _stage(
-                "analytic-modes", analytic_schmidt_mode, k, branch, f, t, band,
-                include_delay=False,
-            )
+            _stage("analytic-modes", analytic_schmidt_mode, k, branch, f, t, band)
             for branch, band in bands
         )
         for k in range(N_MODE_EXPORTS)

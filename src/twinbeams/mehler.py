@@ -35,7 +35,6 @@ __all__ = [
     "MehlerFactors",
     "hermite_gauss",
     "characteristic_times",
-    "sum_detuning_bound",
     "gaussian_model_params",
     "mehler_factors",
     "analytic_schmidt_mode",
@@ -133,19 +132,6 @@ def characteristic_times(
         omega_p=pump_bandwidth(pump),
         omega_s=math.sqrt(delta0 / k2),
     )
-
-
-def sum_detuning_bound(crystal: CrystalConfig, pump: PumpConfig) -> float:
-    """Validity bound on |Omega_+| for dropping the quadratic pump term.
-
-    The quadratic term of the phase-mismatch expansion is negligible
-    against the linear one while |Omega_+| is far below
-    4 |k'_p0 - k'_0| / |2 k''_p0 - k''_0|; the pump bandwidth must be
-    well inside this bound for the Gaussian model to hold.
-    """
-    _, kp1, kp2 = wave_vector_derivatives(0.0, "pump", crystal, pump)
-    _, k1, k2 = wave_vector_derivatives(0.0, "downconverted", crystal, pump)
-    return 4.0 * abs(kp1 - k1) / abs(2.0 * kp2 - k2)
 
 
 @dataclass(frozen=True)
@@ -293,14 +279,13 @@ def analytic_schmidt_mode(
     f: MehlerFactors,
     t: CharacteristicTimes,
     grid,
-    include_delay: bool = True,
 ) -> np.ndarray:
     """Chirped Hermite-Gauss Schmidt mode sampled on a detuning grid.
 
-    Signal: C_k(Omega) = sqrt(tau1) h_k(tau1 dO) e^{i tau_pd dO + i zeta1 tau1^2 dO^2}
+    Signal: C_k(Omega) = sqrt(tau1) h_k(tau1 dO) e^{i zeta1 tau1^2 dO^2}
     with dO = Omega - omega_s; the idler mode uses tau2, dO = Omega +
-    omega_s, and conjugated phase signs.  ``include_delay=False`` drops
-    the pump group-delay phase (the "properly delayed" mode), which is
+    omega_s, and the conjugated phase sign.  The pump group-delay phase
+    e^{i tau_pd dO} is left out (the "properly delayed" mode), which is
     how the modes are compared against numerical SVD modes.  The result
     is l2-normalized with the grid-spacing weight.
     """
@@ -317,8 +302,6 @@ def analytic_schmidt_mode(
     else:
         raise ValueError(f"unknown branch {branch!r}")
     phase = sign * chirp * tau**2 * d_om**2
-    if include_delay:
-        phase = phase + sign * t.tau_pd * d_om
     mode = math.sqrt(tau) * hermite_gauss(k, tau * d_om) * np.exp(1j * phase)
     norm = math.sqrt(float(np.sum(np.abs(mode) ** 2)) * spacing)
     if norm > 0:

@@ -37,7 +37,6 @@ __all__ = [
     "wave_vector",
     "wave_vector_derivatives",
     "phase_mismatch",
-    "phase_mismatch_quadratic",
     "pump_spectrum",
     "pump_bandwidth",
     "build_frequency_grid",
@@ -352,26 +351,6 @@ def phase_mismatch(omega_j, omega_l, crystal: CrystalConfig, pump: PumpConfig):
     )
 
 
-def phase_mismatch_quadratic(omega_j, omega_l, crystal: CrystalConfig, pump: PumpConfig):
-    """Second-order expansion of the phase mismatch about the band centers.
-
-    Delta ~ Delta_0 + (k'_p0 - k'_0)(O_j + O_l) + k''_p0 (O_j + O_l)^2 / 2
-    - k''_0 (O_j^2 + O_l^2) / 2.
-    """
-    oj = np.asarray(omega_j, dtype=float)
-    ol = np.asarray(omega_l, dtype=float)
-    kp0, kp1, kp2 = wave_vector_derivatives(0.0, "pump", crystal, pump)
-    k0, k1, k2 = wave_vector_derivatives(0.0, "downconverted", crystal, pump)
-    delta0 = kp0 - 2.0 * k0
-    osum = oj + ol
-    return (
-        delta0
-        + (kp1 - k1) * osum
-        + 0.5 * kp2 * osum**2
-        - 0.5 * k2 * (oj**2 + ol**2)
-    )
-
-
 def pump_spectrum(sum_detuning, pump: PumpConfig, crystal: CrystalConfig):
     """Pump spectral amplitude at the interaction-picture origin z0.
 
@@ -475,12 +454,9 @@ def find_central_detuning(crystal: CrystalConfig, pump: PumpConfig) -> float:
 
     Solves the full Delta(Omega, -Omega) = 0 within the Sellmeier validity
     window.  The quadratic-model closed form sqrt(Delta_0 / k''_0) is
-    ``mehler.characteristic_times(...).omega_s``.
+    ``mehler.characteristic_times(...).omega_s``.  The first scan sample
+    is Delta_0 itself, so Delta_0 = 0 returns exactly 0.0.
     """
-    kp0, _, _ = wave_vector_derivatives(0.0, "pump", crystal, pump)
-    k0, _, _ = wave_vector_derivatives(0.0, "downconverted", crystal, pump)
-    if kp0 - 2.0 * k0 == 0.0:
-        return 0.0
     fun = lambda w: float(phase_mismatch(w, -w, crystal, pump))
     hi = _max_valid_detuning(crystal, pump)
     omegas = np.linspace(0.0, hi, 129)

@@ -24,15 +24,10 @@ __all__ = [
     "BlochMessiahFactors",
     "exponentiate_generator",
     "squeezer_from_takagi",
-    "compose",
-    "passive_transform",
-    "mode_wise_squeezer",
     "two_mode_squeezer",
     "bloch_messiah",
     "propagate_state",
-    "evaluate_wigner",
     "symplectic_residual",
-    "inverse",
 ]
 
 
@@ -277,44 +272,6 @@ def squeezer_from_takagi(factors: TakagiFactors) -> SymplecticMatrix:
     return SymplecticMatrix(n=v.shape[0], s0=s0, sI=sI)
 
 
-def compose(s2: SymplecticMatrix, s1: SymplecticMatrix) -> SymplecticMatrix:
-    """Block product S2 S1 (apply s1 first)."""
-    if s1.n != s2.n:
-        raise ValueError("mode counts differ")
-    s0 = s2.s0 @ s1.s0 + s2.sI @ s1.sI.conj()
-    sI = s2.s0 @ s1.sI + s2.sI @ s1.s0.conj()
-    return SymplecticMatrix(n=s1.n, s0=s0, sI=sI)
-
-
-def inverse(s: SymplecticMatrix) -> SymplecticMatrix:
-    """Symplectic inverse K S^dagger K."""
-    return SymplecticMatrix(n=s.n, s0=s.s0.conj().T, sI=-s.sI.T)
-
-
-def passive_transform(u: np.ndarray) -> SymplecticMatrix:
-    """Symplectic matrix of a passive (photon-number preserving) unitary: s0 = u, sI = 0."""
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    if u.shape != (n, n):
-        raise ValueError("u must be square")
-    if _rel_max(u @ u.conj().T - np.eye(n), np.eye(n)) > 1e-10:
-        raise ValueError("u is not unitary")
-    return SymplecticMatrix(n=n, s0=u, sI=np.zeros((n, n), dtype=complex))
-
-
-def mode_wise_squeezer(r) -> SymplecticMatrix:
-    """Mode-wise squeezing: s0 = cosh(diag r), sI = sinh(diag r), r >= 0."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r < 0):
-        raise ValueError("squeezing parameters must be nonnegative")
-    n = len(r)
-    return SymplecticMatrix(
-        n=n,
-        s0=np.diag(np.cosh(r)).astype(complex),
-        sI=np.diag(np.sinh(r)).astype(complex),
-    )
-
-
 def two_mode_squeezer(r: float) -> SymplecticMatrix:
     """Two-mode squeezing exp(r(ab - a^dagger b^dagger)): s0 = cosh(r) I, sI = -sinh(r) sigma_x."""
     r = float(r)
@@ -368,22 +325,3 @@ def propagate_state(s: SymplecticMatrix, st: GaussianState) -> GaussianState:
     sigmaI = 0.5 * (sigmaI + sigmaI.T)
     return GaussianState(n=n, mean=mean, sigma0=sigma0, sigmaI=sigmaI)
 
-
-def evaluate_wigner(st: GaussianState, point: np.ndarray) -> float:
-    """Wigner density at a phase-space point given as a complex vector alpha.
-
-    The Gaussian form W(alpha) = (2 pi)^{-n} det(Sigma)^{-1/2}
-    exp(-1/2 d^dagger Sigma^{-1} d) with d = (alpha - mean; conj) is
-    normalized so that integrating over prod_k dx_k dp_k (alpha =
-    (x + i p)/sqrt(2)) gives 1; the vacuum at the origin evaluates to
-    (1/pi)^n.
-    """
-    point = np.asarray(point, dtype=complex).reshape(st.n)
-    sigma = st.full_covariance()
-    delta = np.concatenate([point - st.mean, (point - st.mean).conj()])
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign == 0:
-        raise np.linalg.LinAlgError("covariance matrix is singular")
-    expo = -0.5 * np.real(delta.conj() @ np.linalg.solve(sigma, delta))
-    log_w = -st.n * np.log(2.0 * np.pi) - 0.5 * logdet + expo
-    return float(np.exp(log_w))

@@ -44,7 +44,6 @@ __all__ = [
     "pair_eigenvalues",
     "schmidt_number",
     "fit_geometric",
-    "rotate_pair",
 ]
 
 SPECTRUM_SOURCES = ("jsa_svd", "associated_spectral", "direct_takagi")
@@ -346,35 +345,3 @@ def fit_geometric(values, max_pairs: int | None = None) -> GeometricFit:
         rms_residual=float(np.sqrt(np.mean(resid**2))),
     )
 
-
-def rotate_pair(
-    spectrum: SqueezingSpectrum,
-    pair_index: int,
-    phi: float,
-    rel_tol: float = 1e-2,
-) -> SqueezingSpectrum:
-    """Orthogonal rotation of one degenerate duo of modes.
-
-    ``pair_index`` is 1-based.  The rotation mixes the two modes of an
-    accepted pair, (v1, v2) -> (cos phi v1 + sin phi v2,
-    -sin phi v1 + cos phi v2); values and the Takagi reconstruction of
-    the underlying matrix are unchanged.
-    """
-    k = pair_index - 1
-    if k < 0 or k >= len(spectrum.pairs):
-        raise ValueError(f"pair index {pair_index} out of range")
-    i0, i1, gap = spectrum.pairs[k]
-    if gap > rel_tol:
-        raise ValueError(
-            f"pair {pair_index} is not degenerate within rel_tol={rel_tol:g} "
-            f"(gap {gap:.3g})"
-        )
-    modes = spectrum.modes.copy()
-    c, s = math.cos(phi), math.sin(phi)
-    v1 = modes[:, i0].copy()
-    v2 = modes[:, i1].copy()
-    modes[:, i0] = c * v1 + s * v2
-    modes[:, i1] = -s * v1 + c * v2
-    return SqueezingSpectrum(
-        values=spectrum.values.copy(), modes=modes, source=spectrum.source
-    )

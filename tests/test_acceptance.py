@@ -154,7 +154,7 @@ def test_criterion_4_analytic_model_factors(nondegenerate):
 def overlap_k1(wp, sd):
     weight = 1.0 / np.sqrt(wp.grid.spacing)
     analytic = analytic_schmidt_mode(
-        1, "signal", wp.factors, wp.times, wp.grid.signal, include_delay=False
+        1, "signal", wp.factors, wp.times, wp.grid.signal
     )
     return abs(mode_overlap(sd.c[:, 1] * weight, analytic, wp.grid.spacing))
 

@@ -17,7 +17,6 @@ from twinbeams.mehler import (
     hermite_gauss,
     mehler_factors,
     mode_overlap,
-    sum_detuning_bound,
     terms_for_tail_bound,
 )
 from twinbeams.pdc import PumpConfig, bbo_crystal
@@ -117,13 +116,6 @@ class TestCharacteristicTimes:
             CharacteristicTimes(
                 tau_pd=1.0, tau_ps=1.0, tau_d=1.0, tau_s=1.0, omega_p=0.0, omega_s=0.1
             )
-
-    def test_sum_detuning_bound(self):
-        """Validity bound on the sum detuning; the pump sits far inside it."""
-        crystal = bbo_crystal(2.0, 28.81)
-        bound = sum_detuning_bound(crystal, PUMP)
-        assert np.allclose(bound, 2.451657, atol=1e-4, rtol=0)
-        assert times_for(2.0).omega_p < 0.01 * bound
 
 
 class TestGaussianModelParams:
@@ -341,15 +333,6 @@ class TestAnalyticModes:
         om = -wp.times.omega_s + np.linspace(-0.25, 0.25, 501)
         mode = analytic_schmidt_mode(0, "idler", wp.factors, wp.times, om)
         assert abs(om[np.argmax(np.abs(mode))] + wp.times.omega_s) < 2e-3
-
-    def test_delay_phase_only_changes_the_phase(self, nondegenerate):
-        wp = nondegenerate
-        om = self.grid(wp.times)
-        with_delay = analytic_schmidt_mode(1, "signal", wp.factors, wp.times, om)
-        without = analytic_schmidt_mode(1, "signal", wp.factors, wp.times, om, include_delay=False)
-        assert np.allclose(np.abs(with_delay), np.abs(without), atol=1e-12, rtol=0)
-        expected = without * np.exp(1j * wp.times.tau_pd * (om - wp.times.omega_s))
-        assert np.abs(with_delay - expected).max() <= 1e-9
 
     def test_unknown_branch_raises(self, nondegenerate):
         wp = nondegenerate

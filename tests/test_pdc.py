@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import twinbeams.pdc as pdc
 from twinbeams.mehler import characteristic_times
 from twinbeams.pdc import (
     BBO_SELLMEIER_EXTRAORDINARY,
@@ -19,7 +20,6 @@ from twinbeams.pdc import (
     extract_jsa,
     find_central_detuning,
     phase_mismatch,
-    phase_mismatch_quadratic,
     pump_bandwidth,
     pump_spectrum,
     refractive_index,
@@ -192,19 +192,6 @@ class TestWaveVectors:
         d = phase_mismatch(om[:, None], om[None, :], CRYSTAL, PUMP)
         assert np.allclose(d, d.T, atol=1e-10, rtol=0)
 
-    def test_quadratic_expansion_matches_near_center(self):
-        """The quadratic model agrees with the full mismatch for small detunings."""
-        om = np.linspace(-0.02, 0.02, 5)
-        full = phase_mismatch(om[:, None], om[None, :], CRYSTAL, PUMP)
-        quad = phase_mismatch_quadratic(om[:, None], om[None, :], CRYSTAL, PUMP)
-        assert np.abs(full - quad).max() < 1e-3
-        assert np.allclose(
-            phase_mismatch_quadratic(0.0, 0.0, CRYSTAL, PUMP),
-            phase_mismatch(0.0, 0.0, CRYSTAL, PUMP),
-            atol=1e-9,
-            rtol=0,
-        )
-
     def test_unknown_branch_raises(self):
         with pytest.raises(ValueError, match="unknown branch"):
             wave_vector(0.0, "ancilla", CRYSTAL, PUMP)
@@ -226,6 +213,26 @@ class TestCentralDetuning:
         assert np.allclose(phase_mismatch(w, -w, CRYSTAL, PUMP), 0.0, atol=1e-9, rtol=0)
         closed = characteristic_times(CRYSTAL, PUMP).omega_s
         assert np.allclose(w - closed, 4.20e-4, atol=1e-5, rtol=0)
+
+    def test_zero_mismatch_at_degeneracy_is_exactly_zero(self, monkeypatch):
+        """Delta_0 = 0 is the first sample of the scan: the root is exactly 0,
+        found without the band-center derivatives."""
+        calls = []
+        original = pdc.wave_vector_derivatives
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pdc, "wave_vector_derivatives", counting)
+        monkeypatch.setattr(pdc, "phase_mismatch", lambda oj, ol, crystal, pump: 0.5 * oj)
+        assert find_central_detuning(CRYSTAL, PUMP) == 0.0
+        assert calls == []
+
+    def test_no_root_past_degeneracy_raises(self):
+        """Past the degenerate angle Delta(Omega, -Omega) has no zero in band."""
+        with pytest.raises(ValueError, match="no phase-matched solution in band"):
+            find_central_detuning(bbo_crystal(2.0, 29.4), PUMP)
 
     def test_near_degenerate_angle(self):
         near = bbo_crystal(2.0, 29.18)

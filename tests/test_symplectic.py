@@ -15,12 +15,7 @@ from twinbeams.symplectic import (
     GeneratorMatrix,
     SymplecticMatrix,
     bloch_messiah,
-    compose,
-    evaluate_wigner,
     exponentiate_generator,
-    inverse,
-    mode_wise_squeezer,
-    passive_transform,
     propagate_state,
     squeezer_from_takagi,
     symplectic_residual,
@@ -223,7 +218,7 @@ class TestSymplecticResidual:
 
 
 class TestSymplecticMatrix:
-    """Block container, composition, and inversion."""
+    """Block container and its full-matrix layout."""
 
     def test_rejects_nonsymplectic_blocks(self):
         with pytest.raises(ValueError, match="not symplectic"):
@@ -241,45 +236,9 @@ class TestSymplecticMatrix:
         assert np.array_equal(full[2:, :2], s.sI.conj())
         assert np.array_equal(full[2:, 2:], s.s0.conj())
 
-    def test_compose_matches_full_product(self):
-        s1 = random_symplectic(3)
-        s2 = random_symplectic(3)
-        s21 = compose(s2, s1)
-        assert np.allclose(s21.full(), s2.full() @ s1.full(), atol=1e-12, rtol=0)
-
-    def test_compose_rejects_mode_mismatch(self):
-        with pytest.raises(ValueError, match="mode counts differ"):
-            compose(random_symplectic(2), random_symplectic(3))
-
-    def test_inverse(self):
-        s = random_symplectic(4)
-        ident = compose(inverse(s), s)
-        assert np.allclose(ident.s0, np.eye(4), atol=1e-12, rtol=0)
-        assert np.abs(ident.sI).max() <= 1e-12
-
 
 class TestFactories:
-    """Passive transforms and the standard squeezers."""
-
-    def test_passive_transform(self):
-        u = random_unitary(4)
-        s = passive_transform(u)
-        assert np.array_equal(s.s0, u)
-        assert np.abs(s.sI).max() == 0.0
-
-    def test_passive_rejects_nonunitary(self):
-        with pytest.raises(ValueError, match="u is not unitary"):
-            passive_transform(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="u must be square"):
-            passive_transform(np.ones((2, 3)))
-
-    def test_mode_wise_squeezer(self):
-        r = np.array([0.3, 1.2])
-        s = mode_wise_squeezer(r)
-        assert np.allclose(s.s0, np.diag(np.cosh(r)), atol=1e-15, rtol=0)
-        assert np.allclose(s.sI, np.diag(np.sinh(r)), atol=1e-15, rtol=0)
-        with pytest.raises(ValueError, match="must be nonnegative"):
-            mode_wise_squeezer([-0.1])
+    """The two-mode squeezer."""
 
     def test_two_mode_squeezer_structure(self):
         s = two_mode_squeezer(0.8)
@@ -327,12 +286,14 @@ class TestBlochMessiah:
         assert np.abs((v2 * sh) @ q2.T - s.sI).max() <= 1e-12
 
     def test_passive_input_has_zero_r(self):
-        bm = bloch_messiah(passive_transform(random_unitary(3)))
+        s = SymplecticMatrix(n=3, s0=random_unitary(3), sI=np.zeros((3, 3)))
+        bm = bloch_messiah(s)
         assert np.abs(bm.r).max() <= 1e-12
 
     def test_mode_wise_squeezer_recovers_r(self):
         r = np.array([1.5, 0.7, 0.2])
-        bm = bloch_messiah(mode_wise_squeezer(r))
+        s = SymplecticMatrix(n=3, s0=np.diag(np.cosh(r)), sI=np.diag(np.sinh(r)))
+        bm = bloch_messiah(s)
         assert np.allclose(bm.r, np.sort(r)[::-1], atol=1e-12, rtol=0)
 
     def test_reads_the_stored_residual(self, monkeypatch):
@@ -393,53 +354,10 @@ class TestPropagation:
         st = GaussianState(
             n=3, mean=mean, sigma0=0.5 * np.eye(3), sigmaI=np.zeros((3, 3))
         )
-        out = propagate_state(passive_transform(u), st)
+        s = SymplecticMatrix(n=3, s0=u, sI=np.zeros((3, 3)))
+        out = propagate_state(s, st)
         assert np.allclose(out.mean, u @ mean, atol=1e-13, rtol=0)
 
     def test_mode_count_mismatch_raises(self):
         with pytest.raises(ValueError, match="mode counts differ"):
             propagate_state(two_mode_squeezer(1.0), GaussianState.vacuum(3))
-
-
-class TestWigner:
-    """Wigner density evaluation."""
-
-    def test_vacuum_at_origin(self):
-        for n in (1, 2, 3):
-            w = evaluate_wigner(GaussianState.vacuum(n), np.zeros(n))
-            assert np.allclose(w, (1.0 / math.pi) ** n, atol=1e-15, rtol=0)
-
-    def test_vacuum_gaussian_decay(self):
-        w = evaluate_wigner(GaussianState.vacuum(1), np.array([1.0]))
-        assert np.allclose(w, math.exp(-2.0) / math.pi, atol=1e-15, rtol=0)
-
-    def test_displaced_vacuum_peaks_at_mean(self):
-        st = GaussianState(
-            n=1,
-            mean=np.array([0.7 - 0.2j]),
-            sigma0=0.5 * np.eye(1),
-            sigmaI=np.zeros((1, 1)),
-        )
-        w = evaluate_wigner(st, st.mean)
-        assert np.allclose(w, 1.0 / math.pi, atol=1e-15, rtol=0)
-
-    def test_invariant_under_symplectic_propagation(self):
-        """W(S z) after propagation equals W(z) before (Liouville)."""
-        s = two_mode_squeezer(1.0)
-        st0 = GaussianState.vacuum(2)
-        st1 = propagate_state(s, st0)
-        z = np.array([0.4 + 0.1j, -0.3j])
-        z1 = s.s0 @ z + s.sI @ z.conj()
-        assert np.allclose(
-            evaluate_wigner(st1, z1), evaluate_wigner(st0, z), atol=1e-12, rtol=0
-        )
-
-    def test_singular_covariance_raises(self):
-        st = GaussianState(
-            n=1,
-            mean=np.zeros(1),
-            sigma0=np.zeros((1, 1)),
-            sigmaI=np.zeros((1, 1)),
-        )
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            evaluate_wigner(st, np.zeros(1))

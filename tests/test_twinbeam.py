@@ -19,7 +19,6 @@ from twinbeams.twinbeam import (
     eigenmodes_from_schmidt,
     fit_geometric,
     pair_eigenvalues,
-    rotate_pair,
     schmidt_from_jsa,
     schmidt_number,
     signal_first,
@@ -316,27 +315,17 @@ class TestRotatePair:
     """Orthogonal mixing inside a degenerate duo."""
 
     def test_reconstruction_invariant(self, nondegenerate):
+        """The modes of a degenerate duo are fixed only up to a rotation:
+        rotating the first duo leaves the values and V R V^T unchanged."""
         jsa = nondegenerate.ext.jsa
         target = block_squeezing_matrix(jsa)
         spec = eigenmodes_from_schmidt(schmidt_from_jsa(jsa))
-        rotated = rotate_pair(spec, 1, 0.7)
+        i0, i1, _ = spec.pairs[0]
+        c, s = np.cos(0.7), np.sin(0.7)
+        modes = spec.modes.copy()
+        modes[:, i0] = c * spec.modes[:, i0] + s * spec.modes[:, i1]
+        modes[:, i1] = -s * spec.modes[:, i0] + c * spec.modes[:, i1]
+        rotated = SqueezingSpectrum(values=spec.values.copy(), modes=modes, source=spec.source)
         assert np.array_equal(rotated.values, spec.values)
         recon = (rotated.modes * rotated.values) @ rotated.modes.T
         assert np.abs(recon - target).max() <= 1e-10
-
-    def test_rotation_mixes_only_the_chosen_duo(self):
-        spec = synthetic_spectrum([1.0, 1.0, 0.5, 0.5])
-        rotated = rotate_pair(spec, 2, np.pi / 2)
-        assert np.array_equal(rotated.modes[:, :2], spec.modes[:, :2])
-        assert np.allclose(rotated.modes[:, 2], spec.modes[:, 3], atol=1e-15, rtol=0)
-        assert np.allclose(rotated.modes[:, 3], -spec.modes[:, 2], atol=1e-15, rtol=0)
-
-    def test_out_of_range_raises(self):
-        spec = synthetic_spectrum([1.0, 1.0])
-        with pytest.raises(ValueError, match="out of range"):
-            rotate_pair(spec, 2, 0.1)
-
-    def test_nondegenerate_pair_raises(self):
-        spec = synthetic_spectrum([1.0, 0.8, 0.5, 0.5])
-        with pytest.raises(ValueError, match="not degenerate within"):
-            rotate_pair(spec, 1, 0.1)
