@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .takagi import TakagiFactors, _real_columns, takagi_general
+from .takagi import TakagiFactors, _real_basis, takagi_general
 
 __all__ = [
     "GeneratorMatrix",
@@ -107,14 +107,13 @@ def symplectic_residual(s: SymplecticMatrix) -> float:
 
     The top-right block is X - X^T with X = s0 sI^T, one product.  When
     both blocks have an exactly zero imaginary part (the squeezer of a
-    real matrix) the products run on their real parts.
+    real matrix) they are cast to their real parts first, so the same
+    products run in real arithmetic.
     """
     s0, sI = s.s0, s.sI
-    if np.any(s0.imag) or np.any(sI.imag):
-        top_left = s0 @ s0.conj().T - sI @ sI.conj().T
-    else:
+    if not (np.any(s0.imag) or np.any(sI.imag)):
         s0, sI = np.ascontiguousarray(s0.real), np.ascontiguousarray(sI.real)
-        top_left = s0 @ s0.T - sI @ sI.T
+    top_left = s0 @ s0.conj().T - sI @ sI.conj().T
     top_left[np.diag_indices_from(top_left)] -= 1.0
     x = s0 @ sI.T
     top_right = x - x.T
@@ -250,25 +249,19 @@ def squeezer_from_takagi(factors: TakagiFactors) -> SymplecticMatrix:
     made: the symplectic residual of the result measures how far V is from
     unitary.  A ValueError names r_max when cosh(r_max)^2 would overflow.
 
-    When every column of V is purely real or purely imaginary,
-    V = O diag(1 or i) with O real, both blocks are real:
-    s0 = O cosh(R) O^T and sI = O diag(+-sinh R) O^T, with -sinh r_j for
-    each imaginary column.  They are built in real arithmetic and stored
-    as complex with an exactly zero imaginary part.
+    Both blocks are built once in the ``_real_basis`` W of V = W D,
+    s0 = W cosh(R) W^H and sI = W (D^2 sinh(R)) W^T with D^2 = -1 for
+    each imaginary column, so they run in real arithmetic (and come out
+    with an exactly zero imaginary part) when W is real.
     """
     v, r = factors.v, factors.r
     _check_r_max(r)
-    real = _real_columns(v)
-    if real is None:
-        s0 = (v * np.cosh(r)) @ v.conj().T
-        sI = (v * np.sinh(r)) @ v.T
-    else:
-        o, imag = real
-        sinh = np.sinh(r)
-        s0 = ((o * np.cosh(r)) @ o.T).astype(complex)
-        sI = ((o * np.where(imag, -sinh, sinh)) @ o.T).astype(complex)
-        # O is not needed by the symplectic check the constructor runs.
-        del real, o
+    w, imag = _real_basis(v)
+    sinh = np.sinh(r)
+    s0 = ((w * np.cosh(r)) @ w.conj().T).astype(complex, copy=False)
+    sI = ((w * np.where(imag, -sinh, sinh)) @ w.T).astype(complex, copy=False)
+    # W is not needed by the symplectic check the constructor runs.
+    del w
     return SymplecticMatrix(n=v.shape[0], s0=s0, sI=sI)
 
 

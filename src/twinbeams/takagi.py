@@ -8,9 +8,9 @@ reconstruction quality of any candidate factorization.
 
 Factors of a real symmetric matrix (and the twin-beam duos built from a
 real JSA) have columns that are each purely real or purely imaginary,
-V = O diag(1 or i) with O real.  The checks recognize that structure with
-``_real_columns`` and evaluate the same quantities from O in real
-arithmetic; any other V keeps the complex products.
+V = W diag(1 or i) with W real.  ``_real_basis`` returns that W, or V
+itself for any other V, and each check is written once in W: numpy runs
+it in real arithmetic whenever W is real.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    # Checked before any imaginary part is tested or dropped: NaN fails
+    # every comparison, so no later tolerance test would catch it.
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite (NaN or inf) entries")
     return a
 
 
@@ -72,32 +76,29 @@ def _largest_entry_phase(u: np.ndarray) -> np.ndarray:
     return np.divide(pivot, mag, out=np.ones_like(pivot), where=mag != 0)
 
 
-def _real_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(O, imag) with v = O diag(where(imag, i, 1)) and O real, or None.
+def _real_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, imag) with v = w diag(where(imag, i, 1)).
 
-    Applies when every column of ``v`` is purely real or purely imaginary;
-    then one part of each column is +-0, so O = v.real + v.imag is exact.
-    ``imag`` flags the imaginary columns.  A zero column counts as real.
+    When every column of ``v`` is purely real or purely imaginary, one part
+    of each column is +-0, so w = v.real + v.imag is real and exact, and
+    ``imag`` flags the imaginary columns (a zero column counts as real).
+    Otherwise w is ``v`` itself and no column is flagged.
     """
     re, im = v.real, v.imag
     imag = np.any(im, axis=0)
     if np.any(imag & np.any(re, axis=0)):
-        return None
+        return v, np.zeros_like(imag)
     return re + im, imag
 
 
 def _unitarity_defect(v: np.ndarray) -> float:
-    """max|V^H V - I|; equal to max|O^T O - I| when ``_real_columns`` applies.
+    """max|V^H V - I|, evaluated as max|W^H W - I| in the ``_real_basis`` W.
 
-    The column factors i of V = O diag(1 or i) cancel on the diagonal of
+    The column factors i of V = W diag(1 or i) cancel on the diagonal of
     V^H V and only change the phase of the off-diagonal entries.
     """
-    real = _real_columns(v)
-    if real is None:
-        gram = v.conj().T @ v
-    else:
-        o = real[0]
-        gram = o.T @ o
+    w = _real_basis(v)[0]
+    gram = w.conj().T @ w
     gram[np.diag_indices_from(gram)] -= 1.0
     return float(np.abs(gram).max())
 
@@ -118,6 +119,9 @@ def takagi_real_symmetric(a: np.ndarray) -> TakagiFactors:
     -------
     TakagiFactors
         Unitary ``v`` and descending nonnegative ``r`` with a = V R V^T.
+
+    A NaN or infinite entry raises ValueError before any imaginary part
+    is dropped.
     """
     a = _as_square(a)
     scale = np.abs(a).max()
@@ -159,7 +163,7 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
     Raises
     ------
     ValueError
-        If the input is not symmetric.
+        If the input is not symmetric or has a NaN or infinite entry.
     RuntimeError
         If the reconstruction residual exceeds tolerance (reported).
     """
@@ -191,19 +195,15 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
 def takagi_residual(a: np.ndarray, factors: TakagiFactors) -> float:
     """Relative reconstruction residual ||a - V R V^T||_F / max(||a||_F, eps).
 
-    When every column of V is purely real or purely imaginary (V = O D
-    with D = diag(1 or i)), V R V^T = O (D^2 R) O^T is rebuilt in real
-    arithmetic, with -r_j for each imaginary column (i^2 = -1).
+    V R V^T = W (D^2 R) W^T in the ``_real_basis`` W of V = W D, with
+    D^2 = -1 for each imaginary column (i^2 = -1); it runs in real
+    arithmetic when W is real.
     """
     a = _as_square(a)
     v, r = factors.v, factors.r
     if v.shape[0] != a.shape[0] or len(r) != a.shape[0]:
         raise ValueError("factor dimensions do not match the matrix")
-    real = _real_columns(v)
-    if real is None:
-        recon = (v * r) @ v.T
-    else:
-        o, imag = real
-        recon = (o * np.where(imag, -r, r)) @ o.T
+    w, imag = _real_basis(v)
+    recon = (w * np.where(imag, -r, r)) @ w.T
     denom = max(np.linalg.norm(a), np.finfo(float).eps)
     return float(np.linalg.norm(a - recon) / denom)

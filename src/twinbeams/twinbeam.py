@@ -67,6 +67,13 @@ class JointSpectralAmplitude:
         object.__setattr__(self, "j_matrix", j)
 
 
+def _check_descending(r: np.ndarray) -> None:
+    """ValueError unless ``r`` is nonnegative and descending; NaN fails too."""
+    scale = max(r[0], 1.0) if len(r) else 1.0
+    if not (np.all(r >= -1e-15) and np.all(np.diff(r) <= 1e-12 * scale)):
+        raise ValueError("values must be nonnegative and descending")
+
+
 @dataclass(frozen=True)
 class SchmidtDecomposition:
     """SVD of the JSA block: J = C diag(values) D^dagger.
@@ -89,8 +96,7 @@ class SchmidtDecomposition:
         for name, u in (("c", c), ("d", d)):
             if _unitarity_defect(u) > 1e-10:
                 raise ValueError(f"{name} is not unitary")
-        if np.any(r < -1e-15) or np.any(np.diff(r) > 1e-12 * max(r[0], 1.0)):
-            raise ValueError("values must be nonnegative and descending")
+        _check_descending(r)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "values", r)
@@ -114,9 +120,8 @@ class SqueezingSpectrum:
     ``pairs`` is derived from ``values``: (i0, i1, relative gap) for every
     consecutive duo of the descending values.  ``source`` names the path
     that produced the spectrum.  The modes must be unitary to 1e-10,
-    max|V^H V - I|; modes whose columns are each purely real or purely
-    imaginary (every path, for a real matrix) are checked as O^T O in
-    real arithmetic.
+    max|V^H V - I|, which runs in real arithmetic when every column is
+    purely real or purely imaginary (every path, for a real matrix).
     """
 
     values: np.ndarray
@@ -130,9 +135,7 @@ class SqueezingSpectrum:
         n = len(r)
         if v.shape != (n, n):
             raise ValueError("modes must be n x n for n values")
-        scale = max(r[0], 1.0) if n else 1.0
-        if np.any(r < -1e-15) or np.any(np.diff(r) > 1e-12 * scale):
-            raise ValueError("values must be nonnegative and descending")
+        _check_descending(r)
         if _unitarity_defect(v) > 1e-10:
             raise ValueError("modes are not unitary")
         if self.source not in SPECTRUM_SOURCES:
@@ -200,8 +203,9 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
     squeezing eigenmodes: r = |lambda|, mode = U with the idler half
     conjugated, times i when lambda < 0.  The +-lambda signs of each duo
     are what distinguishes the two partners.  Eigenpairs are ordered as in
-    the Takagi module (descending |lambda|, stable), and a real matrix,
-    which is its own associated matrix, takes ``takagi_real_symmetric``.
+    the Takagi module (descending |lambda|, stable), and a matrix with an
+    exactly zero imaginary part, which is its own associated matrix, takes
+    ``takagi_real_symmetric`` (the rule of ``takagi_general``).
     """
     g = np.asarray(gamma, dtype=complex)
     n = g.shape[0]
@@ -213,7 +217,7 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
     scale = max(np.abs(ga).max(), 1e-300)
     if np.abs(ga - ga.conj().T).max() > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian after the associated-matrix reshuffle")
-    if np.abs(ga.imag).max() <= 1e-12 * scale:
+    if not np.any(ga.imag):
         f = takagi_real_symmetric(ga.real)
         return SqueezingSpectrum(values=f.r, modes=f.v, source="associated_spectral")
     lam, u = np.linalg.eigh(ga)

@@ -1,13 +1,14 @@
 """Checks of real-or-imaginary factors in real arithmetic.
 
 A Takagi factor V whose columns are each purely real or purely imaginary is
-V = O D with O real and D = diag(1 or i).  The checks then evaluate, from O,
+V = W D with W real and D = diag(1 or i); ``_real_basis`` returns that W,
+and V itself (with D = I) for any other V.  The checks evaluate, from W,
 the same quantities as the complex formulas written out here:
 
-    V R V^T = O (D^2 R) O^T          D^2 = diag(1 or -1)
-    V^H V   = D^* (O^T O) D          same moduli as O^T O, same diagonal
-    s0 = V cosh(R) V^H = O cosh(R) O^T
-    sI = V sinh(R) V^T = O (D^2 sinh(R)) O^T
+    V R V^T = W (D^2 R) W^T          D^2 = diag(1 or -1)
+    V^H V   = D^* (W^H W) D          same moduli as W^H W, same diagonal
+    s0 = V cosh(R) V^H = W cosh(R) W^H
+    sI = V sinh(R) V^T = W (D^2 sinh(R)) W^T
 """
 
 import numpy as np
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinbeams.symplectic import squeezer_from_takagi
+from twinbeams.symplectic import squeezer_from_takagi, symplectic_residual
 from twinbeams.takagi import (
     TakagiFactors,
-    _real_columns,
+    _real_basis,
     _unitarity_defect,
     takagi_residual,
 )
@@ -83,9 +84,9 @@ def real_structured(n, mask, seed, zero_column=False):
 @example(n=64, mask="imaginary", zero_column=True, seed=2)
 def test_real_path_matches_complex_formulas(n, mask, zero_column, seed):
     v, r = real_structured(n, mask, seed, zero_column)
-    o, imag = _real_columns(v)
-    assert o.dtype == float
-    assert np.array_equal(o * np.where(imag, 1j, 1.0), v)
+    w, imag = _real_basis(v)
+    assert w.dtype == float
+    assert np.array_equal(w * np.where(imag, 1j, 1.0), v)
 
     factors = TakagiFactors(v=v, r=r)
     rng = np.random.default_rng(seed)
@@ -113,11 +114,19 @@ def test_tiny_imaginary_entry_takes_the_complex_path():
     v, r = real_structured(8, "random", seed=3)
     column = int(np.flatnonzero(~np.any(v.imag, axis=0))[0])
     v[5, column] += 1e-300j
-    assert _real_columns(v) is None
+    w, imag = _real_basis(v)
+    assert w is v and not np.any(imag)
     a = (v * r) @ v.T
     factors = TakagiFactors(v=v, r=r)
     assert takagi_residual(a, factors) == complex_residual(a, v, r)
     assert _unitarity_defect(v) == complex_defect(v)
+
+    s = squeezer_from_takagi(factors)
+    s0 = (v * np.cosh(r)) @ v.conj().T
+    sI = (v * np.sinh(r)) @ v.T
+    assert np.any(s.s0.imag)
+    assert np.array_equal(s.s0, s0) and np.array_equal(s.sI, sI)
+    assert abs(symplectic_residual(s) - complex_symplectic_residual(s0, sI)) <= 1e-14
 
 
 class TestFailuresOnTheRealPath:
@@ -126,7 +135,7 @@ class TestFailuresOnTheRealPath:
     def test_scaled_column_is_not_unitary(self):
         v, r = real_structured(8, "random", seed=4)
         v[:, 3] *= 1.001
-        assert _real_columns(v) is not None
+        assert _real_basis(v)[0].dtype == float
         with pytest.raises(ValueError, match="modes are not unitary"):
             SqueezingSpectrum(values=r, modes=v)
         c, _ = real_structured(4, "real", seed=5)
@@ -142,12 +151,12 @@ class TestFailuresOnTheRealPath:
         flipped = v.copy()
         flipped[:, 0] *= -1j
         assert not np.any(flipped[:, 0].imag)
-        assert _real_columns(flipped) is not None
+        assert _real_basis(flipped)[0].dtype == float
         assert takagi_residual(a, TakagiFactors(v=flipped, r=r)) > 1e-10
 
     def test_non_unitary_factors_are_not_symplectic(self):
         v, r = real_structured(8, "random", seed=8)
         v[:, 1] *= 1.001
-        assert _real_columns(v) is not None
+        assert _real_basis(v)[0].dtype == float
         with pytest.raises(ValueError, match="not symplectic"):
             squeezer_from_takagi(TakagiFactors(v=v, r=r))

@@ -135,6 +135,26 @@ class TestGeneral:
             takagi_general(a)
 
 
+class TestNonFinite:
+    """A NaN or inf entry fails loudly: every ordered comparison with NaN is
+    false, so without a check a NaN would pass every tolerance test it meets."""
+
+    @pytest.mark.parametrize(
+        "entry", [np.nan, np.inf, complex(1.0, np.nan), complex(np.inf, 1.0)]
+    )
+    def test_general_rejects(self, entry):
+        a = np.array([[entry, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            takagi_general(a)
+
+    def test_real_symmetric_rejects_before_dropping_the_imaginary_part(self):
+        a = np.array([[complex(1.0, np.nan), 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            takagi_real_symmetric(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            takagi_real_symmetric(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+
 def noisy_twin_beam_block(m=200, rank=10, noise=1e-13, seed=5):
     """[[0, J], [J^T, 0]] with J of low rank plus complex noise.
 

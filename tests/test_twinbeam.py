@@ -46,6 +46,9 @@ class TestContainers:
             SchmidtDecomposition(c=2 * eye, d=eye, values=np.ones(3))
         with pytest.raises(ValueError, match="nonnegative and descending"):
             SchmidtDecomposition(c=eye, d=eye, values=np.array([1.0, 2.0, 3.0]))
+        # NaN fails every comparison, so the check is written to fail on it.
+        with pytest.raises(ValueError, match="nonnegative and descending"):
+            SchmidtDecomposition(c=eye, d=eye, values=np.array([np.nan, 1.0, 0.5]))
 
     def test_spectrum_validation(self):
         eye = np.eye(4, dtype=complex)
@@ -54,6 +57,9 @@ class TestContainers:
             SqueezingSpectrum(values=vals, modes=eye[:, :3])
         with pytest.raises(ValueError, match="nonnegative and descending"):
             SqueezingSpectrum(values=vals[::-1], modes=eye)
+        for bad in ([np.nan, 2.0, 1.0, 1.0], [2.0, 2.0, 1.0, np.nan]):
+            with pytest.raises(ValueError, match="nonnegative and descending"):
+                SqueezingSpectrum(values=np.array(bad), modes=eye)
         with pytest.raises(ValueError, match="modes are not unitary"):
             SqueezingSpectrum(values=vals, modes=0.5 * eye)
         with pytest.raises(ValueError, match="unknown source"):
@@ -180,6 +186,18 @@ class TestThreePaths:
             assert spec.source == "associated_spectral"
             assert np.array_equal(spec.values, ref.r)
             assert np.array_equal(spec.modes, ref.v)
+
+    def test_associated_keeps_a_tiny_imaginary_part(self):
+        """Only an exactly real matrix takes the real Takagi path: an imaginary
+        part of 5e-13 max|J| is factored, not dropped (dropping it leaves a
+        residual of about 5e-13)."""
+        m = 16
+        rng = np.random.default_rng(11)
+        j = rng.standard_normal((m, m))
+        j = j + 5e-13j * np.abs(j).max() * rng.uniform(-1.0, 1.0, (m, m))
+        target = block_squeezing_matrix(JointSpectralAmplitude(m=m, j_matrix=j))
+        spec = associated_spectral(target)
+        assert takagi_residual(target, TakagiFactors(v=spec.modes, r=spec.values)) <= 1e-14
 
     def test_full_matrix_with_leakage(self, nondegenerate):
         """The associated route also handles the full matrix, leakage included."""
