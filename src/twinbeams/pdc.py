@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from .takagi import _float_or_complex
 from .twinbeam import JointSpectralAmplitude
 from .units import C_UM_PER_FS, UM_PER_MM, nm_to_um
 
@@ -215,13 +216,17 @@ def build_frequency_grid(m: int, half_width: float) -> FrequencyGrid:
 
 @dataclass(frozen=True)
 class SqueezingMatrixPhysical:
-    """Discrete squeezing matrix Gamma = -i H_I^(1) on a frequency grid."""
+    """Discrete squeezing matrix Gamma = -i H_I^(1) on a frequency grid.
+
+    A float64 ``gamma`` stays float64 (a real Gamma); any other input is
+    stored as complex128.
+    """
 
     grid: FrequencyGrid
     gamma: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=complex)
+        g = _float_or_complex(self.gamma)
         n = 2 * self.grid.m
         if g.shape != (n, n):
             raise ValueError("gamma must be 2m x 2m")
@@ -357,14 +362,14 @@ def pump_spectrum(sum_detuning, pump: PumpConfig, crystal: CrystalConfig):
     Gaussian exp(-Omega_+^2 / (2 Omega_p^2)) with Omega_p = 2 sqrt(ln 2)/tau_p,
     normalized to 1 at the peak.  Constant and group-delay phases are removed
     by convention; with ``prechirp_compensated`` the remaining dispersion
-    phase is compensated too and the amplitude is real, otherwise the factor
-    exp(i (k_p(O) - k_p0 - k'_p0 O) z0) is kept.
+    phase is compensated too and the amplitude is real (float64),
+    otherwise the factor exp(i (k_p(O) - k_p0 - k'_p0 O) z0) is kept.
     """
     osum = np.asarray(sum_detuning, dtype=float)
     omega_p = pump_bandwidth(pump)
     amp = np.exp(-(osum**2) / (2.0 * omega_p**2))
     if pump.prechirp_compensated:
-        return amp.astype(complex)
+        return amp
     z0_mm = pump.z0_fraction * crystal.length_mm
     kp = wave_vector(osum, "pump", crystal, pump)
     kp0, kp1, _ = wave_vector_derivatives(0.0, "pump", crystal, pump)
@@ -383,31 +388,34 @@ def build_squeezing_matrix(
     """Assemble Gamma_jl = gain E0(O_j+O_l) e^{i Delta_jl (L/2 - z0)} sinc(Delta_jl L/2).
 
     Each continuum sample is scaled by the grid spacing so the spectrum is
-    grid-independent, the whole matrix is multiplied by -i, and the global
-    phase is removed by multiplying with conj(p / |p|), p the largest
-    element.  For a transform-limited pump (real E0) at z0 = L/2 every
-    element before the rotation is a real number times -i, p / |p| is
-    exactly -i or i, and the rotated Gamma has an imaginary part that is
-    exactly zero; otherwise Gamma is complex.
+    grid-independent, and the global phase is removed by multiplying with
+    conj(p / |p|), p the largest element.  The factor -i of
+    Gamma = -i H_I^(1) is a global phase too, so this rotation absorbs it.
+    The factor e^{i Delta (L/2 - z0)} is exactly 1 at z0 = L/2 and is
+    applied only elsewhere.  For a transform-limited pump (real E0) at
+    z0 = L/2 Gamma is therefore computed in real arithmetic and is float64;
+    otherwise it is complex128.
+
+    The unit phase is formed as p (1/|p|), the value numpy's complex
+    division gives for p / |p|; for a real p it is sign(p) |p| (1/|p|),
+    within one rounding of sign(p).  Adding +0.0 at the end turns each
+    -0.0 (a Gaussian that underflows to 0 times a negative sinc) into
+    +0.0, so every zero element has the same bits.
     """
     om = grid.detunings
     osum = om[:, None] + om[None, :]
-    e0 = pump_spectrum(osum, pump, crystal)
     delta = phase_mismatch(om[:, None], om[None, :], crystal, pump)
     length = crystal.length_mm
-    z0_mm = pump.z0_fraction * length
-    gamma = (
-        pump.gain
-        * e0
-        * np.exp(1j * delta * (0.5 * length - z0_mm))
-        * _sinc(0.5 * delta * length)
-        * grid.spacing
-    )
-    gamma = -1j * gamma
+    offset = 0.5 * length - pump.z0_fraction * length
+    gamma = pump.gain * pump_spectrum(osum, pump, crystal)
+    if offset != 0.0:
+        gamma = gamma * np.exp(1j * delta * offset)
+    gamma = gamma * _sinc(0.5 * delta * length) * grid.spacing
     peak = gamma.flat[np.argmax(np.abs(gamma))]
     if peak != 0.0:
-        gamma = gamma * (peak / abs(peak)).conjugate()
+        gamma = gamma * (peak * (1.0 / abs(peak))).conjugate()
     gamma = 0.5 * (gamma + gamma.T)
+    gamma += 0.0
     return SqueezingMatrixPhysical(grid=grid, gamma=gamma)
 
 

@@ -38,6 +38,12 @@ class TakagiFactors:
     r: np.ndarray
 
 
+def _float_or_complex(a) -> np.ndarray:
+    """``a`` as float64 when it is float64 already, else as complex128."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float64 else a.astype(complex, copy=False)
+
+
 def _as_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -82,8 +88,11 @@ def _real_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     When every column of ``v`` is purely real or purely imaginary, one part
     of each column is +-0, so w = v.real + v.imag is real and exact, and
     ``imag`` flags the imaginary columns (a zero column counts as real).
-    Otherwise w is ``v`` itself and no column is flagged.
+    A real ``v`` is its own w, returned at once.  Otherwise w is ``v``
+    itself and no column is flagged.
     """
+    if np.isrealobj(v):
+        return v, np.zeros(v.shape[1], dtype=bool)
     re, im = v.real, v.imag
     imag = np.any(im, axis=0)
     if np.any(imag & np.any(re, axis=0)):
@@ -124,8 +133,8 @@ def takagi_real_symmetric(a: np.ndarray) -> TakagiFactors:
     is dropped.
     """
     a = _as_square(a)
-    scale = np.abs(a).max()
     if np.iscomplexobj(a):
+        scale = np.abs(a).max()
         if scale > 0 and np.abs(a.imag).max() > 1e-10 * scale:
             raise ValueError("matrix has a non-negligible imaginary part")
         a = a.real.copy()
@@ -148,7 +157,8 @@ def takagi_real_symmetric(a: np.ndarray) -> TakagiFactors:
 def takagi_general(a: np.ndarray) -> TakagiFactors:
     """Takagi factorization of a complex symmetric matrix.
 
-    Exactly real input goes to ``takagi_real_symmetric``.  Otherwise
+    Real input, or complex input whose imaginary part is exactly zero,
+    goes to ``takagi_real_symmetric`` without a complex copy.  Otherwise
     A conj(z) is a real-linear map of z = x + i y with the real symmetric
     matrix M = [[Re A, Im A], [Im A, -Re A]]; its eigenvalues come in
     pairs +-s_k (z and i z), and the top n eigenvectors [x; y] give the
@@ -168,8 +178,8 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
         If the reconstruction residual exceeds tolerance (reported).
     """
     a = _as_square(a)
-    if not np.any(np.imag(a)):
-        return takagi_real_symmetric(np.real(a))
+    if np.isrealobj(a) or not np.any(a.imag):
+        return takagi_real_symmetric(a.real)
     _check_symmetric(a)
     a = 0.5 * (a + a.T)
     n = a.shape[0]

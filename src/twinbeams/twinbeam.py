@@ -23,6 +23,7 @@ import numpy as np
 
 from .takagi import (
     TakagiFactors,
+    _float_or_complex,
     _largest_entry_phase,
     _unitarity_defect,
     takagi_real_symmetric,
@@ -53,25 +54,33 @@ SPECTRUM_SOURCES = ("jsa_svd", "associated_spectral", "direct_takagi")
 class JointSpectralAmplitude:
     """Signal x idler coupling block of the squeezing matrix.
 
-    ``j_matrix`` holds the block of the full (already -i-rotated)
-    squeezing matrix, so it is consumed directly by the SVD.
+    ``j_matrix`` holds the block of the full (already phase-rotated)
+    squeezing matrix, so it is consumed directly by the SVD.  A float64
+    block stays float64; any other input is stored as complex128.  NaN or
+    infinite entries are rejected.
     """
 
     m: int
     j_matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        j = np.asarray(self.j_matrix, dtype=complex)
+        j = _float_or_complex(self.j_matrix)
         if j.shape != (self.m, self.m):
             raise ValueError("j_matrix must be m x m")
+        if not np.all(np.isfinite(j)):
+            raise ValueError("JSA j_matrix has non-finite (NaN or inf) entries")
         object.__setattr__(self, "j_matrix", j)
 
 
 def _check_descending(r: np.ndarray) -> None:
-    """ValueError unless ``r`` is nonnegative and descending; NaN fails too."""
+    """ValueError unless ``r`` is finite, nonnegative and descending."""
     scale = max(r[0], 1.0) if len(r) else 1.0
-    if not (np.all(r >= -1e-15) and np.all(np.diff(r) <= 1e-12 * scale)):
-        raise ValueError("values must be nonnegative and descending")
+    if not (
+        np.all(np.isfinite(r))
+        and np.all(r >= -1e-15)
+        and np.all(np.diff(r) <= 1e-12 * scale)
+    ):
+        raise ValueError("values must be finite, nonnegative and descending")
 
 
 @dataclass(frozen=True)
@@ -79,7 +88,9 @@ class SchmidtDecomposition:
     """SVD of the JSA block: J = C diag(values) D^dagger.
 
     Columns of ``c`` are the signal Schmidt modes; the idler modal
-    function of mode j is the conjugate of column j of ``d``.
+    function of mode j is the conjugate of column j of ``d``.  Each of
+    ``c`` and ``d`` stays float64 when given as float64 (the SVD of a real
+    JSA) and is stored as complex128 otherwise.
     """
 
     c: np.ndarray = field(repr=False)
@@ -87,8 +98,8 @@ class SchmidtDecomposition:
     values: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=complex)
-        d = np.asarray(self.d, dtype=complex)
+        c = _float_or_complex(self.c)
+        d = _float_or_complex(self.d)
         r = np.asarray(self.values, dtype=float)
         m = c.shape[0]
         if c.shape != (m, m) or d.shape != (m, m) or r.shape != (m,):
@@ -122,6 +133,8 @@ class SqueezingSpectrum:
     that produced the spectrum.  The modes must be unitary to 1e-10,
     max|V^H V - I|, which runs in real arithmetic when every column is
     purely real or purely imaginary (every path, for a real matrix).
+    ``modes`` is always stored as complex128, whatever the matrix dtype:
+    a duo partner of a real mode is imaginary.
     """
 
     values: np.ndarray
@@ -146,9 +159,12 @@ class SqueezingSpectrum:
 
 
 def block_squeezing_matrix(jsa: JointSpectralAmplitude) -> np.ndarray:
-    """Full 2m x 2m matrix [[0, J], [J^T, 0]] with exact block structure."""
+    """Full 2m x 2m matrix [[0, J], [J^T, 0]] with exact block structure.
+
+    The matrix has the dtype of J: float64 for a real JSA, else complex128.
+    """
     m = jsa.m
-    out = np.zeros((2 * m, 2 * m), dtype=complex)
+    out = np.zeros((2 * m, 2 * m), dtype=jsa.j_matrix.dtype)
     out[:m, m:] = jsa.j_matrix
     out[m:, :m] = jsa.j_matrix.T
     return out
@@ -162,7 +178,8 @@ def signal_first(gamma: np.ndarray) -> np.ndarray:
 def schmidt_from_jsa(jsa: JointSpectralAmplitude) -> SchmidtDecomposition:
     """Schmidt decomposition of the JSA via SVD of the stored block.
 
-    Each (c_k, d_k) pair is rotated by one common phase, which leaves
+    A float64 block takes a real SVD and gives real ``c`` and ``d``.  Each
+    (c_k, d_k) pair is rotated by one common phase, which leaves
     C diag(r) D^dagger unchanged, so that the largest entry of c_k is
     real positive.
     """
@@ -203,24 +220,26 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
     squeezing eigenmodes: r = |lambda|, mode = U with the idler half
     conjugated, times i when lambda < 0.  The +-lambda signs of each duo
     are what distinguishes the two partners.  Eigenpairs are ordered as in
-    the Takagi module (descending |lambda|, stable), and a matrix with an
-    exactly zero imaginary part, which is its own associated matrix, takes
-    ``takagi_real_symmetric`` (the rule of ``takagi_general``).
+    the Takagi module (descending |lambda|, stable).  A real matrix, which is
+    its own associated matrix, goes straight to ``takagi_real_symmetric``,
+    and so does a complex one whose imaginary part is exactly zero after
+    the reshuffle (the rule of ``takagi_general``).
     """
-    g = np.asarray(gamma, dtype=complex)
+    g = _float_or_complex(gamma)
     n = g.shape[0]
     if g.ndim != 2 or g.shape != (n, n) or n % 2:
         raise ValueError("gamma must be square with even dimension")
     m = n // 2
-    ga = g.copy()
-    ga[m:, :] = ga[m:, :].conj()
-    scale = max(np.abs(ga).max(), 1e-300)
-    if np.abs(ga - ga.conj().T).max() > 1e-10 * scale:
-        raise ValueError("matrix is not Hermitian after the associated-matrix reshuffle")
-    if not np.any(ga.imag):
-        f = takagi_real_symmetric(ga.real)
+    if np.iscomplexobj(g):
+        g = g.copy()
+        g[m:, :] = g[m:, :].conj()
+        scale = max(np.abs(g).max(), 1e-300)
+        if np.abs(g - g.conj().T).max() > 1e-10 * scale:
+            raise ValueError("matrix is not Hermitian after the associated-matrix reshuffle")
+    if np.isrealobj(g) or not np.any(g.imag):
+        f = takagi_real_symmetric(g.real)
         return SqueezingSpectrum(values=f.r, modes=f.v, source="associated_spectral")
-    lam, u = np.linalg.eigh(ga)
+    lam, u = np.linalg.eigh(g)
     order = np.argsort(-np.abs(lam), kind="stable")
     lam = lam[order]
     modes = u[:, order]
@@ -302,8 +321,8 @@ def pair_eigenvalues(
 def schmidt_number(values) -> float:
     """Effective mode count K_S = (sum r)^2 / sum r^2."""
     r = np.asarray(values, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("values must be nonnegative")
+    if not (np.all(np.isfinite(r)) and np.all(r >= 0)):
+        raise ValueError("values must be nonnegative and finite")
     total_sq = float(np.sum(r * r))
     if total_sq == 0.0:
         raise ValueError("all-zero values have no Schmidt number")
@@ -319,6 +338,8 @@ class GeometricFit(NamedTuple):
 def _duo_means(values) -> np.ndarray:
     """Means of consecutive duos, dropping those below 1e-6 of the leading one."""
     r = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("values must be finite")
     n_pairs = len(r) // 2
     means = 0.5 * (r[0 : 2 * n_pairs : 2] + r[1 : 2 * n_pairs : 2])
     if n_pairs == 0 or means[0] <= 0:

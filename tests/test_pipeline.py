@@ -16,6 +16,7 @@ import twinbeams.mehler as mehler
 import twinbeams.pdc as pdc
 import twinbeams.symplectic as symplectic
 import twinbeams.takagi as takagi
+import twinbeams.twinbeam as twinbeam
 from twinbeams.io import (
     ENV_OUTPUT_DIR,
     PipelineError,
@@ -530,6 +531,86 @@ class TestRealGamma:
         assert report.residuals["imag_fraction"] == 0.0
         _, rows = read_csv(tmp_path / "squeezing_matrix.csv")
         assert {row[3] for row in rows} == {"0"}
+
+
+def complex_build(crystal, pump, grid):
+    """Gamma by the all-complex formula: e^{i Delta (L/2 - z0)} at every z0,
+    the factor -i, then the unit phase p / |p| of the peak by numpy's
+    complex division, which multiplies by the reciprocal 1 / |p|."""
+    om = grid.detunings
+    delta = pdc.phase_mismatch(om[:, None], om[None, :], crystal, pump)
+    length = crystal.length_mm
+    gamma = (
+        pump.gain
+        * pdc.pump_spectrum(om[:, None] + om[None, :], pump, crystal).astype(complex)
+        * np.exp(1j * delta * (0.5 * length - pump.z0_fraction * length))
+        * np.sinc(0.5 * delta * length / np.pi)
+        * grid.spacing
+    )
+    gamma = -1j * gamma
+    peak = gamma.flat[np.argmax(np.abs(gamma))]
+    gamma = gamma * (peak / abs(peak)).conjugate()
+    return 0.5 * (gamma + gamma.T)
+
+
+def bundled_working_point(name, m, **pump):
+    """(crystal, pump, grid) of a bundled config, its band sized as a run sizes it."""
+    cfg = bundled_config(name, grid__m=m, **{f"pump__{k}": v for k, v in pump.items()})
+    grid = pipeline._resolve_grid(cfg, pipeline._analytic_model(cfg))
+    return cfg.crystal, cfg.pump, grid
+
+
+BUNDLED = ["bbo_nondegenerate", "bbo_near_degenerate"]
+COMPLEX_PUMPS = [{"z0_fraction": 0.25}, {"prechirp_compensated": False}]
+
+
+class TestMatrixDtypes:
+    """A real Gamma is float64 from the build through the JSA, the block and
+    the Schmidt factors; a complex one is complex128.  Mode matrices are
+    complex128 either way."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize(
+        "pump, dtype",
+        [({}, np.float64)] + [(kw, np.complex128) for kw in COMPLEX_PUMPS],
+        ids=["real", "z0-quarter", "no-prechirp"],
+    )
+    def test_dtypes(self, name, pump, dtype):
+        sq = pdc.build_squeezing_matrix(*bundled_working_point(name, 16, **pump))
+        jsa = pdc.extract_jsa(sq).jsa
+        block = twinbeam.block_squeezing_matrix(jsa)
+        sd = twinbeam.schmidt_from_jsa(jsa)
+        for array in (sq.gamma, jsa.j_matrix, block, sd.c, sd.d):
+            assert array.dtype == dtype
+        assert twinbeam.eigenmodes_from_schmidt(sd).modes.dtype == np.complex128
+        assert twinbeam.associated_spectral(block).modes.dtype == np.complex128
+        assert takagi.takagi_general(sq.gamma).v.dtype == np.complex128
+
+
+class TestBuildMatchesComplexFormula:
+    """The build equals the all-complex formula: bit for bit (as uint64, so
+    the sign of a zero counts) where Gamma is real, and to rounding where it
+    is complex."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("m", [None, 256], ids=["default-m", "m256"])
+    def test_real_gamma_is_bitwise(self, name, m):
+        m = m or parse_config(name).grid.m
+        point = bundled_working_point(name, m)
+        gamma = pdc.build_squeezing_matrix(*point).gamma
+        ref = complex_build(*point)
+        assert gamma.dtype == np.float64
+        assert np.array_equal(ref.imag.view(np.uint64), np.zeros(ref.shape, np.uint64))
+        assert np.array_equal(gamma.view(np.uint64), ref.real.view(np.uint64))
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("pump", COMPLEX_PUMPS, ids=["z0-quarter", "no-prechirp"])
+    def test_complex_gamma_within_rounding(self, name, pump):
+        point = bundled_working_point(name, 64, **pump)
+        gamma = pdc.build_squeezing_matrix(*point).gamma
+        ref = complex_build(*point)
+        assert gamma.dtype == np.complex128
+        assert np.abs(gamma - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestHeatmapBytes:

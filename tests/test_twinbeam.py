@@ -40,6 +40,28 @@ class TestContainers:
         with pytest.raises(ValueError, match="j_matrix must be m x m"):
             JointSpectralAmplitude(m=4, j_matrix=np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_jsa_rejects_non_finite(self, bad):
+        """A non-finite entry is named at the JSA, not left to the SVD."""
+        j = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="JSA j_matrix has non-finite"):
+            JointSpectralAmplitude(m=2, j_matrix=j)
+
+    def test_dtype_follows_content(self):
+        """float64 stays float64; any other input is stored as complex128."""
+        real = JointSpectralAmplitude(m=2, j_matrix=np.eye(2))
+        assert real.j_matrix.dtype == np.float64
+        assert block_squeezing_matrix(real).dtype == np.float64
+        for j in (np.eye(2, dtype=int), np.eye(2, dtype=np.float32), np.eye(2, dtype=complex)):
+            jsa = JointSpectralAmplitude(m=2, j_matrix=j)
+            assert jsa.j_matrix.dtype == np.complex128
+            assert block_squeezing_matrix(jsa).dtype == np.complex128
+        sd = schmidt_from_jsa(real)
+        assert sd.c.dtype == sd.d.dtype == np.float64
+        assert eigenmodes_from_schmidt(sd).modes.dtype == np.complex128
+        sd = SchmidtDecomposition(c=np.eye(2), d=np.eye(2, dtype=complex), values=np.ones(2))
+        assert (sd.c.dtype, sd.d.dtype) == (np.float64, np.complex128)
+
     def test_schmidt_validation(self):
         eye = np.eye(3, dtype=complex)
         with pytest.raises(ValueError, match="c is not unitary"):
@@ -49,6 +71,8 @@ class TestContainers:
         # NaN fails every comparison, so the check is written to fail on it.
         with pytest.raises(ValueError, match="nonnegative and descending"):
             SchmidtDecomposition(c=eye, d=eye, values=np.array([np.nan, 1.0, 0.5]))
+        with pytest.raises(ValueError, match="must be finite"):
+            SchmidtDecomposition(c=eye, d=eye, values=np.array([np.inf, 1.0, 0.5]))
 
     def test_spectrum_validation(self):
         eye = np.eye(4, dtype=complex)
@@ -60,6 +84,9 @@ class TestContainers:
         for bad in ([np.nan, 2.0, 1.0, 1.0], [2.0, 2.0, 1.0, np.nan]):
             with pytest.raises(ValueError, match="nonnegative and descending"):
                 SqueezingSpectrum(values=np.array(bad), modes=eye)
+        # inf passes every comparison of the descending check on its own.
+        with pytest.raises(ValueError, match="must be finite"):
+            SqueezingSpectrum(values=np.array([np.inf, 1.0]), modes=np.eye(2))
         with pytest.raises(ValueError, match="modes are not unitary"):
             SqueezingSpectrum(values=vals, modes=0.5 * eye)
         with pytest.raises(ValueError, match="unknown source"):
@@ -290,6 +317,11 @@ class TestSchmidtNumber:
         with pytest.raises(ValueError, match="all-zero values"):
             schmidt_number([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="must be nonnegative and finite"):
+            schmidt_number([bad, 1.0])
+
 
 class TestGeometricFit:
     """Log-linear fit of the duo-mean decay."""
@@ -327,6 +359,11 @@ class TestGeometricFit:
             fit_geometric([1.0, 1.0, 0.5, 0.5])
         with pytest.raises(ValueError, match="leading pair must be positive"):
             fit_geometric([0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="values must be finite"):
+            fit_geometric([1.0, 1.0, 0.5, 0.5, bad, bad, 0.1, 0.1])
 
 
 class TestRotatePair:
