@@ -19,6 +19,7 @@ from .. import __version__
 from .config import (
     FORMATS,
     ConfigError,
+    _ConfigLoader,
     config_from_dict,
     config_to_dict,
     parse_config,
@@ -157,7 +158,7 @@ def sweep(config_source, param, values, out_dir, fmt, pairs_tol):
     for raw in raw_values:
         tree = copy.deepcopy(base)
         try:
-            _set_path(tree, param, yaml.safe_load(raw))
+            _set_path(tree, param, yaml.load(raw, Loader=_ConfigLoader))
             cfg = config_from_dict(tree)
         except ConfigError as err:
             _fail(EXIT_VALIDATION, str(err))

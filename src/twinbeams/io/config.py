@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import re
 import typing
 from dataclasses import dataclass, field
 from importlib import resources
@@ -44,6 +45,23 @@ FORMATS = ("csv", "json", "both")
 
 class ConfigError(ValueError):
     """Configuration parse or validation failure (CLI exit code 2)."""
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads ``1e-2``, ``1E3`` and ``1.0e6`` as floats
+    (PyYAML's YAML 1.1 resolver wants a dot and a signed exponent)."""
+
+
+class _ConfigDumper(yaml.SafeDumper):
+    """SafeDumper that quotes the strings ``_ConfigLoader`` would read as floats."""
+
+
+for _cls in (_ConfigLoader, _ConfigDumper):
+    _cls.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?[0-9]+(?:\.[0-9]+)?[eE][-+]?[0-9]+$"),
+        list("-+0123456789"),
+    )
 
 
 @dataclass(frozen=True)
@@ -213,7 +231,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 def parse_config_text(text: str, name: str = "<config>") -> RunConfig:
     """Parse YAML text into a :class:`RunConfig`, with line info on syntax errors."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         problem = getattr(err, "problem", None) or str(err)
@@ -274,4 +292,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def serialize_config(cfg: RunConfig) -> str:
     """YAML text of the fully resolved config; parses back to an equal RunConfig."""
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=False, default_flow_style=False)
+    return yaml.dump(
+        config_to_dict(cfg), Dumper=_ConfigDumper, sort_keys=False, default_flow_style=False
+    )

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..takagi import _float_or_complex
+
 __all__ = ["write_csv", "export_spectrum", "export_matrix_heatmap"]
 
 
@@ -53,13 +55,11 @@ def _pair_columns(spectrum, pairing):
     the element's positional duo regardless of acceptance.
     """
     n = len(spectrum.values)
-    ids = [0] * n
+    accepted = 0 if pairing is None else 2 * pairing.n_pairs
+    ids = [k // 2 + 1 if k < accepted else 0 for k in range(n)]
     gaps = [0.0] * n
     for i0, i1, gap in spectrum.pairs:
         gaps[i0] = gaps[i1] = gap
-    if pairing is not None:
-        for rec in pairing.accepted:
-            ids[rec.i0] = ids[rec.i1] = rec.pair_id
     return ids, gaps
 
 
@@ -105,7 +105,7 @@ def _format_all(values) -> np.ndarray:
 
 
 def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
-    """Write a complex matrix as a long CSV: omega,omega_prime,re,im,abs.
+    """Write a real or complex matrix as a long CSV: omega,omega_prime,re,im,abs.
 
     One row per element in row-major order; ``omega`` labels the matrix row,
     ``omega_prime`` the column.  The bytes are those of ``write_csv`` fed one
@@ -127,7 +127,7 @@ def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
     Each matrix row is written through one ``%``-template whose grid labels
     are formatted once.
     """
-    mat = np.asarray(matrix, dtype=complex)
+    mat = _float_or_complex(matrix)
     rows_w = np.asarray(row_grid, dtype=float)
     cols_w = np.asarray(col_grid, dtype=float)
     if mat.shape != (len(rows_w), len(cols_w)):

@@ -217,8 +217,9 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
 
     scale = float(np.abs(sq.gamma).max())
     zero = scale == 0.0
-    imag_fraction = 0.0 if zero else float(np.abs(sq.gamma.imag).max() / scale)
-    report.residuals["imag_fraction"] = imag_fraction
+    # A float64 Gamma has no imaginary part to build or measure.
+    real = zero or np.isrealobj(sq.gamma)
+    report.residuals["imag_fraction"] = 0.0 if real else float(np.abs(sq.gamma.imag).max() / scale)
     if zero:
         report.notes.append(
             "squeezing matrix is identically zero (gain = 0); spectrum, fit and "

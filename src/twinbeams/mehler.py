@@ -230,15 +230,14 @@ def mehler_factors(params: GaussianModelParams) -> MehlerFactors:
     q_c = (eta' + i xi')/(1 + w + i eta' xi') and
     p_c = sqrt(2w/(1 + w + i eta' xi')) with eta' = eta/sqrt(mu nu),
     xi' = xi/sqrt(mu nu), w = sqrt((1+xi'^2)(1-eta'^2)); principal
-    square root and argument throughout.  |q_c| = q and
-    |p_c| = p (1+xi'^2)^(1/4) are verified internally.
+    square root and argument throughout.  |q_c| = q,
+    |p_c| = p (1+xi'^2)^(1/4) and p_c^2 + q_c^2 = 1 are verified to 1e-12;
+    a failure raises ValueError.
     """
     mu, nu, eta, xi = params.mu, params.nu, params.eta, params.xi
     mn = mu * nu
     u = math.sqrt(mn + xi * xi)
     v = math.sqrt(mn - eta * eta)
-    if u < v:
-        raise AssertionError("u < v cannot occur for square-integrable input")
     uv = u * v
     tau1 = math.sqrt(uv / nu)
     tau2 = math.sqrt(uv / mu)
@@ -253,11 +252,11 @@ def mehler_factors(params: GaussianModelParams) -> MehlerFactors:
     p_c = cmath.sqrt(2.0 * w / denom)
     norm = (1.0 + xi_p**2) ** 0.25
     if abs(abs(q_c) - q) > 1e-12:
-        raise AssertionError(f"|q_c| = {abs(q_c)} inconsistent with q = {q}")
+        raise ValueError(f"|q_c| = {abs(q_c)} inconsistent with q = {q}")
     if abs(abs(p_c) - p * norm) > 1e-12:
-        raise AssertionError("|p_c| inconsistent with p (1+xi'^2)^(1/4)")
+        raise ValueError("|p_c| inconsistent with p (1+xi'^2)^(1/4)")
     if abs(p_c**2 + q_c**2 - 1.0) > 1e-12:
-        raise AssertionError("p_c^2 + q_c^2 != 1")
+        raise ValueError("p_c^2 + q_c^2 != 1")
     return MehlerFactors(
         tau1=tau1,
         tau2=tau2,

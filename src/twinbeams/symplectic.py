@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .takagi import TakagiFactors, _real_basis, takagi_general
+from .takagi import TakagiFactors, _float_or_complex, _real_basis, takagi_general
 
 __all__ = [
     "GeneratorMatrix",
@@ -67,7 +67,9 @@ class GeneratorMatrix:
 class SymplecticMatrix:
     """Bogoliubov blocks (s0, sI) of a complex symplectic matrix.
 
-    ``residual`` is the ``symplectic_residual`` computed once on construction.
+    Each block stays float64 when given as float64 (the squeezer of a real
+    matrix) and is stored as complex128 otherwise.  ``residual`` is the
+    ``symplectic_residual`` computed once on construction.
     """
 
     n: int
@@ -76,8 +78,8 @@ class SymplecticMatrix:
     residual: float = field(init=False)
 
     def __post_init__(self):
-        s0 = np.asarray(self.s0, dtype=complex)
-        sI = np.asarray(self.sI, dtype=complex)
+        s0 = _float_or_complex(self.s0)
+        sI = _float_or_complex(self.sI)
         if s0.shape != (self.n, self.n) or sI.shape != (self.n, self.n):
             raise ValueError("symplectic blocks must be n x n")
         object.__setattr__(self, "s0", s0)
@@ -105,14 +107,11 @@ def symplectic_residual(s: SymplecticMatrix) -> float:
     V (cosh sinh - sinh cosh)(R) V^T = 0, so the residual measures how far
     V is from unitary.
 
-    The top-right block is X - X^T with X = s0 sI^T, one product.  When
-    both blocks have an exactly zero imaginary part (the squeezer of a
-    real matrix) they are cast to their real parts first, so the same
-    products run in real arithmetic.
+    The top-right block is X - X^T with X = s0 sI^T, one product.  The
+    products take the dtype of the blocks, so float64 blocks (the squeezer
+    of a real matrix) run in real arithmetic.
     """
     s0, sI = s.s0, s.sI
-    if not (np.any(s0.imag) or np.any(sI.imag)):
-        s0, sI = np.ascontiguousarray(s0.real), np.ascontiguousarray(sI.real)
     top_left = s0 @ s0.conj().T - sI @ sI.conj().T
     top_left[np.diag_indices_from(top_left)] -= 1.0
     x = s0 @ sI.T
@@ -251,17 +250,15 @@ def squeezer_from_takagi(factors: TakagiFactors) -> SymplecticMatrix:
 
     Both blocks are built once in the ``_real_basis`` W of V = W D,
     s0 = W cosh(R) W^H and sI = W (D^2 sinh(R)) W^T with D^2 = -1 for
-    each imaginary column, so they run in real arithmetic (and come out
-    with an exactly zero imaginary part) when W is real.
+    each imaginary column, so they run in real arithmetic and stay
+    float64 when W is real.
     """
     v, r = factors.v, factors.r
     _check_r_max(r)
     w, imag = _real_basis(v)
     sinh = np.sinh(r)
-    s0 = ((w * np.cosh(r)) @ w.conj().T).astype(complex, copy=False)
-    sI = ((w * np.where(imag, -sinh, sinh)) @ w.T).astype(complex, copy=False)
-    # W is not needed by the symplectic check the constructor runs.
-    del w
+    s0 = (w * np.cosh(r)) @ w.conj().T
+    sI = (w * np.where(imag, -sinh, sinh)) @ w.T
     return SymplecticMatrix(n=v.shape[0], s0=s0, sI=sI)
 
 

@@ -129,16 +129,15 @@ def takagi_real_symmetric(a: np.ndarray) -> TakagiFactors:
     TakagiFactors
         Unitary ``v`` and descending nonnegative ``r`` with a = V R V^T.
 
-    A NaN or infinite entry raises ValueError before any imaginary part
-    is dropped.
+    Complex-typed input is accepted only when its imaginary part is
+    exactly zero, the rule of ``takagi_general``; any nonzero imaginary
+    part, however small, raises ValueError.  So does a NaN or infinite
+    entry.
     """
     a = _as_square(a)
-    if np.iscomplexobj(a):
-        scale = np.abs(a).max()
-        if scale > 0 and np.abs(a.imag).max() > 1e-10 * scale:
-            raise ValueError("matrix has a non-negligible imaginary part")
-        a = a.real.copy()
-    a = np.asarray(a, dtype=float)
+    if np.iscomplexobj(a) and np.any(a.imag):
+        raise ValueError("matrix has a nonzero imaginary part")
+    a = np.asarray(a.real, dtype=float)
     _check_symmetric(a)
     a = 0.5 * (a + a.T)
 

@@ -33,7 +33,6 @@ __all__ = [
     "JointSpectralAmplitude",
     "SchmidtDecomposition",
     "SqueezingSpectrum",
-    "PairRecord",
     "PairingReport",
     "GeometricFit",
     "block_squeezing_matrix",
@@ -262,30 +261,17 @@ def spectrum_from_takagi(factors: TakagiFactors) -> SqueezingSpectrum:
 
 
 @dataclass(frozen=True)
-class PairRecord:
-    """One accepted duo: 1-based pair id, element indices, relative gap."""
-
-    pair_id: int
-    i0: int
-    i1: int
-    gap: float
-
-
-@dataclass(frozen=True)
 class PairingReport:
     """Greedy consecutive pairing of a descending spectrum.
 
+    The accepted duos are ``spectrum.pairs[:n_pairs]``.
     ``first_failure_index`` is the 1-based rank of the first eigenvalue
     that could not be paired (None when everything paired).
     """
 
     rel_tol: float
-    accepted: tuple
+    n_pairs: int
     first_failure_index: int | None
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.accepted)
 
     @property
     def all_paired(self) -> bool:
@@ -301,21 +287,13 @@ def pair_eigenvalues(
     exceeding ``rel_tol`` (or at an odd leftover value) and reports the
     1-based index where it failed.
     """
-    values = spectrum.values
-    n = len(values)
-    accepted = []
-    failure = None
-    for k, (i0, i1, gap) in enumerate(spectrum.pairs):
-        if gap <= rel_tol:
-            accepted.append(PairRecord(pair_id=k + 1, i0=i0, i1=i1, gap=gap))
-        else:
-            failure = i0 + 1
-            break
-    if failure is None and n % 2 == 1 and 2 * len(accepted) == n - 1:
-        failure = n
-    return PairingReport(
-        rel_tol=rel_tol, accepted=tuple(accepted), first_failure_index=failure
+    n_pairs = next(
+        (k for k, (_, _, gap) in enumerate(spectrum.pairs) if gap > rel_tol),
+        len(spectrum.pairs),
     )
+    # The first eigenvalue outside the accepted duos: a failed duo or an odd leftover.
+    failure = 2 * n_pairs + 1 if 2 * n_pairs < len(spectrum.values) else None
+    return PairingReport(rel_tol=rel_tol, n_pairs=n_pairs, first_failure_index=failure)
 
 
 def schmidt_number(values) -> float:

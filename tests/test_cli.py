@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ class TestValidate:
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code == 2
         assert message in all_output(result)
+
+    def test_exponent_float_without_a_dot_validates(self, runner, tmp_path):
+        path = tmp_path / "tol.yaml"
+        path.write_text(
+            "crystal:\n  length_mm: 2.0\n  theta0_deg: 28.81\n"
+            "pump:\n  lambda_p_nm: 397.5\n  tau_p_fs: 129.0\n"
+            "pairing_tol: 1e-2\n"
+        )
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 0
+        assert parse_config_text(result.output).pairing_tol == 0.01
 
     def test_missing_config_exits_2(self, runner):
         result = runner.invoke(main, ["validate", "no_such_config"])
@@ -163,6 +175,29 @@ class TestRun:
         result = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "o")])
         assert result.exit_code == 3
         assert "[grid]" in all_output(result)
+
+    @pytest.mark.parametrize(
+        "pipeline_name, grid, stage",
+        [
+            ("compare", {"m": 16, "half_width": 0.55}, "[mehler-factors]"),
+            ("numerical", {"m": 16}, "[grid]"),
+        ],
+    )
+    def test_mehler_consistency_failure_exits_3(
+        self, runner, tmp_path, pipeline_name, grid, stage
+    ):
+        """A 1000 mm crystal fails the Mehler factors' own checks; an automatic
+        band then cannot be sized."""
+        cfg_path = write_config(
+            tmp_path,
+            crystal={"length_mm": 1000.0, "theta0_deg": 28.81},
+            grid=grid,
+            pipeline=pipeline_name,
+        )
+        result = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 3
+        assert f"error: {stage}" in all_output(result)
+        assert "inconsistent" in all_output(result)
 
     def test_bad_override_exits_2(self, runner, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -265,6 +300,36 @@ class TestSweep:
         assert bad[1] == ""
         assert "[grid]" in bad[5]
         assert (out / "crystal.theta0_deg=28.81" / "report.json").exists()
+
+    def test_mehler_failure_is_a_row_and_exit_3(self, runner, tmp_path):
+        cfg_path = write_config(tmp_path, pipeline="compare")
+        out = tmp_path / "sweep"
+        result = runner.invoke(
+            main,
+            [
+                "sweep", str(cfg_path),
+                "--param", "crystal.length_mm",
+                "--values", "2.0,1000.0",
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 3
+        with open(out / "sweep_summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == ["2.0", "1000.0"]
+        assert float(rows[1][1]) > 0.0
+        assert rows[2][5].startswith("[mehler-factors] ")
+
+    def test_exponent_float_value(self, runner, tmp_path):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        result = runner.invoke(
+            main,
+            ["sweep", str(cfg_path), "--param", "pump.gain", "--values", "1e1", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        report = json.loads((out / "pump.gain=1e1" / "report.json").read_text())
+        assert report["config"]["pump"]["gain"] == 10.0
 
     def test_empty_values_exits_2(self, runner, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from importlib import resources
 
 import pytest
 import yaml
@@ -22,6 +23,7 @@ from twinbeams.io import (
     parse_config_text,
     serialize_config,
 )
+from twinbeams.io import config
 from twinbeams.pdc import BBO_SELLMEIER_EXTRAORDINARY, BBO_SELLMEIER_ORDINARY
 
 MINIMAL = {
@@ -213,6 +215,31 @@ class TestYamlParsing:
             parse_config_text(text, name="long.yaml")
         assert "0000" not in str(info.value)
         assert "set_int_max_str_digits" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text, value", [("1e-2", 1e-2), ("1E3", 1e3), ("1.0e6", 1e6), ("-2.5e-3", -2.5e-3)]
+    )
+    def test_exponent_floats_are_numbers(self, text, value):
+        """PyYAML's own resolver needs a dot and a signed exponent."""
+        got = yaml.load(f"x: {text}\n", Loader=config._ConfigLoader)["x"]
+        assert type(got) is float and got == value
+
+    def test_exponent_floats_in_a_config(self):
+        cfg = parse_config_text(
+            "crystal:\n  length_mm: 2.0\n  theta0_deg: 28.81\n"
+            "pump:\n  lambda_p_nm: 397.5\n  tau_p_fs: 1.0e6\n  gain: 1E3\n"
+            "pairing_tol: 1e-2\n"
+            "output:\n  directory: '1e5'\n"
+        )
+        assert (cfg.pump.tau_p_fs, cfg.pump.gain, cfg.pairing_tol) == (1e6, 1e3, 1e-2)
+        assert cfg.output.directory == "1e5"
+        assert parse_config_text(serialize_config(cfg)) == cfg
+
+    def test_bundled_texts_read_as_before(self):
+        root = resources.files("twinbeams") / "configs"
+        for name in bundled_configs():
+            text = (root / f"{name}.yaml").read_text(encoding="utf-8")
+            assert yaml.load(text, Loader=config._ConfigLoader) == yaml.safe_load(text)
 
     def test_empty_text_is_missing_sections(self):
         with pytest.raises(ConfigError, match="crystal: required section is missing"):

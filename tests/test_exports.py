@@ -168,6 +168,17 @@ class TestMatrixHeatmap:
         mat = np.array([[-0.0, np.nan, 1e300], [np.inf, 5e-324, -2.5]])
         assert_bytes_match_per_cell(tmp_path, mat, [0.1, 0.2], [-1.0, 0.0, 1.0])
 
+    def test_float64_gives_the_bytes_of_complex128(self, tmp_path):
+        """A float64 matrix is written without a complex copy, to the same bytes."""
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((5, 5))
+        a[0, 1] = -0.0
+        for i, mat in enumerate((a, a + a.T, a[:, :3])):
+            rg, cg = np.arange(mat.shape[0]) * 0.1, np.arange(mat.shape[1]) * 0.2
+            real = export_matrix_heatmap(mat, rg, cg, tmp_path / f"real{i}.csv")
+            cplx = export_matrix_heatmap(mat.astype(complex), rg, cg, tmp_path / f"c{i}.csv")
+            assert real.read_bytes() == cplx.read_bytes()
+
     def test_bytes_match_per_cell_writer_non_square(self, tmp_path):
         mat = np.random.randn(2, 3) + 1j * np.random.randn(2, 3)
         assert_bytes_match_per_cell(tmp_path, mat, [-0.3, 0.3], [-0.1, 0.0, 0.1])

@@ -179,6 +179,12 @@ class TestMehlerFactors:
         f_pos = mehler_factors(GaussianModelParams(mu=1.0, nu=1.0, eta=0.9, xi=0.0))
         assert f_pos.theta == 0.0
 
+    def test_failed_consistency_check_is_a_value_error(self):
+        """A 1000 mm crystal misses the 1e-12 check; the pipeline's stage
+        handler catches ValueError, not AssertionError."""
+        with pytest.raises(ValueError, match="inconsistent"):
+            mehler_factors(gaussian_model_params(times_for(1000.0)))
+
     def test_separable_kernel_has_zero_q(self):
         f = mehler_factors(GaussianModelParams(mu=1.0, nu=1.0, eta=0.0, xi=0.0))
         assert f.q == 0.0 and f.p == 1.0

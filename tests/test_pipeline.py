@@ -19,6 +19,7 @@ import twinbeams.takagi as takagi
 import twinbeams.twinbeam as twinbeam
 from twinbeams.io import (
     ENV_OUTPUT_DIR,
+    PIPELINES,
     PipelineError,
     config_from_dict,
     config_to_dict,
@@ -683,6 +684,45 @@ class TestSymplecticPath:
         assert report.residuals["symplectic"] <= 1e-14
 
 
+def former_symplectic_residual(factors):
+    """The symplectic residual by its former formula: blocks cast to complex128,
+    then back to contiguous real parts when both imaginary parts are zero."""
+    w, imag = takagi._real_basis(factors.v)
+    sinh = np.sinh(factors.r)
+    s0 = ((w * np.cosh(factors.r)) @ w.conj().T).astype(complex)
+    sI = ((w * np.where(imag, -sinh, sinh)) @ w.T).astype(complex)
+    if not (np.any(s0.imag) or np.any(sI.imag)):
+        s0, sI = np.ascontiguousarray(s0.real), np.ascontiguousarray(sI.real)
+    top_left = s0 @ s0.conj().T - sI @ sI.conj().T
+    top_left[np.diag_indices_from(top_left)] -= 1.0
+    x = s0 @ sI.T
+    res = max(np.abs(top_left).max(), np.abs(x - x.T).max())
+    return float(res / max(np.abs(s0).max() ** 2, np.abs(sI).max() ** 2, 1.0))
+
+
+class TestSymplecticResidualUnchanged:
+    """Real blocks are float64 with no complex copy, and the run's residual is
+    bitwise the one the complex-copy formula gave."""
+
+    @pytest.mark.parametrize("m", [16, 64])
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
+    def test_bitwise(self, monkeypatch, tmp_path, z0_fraction, m):
+        kept = []
+        original = pipeline.squeezer_from_takagi
+
+        def keeping(factors):
+            kept.append((factors, original(factors)))
+            return kept[-1][1]
+
+        monkeypatch.setattr(pipeline, "squeezer_from_takagi", keeping)
+        cfg = bundled_config("bbo_nondegenerate", grid__m=m, pump__z0_fraction=z0_fraction)
+        report = run_pipeline(cfg, out_dir=tmp_path)
+        ((factors, s),) = kept
+        dtype = np.float64 if z0_fraction == 0.5 else np.complex128
+        assert s.s0.dtype == s.sI.dtype == dtype
+        assert report.residuals["symplectic"] == former_symplectic_residual(factors)
+
+
 class TestBlochMessiah:
     """The Bloch-Messiah reduction of the squeezer each run builds."""
 
@@ -735,6 +775,54 @@ def test_gain_edges(z0_fraction, m, gain):
         assert report.residuals["symplectic"] <= 1e-10
         text = (Path(out) / "report.json").read_text(encoding="utf-8")
         json.loads(text, parse_constant=_reject_constant)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    length_mm=st.floats(-1.0, 3.0).map(lambda e: 10.0**e),
+    theta0_deg=st.floats(24.0, 32.0),
+    tau_p_fs=st.floats(0.0, 3.0).map(lambda e: 10.0**e),
+    gain=st.one_of(st.just(0.0), st.floats(1e-2, 1e3)),
+    z0_fraction=st.floats(0.0, 1.0),
+    prechirp=st.booleans(),
+    name=st.sampled_from(PIPELINES),
+    m=st.integers(1, 8),
+    half_width=st.one_of(st.none(), st.floats(0.01, 1.0)),
+)
+# The Mehler consistency checks fail: a 1000 mm crystal under the bundled pump,
+# and a 50 mm crystal under a chirped 1.5 fs pump.
+@example(
+    length_mm=1000.0, theta0_deg=28.81, tau_p_fs=129.0, gain=10.0, z0_fraction=0.5,
+    prechirp=True, name="compare", m=8, half_width=None,
+)
+@example(
+    length_mm=50.0, theta0_deg=28.81, tau_p_fs=1.5, gain=10.0, z0_fraction=0.5,
+    prechirp=False, name="numerical", m=8, half_width=None,
+)
+def test_every_run_reports_or_names_its_stage(
+    length_mm, theta0_deg, tau_p_fs, gain, z0_fraction, prechirp, name, m, half_width
+):
+    """A valid config either gives a report or fails with a stage label;
+    nothing else escapes run_pipeline."""
+    raw = {
+        "crystal": {"length_mm": length_mm, "theta0_deg": theta0_deg},
+        "pump": {
+            "lambda_p_nm": 397.5,
+            "tau_p_fs": tau_p_fs,
+            "gain": gain,
+            "z0_fraction": z0_fraction,
+            "prechirp_compensated": prechirp,
+        },
+        "grid": {"m": m, "half_width": half_width},
+        "pipeline": name,
+    }
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            report = run_pipeline(config_from_dict(raw), out_dir=out)
+        except PipelineError as err:
+            assert str(err).startswith(f"[{err.stage}] ")
+            return
+    assert report.pipeline == name
 
 
 class TestOutputDir:

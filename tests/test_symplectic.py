@@ -21,7 +21,7 @@ from twinbeams.symplectic import (
     symplectic_residual,
     two_mode_squeezer,
 )
-from twinbeams.takagi import TakagiFactors, takagi_real_symmetric
+from twinbeams.takagi import TakagiFactors, takagi_general, takagi_real_symmetric
 
 np.random.seed(42)
 
@@ -167,6 +167,17 @@ class TestSqueezerFromTakagi:
             ref = dense_exponential(pure_squeezer(1j * gamma))
             got = squeezer_from_takagi(takagi_real_symmetric(gamma)).full()
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_block_dtypes_follow_the_factors(self):
+        """Real factors give float64 blocks, with no complex copy; a complex
+        Gamma and the eigh closed form give complex128 blocks."""
+        a = np.random.randn(6, 6)
+        real = squeezer_from_takagi(takagi_real_symmetric(a + a.T))
+        assert real.s0.dtype == real.sI.dtype == np.float64
+        complex_ = squeezer_from_takagi(takagi_general(random_symmetric(6)))
+        assert complex_.s0.dtype == complex_.sI.dtype == np.complex128
+        generated = exponentiate_generator(pure_squeezer(1j * (a + a.T)))
+        assert generated.s0.dtype == generated.sI.dtype == np.complex128
 
     def test_zero_gain_is_exact_identity(self):
         gamma = build_working_point(m=16, gain=0.0).sq.gamma

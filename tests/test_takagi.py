@@ -72,6 +72,13 @@ class TestRealSymmetric:
         with pytest.raises(ValueError, match="imaginary part"):
             takagi_real_symmetric(a)
 
+    def test_rejects_a_tiny_imaginary_part(self):
+        """Realness is exact, as in ``takagi_general``: nothing is dropped."""
+        a = random_symmetric(4, complex_valued=False).astype(complex)
+        a[0, 1] = a[1, 0] = a[0, 1] + 1e-13j * np.abs(a).max()
+        with pytest.raises(ValueError, match="nonzero imaginary part"):
+            takagi_real_symmetric(a)
+
 
 class TestGeneral:
     """Real-embedding eigensolver path for arbitrary complex symmetric matrices."""
