@@ -1,47 +1,9 @@
-"""Run configuration, end-to-end pipelines, artifact export, and the CLI."""
+"""Run configuration, end-to-end pipelines, artifact export, and the CLI:
+exactly the ``__all__`` of the submodules ``config``, ``exports`` and ``pipeline``."""
 
-from .config import (
-    FORMATS,
-    PIPELINES,
-    ConfigError,
-    GridSpec,
-    OutputConfig,
-    RunConfig,
-    bundled_configs,
-    config_from_dict,
-    config_to_dict,
-    parse_config,
-    parse_config_text,
-    serialize_config,
-)
-from .exports import export_matrix_heatmap, export_spectrum, write_csv
-from .pipeline import (
-    ENV_OUTPUT_DIR,
-    PipelineError,
-    RunReport,
-    resolve_output_dir,
-    run_pipeline,
-)
+from . import config, exports, pipeline
+from .config import *
+from .exports import *
+from .pipeline import *
 
-__all__ = [
-    "FORMATS",
-    "PIPELINES",
-    "ConfigError",
-    "GridSpec",
-    "OutputConfig",
-    "RunConfig",
-    "bundled_configs",
-    "config_from_dict",
-    "config_to_dict",
-    "parse_config",
-    "parse_config_text",
-    "serialize_config",
-    "export_matrix_heatmap",
-    "export_spectrum",
-    "write_csv",
-    "ENV_OUTPUT_DIR",
-    "PipelineError",
-    "RunReport",
-    "resolve_output_dir",
-    "run_pipeline",
-]
+__all__ = config.__all__ + exports.__all__ + pipeline.__all__

@@ -92,7 +92,7 @@ def _stage(name: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except PipelineError:
         raise
-    except (ValueError, ArithmeticError, RuntimeError, np.linalg.LinAlgError) as err:
+    except (ValueError, ArithmeticError, RuntimeError) as err:
         raise PipelineError(name, str(err)) from err
 
 
@@ -170,23 +170,11 @@ class RunReport:
         return lines
 
 
-def _band_sizing(_label: str, fn, *args):
-    """Run one model step for automatic band sizing; a failure names the grid."""
-    try:
-        return fn(*args)
-    except ValueError as err:
-        raise PipelineError(
-            "grid",
-            f"automatic band sizing needs the nondegenerate analytic model ({err}); "
-            "set grid.half_width explicitly",
-        ) from err
-
-
-def _analytic_model(cfg: RunConfig, stage=_stage):
-    """(times, Gaussian model, Mehler factors); ``stage`` runs each step."""
-    t = stage("characteristic-times", characteristic_times, cfg.crystal, cfg.pump)
-    params = stage("gaussian-model", gaussian_model_params, t)
-    return t, params, stage("mehler-factors", mehler_factors, params)
+def _analytic_model(cfg: RunConfig):
+    """(times, Gaussian model, Mehler factors), each step a labelled stage."""
+    t = _stage("characteristic-times", characteristic_times, cfg.crystal, cfg.pump)
+    params = _stage("gaussian-model", gaussian_model_params, t)
+    return t, params, _stage("mehler-factors", mehler_factors, params)
 
 
 def _resolve_grid(cfg: RunConfig, model):
@@ -430,7 +418,14 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunReport:
     if analytic:
         model = _analytic_model(cfg)
     elif cfg.grid.half_width is None:
-        model = _stage("grid", _analytic_model, cfg, _band_sizing)
+        try:
+            model = _analytic_model(cfg)
+        except PipelineError as err:
+            raise PipelineError(
+                "grid",
+                f"automatic band sizing needs the nondegenerate analytic model "
+                f"({err.__cause__}); set grid.half_width explicitly",
+            ) from err.__cause__
     grid = _stage("grid", _resolve_grid, cfg, model)
 
     if analytic:

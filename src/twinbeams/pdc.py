@@ -245,23 +245,18 @@ def _check_range(crystal: CrystalConfig, lambda_um, polarization: str) -> None:
         crystal.sellmeier_e.check_range(lambda_um)
 
 
-def refractive_index(
-    crystal: CrystalConfig,
-    lambda_um,
-    polarization: str,
-    theta_deg: float | None = None,
-):
+def refractive_index(crystal: CrystalConfig, lambda_um, polarization: str):
     """Refractive index at a wavelength for ordinary or extraordinary rays.
 
     The extraordinary branch applies the uniaxial angle-dependent index
-    1/n^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2, reducing to n_o at
-    theta = 0 and to the principal n_e at theta = 90 deg.  ``theta_deg``
-    defaults to the crystal's optic-axis angle.
+    1/n^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2 at the crystal's
+    optic-axis angle, reducing to n_o at theta = 0 and to the principal
+    n_e at theta = 90 deg.
     """
     _check_range(crystal, lambda_um, polarization)
     if polarization == "ordinary":
         return np.sqrt(crystal.sellmeier_o.n_squared(lambda_um))
-    theta = math.radians(crystal.theta0_deg if theta_deg is None else float(theta_deg))
+    theta = math.radians(crystal.theta0_deg)
     no2 = crystal.sellmeier_o.n_squared(lambda_um)
     ne2 = crystal.sellmeier_e.n_squared(lambda_um)
     inv_n2 = np.cos(theta) ** 2 / no2 + np.sin(theta) ** 2 / ne2

@@ -35,6 +35,11 @@ __all__ = [
 SYMPLECTIC_THRESHOLD = 1e-10
 
 
+def _bogoliubov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (a, a^dagger) block layout [[a, b], [conj(b), conj(a)]]."""
+    return np.block([[a, b], [b.conj(), a.conj()]])
+
+
 def _rel_max(delta: np.ndarray, ref: np.ndarray) -> float:
     scale = np.abs(ref).max()
     if scale == 0.0:
@@ -92,7 +97,7 @@ class SymplecticMatrix:
 
     def full(self) -> np.ndarray:
         """Assemble the 2n x 2n matrix [[s0, sI], [conj(sI), conj(s0)]]."""
-        return np.block([[self.s0, self.sI], [self.sI.conj(), self.s0.conj()]])
+        return _bogoliubov(self.s0, self.sI)
 
 
 def symplectic_residual(s: SymplecticMatrix) -> float:
@@ -146,7 +151,7 @@ class GaussianState:
             raise ValueError("sigma0 is not Hermitian")
         if _rel_max(sI - sI.T, sI) > 1e-12:
             raise ValueError("sigmaI is not symmetric")
-        full = np.block([[s0, sI], [sI.conj(), s0.conj()]])
+        full = _bogoliubov(s0, sI)
         eigmin = np.linalg.eigvalsh(0.5 * (full + full.conj().T)).min()
         if eigmin < -1e-10 * max(np.abs(full).max(), 1.0):
             raise ValueError(f"covariance is not positive semidefinite (min eig {eigmin:.3e})")
@@ -155,9 +160,7 @@ class GaussianState:
         object.__setattr__(self, "sigmaI", sI)
 
     def full_covariance(self) -> np.ndarray:
-        return np.block(
-            [[self.sigma0, self.sigmaI], [self.sigmaI.conj(), self.sigma0.conj()]]
-        )
+        return _bogoliubov(self.sigma0, self.sigmaI)
 
     @classmethod
     def vacuum(cls, n: int) -> "GaussianState":
@@ -230,7 +233,7 @@ def exponentiate_generator(g: GeneratorMatrix) -> SymplecticMatrix:
     if not np.any(g.h0):
         s0, sI = _pure_squeezer_blocks(g.hI)
         return SymplecticMatrix(n=n, s0=s0, sI=sI)
-    h = np.block([[g.h0, g.hI], [g.hI.conj(), g.h0.conj()]])
+    h = _bogoliubov(g.h0, g.hI)
     k = np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(complex)
     s = expm(-1j * k @ h)
     return SymplecticMatrix(n=n, s0=s[:n, :n], sI=s[:n, n:])

@@ -4,7 +4,9 @@ Two algorithmic paths are provided: a spectral shortcut for real
 symmetric input, and a general path (one real symmetric eigensolve of
 twice the size plus a polar step) that stays accurate for degenerate and
 near-degenerate singular values.  ``takagi_residual`` measures the
-reconstruction quality of any candidate factorization.
+reconstruction quality of any candidate factorization.  Every route,
+``twinbeam.associated_spectral`` included, assembles its factors from
+signed eigenpairs in the one step ``_factors_from_signed``.
 
 Factors of a real symmetric matrix (and the twin-beam duos built from a
 real JSA) have columns that are each purely real or purely imaginary,
@@ -112,6 +114,25 @@ def _unitarity_defect(v: np.ndarray) -> float:
     return float(np.abs(gram).max())
 
 
+def _factors_from_signed(lam: np.ndarray, vectors: np.ndarray) -> TakagiFactors:
+    """Takagi factors from signed eigenpairs (lam, columns of ``vectors``).
+
+    The one ordering and sign rule of every route: r = |lam| descending,
+    ties kept in solver order, and each column times i where lam < 0.
+    """
+    order = np.argsort(-np.abs(lam), kind="stable")
+    lam = lam[order]
+    v = vectors[:, order].astype(complex, copy=False)
+    v[:, lam < 0] *= 1j
+    return TakagiFactors(v=v, r=np.abs(lam))
+
+
+def _polar(v: np.ndarray) -> np.ndarray:
+    """Unitary polar factor U W^H of V = U Sigma W^H."""
+    u, _, wh = np.linalg.svd(v)
+    return u @ wh
+
+
 def takagi_real_symmetric(a: np.ndarray) -> TakagiFactors:
     """Takagi factorization of a real symmetric matrix via its spectrum.
 
@@ -143,14 +164,7 @@ def takagi_real_symmetric(a: np.ndarray) -> TakagiFactors:
 
     lam, o = np.linalg.eigh(a)
     o /= _largest_entry_phase(o)
-    # Descending by magnitude; ties keep the eigh output order.
-    order = np.argsort(-np.abs(lam), kind="stable")
-    lam = lam[order]
-    o = o[:, order]
-
-    v = o.astype(complex)
-    v[:, lam < 0] *= 1j
-    return TakagiFactors(v=v, r=np.abs(lam))
+    return _factors_from_signed(lam, o)
 
 
 def takagi_general(a: np.ndarray) -> TakagiFactors:
@@ -186,13 +200,7 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
     lam, w = np.linalg.eigh(np.block([[a.real, a.imag], [a.imag, -a.real]]))
     s = lam[n:][::-1]
     top = w[:, n:][:, ::-1]
-    v = top[:n] + 1j * top[n:]
-    u, _, wh = np.linalg.svd(v)
-    v = u @ wh
-    v[:, s < 0] *= 1j
-    order = np.argsort(-np.abs(s), kind="stable")
-
-    factors = TakagiFactors(v=v[:, order], r=np.abs(s[order]))
+    factors = _factors_from_signed(s, _polar(top[:n] + 1j * top[n:]))
     residual = takagi_residual(a, factors)
     if residual > TAKAGI_THRESHOLD:
         raise RuntimeError(

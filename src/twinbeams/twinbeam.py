@@ -23,8 +23,10 @@ import numpy as np
 
 from .takagi import (
     TakagiFactors,
+    _factors_from_signed,
     _float_or_complex,
     _largest_entry_phase,
+    _polar,
     _unitarity_defect,
     takagi_real_symmetric,
 )
@@ -218,8 +220,8 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
     matrix yields a Hermitian matrix whose eigenpairs (lambda, U) map to
     squeezing eigenmodes: r = |lambda|, mode = U with the idler half
     conjugated, times i when lambda < 0.  The +-lambda signs of each duo
-    are what distinguishes the two partners.  Eigenpairs are ordered as in
-    the Takagi module (descending |lambda|, stable).  A real matrix, which is
+    are what distinguishes the two partners.  The Takagi module's assembly
+    step orders the eigenpairs and applies the i.  A real matrix, which is
     its own associated matrix, goes straight to ``takagi_real_symmetric``,
     and so does a complex one whose imaginary part is exactly zero after
     the reshuffle (the rule of ``takagi_general``).
@@ -239,18 +241,12 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
         f = takagi_real_symmetric(g.real)
         return SqueezingSpectrum(values=f.r, modes=f.v, source="associated_spectral")
     lam, u = np.linalg.eigh(g)
-    order = np.argsort(-np.abs(lam), kind="stable")
-    lam = lam[order]
-    modes = u[:, order]
-    modes /= _largest_entry_phase(modes)
-    modes[m:, :] = modes[m:, :].conj()
-    modes[:, lam < 0] *= 1j
+    u /= _largest_entry_phase(u)
+    u[m:, :] = u[m:, :].conj()
+    f = _factors_from_signed(lam, u)
     # Complex eigh mixes the +-lambda partners of small eigenvalues, which
     # the idler conjugation makes non-orthogonal: take the polar factor.
-    w, _, vh = np.linalg.svd(modes)
-    return SqueezingSpectrum(
-        values=np.abs(lam), modes=w @ vh, source="associated_spectral"
-    )
+    return SqueezingSpectrum(values=f.r, modes=_polar(f.v), source="associated_spectral")
 
 
 def spectrum_from_takagi(factors: TakagiFactors) -> SqueezingSpectrum:
@@ -285,8 +281,11 @@ def pair_eigenvalues(
 
     The gap is |r_{2k-1} - r_{2k}| / r_1.  Pairing stops at the first duo
     exceeding ``rel_tol`` (or at an odd leftover value) and reports the
-    1-based index where it failed.
+    1-based index where it failed.  ``rel_tol`` must lie strictly between
+    0 and 1, the rule of ``RunConfig.pairing_tol``.
     """
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie strictly between 0 and 1, got {rel_tol}")
     n_pairs = next(
         (k for k, (_, _, gap) in enumerate(spectrum.pairs) if gap > rel_tol),
         len(spectrum.pairs),
@@ -330,9 +329,12 @@ def fit_geometric(values, max_pairs: int | None = None) -> GeometricFit:
 
     Consecutive duos are averaged to one value per pair index l; pairs
     below 1e-6 of the leading one are dropped (numerical-noise floor)
-    and ``max_pairs`` optionally caps the window.  The fit is linear in
-    log r, so the residual is a log-domain RMS.
+    and ``max_pairs`` optionally caps the window; it must be at least 3,
+    the rule of ``RunConfig.fit_pairs``.  The fit is linear in log r, so
+    the residual is a log-domain RMS.
     """
+    if max_pairs is not None and max_pairs < 3:
+        raise ValueError(f"max_pairs must be at least 3, got {max_pairs}")
     means = _duo_means(values)
     if max_pairs is not None:
         means = means[:max_pairs]

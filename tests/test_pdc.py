@@ -43,9 +43,13 @@ class TestSellmeier:
         assert np.allclose(n, 1.668051, atol=5e-7, rtol=0)
 
     def test_extraordinary_limits(self):
-        """Angle-dependent index reduces to n_o at 0 deg and n_e at 90 deg."""
-        n0 = refractive_index(CRYSTAL, 0.6328, "extraordinary", theta_deg=0.0)
-        n90 = refractive_index(CRYSTAL, 0.6328, "extraordinary", theta_deg=90.0)
+        """Angle-dependent index reduces to n_o at 0 deg and n_e at 90 deg.
+
+        A crystal angle lies strictly inside (0, 90) deg; 1e-7 deg from
+        either end moves n by about 1e-18.
+        """
+        n0 = refractive_index(bbo_crystal(2.0, 1e-7), 0.6328, "extraordinary")
+        n90 = refractive_index(bbo_crystal(2.0, 90.0 - 1e-7), 0.6328, "extraordinary")
         no = math.sqrt(BBO_SELLMEIER_ORDINARY.n_squared(0.6328))
         ne = math.sqrt(BBO_SELLMEIER_EXTRAORDINARY.n_squared(0.6328))
         assert np.allclose(n0, no, atol=1e-14, rtol=0)

@@ -342,6 +342,9 @@ class TestFailures:
             with pytest.raises(PipelineError, match=r"\[grid\].*set grid.half_width") as info:
                 run_pipeline(config_from_dict(raw), out_dir=tmp_path)
             assert info.value.stage == "grid"
+            # The model's own reason is quoted, without its stage label.
+            assert "(degenerate regime" in str(info.value)
+            assert "[characteristic-times]" not in str(info.value)
 
     def test_analytic_pipeline_fails_past_degeneracy(self, tmp_path):
         for name in ("analytic", "compare"):

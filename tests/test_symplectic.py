@@ -327,6 +327,17 @@ class TestGaussianState:
         full = st.full_covariance()
         assert np.array_equal(full, 0.5 * np.eye(6))
 
+    def test_full_covariance_layout(self):
+        """[[sigma0, sigmaI], [conj(sigmaI), conj(sigma0)]] for a complex, non-diagonal sigmaI."""
+        sigma0 = np.array([[1.0, 0.1j], [-0.1j, 1.0]])
+        sigmaI = np.array([[0.2 + 0.1j, 0.3 - 0.2j], [0.3 - 0.2j, 0.1j]])
+        st = GaussianState(n=2, mean=np.zeros(2), sigma0=sigma0, sigmaI=sigmaI)
+        full = st.full_covariance()
+        assert np.array_equal(full[:2, :2], sigma0)
+        assert np.array_equal(full[:2, 2:], sigmaI)
+        assert np.array_equal(full[2:, :2], sigmaI.conj())
+        assert np.array_equal(full[2:, 2:], sigma0.conj())
+
     def test_validation(self):
         eye = 0.5 * np.eye(2)
         bad = np.array([[0.5, 0.3], [0.0, 0.5]])

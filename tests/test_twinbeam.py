@@ -295,6 +295,13 @@ class TestPairing:
         assert pair_eigenvalues(spec, rel_tol=1e-2).n_pairs == 0
         assert pair_eigenvalues(spec, rel_tol=0.1).n_pairs == 2
 
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -0.1, 1.0])
+    def test_rejects_tolerance_outside_unit_interval(self, tol):
+        """A NaN tolerance would otherwise accept the gaps 0.5 and 0.3 as duos."""
+        spec = synthetic_spectrum([1.0, 0.5, 0.4, 0.1])
+        with pytest.raises(ValueError, match="rel_tol must lie strictly between 0 and 1"):
+            pair_eigenvalues(spec, rel_tol=tol)
+
 
 class TestSchmidtNumber:
     """Effective mode count."""
@@ -347,6 +354,14 @@ class TestGeometricFit:
         values[20:] *= 1.5  # corrupt the tail
         fit = fit_geometric(values, max_pairs=10)
         assert np.allclose(fit.q, 0.9, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("max_pairs", [-1, 0, 2])
+    def test_rejects_max_pairs_below_three(self, max_pairs):
+        """A negative cap would otherwise cut pairs off the end of the window."""
+        values = np.repeat(0.9 ** np.arange(10), 2)
+        values[-2:] *= 0.1  # the last duo is off the law
+        with pytest.raises(ValueError, match="max_pairs must be at least 3"):
+            fit_geometric(values, max_pairs=max_pairs)
 
     def test_fit_at_working_point(self, nondegenerate):
         spec = eigenmodes_from_schmidt(schmidt_from_jsa(nondegenerate.ext.jsa))
