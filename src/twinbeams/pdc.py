@@ -9,6 +9,12 @@ Conventions: detunings in rad/fs, wave vectors in rad/mm, crystal length
 in mm, wavelengths in um inside the dispersion model.  The pump is
 extraordinary-polarized at the optic-axis angle theta0; the downconverted
 light is ordinary (type-I phase matching).
+
+scipy is imported only inside ``find_central_detuning``, the one caller
+of ``scipy.optimize.brentq``, when it is first called.  No pipeline calls
+it, and a module-level import would cost every run about 0.65 s of
+import time and a second OpenBLAS runtime (scipy's own, about 45 MB
+resident) next to numpy's.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .takagi import _float_or_complex
 from .twinbeam import JointSpectralAmplitude
@@ -460,6 +465,8 @@ def find_central_detuning(crystal: CrystalConfig, pump: PumpConfig) -> float:
     ``mehler.characteristic_times(...).omega_s``.  The first scan sample
     is Delta_0 itself, so Delta_0 = 0 returns exactly 0.0.
     """
+    from scipy.optimize import brentq  # deferred: see the module docstring
+
     fun = lambda w: float(phase_mismatch(w, -w, crystal, pump))
     hi = _max_valid_detuning(crystal, pump)
     omegas = np.linspace(0.0, hi, 129)

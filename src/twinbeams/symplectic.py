@@ -6,6 +6,17 @@ blocks (s0, sI) acting on the stacked vector (a, a^dagger); the full
 S K S^dagger = K with K = diag(I, -I).  Generators are Hermitian
 matrices H with blocks (h0 Hermitian, hI complex symmetric) and map to
 symplectic matrices through S = exp(-i K H).
+
+scipy is imported only inside the general-h0 branch of
+``exponentiate_generator`` (``scipy.linalg.expm``), when that branch is
+first reached.  No pipeline reaches it, and a module-level import would
+cost every run about 0.65 s of import time and a second OpenBLAS runtime
+(scipy's own, about 45 MB resident) next to numpy's.  Any future route on
+the run path, here or in the other layers, must keep to ``np.linalg`` or
+defer its scipy import in the same way, and then pays that cost on every
+run that takes it; one such idea is
+``scipy.linalg.eigh(subset_by_index=...)`` for the top half of the Takagi
+embedding spectrum (an open item in ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -13,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .takagi import TakagiFactors, _float_or_complex, _real_basis, takagi_general
 
@@ -233,6 +243,8 @@ def exponentiate_generator(g: GeneratorMatrix) -> SymplecticMatrix:
     if not np.any(g.h0):
         s0, sI = _pure_squeezer_blocks(g.hI)
         return SymplecticMatrix(n=n, s0=s0, sI=sI)
+    from scipy.linalg import expm  # deferred: see the module docstring
+
     h = _bogoliubov(g.h0, g.hI)
     k = np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(complex)
     s = expm(-1j * k @ h)
