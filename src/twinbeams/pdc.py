@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .takagi import _float_or_complex
+from .takagi import _bit_symmetric, _float_or_complex, _mirror_blocks
 from .twinbeam import JointSpectralAmplitude
 from .units import C_UM_PER_FS, UM_PER_MM, nm_to_um
 
@@ -224,7 +224,9 @@ class SqueezingMatrixPhysical:
     """Discrete squeezing matrix Gamma = -i H_I^(1) on a frequency grid.
 
     A float64 ``gamma`` stays float64 (a real Gamma); any other input is
-    stored as complex128.
+    stored as complex128.  NaN or infinite entries are rejected, and so is
+    an asymmetry above 1e-12 of max|Gamma|; a Gamma that equals its
+    transpose bit for bit skips that tolerance test.
     """
 
     grid: FrequencyGrid
@@ -235,9 +237,12 @@ class SqueezingMatrixPhysical:
         n = 2 * self.grid.m
         if g.shape != (n, n):
             raise ValueError("gamma must be 2m x 2m")
-        scale = np.abs(g).max()
-        if scale > 0 and np.abs(g - g.T).max() > 1e-12 * scale:
-            raise ValueError("gamma must be symmetric")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("gamma has non-finite (NaN or inf) entries")
+        if not _bit_symmetric(g):
+            scale = np.abs(g).max()
+            if scale > 0 and np.abs(g - g.T).max() > 1e-12 * scale:
+                raise ValueError("gamma must be symmetric")
         object.__setattr__(self, "gamma", g)
 
 
@@ -259,6 +264,11 @@ def refractive_index(crystal: CrystalConfig, lambda_um, polarization: str):
     n_e at theta = 90 deg.
     """
     _check_range(crystal, lambda_um, polarization)
+    return _refractive_index(crystal, lambda_um, polarization)
+
+
+def _refractive_index(crystal: CrystalConfig, lambda_um, polarization: str):
+    """``refractive_index`` at wavelengths already checked by ``_check_range``."""
     if polarization == "ordinary":
         return np.sqrt(crystal.sellmeier_o.n_squared(lambda_um))
     theta = math.radians(crystal.theta0_deg)
@@ -323,8 +333,13 @@ def wave_vector(detuning, branch: str, crystal: CrystalConfig, pump: PumpConfig)
     extraordinary at theta0, the downconverted light ordinary.
     """
     omega, lam, pol = _branch_optics(detuning, branch, pump)
-    n = refractive_index(crystal, lam, pol)
-    return n * omega / C_UM_PER_FS * UM_PER_MM
+    _check_range(crystal, lam, pol)
+    return _wave_vector(crystal, omega, lam, pol)
+
+
+def _wave_vector(crystal: CrystalConfig, omega, lam, pol: str):
+    """``wave_vector`` from ``_branch_optics`` output already checked by ``_check_range``."""
+    return _refractive_index(crystal, lam, pol) * omega / C_UM_PER_FS * UM_PER_MM
 
 
 def wave_vector_derivatives(
@@ -356,6 +371,24 @@ def phase_mismatch(omega_j, omega_l, crystal: CrystalConfig, pump: PumpConfig):
     )
 
 
+def _chirp_reference(crystal: CrystalConfig, pump: PumpConfig):
+    """(k_p0, k'_p0, z0) of the pump spectral phase exp(i (k_p - k_p0 - k'_p0 O) z0)."""
+    kp0, kp1, _ = wave_vector_derivatives(0.0, "pump", crystal, pump)
+    return kp0, kp1, pump.z0_fraction * crystal.length_mm
+
+
+def _pump_amplitude(osum: np.ndarray, omega_p: float, kp=None, chirp=None):
+    """``pump_spectrum`` of a float array: the Gaussian of bandwidth ``omega_p``,
+    times the chirp phase when ``chirp`` (``_chirp_reference``) and
+    kp = k_p(osum) are given."""
+    amp = np.exp(-(osum**2) / (2.0 * omega_p**2))
+    if chirp is None:
+        return amp
+    kp0, kp1, z0_mm = chirp
+    phase = (kp - kp0 - kp1 * osum) * z0_mm
+    return amp * np.exp(1j * phase)
+
+
 def pump_spectrum(sum_detuning, pump: PumpConfig, crystal: CrystalConfig):
     """Pump spectral amplitude at the interaction-picture origin z0.
 
@@ -367,19 +400,20 @@ def pump_spectrum(sum_detuning, pump: PumpConfig, crystal: CrystalConfig):
     """
     osum = np.asarray(sum_detuning, dtype=float)
     omega_p = pump_bandwidth(pump)
-    amp = np.exp(-(osum**2) / (2.0 * omega_p**2))
     if pump.prechirp_compensated:
-        return amp
-    z0_mm = pump.z0_fraction * crystal.length_mm
+        return _pump_amplitude(osum, omega_p)
     kp = wave_vector(osum, "pump", crystal, pump)
-    kp0, kp1, _ = wave_vector_derivatives(0.0, "pump", crystal, pump)
-    phase = (kp - kp0 - kp1 * osum) * z0_mm
-    return amp * np.exp(1j * phase)
+    return _pump_amplitude(osum, omega_p, kp, _chirp_reference(crystal, pump))
 
 
 def _sinc(x):
     """sin(x)/x with sinc(0) = 1."""
     return np.sinc(np.asarray(x) / math.pi)
+
+
+#: Cells of one row tile of ``build_squeezing_matrix``: 64 rows at 2m = 1024,
+#: so a float64 temporary of a tile is 512 KB and stays in cache.
+_TILE_CELLS = 1 << 16
 
 
 def build_squeezing_matrix(
@@ -398,24 +432,62 @@ def build_squeezing_matrix(
 
     The unit phase is formed as p (1/|p|), the value numpy's complex
     division gives for p / |p|; for a real p it is sign(p) |p| (1/|p|),
-    within one rounding of sign(p).  Adding +0.0 at the end turns each
-    -0.0 (a Gaussian that underflows to 0 times a negative sinc) into
-    +0.0, so every zero element has the same bits.
+    within one rounding of sign(p).  Gamma is then replaced by its
+    symmetric part 0.5 (Gamma + Gamma^T), and adding +0.0 turns each -0.0
+    (a Gaussian that underflows to 0 times a negative sinc) into +0.0, so
+    every zero element has the same bits and Gamma equals its transpose
+    bit for bit.
+
+    Gamma is preallocated and filled one tile of rows at a time
+    (``_TILE_CELLS`` cells, 64 rows at 2m = 1024): k(Omega) of the band is
+    computed once, the pump factors k_p and E0 per tile.  The rotation
+    runs in place, the symmetric part and the +0.0 in place over square
+    blocks and their mirrors.  Every element goes through the operations
+    of the whole-matrix expression in the same order, so Gamma is
+    bit-identical to it.  The wavelength checks run first on the band and
+    on its extreme sums, which bound every sum of the grid, so an invalid
+    grid raises the same error text as the whole grid would.  Besides
+    Gamma the build holds tile-sized temporaries (a few MB whatever m) and
+    one boolean matrix in the final checks; at m = 512 its traced peak is
+    under three times the bytes of Gamma (nine for the whole-matrix build).
     """
     om = grid.detunings
-    osum = om[:, None] + om[None, :]
-    delta = phase_mismatch(om[:, None], om[None, :], crystal, pump)
+    n = om.size
     length = crystal.length_mm
     offset = 0.5 * length - pump.z0_fraction * length
-    gamma = pump.gain * pump_spectrum(osum, pump, crystal)
-    if offset != 0.0:
-        gamma = gamma * np.exp(1j * delta * offset)
-    gamma = gamma * _sinc(0.5 * delta * length) * grid.spacing
-    peak = gamma.flat[np.argmax(np.abs(gamma))]
+    # O_1 + O_1 and O_2m + O_2m bound every pump wavelength of the grid, so
+    # no tile needs the wavelength check again.
+    wave_vector(om[[0, -1]] + om[[0, -1]], "pump", crystal, pump)
+    k = wave_vector(om, "downconverted", crystal, pump)
+    omega_p = pump_bandwidth(pump)
+    chirp = None if pump.prechirp_compensated else _chirp_reference(crystal, pump)
+    real = pump.prechirp_compensated and offset == 0.0
+    gamma = np.empty((n, n), dtype=float if real else complex)
+    step = max(1, _TILE_CELLS // n)
+
+    # The first largest |element| in row order: np.argmax over the whole Gamma.
+    peak, peak_abs = 0.0, -1.0
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        osum = om[rows, None] + om
+        kp = _wave_vector(crystal, *_branch_optics(osum, "pump", pump))
+        delta = kp - k[rows, None] - k
+        tile = pump.gain * _pump_amplitude(osum, omega_p, kp, chirp)
+        if offset != 0.0:
+            tile = tile * np.exp(1j * delta * offset)
+        out = gamma[rows]
+        np.multiply(tile * _sinc(0.5 * delta * length), grid.spacing, out=out)
+        mag = np.abs(out)
+        i = np.argmax(mag)
+        if mag.flat[i] > peak_abs:
+            peak, peak_abs = out.flat[i], mag.flat[i]
     if peak != 0.0:
-        gamma = gamma * (peak * (1.0 / abs(peak))).conjugate()
-    gamma = 0.5 * (gamma + gamma.T)
-    gamma += 0.0
+        gamma *= (peak * (1.0 / abs(peak))).conjugate()
+    for rows, cols in _mirror_blocks(n):
+        upper = 0.5 * (gamma[rows, cols] + gamma[cols, rows].T)
+        upper += 0.0
+        gamma[rows, cols] = upper
+        gamma[cols, rows] = upper.T
     return SqueezingMatrixPhysical(grid=grid, gamma=gamma)
 
 
@@ -433,11 +505,18 @@ def extract_jsa(sq: SqueezingMatrixPhysical) -> JsaExtraction:
     Leakage is the energy fraction of the two diagonal (signal x signal,
     idler x idler) blocks, ||ss||_F^2 + ||ii||_F^2 over ||Gamma||_F^2;
     it vanishes when the twin-beam block structure is exact.  The caller
-    judges it against its own threshold.
+    judges it against its own threshold.  A Gamma whose energy overflows
+    double precision raises ValueError.
     """
     m = sq.grid.m
     g = sq.gamma
-    total = np.linalg.norm(g) ** 2
+    with np.errstate(over="ignore"):
+        total = np.linalg.norm(g) ** 2
+    if total == math.inf:
+        raise ValueError(
+            f"squeezing-matrix energy ||Gamma||_F^2 overflows double precision "
+            f"(max|Gamma| = {np.abs(g).max():.3e}); lower the gain"
+        )
     if total == 0.0:
         leakage = 0.0
     else:

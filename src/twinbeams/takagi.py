@@ -13,6 +13,10 @@ real JSA) have columns that are each purely real or purely imaginary,
 V = W diag(1 or i) with W real.  ``_real_basis`` returns that W, or V
 itself for any other V, and each check is written once in W: numpy runs
 it in real arithmetic whenever W is real.
+
+Input that equals its transpose bit for bit is factored as it is; any
+other input must be symmetric to 1e-10 of its largest entry and is
+replaced by its symmetric part 0.5 (A + A^T) first.
 """
 
 from __future__ import annotations
@@ -57,6 +61,38 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+#: Side of the square blocks in which a matrix meets its transpose: a block
+#: and its mirror stay in cache, where a whole-matrix transpose would not.
+_MIRROR_BLOCK = 64
+
+
+def _mirror_blocks(n: int):
+    """(rows, cols) slices of the n x n blocks on and above the diagonal."""
+    for r0 in range(0, n, _MIRROR_BLOCK):
+        for c0 in range(r0, n, _MIRROR_BLOCK):
+            yield slice(r0, r0 + _MIRROR_BLOCK), slice(c0, c0 + _MIRROR_BLOCK)
+
+
+def _bit_symmetric(a: np.ndarray) -> bool:
+    """True when a float64 or complex128 ``a`` equals its transpose bit for bit.
+
+    Entries are compared as uint64 words, so a +0/-0 mirror pair, equal as
+    floats, counts as asymmetric; any other dtype gives False.  Such an
+    ``a`` is exactly its own symmetric part, since 0.5 (x + x) = x, and
+    needs neither the tolerance test nor the copy 0.5 (A + A^T) (which
+    would overflow to inf where |x| > max/2).
+    """
+    parts = (a.real, a.imag) if a.dtype == np.complex128 else (a,)
+    if parts[0].dtype != np.float64:
+        return False
+    words = [p.view(np.uint64) for p in parts]
+    return all(
+        np.array_equal(w[rows, cols], w[cols, rows].T)
+        for rows, cols in _mirror_blocks(a.shape[0])
+        for w in words
+    )
+
+
 def _check_symmetric(a: np.ndarray) -> None:
     scale = np.abs(a).max()
     if scale == 0.0:
@@ -67,6 +103,14 @@ def _check_symmetric(a: np.ndarray) -> None:
             f"matrix is not symmetric: max|A - A^T| = {asym:.3e} "
             f"exceeds 1.0e-10 * max|A| = {1e-10 * scale:.3e}"
         )
+
+
+def _symmetric_part(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when bit-symmetric, else 0.5 (A + A^T) after ``_check_symmetric``."""
+    if _bit_symmetric(a):
+        return a
+    _check_symmetric(a)
+    return 0.5 * (a + a.T)
 
 
 def _largest_entry_phase(u: np.ndarray) -> np.ndarray:
@@ -158,9 +202,7 @@ def takagi_real_symmetric(a: np.ndarray) -> TakagiFactors:
     a = _as_square(a)
     if np.iscomplexobj(a) and np.any(a.imag):
         raise ValueError("matrix has a nonzero imaginary part")
-    a = np.asarray(a.real, dtype=float)
-    _check_symmetric(a)
-    a = 0.5 * (a + a.T)
+    a = _symmetric_part(np.asarray(a.real, dtype=float))
 
     lam, o = np.linalg.eigh(a)
     o /= _largest_entry_phase(o)
@@ -193,8 +235,7 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
     a = _as_square(a)
     if np.isrealobj(a) or not np.any(a.imag):
         return takagi_real_symmetric(a.real)
-    _check_symmetric(a)
-    a = 0.5 * (a + a.T)
+    a = _symmetric_part(a)
     n = a.shape[0]
 
     lam, w = np.linalg.eigh(np.block([[a.real, a.imag], [a.imag, -a.real]]))

@@ -296,14 +296,22 @@ def pair_eigenvalues(
 
 
 def schmidt_number(values) -> float:
-    """Effective mode count K_S = (sum r)^2 / sum r^2."""
+    """Effective mode count K_S = (sum r)^2 / sum r^2.
+
+    ValueError for negative or non-finite values, for all-zero values, and
+    for values whose sums overflow double precision.
+    """
     r = np.asarray(values, dtype=float)
     if not (np.all(np.isfinite(r)) and np.all(r >= 0)):
         raise ValueError("values must be nonnegative and finite")
-    total_sq = float(np.sum(r * r))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(r))
+        total_sq = float(np.sum(r * r))
     if total_sq == 0.0:
         raise ValueError("all-zero values have no Schmidt number")
-    return float(np.sum(r)) ** 2 / total_sq
+    if not math.isfinite(total * total):
+        raise ValueError(f"values up to {r.max():.3e} overflow double precision in (sum r)^2")
+    return total**2 / total_sq
 
 
 class GeometricFit(NamedTuple):

@@ -176,6 +176,21 @@ class TestRun:
         assert result.exit_code == 3
         assert "[grid]" in all_output(result)
 
+    @pytest.mark.parametrize("gain", [1e160, 1e300])
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
+    def test_huge_gain_exits_3_with_a_stage_label(self, runner, tmp_path, gain, z0_fraction):
+        """||Gamma||_F^2 past double precision stops at the JSA extraction, with
+        no RuntimeWarning on the way (the test suite turns one into an error)."""
+        cfg_path = write_config(
+            tmp_path,
+            pump={"lambda_p_nm": 397.5, "tau_p_fs": 129.0, "gain": gain, "z0_fraction": z0_fraction},
+            grid={"m": 32},
+            pipeline="compare",
+        )
+        result = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 3, all_output(result)
+        assert "error: [jsa-extraction] squeezing-matrix energy" in all_output(result)
+
     @pytest.mark.parametrize(
         "pipeline_name, grid, stage",
         [

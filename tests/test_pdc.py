@@ -1,6 +1,7 @@
 """Tests for the dispersion model and squeezing-matrix assembly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from twinbeams.pdc import (
     FrequencyGrid,
     PumpConfig,
     SellmeierSet,
+    SqueezingMatrixPhysical,
     bbo_crystal,
     build_frequency_grid,
     build_squeezing_matrix,
@@ -395,9 +397,102 @@ class TestSqueezingMatrix:
         grid = build_frequency_grid(2, half_width=1.0)
         bad = np.arange(16.0).reshape(4, 4)
         with pytest.raises(ValueError, match="symmetric"):
-            from twinbeams.pdc import SqueezingMatrixPhysical
-
             SqueezingMatrixPhysical(grid=grid, gamma=bad)
+
+    def test_validation_accepts_a_signed_zero_mirror_pair(self):
+        """+0 and -0 are not the same bits, but equal within the tolerance."""
+        gamma = np.eye(4)
+        gamma[0, 3], gamma[3, 0] = 0.0, -0.0
+        sq = SqueezingMatrixPhysical(grid=build_frequency_grid(2, half_width=1.0), gamma=gamma)
+        assert np.signbit(sq.gamma[3, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_validation_rejects_non_finite(self, bad):
+        grid = build_frequency_grid(2, half_width=1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            SqueezingMatrixPhysical(grid=grid, gamma=np.full((4, 4), bad))
+
+
+def whole_matrix_gamma(crystal, pump, grid):
+    """Gamma as one expression over the whole (2m)^2 grid, step by step in the
+    order the tiled build must keep for every element."""
+    om = grid.detunings
+    osum = om[:, None] + om[None, :]
+    delta = phase_mismatch(om[:, None], om[None, :], crystal, pump)
+    length = crystal.length_mm
+    offset = 0.5 * length - pump.z0_fraction * length
+    gamma = pump.gain * pump_spectrum(osum, pump, crystal)
+    if offset != 0.0:
+        gamma = gamma * np.exp(1j * delta * offset)
+    gamma = gamma * np.sinc(0.5 * delta * length / math.pi) * grid.spacing
+    peak = gamma.flat[np.argmax(np.abs(gamma))]
+    if peak != 0.0:
+        gamma = gamma * (peak * (1.0 / abs(peak))).conjugate()
+    gamma = 0.5 * (gamma + gamma.T)
+    gamma += 0.0
+    return gamma
+
+
+#: The cut angles of the two bundled configs.
+BUNDLED_CRYSTALS = {"nondegenerate": bbo_crystal(2.0, 28.81), "near-degenerate": bbo_crystal(2.0, 29.18)}
+#: A float64 Gamma and two ways to a complex one.
+GAMMA_PUMPS = {
+    "real": {},
+    "z0-quarter": {"z0_fraction": 0.25},
+    "chirped-z0-zero": {"z0_fraction": 0.0, "prechirp_compensated": False},
+}
+#: The default tiles (one tile below 2m = 257) and tiles of one to a few rows.
+TILE_CELLS = {"default-tiles": pdc._TILE_CELLS, "small-tiles": 700}
+
+
+class TestTiledBuild:
+    """The row-tiled build against the whole-matrix expression."""
+
+    @pytest.mark.parametrize("tiles", TILE_CELLS.values(), ids=TILE_CELLS.keys())
+    @pytest.mark.parametrize("pump_kw", GAMMA_PUMPS.values(), ids=GAMMA_PUMPS.keys())
+    @pytest.mark.parametrize("crystal", BUNDLED_CRYSTALS.values(), ids=BUNDLED_CRYSTALS.keys())
+    @pytest.mark.parametrize("m", [1, 37, 64, 100, 256])
+    def test_bit_identical_to_whole_matrix(self, monkeypatch, m, crystal, pump_kw, tiles):
+        monkeypatch.setattr(pdc, "_TILE_CELLS", tiles)
+        grid = build_frequency_grid(m, half_width=0.55)
+        pump = PumpConfig(397.5, 129.0, gain=10.0, **pump_kw)
+        got = build_squeezing_matrix(crystal, pump, grid).gamma
+        want = whole_matrix_gamma(crystal, pump, grid)
+        assert got.dtype == want.dtype == (complex if pump_kw else float)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tiles", TILE_CELLS.values(), ids=TILE_CELLS.keys())
+    @pytest.mark.parametrize(
+        "half_width, message",
+        [
+            (1.5, "wavelength 0.4883-2.1379 um outside Sellmeier validity range [0.19, 1.5] um"),
+            (
+                2.4,
+                "pump detuning -4.7625 rad/fs puts the optical frequency at -0.0237539 "
+                "rad/fs (center 4.73875 rad/fs), at or below zero",
+            ),
+        ],
+        ids=["sellmeier-range", "negative-pump-frequency"],
+    )
+    def test_invalid_grid_raises_the_whole_grid_error(self, monkeypatch, half_width, message, tiles):
+        """The checks see the whole band, not the first tile's part of it."""
+        monkeypatch.setattr(pdc, "_TILE_CELLS", tiles)
+        grid = build_frequency_grid(64, half_width=half_width)
+        for build in (build_squeezing_matrix, whole_matrix_gamma):
+            with pytest.raises(ValueError) as info:
+                build(CRYSTAL, PUMP, grid)
+            assert str(info.value) == message
+
+    def test_traced_peak_stays_within_three_gammas(self):
+        """Gamma plus tile-sized temporaries: the whole-matrix build peaked at 9x."""
+        grid = build_frequency_grid(512, half_width=0.55)
+        tracemalloc.start()
+        try:
+            gamma = build_squeezing_matrix(CRYSTAL, PUMP, grid).gamma
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * gamma.nbytes
 
 
 class TestJsaExtraction:
@@ -417,8 +512,13 @@ class TestJsaExtraction:
         assert near_degenerate.ext.leakage > 1e-3
 
     def test_zero_matrix_has_zero_leakage(self):
-        from twinbeams.pdc import SqueezingMatrixPhysical
-
         grid = build_frequency_grid(4, half_width=1.0)
         ext = extract_jsa(SqueezingMatrixPhysical(grid=grid, gamma=np.zeros((8, 8))))
         assert ext.leakage == 0.0
+
+    def test_overflowing_energy_raises(self):
+        """||Gamma||_F^2 past double precision: a ValueError, not a NaN leakage."""
+        grid = build_frequency_grid(2, half_width=1.0)
+        gamma = np.full((4, 4), 1e160)
+        with pytest.raises(ValueError, match="overflows double precision"):
+            extract_jsa(SqueezingMatrixPhysical(grid=grid, gamma=gamma))

@@ -379,6 +379,20 @@ class TestFailures:
             run_pipeline(config_from_dict(raw), out_dir=tmp_path)
         assert info.value.stage == "symplectic"
 
+    @pytest.mark.parametrize("pipeline_name", ["numerical", "near_degenerate", "compare"])
+    @pytest.mark.parametrize("gain", [1e160, 1e300])
+    def test_gain_past_the_float_range_fails_in_jsa_stage(self, tmp_path, pipeline_name, gain):
+        """||Gamma||_F^2 overflows: a labelled error before any NaN leakage."""
+        raw = {
+            "crystal": dict(MINIMAL["crystal"]),
+            "pump": {"lambda_p_nm": 397.5, "tau_p_fs": 129.0, "gain": gain},
+            "grid": {"m": 32},
+            "pipeline": pipeline_name,
+        }
+        with pytest.raises(PipelineError, match=r"overflows double precision") as info:
+            run_pipeline(config_from_dict(raw), out_dir=tmp_path)
+        assert info.value.stage == "jsa-extraction"
+
 
     def test_grid_past_optical_frequency(self, tmp_path):
         """A band wider than the optical frequency is named, not a negative wavelength."""

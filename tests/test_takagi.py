@@ -6,6 +6,7 @@ from conftest import random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twinbeams.takagi as takagi
 from twinbeams.takagi import (
     TakagiFactors,
     takagi_general,
@@ -140,6 +141,58 @@ class TestGeneral:
         a = np.random.randn(4, 4) + 1j * np.random.randn(4, 4)
         with pytest.raises(ValueError, match="not symmetric"):
             takagi_general(a)
+
+
+class TestExactSymmetry:
+    """A matrix equal to its transpose bit for bit is its own symmetric part,
+    0.5 (x + x) = x: it skips the tolerance test and the 0.5 (A + A^T) copy.
+    Any other matrix, a +-0 mirror pair included, takes the tolerance path."""
+
+    @pytest.mark.parametrize("n", [3, 64, 150])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_factors_match_the_explicit_symmetric_part(self, monkeypatch, n, complex_valued):
+        a = random_symmetric(n, complex_valued)
+        assert takagi._bit_symmetric(a)
+        factor = takagi_general if complex_valued else takagi_real_symmetric
+        fast = factor(a)
+        with monkeypatch.context() as patch:
+            patch.setattr(takagi, "_bit_symmetric", lambda _: False)
+            explicit = factor(a)
+        for got, want in ((fast.v, explicit.v), (fast.r, explicit.r)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 150])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_near_symmetric_input_takes_the_tolerance_path(self, monkeypatch, n, complex_valued):
+        """One mirror entry away from bit symmetry: a +-0 pair, or one ulp."""
+        a = random_symmetric(n, complex_valued)
+        signed_zero = a.copy()
+        signed_zero[n - 1, 1], signed_zero[1, n - 1] = 0.0, -0.0
+        ulp = a.copy()
+        ulp.real[n - 1, 1] = np.nextafter(a.real[1, n - 1], np.inf)
+        factor = takagi_general if complex_valued else takagi_real_symmetric
+        check = takagi._check_symmetric
+        for name, b in (("signed_zero", signed_zero), ("one_ulp", ulp)):
+            assert not takagi._bit_symmetric(b), name
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(takagi, "_check_symmetric", lambda x: calls.append(1) or check(x))
+                factors = factor(b)
+            assert calls == [1], name
+            check_factors(0.5 * (b + b.T), factors)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_asymmetry_above_tolerance_still_raises(self, complex_valued):
+        a = random_symmetric(150, complex_valued)
+        a[149, 1] += 2e-10 * np.abs(a).max()
+        factor = takagi_general if complex_valued else takagi_real_symmetric
+        with pytest.raises(ValueError, match="not symmetric"):
+            factor(a)
+
+    def test_entries_above_half_the_float_range_do_not_overflow(self):
+        """0.5 (A + A^T) would overflow to inf where |x| > max/2; A itself is used."""
+        a = np.array([[1.5e308, 1e300], [1e300, -1e308]])
+        assert np.array_equal(takagi_real_symmetric(a).r, [1.5e308, 1e308])
 
 
 class TestNonFinite:

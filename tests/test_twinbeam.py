@@ -329,6 +329,14 @@ class TestSchmidtNumber:
         with pytest.raises(ValueError, match="must be nonnegative and finite"):
             schmidt_number([bad, 1.0])
 
+    @pytest.mark.parametrize(
+        "values", [[1e160, 1e160], [1.2e153] * 100], ids=["sum-of-squares", "squared-sum"]
+    )
+    def test_rejects_values_whose_sums_overflow(self, values):
+        """A ValueError, not an OverflowError or a RuntimeWarning."""
+        with pytest.raises(ValueError, match="overflow double precision"):
+            schmidt_number(values)
+
 
 class TestGeometricFit:
     """Log-linear fit of the duo-mean decay."""
