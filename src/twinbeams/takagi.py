@@ -146,16 +146,32 @@ def _real_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return re + im, imag
 
 
+def _abs_max(x: np.ndarray):
+    """max|x| of a temporary: a float64 ``x`` is overwritten by |x|."""
+    if x.dtype == np.float64:
+        return np.abs(x, out=x).max()
+    return np.abs(x).max()
+
+
+def _minus(x: np.ndarray, y) -> np.ndarray:
+    """x - y for a temporary ``x``: in its buffer when its dtype holds the result."""
+    if np.result_type(x, y) != x.dtype:
+        return x - y
+    x -= y
+    return x
+
+
 def _unitarity_defect(v: np.ndarray) -> float:
     """max|V^H V - I|, evaluated as max|W^H W - I| in the ``_real_basis`` W.
 
     The column factors i of V = W diag(1 or i) cancel on the diagonal of
-    V^H V and only change the phase of the off-diagonal entries.
+    V^H V and only change the phase of the off-diagonal entries.  A real
+    Gram matrix takes its absolute values in place.
     """
     w = _real_basis(v)[0]
     gram = w.conj().T @ w
     gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.abs(gram).max())
+    return float(_abs_max(gram))
 
 
 def _factors_from_signed(lam: np.ndarray, vectors: np.ndarray) -> TakagiFactors:
@@ -255,7 +271,10 @@ def takagi_residual(a: np.ndarray, factors: TakagiFactors) -> float:
 
     V R V^T = W (D^2 R) W^T in the ``_real_basis`` W of V = W D, with
     D^2 = -1 for each imaginary column (i^2 = -1); it runs in real
-    arithmetic when W is real.
+    arithmetic when W is real.  The difference is taken in the buffer of
+    V R V^T as recon - a, whose norm is that of a - recon bit for bit; a
+    dtype that does not fit that buffer (a complex ``a`` against real
+    factors) gets a new one.
     """
     a = _as_square(a)
     v, r = factors.v, factors.r
@@ -264,4 +283,4 @@ def takagi_residual(a: np.ndarray, factors: TakagiFactors) -> float:
     w, imag = _real_basis(v)
     recon = (w * np.where(imag, -r, r)) @ w.T
     denom = max(np.linalg.norm(a), np.finfo(float).eps)
-    return float(np.linalg.norm(a - recon) / denom)
+    return float(np.linalg.norm(_minus(recon, a)) / denom)

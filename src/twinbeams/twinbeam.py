@@ -198,17 +198,19 @@ def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
     Mode A_j concatenates the signal Schmidt mode with the conjugated
     idler mode, (C_j; D_j*)/sqrt(2); its partner B_j = (i C_j; -i D_j*)/sqrt(2)
     shares the Takagi value r_j, so the spectrum has exact double
-    multiplicity.
+    multiplicity.  Each column block is computed in its slice of the
+    output by the products of the expressions above, in their order, so
+    the one m x m temporary is the conjugate of a complex D.
     """
     m = sd.c.shape[0]
-    c = sd.c
     d_bar = sd.d.conj()
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     modes = np.empty((2 * m, 2 * m), dtype=complex)
-    modes[:m, 0::2] = c * inv_sqrt2
-    modes[m:, 0::2] = d_bar * inv_sqrt2
-    modes[:m, 1::2] = 1j * c * inv_sqrt2
-    modes[m:, 1::2] = -1j * d_bar * inv_sqrt2
+    for rows, u, phase in ((modes[:m], sd.c, 1j), (modes[m:], d_bar, -1j)):
+        np.multiply(u, inv_sqrt2, out=rows[:, 0::2])
+        partner = rows[:, 1::2]
+        np.multiply(phase, u, out=partner)
+        partner *= inv_sqrt2
     values = np.repeat(sd.values, 2)
     return SqueezingSpectrum(values=values, modes=modes, source="jsa_svd")
 

@@ -350,6 +350,24 @@ class TestAnalyticModes:
         with pytest.raises(ValueError, match="1-D detuning array"):
             analytic_schmidt_mode(0, "signal", wp.factors, wp.times, np.zeros((3, 3)))
 
+    def test_one_point_band_takes_the_given_spacing(self, nondegenerate):
+        wp = nondegenerate
+        om = np.array([wp.times.omega_s + 0.01])
+        with pytest.raises(ValueError, match="1 point with its spacing"):
+            analytic_schmidt_mode(0, "signal", wp.factors, wp.times, om)
+        for spacing in (0.002, 0.3):
+            mode = analytic_schmidt_mode(0, "signal", wp.factors, wp.times, om, spacing)
+            assert mode.shape == (1,)
+            assert np.allclose(np.abs(mode[0]) ** 2 * spacing, 1.0, atol=1e-12, rtol=0)
+
+    def test_spacing_is_ignored_for_two_or_more_points(self, nondegenerate):
+        """The samples' own difference, not a rounded grid.spacing, weights them."""
+        wp = nondegenerate
+        om = self.grid(wp.times)
+        mode = analytic_schmidt_mode(1, "idler", wp.factors, wp.times, om)
+        given = analytic_schmidt_mode(1, "idler", wp.factors, wp.times, om, 2 * (om[1] - om[0]))
+        assert np.array_equal(mode, given)
+
 
 class TestModeOverlap:
     """Discrete inner product."""

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinbeams.symplectic import squeezer_from_takagi, symplectic_residual
+from twinbeams.symplectic import SymplecticMatrix, squeezer_from_takagi, symplectic_residual
 from twinbeams.takagi import (
     TakagiFactors,
     _real_basis,
@@ -160,3 +160,116 @@ class TestFailuresOnTheRealPath:
         assert _real_basis(v)[0].dtype == float
         with pytest.raises(ValueError, match="not symplectic"):
             squeezer_from_takagi(TakagiFactors(v=v, r=r))
+
+
+# The checks as they were written before they reused their own buffers: every
+# difference and absolute value in a new array.
+
+
+def former_unitarity_defect(v):
+    w = _real_basis(v)[0]
+    gram = w.conj().T @ w
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.abs(gram).max())
+
+
+def former_takagi_residual(a, factors):
+    v, r = factors.v, factors.r
+    w, imag = _real_basis(v)
+    recon = (w * np.where(imag, -r, r)) @ w.T
+    denom = max(np.linalg.norm(a), np.finfo(float).eps)
+    return float(np.linalg.norm(a - recon) / denom)
+
+
+def former_squeezer_blocks(factors):
+    w, imag = _real_basis(factors.v)
+    sinh = np.sinh(factors.r)
+    s0 = (w * np.cosh(factors.r)) @ w.conj().T
+    sI = (w * np.where(imag, -sinh, sinh)) @ w.T
+    return s0, sI
+
+
+def former_symplectic_residual(s0, sI):
+    top_left = s0 @ s0.conj().T - sI @ sI.conj().T
+    top_left[np.diag_indices_from(top_left)] -= 1.0
+    x = s0 @ sI.T
+    top_right = x - x.T
+    res = max(np.abs(top_left).max(), np.abs(top_right).max())
+    norm2 = max(np.abs(s0).max() ** 2, np.abs(sI).max() ** 2, 1.0)
+    return float(res / norm2)
+
+
+def bits(x):
+    return np.asarray(x).view(np.uint64)
+
+
+class TestChecksInTheirOwnBuffers:
+    """The in-place checks return the former values bit for bit: real
+    (real-structured V), complex (general V) and mixed-dtype inputs."""
+
+    @staticmethod
+    def factor_cases(n, seed):
+        """(name, factors, a) with a = V R V^T plus a small symmetric error."""
+        rng = np.random.default_rng(seed)
+        structured = TakagiFactors(*real_structured(n, "random", seed))
+        general = TakagiFactors(
+            v=np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0],
+            r=structured.r,
+        )
+        real_v = TakagiFactors(v=np.linalg.qr(rng.standard_normal((n, n)))[0], r=structured.r)
+        real_noise = rng.standard_normal((n, n))
+        complex_noise = real_noise + 1j * rng.standard_normal((n, n))
+        for name, factors in (("real-basis", structured), ("complex", general), ("float64-v", real_v)):
+            exact = (factors.v * factors.r) @ factors.v.T
+            for label, noise in (("real-a", real_noise), ("complex-a", complex_noise)):
+                a = exact + 1e-3 * (noise + noise.T)
+                if label == "real-a":
+                    a = np.ascontiguousarray(a.real)
+                yield f"{name}/{label}", factors, a
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_takagi_residual(self, n, seed):
+        seen = set()
+        for name, factors, a in self.factor_cases(n, seed):
+            recon_dtype = _real_basis(factors.v)[0].dtype
+            seen.add((recon_dtype, a.dtype))
+            assert takagi_residual(a, factors) == former_takagi_residual(a, factors), name
+            # A float32 a fits the buffer of a float64 reconstruction.
+            a32 = a.astype(np.complex64 if np.iscomplexobj(a) else np.float32)
+            assert takagi_residual(a32, factors) == former_takagi_residual(a32, factors), name
+        # Complex a against real factors is the one case that needs a new buffer.
+        assert (np.dtype(float), np.dtype(complex)) in seen
+        assert (np.dtype(complex), np.dtype(float)) in seen
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unitarity_defect(self, n, seed):
+        for name, factors, _ in self.factor_cases(n, seed):
+            for v in (factors.v, 1.001 * factors.v):
+                assert _unitarity_defect(v) == former_unitarity_defect(v), name
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_squeezer_and_symplectic_residual(self, n, seed):
+        for name, factors, _ in self.factor_cases(n, seed):
+            s = squeezer_from_takagi(factors)
+            s0, sI = former_squeezer_blocks(factors)
+            assert np.array_equal(bits(s.s0), bits(s0)), name
+            assert np.array_equal(bits(s.sI), bits(sI)), name
+            assert s.residual == former_symplectic_residual(s0, sI), name
+
+    @pytest.mark.parametrize("phase", [0.0, 0.3])
+    def test_symplectic_residual_of_mixed_blocks(self, phase):
+        """A float64 s0 next to a complex128 sI: the top-left block leaves
+        the real buffer for a complex one."""
+        r = 0.7
+        s0 = np.cosh(r) * np.eye(2)
+        sI = -np.exp(1j * phase) * np.sinh(r) * np.array([[0.0, 1.0], [1.0, 0.0]])
+        s = SymplecticMatrix(n=2, s0=s0, sI=sI)
+        assert (s.s0.dtype, s.sI.dtype) == (np.float64, np.complex128)
+        assert s.residual == former_symplectic_residual(s0, sI)
+        stretched = SymplecticMatrix.__new__(SymplecticMatrix)
+        object.__setattr__(stretched, "s0", 1.001 * s0)
+        object.__setattr__(stretched, "sI", sI)
+        assert symplectic_residual(stretched) == former_symplectic_residual(1.001 * s0, sI)

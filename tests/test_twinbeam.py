@@ -143,6 +143,48 @@ class TestSchmidt:
             assert pivot.real > 0
 
 
+class TestDuoAssembly:
+    """The duos are written straight into the output slices, bit for bit
+    the former expressions (signed zeros included)."""
+
+    @staticmethod
+    def former_modes(sd):
+        m = sd.c.shape[0]
+        c, d_bar = sd.c, sd.d.conj()
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        modes = np.empty((2 * m, 2 * m), dtype=complex)
+        modes[:m, 0::2] = c * inv_sqrt2
+        modes[m:, 0::2] = d_bar * inv_sqrt2
+        modes[:m, 1::2] = 1j * c * inv_sqrt2
+        modes[m:, 1::2] = -1j * d_bar * inv_sqrt2
+        return modes
+
+    @staticmethod
+    def block_unitary(m, seed, phases):
+        """Two orthogonal diagonal blocks, columns flipped in sign (their
+        off-block zeros become -0.0) and, for ``phases``, rotated in phase."""
+        rng = np.random.default_rng(seed)
+        h = m // 2
+        u = np.zeros((m, m))
+        u[:h, :h] = np.linalg.qr(rng.standard_normal((h, h)))[0]
+        u[h:, h:] = np.linalg.qr(rng.standard_normal((m - h, m - h)))[0]
+        u[:, ::3] *= -1.0
+        if phases:
+            u = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+        return u
+
+    @pytest.mark.parametrize("phases", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("m", [1, 6, 33])
+    def test_bitwise(self, m, phases):
+        c = self.block_unitary(m, 0, phases)
+        d = self.block_unitary(m, 1, phases)
+        sd = SchmidtDecomposition(c=c, d=d, values=np.linspace(1.0, 0.1, m))
+        parts = sd.c.view(np.float64)
+        assert np.signbit(parts[parts == 0]).any() or m == 1
+        got = eigenmodes_from_schmidt(sd).modes
+        assert np.array_equal(got.view(np.uint64), self.former_modes(sd).view(np.uint64))
+
+
 class TestThreePaths:
     """JSA-SVD, associated-Hermitian, and direct-Takagi routes agree."""
 
