@@ -2,17 +2,41 @@
 
 Floats are written with 17 significant digits (``%.17g``), which round-trips
 every IEEE double exactly, so re-running an identical config reproduces the
-artifact files byte for byte.  The matrix heatmap formats each distinct
-cell string once: a bitwise-symmetric matrix (the squeezing matrix always
-is) reuses its upper triangle's strings for the lower one, and a zero
-imaginary part is spelled without formatting.  Both reuse exact strings, so
-the bytes are those of the per-cell writer for every input.
+artifact files byte for byte.
+
+The matrix heatmap formats its values in numpy (``_format_all``), to the
+bytes of Python's ``%.17g``.  Each double is split into a 53-bit significand
+f and a binary exponent, its decimal exponent X is read off a table of the
+least doubles >= 10**X, and f is multiplied by 10**(16 - X), held as a
+128-bit truncated integer, in 32-bit limbs.  The product is the value times
+10**(16 - X) to within 2**-69 of one unit, and never above it, so its
+integer part and the top 64 bits of its fraction fix the 17 digits by
+round-half-up.  This is Python's rounding except at an exact tie (fraction
+1/2), which Python rounds half-even.  Every value whose computed fraction
+lies within 8 parts in 2**64 of one half goes to Python's own ``%.17g``
+instead: that holds every tie, every value the error bound leaves in doubt,
+and nothing else in practice.  ``nan`` and ``+-inf`` go there as well.  The
+``%g`` layout (fixed notation for decimal exponents -4 to 16, trailing
+zeros trimmed, the sign of ``-0`` kept) is built on each string as three
+little-endian 64-bit words, where the sign, the leading zeros of a small
+fixed-notation value, the decimal point and the exponent suffix are byte
+shifts and masks.
+
+The heatmap formats each distinct cell string once: a bitwise-symmetric
+matrix (the squeezing matrix always is) reuses its upper triangle's strings
+for the lower one, and a zero imaginary part is spelled without formatting.
+Both reuse exact strings, so the bytes are those of the per-cell writer for
+every input.  It writes a tile of rows at a time, a fixed number of cells
+that bounds its buffers: each cell is a record of NUL-padded fixed-width
+fields, and the tile's text is its buffer without the NULs, in one write.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -82,26 +106,331 @@ def export_spectrum(spectrum, stem, fmt="csv", detunings=None, pairing=None) -> 
         )
         written.append(write_csv(stem.with_suffix(".csv"), ["index", "r", "pair_id", "pair_gap"], rows))
     if fmt in ("json", "both"):
-        payload = {
+        head = {
             "source": spectrum.source,
             "values": [float(r) for r in spectrum.values],
             "pair_id": ids,
             "pair_gap": [float(g) for g in gaps],
-            "modes_re": spectrum.modes.real.T.tolist(),
-            "modes_im": spectrum.modes.imag.T.tolist(),
         }
-        if detunings is not None:
-            payload["detunings"] = [float(w) for w in np.asarray(detunings)]
+        tail = {} if detunings is None else {"detunings": [float(w) for w in np.asarray(detunings)]}
         path = stem.with_suffix(".json")
-        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        # The bytes of json.dumps(head | modes_re | modes_im | tail) + "\n",
+        # with the n x n mode arrays written one mode (column) at a time.
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(head)[:-1])
+            for key, part in (("modes_re", np.real), ("modes_im", np.imag)):
+                fh.write(f', "{key}": [')
+                for k in range(spectrum.modes.shape[1]):
+                    fh.write((", " if k else "") + json.dumps(part(spectrum.modes[:, k]).tolist()))
+                fh.write("]")
+            fh.write(", " + json.dumps(tail)[1:] if tail else "}")
+            fh.write("\n")
         written.append(path)
     return written
 
 
-def _format_all(values) -> np.ndarray:
-    """``%.17g`` of each value, as fixed-width bytes (``S24`` fits every double)."""
+_U64 = np.uint64
+_LIMB = _U64(0xFFFFFFFF)
+#: Decimal exponents x of the nonzero finite doubles (4.9e-324 ... 1.8e308),
+#: and binary exponents e of their frexp: 2**(e - 1) <= |v| < 2**e.
+_X_MIN, _X_MAX = -324, 308
+_E_MIN, _E_MAX = -1073, 1024
+
+
+@functools.cache
+def _decimal_tables():
+    """The decimal step's tables, built on first use (a few ms).
+
+    By e - _E_MIN: ``x_of_e``, floor((e - 1) log10(2)), the decimal exponent
+    of 2**(e - 1); ``ceil_of_e``, the least double >= 10**(x_of_e + 1).
+    By x - _X_MIN: ``limbs``, the 128-bit truncation P in [2**127, 2**128)
+    of 10**(16 - x) = P * 2**t as four 32-bit limbs, low first; ``r_of_x``,
+    -43 - t.  Then |v| = f * 2**(e - 53) with f < 2**53 gives
+    |v| * 10**(16 - x) ~ f * P / 2**(96 + r), r = r_of_x - e.
+    """
+    xs = range(_X_MIN, _X_MAX + 1)
+    limbs = np.empty((4, len(xs)), dtype=np.uint64)
+    r_of_x = np.empty(len(xs), dtype=np.int64)
+    ceil10 = np.empty(len(xs))
+    for col, x in enumerate(xs):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        t = num.bit_length() - den.bit_length() - 128
+        p = (num << -t) // den if t < 0 else num // (den << t)
+        if p >> 128:
+            p, t = p >> 1, t + 1
+        limbs[:, col] = [(p >> 32 * j) & 0xFFFFFFFF for j in range(4)]
+        r_of_x[col] = -43 - t
+        d = float(f"1e{x}")
+        num, den = d.as_integer_ratio()
+        if (num * 10**-x < den) if x < 0 else (num < 10**x * den):
+            d = math.nextafter(d, math.inf)
+        ceil10[col] = d
+    x_of_e = (np.arange(_E_MIN - 1, _E_MAX) * 78913) >> 18
+    return x_of_e, ceil10[x_of_e + 1 - _X_MIN], limbs, r_of_x
+
+
+def _byte_masks(count):
+    """Per word, the mask of bytes [0, count) of a three-word string."""
+    return [(1 << 8 * min(max(count - 8 * k, 0), 8)) - 1 for k in range(3)]
+
+
+# Strings of up to 24 bytes are held as three little-endian 64-bit words, one
+# row of n per word.
+_NO_POINT = 32
+
+
+@functools.cache
+def _layout_tables():
+    """The layout step's tables, built on first use.
+
+    By decimal exponent x (column x - _X_MIN): ``zeros``, the zeros before
+    the digits in fixed notation below 1 ("0.00123": 3, the point after the
+    first); ``point``, the position of the point among the digits; and
+    ``suffix``, the exponent suffix ("e-05", "e+308") outside fixed
+    notation as little-endian bytes, else 0.  By sign byte s and kept digit
+    count c (column 34 s + c): ``digit_bytes``, "0" in every digit byte
+    [s, s + c), which spells digit values as ASCII.  By point position q
+    (_NO_POINT: none): ``point_masks``, the bytes left in place, the bytes
+    taken from the string moved up by one, and the point.
+    """
+    xs = np.arange(_X_MIN, _X_MAX + 1)
+    fixed = (xs >= -4) & (xs <= 16)
+    zeros = np.where(fixed & (xs < 0), -xs, 0)
+    point = np.where(fixed & (xs >= 0), xs + 1, 1)
+    suffix = np.array(
+        [0 if f else int.from_bytes(b"e%+03d" % x, "little") for x, f in zip(xs.tolist(), fixed)],
+        dtype=np.uint64,
+    )
+    digit_bytes = np.array(
+        [[m & ~lo & 0x3030303030303030 for m, lo in zip(_byte_masks(s + c), _byte_masks(s))]
+         for s in (0, 1) for c in range(34)],
+        dtype=np.uint64,
+    ).T
+    point_masks = np.array(
+        [[_byte_masks(q), [~m & (2**64 - 1) for m in _byte_masks(q + 1)],
+          [0x2E << 8 * (q - 8 * k) if 0 <= q - 8 * k < 8 else 0 for k in range(3)]]
+         for q in range(_NO_POINT + 1)],
+        dtype=np.uint64,
+    ).transpose(1, 2, 0)
+    return zeros, point, suffix, digit_bytes, point_masks
+
+
+# Times a word with bits only at 8k, the bits gathered into its top byte.
+_GATHER = _U64(0x0102040810204080)
+_WORD_BITS = np.array([[0], [64], [128]], dtype=np.uint64)
+# Per byte: adding 0x7F to a digit 0-9 sets bit 7 exactly when it is not 0.
+_BYTE_7F, _BYTE_80 = _U64(0x7F7F7F7F7F7F7F7F), _U64(0x8080808080808080)
+
+
+def _eight_digits(x):
+    """The eight decimal digits of each x < 10**8 as the bytes of a uint64:
+    digit values 0-9, the leading digit in the lowest byte.
+
+    Each step splits every lane in two by a multiply-shift quotient, exact
+    for the lane's range: 10**4 into two 32-bit lanes, 100 into 16-bit
+    lanes, 10 into bytes.
+    """
+    hi = x // _U64(10000)
+    v = hi | ((x - hi * _U64(10000)) << _U64(32))
+    q = ((v * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)
+    v = q | ((v - q * _U64(100)) << _U64(16))
+    q = ((v * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
+    return q | ((v - q * _U64(10)) << _U64(8))
+
+
+def _format_python(values) -> np.ndarray:
+    """Python's ``%.17g`` of each value, as ``S24``."""
     text = b"%.17g\n" * len(values) % tuple(values.tolist())
     return np.array(text.split(), dtype="S24")
+
+
+def _format_all(values) -> np.ndarray:
+    """``%.17g`` of each value, as fixed-width bytes (``S24`` fits every double).
+
+    The bytes are Python's for every float64; see the module docstring for
+    the method and for the values it hands to Python.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    digits, x, slow = _decimal(v)
+    out = _layout(digits, x, np.signbit(v))
+    slow = np.flatnonzero(slow)
+    if len(slow):
+        out[slow] = _format_python(v[slow])
+    return out
+
+
+def _decimal(v):
+    """``(digits, x, slow)``: |v| rounds half up to ``digits * 10**(x - 16)``
+    with 17 digits (``digits`` is 0 and ``x`` 0 for a zero); ``slow`` marks
+    the values this cannot settle (ties, ``nan``, ``inf``)."""
+    special = ~np.isfinite(v)
+    zero = v == 0
+    a = np.abs(v)
+    a[special | zero] = 1.0
+    m, e = np.frexp(a)  # subnormals included
+    f = np.ldexp(m, 53).astype(np.uint64)
+    del m
+    x_of_e, ceil_of_e, limbs, r_of_x = _decimal_tables()
+    e_col = e - _E_MIN
+    x = x_of_e[e_col] + (a >= ceil_of_e[e_col])
+    del a, e_col
+    col = x - _X_MIN
+    digits, frac = _scaled(f, np.take(limbs, col, axis=1), (r_of_x[col] - e).astype(np.uint64))
+    half = _U64(1 << 63)
+    digits += frac > half
+    slow = special | (frac - (half - _U64(8)) <= _U64(16))
+    carry = digits == _U64(10**17)
+    digits[carry] = _U64(10**16)
+    x += carry
+    digits[zero] = 0
+    return digits, x, slow
+
+
+def _scaled(f, p, r):
+    """Integer part and top 64 fraction bits of f * P / 2**(96 + r), for
+    f < 2**53, P < 2**128 as four 32-bit limbs ``p`` and r in 27 ... 31."""
+    p0, p1, p2, p3 = p
+    # f * P as 32-bit limbs l1 ... l5; l0 only feeds its carry.
+    f0, f1 = f & _LIMB, f >> _U64(32)
+    t = f0 * p0
+    t = f0 * p1 + (t >> _U64(32))
+    l1 = t & _LIMB
+    t = f0 * p2 + (t >> _U64(32))
+    l2 = t & _LIMB
+    t = f0 * p3 + (t >> _U64(32))
+    l3, l4 = t & _LIMB, t >> _U64(32)
+    t = f1 * p0 + l1
+    l1 = t & _LIMB
+    t = f1 * p1 + l2 + (t >> _U64(32))
+    l2 = t & _LIMB
+    t = f1 * p2 + l3 + (t >> _U64(32))
+    l3 = t & _LIMB
+    t = f1 * p3 + l4 + (t >> _U64(32))
+    l4, l5 = t & _LIMB, t >> _U64(32)
+    r64, r32 = _U64(64) - r, _U64(32) - r
+    return (l5 << r64) | (l4 << r32) | (l3 >> r), (l3 << r64) | (l2 << r32) | (l1 >> r)
+
+
+def _digit_bytes(digits):
+    """``(w, kept)``: the 17 digit values of each ``digits`` at bytes
+    0 ... 16 of three little-endian words, and the count up to the last
+    nonzero digit (at least 1)."""
+    lead = digits // _U64(10**16)
+    rest = digits - lead * _U64(10**16)
+    eight = np.empty((2, len(digits)), dtype=np.uint64)
+    np.floor_divide(rest, _U64(10**8), out=eight[0])
+    np.subtract(rest, eight[0] * _U64(10**8), out=eight[1])
+    hi, lo = eight = _eight_digits(eight)
+    w = np.empty((3, len(digits)), dtype=np.uint64)
+    w[0] = lead | (hi << _U64(8))
+    w[1] = (hi >> _U64(56)) | (lo << _U64(8))
+    w[2] = lo >> _U64(56)
+    # Bit k of ``marks`` is set when digit k + 1 is not 0 (k < 16).
+    marks = ((((eight + _BYTE_7F) & _BYTE_80) >> _U64(7)) * _GATHER) >> _U64(56)
+    marks = marks[0] | (marks[1] << _U64(8))
+    return w, np.frexp(marks.astype(np.float64))[1] + 1
+
+
+def _layout(digits, x, neg) -> np.ndarray:
+    """``%.17g`` text of ``(-1)**neg * digits * 10**(x - 16)``, as ``S24``.
+
+    ``digits`` has 17 digits, or is 0 with ``x`` 0.
+    """
+    zeros, point, suffix, digit_bytes, (keep, take, dot) = _layout_tables()
+    w, kept = _digit_bytes(digits)
+    col = x - _X_MIN
+    zeros, point = zeros[col], point[col]
+    kept += zeros
+    has_point = kept > point
+    end = np.maximum(kept, point)
+    del kept
+    sign = neg.astype(np.int64)
+    # Make room for the sign and the zeros, spell the digits and the sign.
+    b = ((sign + zeros) << 3).astype(np.uint64)
+    moved = w << b
+    moved[1:] |= (w[:-1] >> _U64(1)) >> (_U64(63) - b)
+    w = moved
+    del b, zeros
+    w |= np.take(digit_bytes, 34 * sign + end, axis=1)
+    w[0] |= neg * _U64(ord("-"))
+    # Insert the point: the bytes from it on move up by one.
+    at = np.where(has_point, sign + point, _NO_POINT)
+    up = w << _U64(8)
+    up[1:] |= w[:-1] >> _U64(56)
+    w &= np.take(keep, at, axis=1)
+    up &= np.take(take, at, axis=1)
+    w |= up
+    w |= np.take(dot, at, axis=1)
+    del up, at
+    # Append the exponent suffix (0 in fixed notation) at bit s of the
+    # 192-bit string.  A shift by 64 or more gives 0, so with wrapping
+    # counts each word takes exactly its part.
+    s = ((sign + end + has_point) << 3).astype(np.uint64)
+    suffix = suffix[col]
+    w |= (suffix << (s - _WORD_BITS)) | (suffix >> (_WORD_BITS - s))
+    out = np.empty((len(digits), 3), dtype="<u8")
+    for k in range(3):
+        out[:, k] = w[k]
+    return out.view("S24").ravel()
+
+
+#: Matrix cells per tile.  A tile is assembled in one record buffer and
+#: written with one call, so the writer's buffers stay a few hundred bytes
+#: per tile cell whatever the size of the matrix.
+_TILE_CELLS = 2048
+
+
+def _as_bytes(strings) -> np.ndarray:
+    """``S24`` strings as rows of 24 NUL-padded bytes."""
+    return strings.view(np.uint8).reshape(len(strings), 24)
+
+
+def _unsign(first):
+    """Turn a leading ``-`` into a NUL: ``first`` is a view of the first bytes."""
+    first[first == ord("-")] = 0
+
+
+def _cell_text(values, full) -> np.ndarray:
+    """The text fields of fresh cells as (cells, fields, 24) NUL-padded bytes.
+
+    ``re`` alone, or with ``full`` ``re``, ``im`` and ``abs``, where a zero
+    ``im`` is spelled by its sign and its ``abs`` is ``re`` without the sign.
+    """
+    re = values.real
+    out = np.zeros((len(re), 3 if full else 1, 24), dtype=np.uint8)
+    out[:, 0] = _as_bytes(_format_all(re))
+    if full:
+        im = values.imag
+        zero = im == 0
+        fresh = np.flatnonzero(~zero)
+        out[fresh, 1] = _as_bytes(_format_all(im[fresh]))
+        # np.hypot is the libm hypot of Python's abs(complex); np.abs
+        # is a SIMD routine that can differ from it in the last bit.
+        out[fresh, 2] = _as_bytes(_format_all(np.hypot(re[fresh], im[fresh])))
+        out[zero, 1, 0] = np.signbit(im[zero]) * np.uint8(ord("-"))
+        out[zero, 1, 1] = ord("0")
+        out[zero, 2] = out[zero, 0]
+        _unsign(out[:, 2, 0])  # no formatted abs has a sign
+    return out
+
+
+def _packed(mat, start, lo, hi) -> np.ndarray:
+    """Entries lo ... hi - 1 of the packed upper triangle of ``mat``."""
+    i = np.searchsorted(start, lo, side="right") - 1
+    parts = []
+    while lo < hi:
+        j = i + lo - start[i]
+        count = min(hi, start[i + 1]) - lo
+        parts.append(mat[i, j : j + count])
+        lo += count
+        i += 1
+    return np.concatenate(parts)
+
+
+def _labels(values) -> np.ndarray:
+    """``%.17g`` of each grid value as NUL-padded rows of bytes."""
+    text = np.array([_fmt(w).encode() for w in values], dtype=bytes)
+    return text.view(np.uint8).reshape(len(values), text.itemsize)
 
 
 def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
@@ -114,18 +443,22 @@ def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
 
     - A square matrix that equals its transpose bit for bit (compared as
       ``uint64``, so a ``-0.0``/``+0.0`` mirror pair is not symmetric) has
-      each upper-triangle element formatted once.  The strings go to a
-      packed ``S24`` table, and row i takes its cells left of the diagonal
-      from the table entries of column i.  Any other matrix formats every
-      cell of its row and stores nothing.
+      each upper-triangle element formatted once.  Its fields go to a packed
+      byte table, and cell (i, j < i) copies the entry of (j, i).  Any other
+      matrix formats every cell and stores nothing.
     - Where ``im`` is exactly zero, nothing more is formatted: ``im`` reads
       ``0`` or ``-0`` by its sign bit, and ``abs`` is the ``re`` string
       without a leading ``-``.  This is exact, since hypot(x, +-0) = |x|
       and ``%.17g`` of -x is ``-`` followed by ``%.17g`` of x (``nan``
       carries no sign).
 
-    Each matrix row is written through one ``%``-template whose grid labels
-    are formatted once.
+    Values are formatted by ``_format_all``, which gives Python's ``%.17g``
+    bytes (see the module docstring).  The rows go out in tiles of about
+    ``_TILE_CELLS`` cells.  Each cell of a tile is a fixed-width record:
+    every field sits NUL-padded in its own slot, followed by its ``,`` or
+    newline.  Dropping the NULs of the tile's buffer gives its exact text,
+    which takes one write.  So the writer holds the tile, the packed table
+    of a symmetric matrix and nothing else that grows with the matrix.
     """
     mat = _float_or_complex(matrix)
     rows_w = np.asarray(row_grid, dtype=float)
@@ -135,46 +468,60 @@ def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
             f"matrix shape {mat.shape} does not match grids "
             f"({len(rows_w)} x {len(cols_w)})"
         )
-    n = len(cols_w)
-    re, im = mat.real, mat.imag
-    re_bits, im_bits = re.view(np.uint64), im.view(np.uint64)
-    mirrored = (
-        mat.shape == (n, n)
-        and np.array_equal(re_bits, re_bits.T)
-        and np.array_equal(im_bits, im_bits.T)
+    n_rows, n = mat.shape
+    # A float64 matrix has no imaginary part to build.
+    im = mat.imag if np.iscomplexobj(mat) else None
+    mirrored = mat.shape == (n, n) and all(
+        np.array_equal(part.view(np.uint64), part.view(np.uint64).T)
+        for part in ([mat.real] if im is None else [mat.real, im])
     )
-    zero_im = im == 0
-    # Table columns: re, and im and abs when some im is not zero.
-    width = 1 if zero_im.all() else 3
+    # im and abs are formatted only when some im is not zero.
+    full = im is not None and bool(im.any())
+    row_text, col_text = _labels(rows_w), _labels(cols_w)
+    widths = [row_text.shape[1], col_text.shape[1], 24, 24 if full else 2, 24]
+    slots = np.cumsum([0] + [w + 1 for w in widths])
+    o_col, o_re, o_im, o_abs, width = slots[1:]
+    tile_rows = max(1, _TILE_CELLS // max(n, 1))
+    buf = np.zeros((min(tile_rows, n_rows), n, width), dtype=np.uint8)
+    buf[..., slots[1:-1] - 1] = ord(",")
+    buf[..., -1] = ord("\n")
+    buf[..., o_col : o_col + widths[1]] = col_text
+    if not full:
+        buf[..., o_im + 1] = ord("0")
     if mirrored:
         # Packed upper triangle: element (i, j >= i) sits at start[i] + j - i.
-        k = np.arange(n)
+        k = np.arange(n + 1)
         start = k * (2 * n - k + 1) // 2
-        table = np.empty((n * (n + 1) // 2, width), dtype="S24")
-    # Joined with the row label as separator: "" + label + cell0 + label + cell1 ...
-    cells = [b""] + [f"{_fmt(w)},%s,%s,%s\n".encode() for w in cols_w]
-    row = np.empty((n, 3), dtype="S24")
-    re_s, im_s, abs_s = row.T
+        table = np.empty((start[-1], 3 if full else 1, 24), dtype=np.uint8)
+        cols = np.arange(n)
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(b"omega,omega_prime,re,im,abs\n")
-        for i, w in enumerate(rows_w):
-            lo = i if mirrored else 0
-            if lo:
-                # Cells (i, j < i) are the stored (j, i).
-                row[:lo, :width] = table[start[:lo] + lo - np.arange(lo)]
-            re_s[lo:] = _format_all(re[i, lo:])
-            z = zero_im[i]
-            im_s[z] = np.where(np.signbit(im[i, z]), b"-0", b"0")
-            abs_s[z] = np.char.lstrip(re_s[z], b"-")
-            if width == 3:
-                fresh = lo + np.flatnonzero(~z[lo:])
-                im_s[fresh] = _format_all(im[i, fresh])
-                # np.hypot is the libm hypot of Python's abs(complex); np.abs
-                # is a SIMD routine that can differ from it in the last bit.
-                abs_s[fresh] = _format_all(np.hypot(re[i, fresh], im[i, fresh]))
+        done = 0  # packed entries in the table
+        for r0 in range(0, n_rows, tile_rows):
+            r1 = min(r0 + tile_rows, n_rows)
+            rec = buf[: r1 - r0]
+            rec[..., : widths[0]] = row_text[r0:r1, None]
             if mirrored:
-                table[start[i] : start[i] + n - i] = row[i:, :width]
-            label = _fmt(w).encode() + b","
-            fh.write(label.join(cells) % tuple(row.ravel().tolist()))
+                # Formatted ahead in batches of a tile's size: the upper
+                # triangle of the last rows is short.
+                while done < start[r1]:
+                    stop = min(done + _TILE_CELLS, start[n])
+                    table[done:stop] = _cell_text(_packed(mat, start, done, stop), full)
+                    done = stop
+                rows = np.arange(r0, r1)[:, None]
+                cells = np.take(table, start[np.minimum(rows, cols)] + np.abs(rows - cols), axis=0)
+            else:
+                cells = _cell_text(mat[r0:r1].ravel(), full)
+                cells = cells.reshape(r1 - r0, n, *cells.shape[1:])
+            rec[..., o_re : o_re + 24] = cells[..., 0, :]
+            if full:
+                rec[..., o_im : o_im + 24] = cells[..., 1, :]
+                rec[..., o_abs : o_abs + 24] = cells[..., 2, :]
+            else:
+                if im is not None:
+                    rec[..., o_im] = np.signbit(im[r0:r1]) * np.uint8(ord("-"))
+                rec[..., o_abs : o_abs + 24] = cells[..., 0, :]
+                _unsign(rec[..., o_abs])
+            fh.write(rec[rec != 0])
     return path

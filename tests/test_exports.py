@@ -2,6 +2,9 @@
 
 import csv
 import json
+import math
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import per_cell_heatmap
+from conftest import build_working_point, per_cell_heatmap, random_unitary
 from twinbeams.io import export_matrix_heatmap, export_spectrum, exports, write_csv
 from twinbeams.twinbeam import SqueezingSpectrum, pair_eigenvalues
 
@@ -122,6 +125,49 @@ class TestExportSpectrum:
     def test_bad_format_raises(self, tmp_path):
         with pytest.raises(ValueError, match="format must be csv, json or both"):
             export_spectrum(spectrum_with_gap(), tmp_path / "spec", fmt="xml")
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("with_detunings", [False, True])
+    @pytest.mark.parametrize("real_modes", [False, True])
+    def test_json_bytes_equal_one_dumps(self, tmp_path, n, with_detunings, real_modes):
+        """The mode arrays are streamed to the bytes of one json.dumps."""
+        rng = np.random.default_rng(n)
+        values = np.sort(rng.uniform(0.1, 2.0, n))[::-1]
+        modes = np.eye(n)[rng.permutation(n)] if real_modes else random_unitary(n)
+        spec = SqueezingSpectrum(values=values, modes=modes, source="jsa_svd")
+        pairing = pair_eigenvalues(spec, rel_tol=0.5) if n > 1 else None
+        detunings = np.linspace(-0.3, 0.3, n) if with_detunings else None
+        (path,) = export_spectrum(
+            spec, tmp_path / "spec", fmt="json", detunings=detunings, pairing=pairing
+        )
+        ids, gaps = exports._pair_columns(spec, pairing)
+        payload = {
+            "source": spec.source,
+            "values": [float(r) for r in spec.values],
+            "pair_id": ids,
+            "pair_gap": [float(g) for g in gaps],
+            "modes_re": spec.modes.real.T.tolist(),
+            "modes_im": spec.modes.imag.T.tolist(),
+        }
+        if detunings is not None:
+            payload["detunings"] = detunings.tolist()
+        assert path.read_bytes() == (json.dumps(payload) + "\n").encode()
+
+    def test_json_peak_memory_at_m256(self, tmp_path):
+        """A 512-mode spectrum (m = 256) is written within one real Gamma's
+        bytes; the whole-payload json.dumps peaked at 17.6 of them, against
+        7.4 for the rest of a run."""
+        n = 512
+        modes = np.eye(n)[np.random.default_rng(5).permutation(n)]
+        spec = SqueezingSpectrum(values=np.linspace(2.0, 0.1, n), modes=modes)
+        gamma_bytes = n * n * 8
+        tracemalloc.start()
+        try:
+            export_spectrum(spec, tmp_path / "spec", fmt="json", detunings=np.zeros(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= gamma_bytes
 
 
 class TestMatrixHeatmap:
@@ -265,6 +311,23 @@ class TestSymmetricHeatmap:
         export_matrix_heatmap(cplx, g, g, tmp_path / "n.csv")
         assert sum(counted) == 3 * 6 * 6
 
+    @pytest.mark.parametrize("m", [128, 256])
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["float64", "complex128"])
+    def test_peak_memory_within_four_gammas(self, tmp_path, m, z0_fraction):
+        """The writer holds one tile and the packed strings of the upper
+        triangle: its traced peak stays within 4 Gammas."""
+        wp = build_working_point(m=m, z0_fraction=z0_fraction)
+        gamma = wp.sq.gamma
+        assert gamma.dtype == (np.float64 if z0_fraction == 0.5 else np.complex128)
+        grid = wp.grid.detunings
+        tracemalloc.start()
+        try:
+            export_matrix_heatmap(gamma, grid, grid, tmp_path / "m.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * gamma.nbytes
+
 
 @st.composite
 def symmetric_matrices(draw):
@@ -285,3 +348,91 @@ def symmetric_matrices(draw):
 @given(symmetric_matrices())
 def test_symmetric_heatmap_property(tmp_path_factory, mat):
     assert_bytes_match_per_cell(tmp_path_factory.mktemp("heat"), mat)
+
+
+def python_g17(values):
+    """Python's ``%.17g`` of each value: the oracle of ``_format_all``."""
+    return [b"%.17g" % x for x in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def assert_formats_like_python(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = exports._format_all(values)
+    assert got.dtype == np.dtype("S24")
+    assert got.tolist() == python_g17(values)
+
+
+def neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+#: Exact ties at the 17th digit: 18 significant digits, the last a 5.
+#: Python rounds them half-even; the numpy path would round them up.
+TIES = [2091755748717130.75, 2091755748717130.25, 562949953421312.125, 562949953421312.375]
+
+
+class TestFormatAll:
+    """The vectorized ``%.17g`` against Python's, value by value."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    def test_property_any_double(self, values):
+        assert_formats_like_python(values)
+
+    def test_random_bit_patterns(self):
+        """Over 10**6 seeded uint64 patterns: every exponent, subnormals,
+        nan and inf included."""
+        rng = np.random.default_rng(2024)
+        for _ in range(16):
+            bits = rng.integers(0, np.iinfo(np.uint64).max, 2**16, dtype=np.uint64, endpoint=True)
+            assert_formats_like_python(bits.view(np.float64))
+
+    def test_random_decimal_ranges(self):
+        """Fixed and exponential notation, and short decimals whose trailing
+        zeros are trimmed."""
+        rng = np.random.default_rng(7)
+        scale = 10.0 ** rng.integers(-8, 20, 2**16)
+        assert_formats_like_python(rng.standard_normal(2**16) * scale)
+        assert_formats_like_python(np.round(rng.standard_normal(2**16) * 1e4) / scale)
+
+    def test_edges(self):
+        edges = [
+            *neighbours(1e-5),  # the exponential/fixed switch below 1
+            *neighbours(1e-4),
+            *neighbours(1e16),  # the fixed/exponential switch above 1
+            *neighbours(1e17),
+            5e-324,  # the least subnormal
+            2.2250738585072014e-308,  # the least normal
+            1.7976931348623157e308,  # the largest double
+            1e-305,  # 17 digits of 9.99...e-306 carry to the next power of ten
+            1e-14,
+            0.0,
+            -0.0,
+            1.0,
+            0.5,
+            100.0,
+            123.456,
+            *TIES,
+        ]
+        assert_formats_like_python(edges + [-x for x in edges])
+        assert exports._format_all(np.array([1e-305]))[0] == b"1e-305"
+
+    def test_empty(self):
+        assert exports._format_all(np.array([])).shape == (0,)
+
+    def test_ties_nan_and_inf_go_to_python(self, monkeypatch):
+        for tie in TIES:
+            digits = Decimal(tie).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        handed = []
+        original = exports._format_python
+
+        def counting(values):
+            handed.extend(values.tolist())
+            return original(values)
+
+        monkeypatch.setattr(exports, "_format_python", counting)
+        slow = [*TIES, math.nan, math.inf, -math.inf]
+        values = np.array([0.1, -2.5, 1e-300, *slow, 0.0, 7.0])
+        assert_formats_like_python(values)
+        assert np.array_equal(np.array(handed), np.array(slow), equal_nan=True)
