@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..takagi import _float_or_complex
+from ..takagi import _bit_symmetric, _float_or_complex
 
 __all__ = ["write_csv", "export_spectrum", "export_matrix_heatmap"]
 
@@ -441,8 +441,8 @@ def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
     element at a time (``re``, ``im`` and ``abs(complex)``, each ``%.17g``),
     for every input; only the number of values formatted depends on it:
 
-    - A square matrix that equals its transpose bit for bit (compared as
-      ``uint64``, so a ``-0.0``/``+0.0`` mirror pair is not symmetric) has
+    - A square matrix that equals its transpose bit for bit
+      (``takagi._bit_symmetric``: a ``-0.0``/``+0.0`` mirror pair is not) has
       each upper-triangle element formatted once.  Its fields go to a packed
       byte table, and cell (i, j < i) copies the entry of (j, i).  Any other
       matrix formats every cell and stores nothing.
@@ -471,10 +471,7 @@ def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
     n_rows, n = mat.shape
     # A float64 matrix has no imaginary part to build.
     im = mat.imag if np.iscomplexobj(mat) else None
-    mirrored = mat.shape == (n, n) and all(
-        np.array_equal(part.view(np.uint64), part.view(np.uint64).T)
-        for part in ([mat.real] if im is None else [mat.real, im])
-    )
+    mirrored = mat.shape == (n, n) and _bit_symmetric(mat)
     # im and abs are formatted only when some im is not zero.
     full = im is not None and bool(im.any())
     row_text, col_text = _labels(rows_w), _labels(cols_w)

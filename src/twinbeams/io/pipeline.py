@@ -65,7 +65,6 @@ from ..twinbeam import (
     pair_eigenvalues,
     schmidt_from_jsa,
     schmidt_number,
-    signal_first,
     spectrum_from_takagi,
 )
 from .config import RunConfig, config_to_dict
@@ -216,7 +215,7 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
     )
     ext = _stage("jsa-extraction", extract_jsa, sq)
     report.residuals["leakage"] = float(ext.leakage)
-    if ext.leakage > LEAKAGE_THRESHOLD:
+    if not ext.leakage <= LEAKAGE_THRESHOLD:
         report.threshold_failures.append("leakage")
         report.notes.append(
             f"band leakage {ext.leakage:.3e} exceeds {LEAKAGE_THRESHOLD:g}: the "
@@ -241,13 +240,14 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
     # the report keeps only the residual.
     symplectic_res = _stage("symplectic", squeezer_from_takagi, factors).residual
 
+    # The grid runs idler band first; spectra and their labels run signal band first.
+    band_order = np.roll(np.arange(2 * grid.m), grid.m)
     sd = None
     if cfg.pipeline == "near_degenerate" and not zero:
-        # The same factors, rows reordered signal-band first.
-        rolled = TakagiFactors(v=np.roll(factors.v, grid.m, axis=0), r=factors.r)
+        rolled = TakagiFactors(v=factors.v[band_order], r=factors.r)
         del factors
         spectrum = _stage("spectrum", spectrum_from_takagi, rolled)
-        target = signal_first(sq.gamma)
+        target = sq.gamma[np.ix_(band_order, band_order)]
     else:
         del factors
         sd = _stage("spectrum", schmidt_from_jsa, ext.jsa)
@@ -260,7 +260,7 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
     )
     del target
     report.residuals["takagi"] = takagi_res
-    if takagi_res > TAKAGI_THRESHOLD:
+    if not takagi_res <= TAKAGI_THRESHOLD:
         report.threshold_failures.append("takagi")
     report.residuals["symplectic"] = symplectic_res
 
@@ -292,7 +292,7 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         except ValueError as err:
             report.notes.append(f"geometric fit skipped: {err}")
 
-    detunings = np.concatenate([grid.signal, grid.idler])
+    detunings = grid.detunings[band_order]
     for path in export_spectrum(
         spectrum, out / "spectrum", cfg.output.format, detunings=detunings, pairing=pairing
     ):
@@ -330,7 +330,7 @@ def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path, model, grid) 
     total, _bound = evaluate_kernel_sum(f, xx, yy, terms)
     deviation = float(np.abs(lhs - total).max() / f.norm)
     report.residuals["kernel_truncation"] = deviation
-    if deviation > KERNEL_THRESHOLD:
+    if not deviation <= KERNEL_THRESHOLD:
         report.notes.append(
             f"Mehler series ({terms} terms) and closed-form kernel disagree by "
             f"{deviation:.2e} of the kernel norm, above {KERNEL_THRESHOLD:g}"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .takagi import _bit_symmetric, _float_or_complex, _mirror_blocks
+from .takagi import _as_square, _bit_symmetric, _check_symmetric, _float_or_complex, _mirror_blocks
 from .twinbeam import JointSpectralAmplitude
 from .units import C_UM_PER_FS, UM_PER_MM, nm_to_um
 
@@ -237,12 +237,8 @@ class SqueezingMatrixPhysical:
         n = 2 * self.grid.m
         if g.shape != (n, n):
             raise ValueError("gamma must be 2m x 2m")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gamma has non-finite (NaN or inf) entries")
-        if not _bit_symmetric(g):
-            scale = np.abs(g).max()
-            if scale > 0 and np.abs(g - g.T).max() > 1e-12 * scale:
-                raise ValueError("gamma must be symmetric")
+        if not _bit_symmetric(_as_square(g, "gamma")):
+            _check_symmetric(g, 1e-12, "gamma must be symmetric")
         object.__setattr__(self, "gamma", g)
 
 

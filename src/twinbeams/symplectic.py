@@ -28,6 +28,9 @@ import numpy as np
 from .takagi import (
     TakagiFactors,
     _abs_max,
+    _as_square,
+    _check_finite,
+    _check_symmetric,
     _float_or_complex,
     _minus,
     _real_basis,
@@ -57,13 +60,6 @@ def _bogoliubov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.block([[a, b], [b.conj(), a.conj()]])
 
 
-def _rel_max(delta: np.ndarray, ref: np.ndarray) -> float:
-    scale = np.abs(ref).max()
-    if scale == 0.0:
-        return float(np.abs(delta).max())
-    return float(np.abs(delta).max() / scale)
-
-
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Blocks of a Hermitian generator: ``h0`` Hermitian, ``hI`` complex symmetric."""
@@ -77,10 +73,8 @@ class GeneratorMatrix:
         hI = np.asarray(self.hI, dtype=complex)
         if h0.shape != (self.n, self.n) or hI.shape != (self.n, self.n):
             raise ValueError("generator blocks must be n x n")
-        if _rel_max(h0 - h0.conj().T, h0) > 1e-12:
-            raise ValueError("h0 is not Hermitian")
-        if _rel_max(hI - hI.T, hI) > 1e-12:
-            raise ValueError("hI is not complex symmetric")
+        _check_symmetric(_as_square(h0, "h0"), 1e-12, "h0 is not Hermitian", hermitian=True)
+        _check_symmetric(_as_square(hI, "hI"), 1e-12, "hI is not complex symmetric")
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "hI", hI)
 
@@ -107,7 +101,6 @@ class SymplecticMatrix:
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "sI", sI)
         res = symplectic_residual(self)
-        # Written so that a NaN residual is rejected too.
         if not res <= SYMPLECTIC_THRESHOLD:
             raise ValueError(f"matrix is not symplectic: residual {res:.3e}")
         object.__setattr__(self, "residual", res)
@@ -153,7 +146,7 @@ class GaussianState:
     ``sigma0`` is the Hermitian phase-insensitive block <da^dagger da>
     (coherency matrix), ``sigmaI`` the complex symmetric phase-sensitive
     block <da da>; the full covariance is
-    Sigma = [[sigma0, sigmaI], [conj(sigmaI), conj(sigma0)]].
+    Sigma = [[sigma0, sigmaI], [conj(sigmaI), conj(sigma0)]].  Entries must be finite.
     """
 
     n: int
@@ -167,13 +160,14 @@ class GaussianState:
         sI = np.asarray(self.sigmaI, dtype=complex)
         if s0.shape != (self.n, self.n) or sI.shape != (self.n, self.n):
             raise ValueError("covariance blocks must be n x n")
-        if _rel_max(s0 - s0.conj().T, s0) > 1e-12:
-            raise ValueError("sigma0 is not Hermitian")
-        if _rel_max(sI - sI.T, sI) > 1e-12:
-            raise ValueError("sigmaI is not symmetric")
+        _check_finite(mean, "mean")
+        _check_symmetric(
+            _as_square(s0, "sigma0"), 1e-12, "sigma0 is not Hermitian", hermitian=True
+        )
+        _check_symmetric(_as_square(sI, "sigmaI"), 1e-12, "sigmaI is not symmetric")
         full = _bogoliubov(s0, sI)
         eigmin = np.linalg.eigvalsh(0.5 * (full + full.conj().T)).min()
-        if eigmin < -1e-10 * max(np.abs(full).max(), 1.0):
+        if not eigmin >= -1e-10 * max(np.abs(full).max(), 1.0):
             raise ValueError(f"covariance is not positive semidefinite (min eig {eigmin:.3e})")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sigma0", s0)
@@ -325,7 +319,7 @@ def bloch_messiah(s: SymplecticMatrix) -> BlochMessiahFactors:
     reconI = (v * np.sinh(r)) @ q.T
     scale = max(np.abs(s.s0).max(), np.abs(s.sI).max())
     resid = max(np.abs(recon0 - s.s0).max(), np.abs(reconI - s.sI).max()) / scale
-    if resid > 1e-8:
+    if not resid <= 1e-8:
         raise RuntimeError(f"Bloch-Messiah reconstruction failed: residual {resid:.3e}")
     return BlochMessiahFactors(v=v, r=r, q=q)
 

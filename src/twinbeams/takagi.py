@@ -14,9 +14,14 @@ V = W diag(1 or i) with W real.  ``_real_basis`` returns that W, or V
 itself for any other V, and each check is written once in W: numpy runs
 it in real arithmetic whenever W is real.
 
-Input that equals its transpose bit for bit is factored as it is; any
-other input must be symmetric to 1e-10 of its largest entry and is
-replaced by its symmetric part 0.5 (A + A^T) first.
+The package's matrix checks are written here once.  ``_as_square`` names
+an argument with a NaN or infinite entry; ``_check_symmetric`` requires
+max|A - A^T| (A^H when Hermitian) <= tol max|A|, tol = 1e-10 for the
+factorizations and the associated matrix, 1e-12 for Gamma and the
+generator and covariance blocks.  Input equal to its transpose bit for bit
+(``_bit_symmetric``) skips that test and is factored, or mirrored by the
+heatmap writer, as it is; other input is factored as 0.5 (A + A^T).  Each
+tolerance test reads ``not x <= tol``, which a NaN fails.
 """
 
 from __future__ import annotations
@@ -50,14 +55,18 @@ def _float_or_complex(a) -> np.ndarray:
     return a if a.dtype == np.float64 else a.astype(complex, copy=False)
 
 
-def _as_square(a: np.ndarray) -> np.ndarray:
+def _check_finite(a: np.ndarray, what: str) -> None:
+    """ValueError naming ``what`` when ``a`` has a NaN or infinite entry."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} has non-finite (NaN or inf) entries")
+
+
+def _as_square(a, what: str = "matrix") -> np.ndarray:
+    """``a`` as an array, checked square and finite (``what`` names it)."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    # Checked before any imaginary part is tested or dropped: NaN fails
-    # every comparison, so no later tolerance test would catch it.
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite (NaN or inf) entries")
+    _check_finite(a, what)
     return a
 
 
@@ -93,16 +102,15 @@ def _bit_symmetric(a: np.ndarray) -> bool:
     )
 
 
-def _check_symmetric(a: np.ndarray) -> None:
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return
-    asym = np.abs(a - a.T).max()
-    if asym > 1e-10 * scale:
-        raise ValueError(
+def _check_symmetric(a: np.ndarray, tol=1e-10, message="", hermitian=False) -> None:
+    """ValueError unless max|A - A^T| (A^H if ``hermitian``) <= tol max|A|."""
+    bound = tol * np.abs(a).max()
+    asym = np.abs(a - (a.conj().T if hermitian else a.T)).max()
+    if not asym <= bound:
+        raise ValueError(message or (
             f"matrix is not symmetric: max|A - A^T| = {asym:.3e} "
-            f"exceeds 1.0e-10 * max|A| = {1e-10 * scale:.3e}"
-        )
+            f"exceeds {tol:.1e} * max|A| = {bound:.3e}"
+        ))
 
 
 def _symmetric_part(a: np.ndarray) -> np.ndarray:
@@ -169,7 +177,9 @@ def _unitarity_defect(v: np.ndarray) -> float:
     Gram matrix takes its absolute values in place.
     """
     w = _real_basis(v)[0]
-    gram = w.conj().T @ w
+    # A non-finite entry gives a NaN or inf defect, which ``not x <= tol`` rejects.
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = w.conj().T @ w
     gram[np.diag_indices_from(gram)] -= 1.0
     return float(_abs_max(gram))
 
@@ -248,10 +258,10 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
     RuntimeError
         If the reconstruction residual exceeds tolerance (reported).
     """
-    a = _as_square(a)
-    if np.isrealobj(a) or not np.any(a.imag):
-        return takagi_real_symmetric(a.real)
-    a = _symmetric_part(a)
+    # The real route checks its own input; a NaN or inf imaginary part is nonzero.
+    if np.isrealobj(a) or not np.any(np.imag(a)):
+        return takagi_real_symmetric(np.real(a))
+    a = _symmetric_part(_as_square(a))
     n = a.shape[0]
 
     lam, w = np.linalg.eigh(np.block([[a.real, a.imag], [a.imag, -a.real]]))
@@ -259,7 +269,7 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
     top = w[:, n:][:, ::-1]
     factors = _factors_from_signed(s, _polar(top[:n] + 1j * top[n:]))
     residual = takagi_residual(a, factors)
-    if residual > TAKAGI_THRESHOLD:
+    if not residual <= TAKAGI_THRESHOLD:
         raise RuntimeError(
             f"Takagi factorization residual {residual:.3e} exceeds {TAKAGI_THRESHOLD:g}"
         )

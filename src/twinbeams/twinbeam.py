@@ -23,6 +23,8 @@ import numpy as np
 
 from .takagi import (
     TakagiFactors,
+    _as_square,
+    _check_symmetric,
     _factors_from_signed,
     _float_or_complex,
     _largest_entry_phase,
@@ -68,9 +70,7 @@ class JointSpectralAmplitude:
         j = _float_or_complex(self.j_matrix)
         if j.shape != (self.m, self.m):
             raise ValueError("j_matrix must be m x m")
-        if not np.all(np.isfinite(j)):
-            raise ValueError("JSA j_matrix has non-finite (NaN or inf) entries")
-        object.__setattr__(self, "j_matrix", j)
+        object.__setattr__(self, "j_matrix", _as_square(j, "JSA j_matrix"))
 
 
 def _check_descending(r: np.ndarray) -> None:
@@ -91,7 +91,8 @@ class SchmidtDecomposition:
     Columns of ``c`` are the signal Schmidt modes; the idler modal
     function of mode j is the conjugate of column j of ``d``.  Each of
     ``c`` and ``d`` stays float64 when given as float64 (the SVD of a real
-    JSA) and is stored as complex128 otherwise.
+    JSA) and is stored as complex128 otherwise.  Each must be unitary to
+    1e-10, max|U^H U - I|, which a NaN or infinite entry fails.
     """
 
     c: np.ndarray = field(repr=False)
@@ -106,7 +107,7 @@ class SchmidtDecomposition:
         if c.shape != (m, m) or d.shape != (m, m) or r.shape != (m,):
             raise ValueError("c, d must be m x m and values length m")
         for name, u in (("c", c), ("d", d)):
-            if _unitarity_defect(u) > 1e-10:
+            if not _unitarity_defect(u) <= 1e-10:
                 raise ValueError(f"{name} is not unitary")
         _check_descending(r)
         object.__setattr__(self, "c", c)
@@ -133,7 +134,8 @@ class SqueezingSpectrum:
     consecutive duo of the descending values.  ``source`` names the path
     that produced the spectrum.  The modes must be unitary to 1e-10,
     max|V^H V - I|, which runs in real arithmetic when every column is
-    purely real or purely imaginary (every path, for a real matrix).
+    purely real or purely imaginary (every path, for a real matrix); a NaN
+    or infinite entry fails it.
     ``modes`` is always stored as complex128, whatever the matrix dtype:
     a duo partner of a real mode is imaginary.
     """
@@ -150,7 +152,7 @@ class SqueezingSpectrum:
         if v.shape != (n, n):
             raise ValueError("modes must be n x n for n values")
         _check_descending(r)
-        if _unitarity_defect(v) > 1e-10:
+        if not _unitarity_defect(v) <= 1e-10:
             raise ValueError("modes are not unitary")
         if self.source not in SPECTRUM_SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
@@ -226,7 +228,8 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
     step orders the eigenpairs and applies the i.  A real matrix, which is
     its own associated matrix, goes straight to ``takagi_real_symmetric``,
     and so does a complex one whose imaginary part is exactly zero after
-    the reshuffle (the rule of ``takagi_general``).
+    the reshuffle (the rule of ``takagi_general``).  A NaN or infinite
+    entry raises the same ValueError on either branch.
     """
     g = _float_or_complex(gamma)
     n = g.shape[0]
@@ -234,11 +237,10 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
         raise ValueError("gamma must be square with even dimension")
     m = n // 2
     if np.iscomplexobj(g):
-        g = g.copy()
+        g = _as_square(g).copy()
         g[m:, :] = g[m:, :].conj()
-        scale = max(np.abs(g).max(), 1e-300)
-        if np.abs(g - g.conj().T).max() > 1e-10 * scale:
-            raise ValueError("matrix is not Hermitian after the associated-matrix reshuffle")
+        message = "matrix is not Hermitian after the associated-matrix reshuffle"
+        _check_symmetric(g, 1e-10, message, hermitian=True)
     if np.isrealobj(g) or not np.any(g.imag):
         f = takagi_real_symmetric(g.real)
         return SqueezingSpectrum(values=f.r, modes=f.v, source="associated_spectral")

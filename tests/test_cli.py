@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -165,6 +166,25 @@ class TestRun:
         assert result.exit_code == 3
         assert "residual thresholds violated: takagi" in all_output(result)
         assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["takagi", "leakage"])
+    def test_nan_residual_exits_3(self, runner, tmp_path, monkeypatch, name):
+        """A NaN residual fails its threshold: NaN is not at or below any number."""
+        nan = float("nan")
+        if name == "takagi":
+            monkeypatch.setattr(pipeline, "takagi_residual", lambda target, factors: nan)
+        else:
+            extract = pipeline.extract_jsa
+            monkeypatch.setattr(
+                pipeline, "extract_jsa", lambda sq: dataclasses.replace(extract(sq), leakage=nan)
+            )
+        cfg_path = write_config(tmp_path, pipeline="numerical")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 3
+        assert f"residual thresholds violated: {name}" in all_output(result)
+        payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert payload["threshold_failures"] == [name]
 
     def test_pipeline_error_exits_3(self, runner, tmp_path):
         cfg_path = write_config(

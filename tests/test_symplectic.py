@@ -81,6 +81,13 @@ class TestGenerator:
             GeneratorMatrix(n=2, h0=bad, hI=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="hI is not complex symmetric"):
             GeneratorMatrix(n=2, h0=np.zeros((2, 2)), hI=bad)
+        # NaN fails every tolerance test; inf - inf is NaN.
+        for entry in (np.nan, np.inf, -np.inf):
+            block = np.array([[entry, 0.0], [0.0, 0.0]])
+            with pytest.raises(ValueError, match="h0 has non-finite"):
+                GeneratorMatrix(n=2, h0=block, hI=np.zeros((2, 2)))
+            with pytest.raises(ValueError, match="hI has non-finite"):
+                GeneratorMatrix(n=2, h0=np.zeros((2, 2)), hI=block)
 
     def test_zero_generator_gives_identity(self):
         s = exponentiate_generator(
@@ -349,6 +356,15 @@ class TestGaussianState:
             GaussianState(n=2, mean=np.zeros(2), sigma0=eye, sigmaI=bad)
         with pytest.raises(ValueError, match="not positive semidefinite"):
             GaussianState(n=2, mean=np.zeros(2), sigma0=-eye, sigmaI=np.zeros((2, 2)))
+        zero = np.zeros((2, 2))
+        for entry in (np.nan, np.inf, -np.inf):
+            block = np.array([[entry, 0.0], [0.0, 0.5]])
+            with pytest.raises(ValueError, match="mean has non-finite"):
+                GaussianState(n=2, mean=np.array([entry, 0.0]), sigma0=eye, sigmaI=zero)
+            with pytest.raises(ValueError, match="sigma0 has non-finite"):
+                GaussianState(n=2, mean=np.zeros(2), sigma0=block, sigmaI=zero)
+            with pytest.raises(ValueError, match="sigmaI has non-finite"):
+                GaussianState(n=2, mean=np.zeros(2), sigma0=eye, sigmaI=block)
 
 
 class TestPropagation:

@@ -73,6 +73,13 @@ class TestContainers:
             SchmidtDecomposition(c=eye, d=eye, values=np.array([np.nan, 1.0, 0.5]))
         with pytest.raises(ValueError, match="must be finite"):
             SchmidtDecomposition(c=eye, d=eye, values=np.array([np.inf, 1.0, 0.5]))
+        for entry in (np.nan, np.inf, -np.inf):
+            u = eye.copy()
+            u[1, 2] = entry
+            with pytest.raises(ValueError, match="c is not unitary"):
+                SchmidtDecomposition(c=u, d=eye, values=np.ones(3))
+            with pytest.raises(ValueError, match="d is not unitary"):
+                SchmidtDecomposition(c=eye, d=u.real, values=np.ones(3))
 
     def test_spectrum_validation(self):
         eye = np.eye(4, dtype=complex)
@@ -89,6 +96,11 @@ class TestContainers:
             SqueezingSpectrum(values=np.array([np.inf, 1.0]), modes=np.eye(2))
         with pytest.raises(ValueError, match="modes are not unitary"):
             SqueezingSpectrum(values=vals, modes=0.5 * eye)
+        for entry in (np.nan, np.inf, -np.inf):
+            modes = eye.copy()
+            modes[3, 0] = entry
+            with pytest.raises(ValueError, match="modes are not unitary"):
+                SqueezingSpectrum(values=vals, modes=modes)
         with pytest.raises(ValueError, match="unknown source"):
             SqueezingSpectrum(values=vals, modes=eye, source="guesswork")
         with pytest.raises(TypeError, match="pairs"):
@@ -295,6 +307,17 @@ class TestThreePaths:
     def test_associated_rejects_odd_dimension(self):
         with pytest.raises(ValueError, match="even dimension"):
             associated_spectral(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_associated_rejects_non_finite(self, entry, complex_valued):
+        """Both branches name a NaN or inf entry, not the solver."""
+        g = np.zeros((4, 4), dtype=complex if complex_valued else float)
+        g[:2, 2:] = g[2:, :2] = [[1.0, entry], [entry, 0.25]]
+        if complex_valued:
+            g[0, 2] = g[2, 0] = 1.0 + 1.0j
+        with pytest.raises(ValueError, match="matrix has non-finite"):
+            associated_spectral(g)
 
     def test_associated_rejects_complex_diagonal_blocks(self):
         g = 1j * np.eye(4)
