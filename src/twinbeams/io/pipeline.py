@@ -20,26 +20,26 @@ is dropped after its last reader.  The squeezer runs before the spectrum
 and only its residual is kept, so the n x n results of the two routes
 are never live together: a traced ``compare`` run at m = 256 peaks at
 7.4 times the bytes of Gamma, in the symplectic check.  The manifest
-still lists the heatmap after the spectrum files, so ``report.json`` is
-unchanged; but a run that fails after the matrix build now leaves
-``squeezing_matrix.csv`` on disk.
+lists the heatmap after the spectrum files, and a run that fails after
+the matrix build leaves ``squeezing_matrix.csv`` on disk.
 
 Every run writes ``report.json`` with the resolved config (Sellmeier data
 included), a summary, the residual diagnostics with their thresholds, and a
 manifest of the artifact files, so each reported number can be traced to an
 output file.  Stage failures are re-raised as :class:`PipelineError` with the
-stage label; leakage and Takagi residuals past their thresholds are collected
-in ``RunReport.threshold_failures`` (the CLI exits 3 on either), while a
-symplectic residual past its threshold fails the ``symplectic`` stage.  The
-checks take no settings; the Mehler series is summed to its tail bound.
+stage label.  Each check is recorded by ``_check``: on a miss (NaN always is
+one), a check gated in ``thresholds`` is a threshold failure (the CLI exits
+3) and a check with a note adds it; a symplectic miss fails its stage first.
+The checks take no settings; the Mehler series is summed to its tail bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -120,15 +120,21 @@ class RunReport:
 
     pipeline: str
     config: dict
-    summary: dict
-    residuals: dict
-    thresholds: dict
-    threshold_failures: list
-    notes: list
-    artifacts: list
+    summary: dict = field(default_factory=dict)
+    residuals: dict = field(default_factory=dict)
+    thresholds: dict = field(
+        default_factory=lambda: dict(
+            leakage=LEAKAGE_THRESHOLD, takagi=TAKAGI_THRESHOLD, symplectic=SYMPLECTIC_THRESHOLD
+        )
+    )
+    threshold_failures: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+    artifacts: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The report as plain data; a non-finite residual is None, so JSON stays strict."""
+        residuals = {k: v if math.isfinite(v) else None for k, v in self.residuals.items()}
+        return {**dataclasses.asdict(self), "residuals": residuals}
 
     def write(self, path) -> Path:
         path = Path(path)
@@ -180,6 +186,19 @@ class RunReport:
         return lines
 
 
+def _check(report: RunReport, name: str, value, note: str = "", threshold=math.inf) -> None:
+    """Store a check's residual; on a miss, fail it if it is gated and add its note.
+
+    A gated check is held to its ``report.thresholds`` entry, any other to ``threshold``.
+    """
+    report.residuals[name] = float(value)
+    if not value <= report.thresholds.get(name, threshold):
+        if name in report.thresholds:
+            report.threshold_failures.append(name)
+        if note:
+            report.notes.append(note)
+
+
 def _analytic_model(cfg: RunConfig):
     """(times, Gaussian model, Mehler factors), each step a labelled stage."""
     t = _stage("characteristic-times", characteristic_times, cfg.crystal, cfg.pump)
@@ -214,19 +233,17 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         sq.gamma, grid.detunings, grid.detunings, out / "squeezing_matrix.csv"
     )
     ext = _stage("jsa-extraction", extract_jsa, sq)
-    report.residuals["leakage"] = float(ext.leakage)
-    if not ext.leakage <= LEAKAGE_THRESHOLD:
-        report.threshold_failures.append("leakage")
-        report.notes.append(
-            f"band leakage {ext.leakage:.3e} exceeds {LEAKAGE_THRESHOLD:g}: the "
-            "twin-beam block structure is degraded at this working point"
-        )
+    _check(
+        report, "leakage", ext.leakage,
+        f"band leakage {ext.leakage:.3e} exceeds {LEAKAGE_THRESHOLD:g}: the "
+        "twin-beam block structure is degraded at this working point",
+    )
 
     scale = float(np.abs(sq.gamma).max())
     zero = scale == 0.0
     # A float64 Gamma has no imaginary part to build or measure.
     real = zero or np.isrealobj(sq.gamma)
-    report.residuals["imag_fraction"] = 0.0 if real else float(np.abs(sq.gamma.imag).max() / scale)
+    _check(report, "imag_fraction", 0.0 if real else np.abs(sq.gamma.imag).max() / scale)
     if zero:
         report.notes.append(
             "squeezing matrix is identically zero (gain = 0); spectrum, fit and "
@@ -255,14 +272,9 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         target = block_squeezing_matrix(ext.jsa)
     del sq, ext
 
-    takagi_res = float(
-        takagi_residual(target, TakagiFactors(v=spectrum.modes, r=spectrum.values))
-    )
+    _check(report, "takagi", takagi_residual(target, TakagiFactors(spectrum.modes, spectrum.values)))
     del target
-    report.residuals["takagi"] = takagi_res
-    if not takagi_res <= TAKAGI_THRESHOLD:
-        report.threshold_failures.append("takagi")
-    report.residuals["symplectic"] = symplectic_res
+    _check(report, "symplectic", symplectic_res)
 
     report.summary["r1"] = float(spectrum.values[0])
     pairing = None
@@ -329,12 +341,12 @@ def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path, model, grid) 
     terms = terms_for_tail_bound(f, KERNEL_THRESHOLD)
     total, _bound = evaluate_kernel_sum(f, xx, yy, terms)
     deviation = float(np.abs(lhs - total).max() / f.norm)
-    report.residuals["kernel_truncation"] = deviation
-    if not deviation <= KERNEL_THRESHOLD:
-        report.notes.append(
-            f"Mehler series ({terms} terms) and closed-form kernel disagree by "
-            f"{deviation:.2e} of the kernel norm, above {KERNEL_THRESHOLD:g}"
-        )
+    _check(
+        report, "kernel_truncation", deviation,
+        f"Mehler series ({terms} terms) and closed-form kernel disagree by "
+        f"{deviation:.2e} of the kernel norm, above {KERNEL_THRESHOLD:g}",
+        KERNEL_THRESHOLD,
+    )
 
     factors_path = out / "analytic_factors.json"
     factors_path.write_text(
@@ -419,20 +431,7 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunReport:
     out = resolve_output_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    report = RunReport(
-        pipeline=cfg.pipeline,
-        config=config_to_dict(cfg),
-        summary={},
-        residuals={},
-        thresholds={
-            "leakage": LEAKAGE_THRESHOLD,
-            "takagi": TAKAGI_THRESHOLD,
-            "symplectic": SYMPLECTIC_THRESHOLD,
-        },
-        threshold_failures=[],
-        notes=[],
-        artifacts=[],
-    )
+    report = RunReport(cfg.pipeline, config_to_dict(cfg))
 
     # The analytic model and the grid are built once and handed to the stages.
     analytic = cfg.pipeline in ("analytic", "compare")

@@ -76,7 +76,8 @@ class SellmeierSet:
     def check_range(self, lambda_um) -> None:
         lam = np.asarray(lambda_um, dtype=float)
         lo, hi = float(lam.min()), float(lam.max())
-        if lo < self.lambda_min_um or hi > self.lambda_max_um:
+        # Written so that a NaN wavelength fails the test too.
+        if not (self.lambda_min_um <= lo and hi <= self.lambda_max_um):
             raise ValueError(
                 f"wavelength {lo:.4f}-{hi:.4f} um outside Sellmeier validity "
                 f"range [{self.lambda_min_um}, {self.lambda_max_um}] um"

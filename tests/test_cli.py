@@ -186,6 +186,27 @@ class TestRun:
         payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert payload["threshold_failures"] == [name]
 
+    def test_nan_kernel_truncation_is_a_note(self, runner, tmp_path, monkeypatch):
+        """The Mehler deviation is a note-only check: NaN adds its note and fails nothing."""
+        monkeypatch.setattr(
+            pipeline, "evaluate_kernel_lhs", lambda params, x, y: np.full(x.shape, np.nan)
+        )
+        cfg_path = write_config(tmp_path, pipeline="analytic")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 0
+        assert "residual kernel_truncation: nan" in all_output(result)
+
+        def reject(token):
+            raise AssertionError(f"report.json holds {token}")
+
+        text = (out / "report.json").read_text(encoding="utf-8")
+        payload = json.loads(text, parse_constant=reject)
+        assert payload["residuals"] == {"kernel_truncation": None}
+        assert payload["threshold_failures"] == []
+        (note,) = payload["notes"]
+        assert note.startswith("Mehler series (") and "disagree by nan of the kernel norm" in note
+
     def test_pipeline_error_exits_3(self, runner, tmp_path):
         cfg_path = write_config(
             tmp_path,

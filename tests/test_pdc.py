@@ -69,6 +69,15 @@ class TestSellmeier:
         with pytest.raises(ValueError, match="outside Sellmeier validity"):
             refractive_index(CRYSTAL, 1.6, "extraordinary")
 
+    @pytest.mark.parametrize("polarization", ["ordinary", "extraordinary"])
+    @pytest.mark.parametrize(
+        "lambda_um", [math.nan, np.array([0.6, math.nan, 0.8])], ids=["scalar", "array"]
+    )
+    def test_nan_wavelength_raises(self, lambda_um, polarization):
+        """NaN lies in no validity range: it raises instead of giving a NaN index."""
+        with pytest.raises(ValueError, match="outside Sellmeier validity"):
+            refractive_index(CRYSTAL, lambda_um, polarization)
+
     def test_derivatives_check_the_same_range(self):
         """The pump (extraordinary) is checked against both Sellmeier sets."""
         with pytest.raises(ValueError, match="outside Sellmeier validity"):

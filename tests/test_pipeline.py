@@ -439,6 +439,61 @@ class TestCheckPaths:
         assert not (tmp_path / "report.json").exists()
 
 
+class TestCheckRecord:
+    """Each check's residual, threshold, failure and note are written by one record."""
+
+    RESIDUALS = {
+        "numerical": ["leakage", "imag_fraction", "takagi", "symplectic"],
+        "analytic": ["kernel_truncation"],
+        "compare": ["kernel_truncation", "leakage", "imag_fraction", "takagi", "symplectic"],
+        "near_degenerate": ["leakage", "imag_fraction", "takagi", "symplectic"],
+    }
+
+    @pytest.mark.parametrize("name", PIPELINES)
+    def test_key_order(self, tmp_path, name):
+        report = run_pipeline(small_config(pipeline=name), out_dir=tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        for record in (report.to_dict(), payload):
+            assert list(record["residuals"]) == self.RESIDUALS[name]
+            assert record["thresholds"] == {"leakage": 1e-3, "takagi": 1e-10, "symplectic": 1e-10}
+            assert list(record["thresholds"]) == ["leakage", "takagi", "symplectic"]
+
+    @pytest.mark.parametrize(
+        "name, threshold, gated",
+        [
+            ("leakage", pipeline.LEAKAGE_THRESHOLD, True),
+            ("kernel_truncation", pipeline.KERNEL_THRESHOLD, False),
+        ],
+        ids=["gated", "note-only"],
+    )
+    @pytest.mark.parametrize("where, missed", [("at", False), ("above", True), ("nan", True)])
+    def test_threshold_edge(self, name, threshold, gated, where, missed):
+        """A value at the threshold passes; one ulp above, or NaN, misses."""
+        value = {"at": threshold, "above": np.nextafter(threshold, np.inf), "nan": np.nan}[where]
+        report = pipeline.RunReport("numerical", {})
+        pipeline._check(report, name, value, "missed", *(() if gated else (threshold,)))
+        assert list(report.residuals) == [name]
+        np.testing.assert_equal(report.residuals[name], float(value))
+        assert report.notes == (["missed"] if missed else [])
+        assert report.threshold_failures == ([name] if missed and gated else [])
+
+    def test_nan_residual_is_null_in_strict_json(self, monkeypatch, tmp_path):
+        """report.json stays strict JSON: a NaN residual is written as null and still fails."""
+        extract = pipeline.extract_jsa
+        monkeypatch.setattr(
+            pipeline, "extract_jsa", lambda sq: dataclasses.replace(extract(sq), leakage=np.nan)
+        )
+        report = run_pipeline(small_config(pipeline="numerical"), out_dir=tmp_path)
+        assert np.isnan(report.residuals["leakage"])
+        assert report.threshold_failures == ["leakage"]
+        text = (tmp_path / "report.json").read_text(encoding="utf-8")
+        payload = json.loads(text, parse_constant=_reject_constant)
+        assert payload == report.to_dict()
+        assert payload["residuals"]["leakage"] is None
+        assert list(payload["residuals"]) == self.RESIDUALS["numerical"]
+        assert payload["threshold_failures"] == ["leakage"]
+
+
 class TestSmallGrids:
     """m = 1, 2, 3 run in every pipeline; a one-point band's analytic modes
     take the grid spacing."""
