@@ -153,17 +153,21 @@ def sweep(config_source, param, values, out_dir, fmt, pairs_tol):
         _fail(EXIT_VALIDATION, "--values is empty")
     root = resolve_output_dir(base_cfg, out_dir)
 
-    rows = []
-    any_failed = False
+    # Every value is validated before the first point runs.
+    cfgs = []
     for raw in raw_values:
         tree = copy.deepcopy(base)
         try:
             _set_path(tree, param, yaml.load(raw, Loader=_ConfigLoader))
-            cfg = config_from_dict(tree)
+            cfgs.append(config_from_dict(tree))
         except ConfigError as err:
             _fail(EXIT_VALIDATION, str(err))
         except yaml.YAMLError as err:
             _fail(EXIT_VALIDATION, f"cannot parse value {raw!r}: {err}")
+
+    rows = []
+    any_failed = False
+    for raw, cfg in zip(raw_values, cfgs):
         sub = root / f"{param}={raw}".replace("/", "_")
         try:
             report = run_pipeline(cfg, out_dir=sub)

@@ -4,10 +4,11 @@ Floats are written with 17 significant digits (``%.17g``), which round-trips
 every IEEE double exactly, so re-running an identical config reproduces the
 artifact files byte for byte.
 
-The matrix heatmap formats its values in numpy (``_format_all``), to the
-bytes of Python's ``%.17g``.  Each double is split into a 53-bit significand
-f and a binary exponent, its decimal exponent X is read off a table of the
-least doubles >= 10**X, and f is multiplied by 10**(16 - X), held as a
+Every float cell of every CSV is formatted in numpy (``_format_all``), to
+the bytes of Python's ``%.17g``; only the heatmap's grid labels take Python's
+own.  Each double is split into a 53-bit significand f and a binary
+exponent, its decimal exponent X is read off a table of the least
+doubles >= 10**X, and f is multiplied by 10**(16 - X), held as a
 128-bit truncated integer, in 32-bit limbs.  The product is the value times
 10**(16 - X) to within 2**-69 of one unit, and never above it, so its
 integer part and the top 64 bits of its fraction fix the 17 digits by
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 from pathlib import Path
@@ -42,32 +44,31 @@ from pathlib import Path
 import numpy as np
 
 from ..takagi import _bit_symmetric, _float_or_complex
+from .config import FORMATS
 
 __all__ = ["write_csv", "export_spectrum", "export_matrix_heatmap"]
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt(value)
+#: Rows per ``write_csv`` formatting batch, so no table is held whole.
+_CSV_BATCH_ROWS = 256
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write one CSV table; floats get exact-round-trip formatting."""
+    """Write one CSV table.  Float cells (``float`` or ``np.floating``) are
+    ``%.17g`` by ``_format_all``, one call per batch of rows; ``csv.writer``
+    writes the rest as they are (ints and bools, numpy's too, as ``str``)."""
     path = Path(path)
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        while batch := [list(row) for row in itertools.islice(rows, _CSV_BATCH_ROWS)]:
+            at = [(row, k) for row in batch for k, v in enumerate(row)
+                  if isinstance(v, (float, np.floating))]
+            text = _format_all([row[k] for row, k in at]).astype(str).tolist()
+            for (row, k), cell in zip(at, text):
+                row[k] = cell
+            writer.writerows(batch)
     return path
 
 
@@ -95,7 +96,7 @@ def export_spectrum(spectrum, stem, fmt="csv", detunings=None, pairing=None) -> 
     as separate arrays, one entry per mode) and, when given, the detuning
     labels of the mode rows (signal half first, then idler).
     """
-    if fmt not in ("csv", "json", "both"):
+    if fmt not in FORMATS:
         raise ValueError(f"format must be csv, json or both, got {fmt!r}")
     stem = Path(stem)
     ids, gaps = _pair_columns(spectrum, pairing)
@@ -414,25 +415,6 @@ def _cell_text(values, full) -> np.ndarray:
     return out
 
 
-def _packed(mat, start, lo, hi) -> np.ndarray:
-    """Entries lo ... hi - 1 of the packed upper triangle of ``mat``."""
-    i = np.searchsorted(start, lo, side="right") - 1
-    parts = []
-    while lo < hi:
-        j = i + lo - start[i]
-        count = min(hi, start[i + 1]) - lo
-        parts.append(mat[i, j : j + count])
-        lo += count
-        i += 1
-    return np.concatenate(parts)
-
-
-def _labels(values) -> np.ndarray:
-    """``%.17g`` of each grid value as NUL-padded rows of bytes."""
-    text = np.array([_fmt(w).encode() for w in values], dtype=bytes)
-    return text.view(np.uint8).reshape(len(values), text.itemsize)
-
-
 def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
     """Write a real or complex matrix as a long CSV: omega,omega_prime,re,im,abs.
 
@@ -474,7 +456,7 @@ def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
     mirrored = mat.shape == (n, n) and _bit_symmetric(mat)
     # im and abs are formatted only when some im is not zero.
     full = im is not None and bool(im.any())
-    row_text, col_text = _labels(rows_w), _labels(cols_w)
+    row_text, col_text = _as_bytes(_format_python(rows_w)), _as_bytes(_format_python(cols_w))
     widths = [row_text.shape[1], col_text.shape[1], 24, 24 if full else 2, 24]
     slots = np.cumsum([0] + [w + 1 for w in widths])
     o_col, o_re, o_im, o_abs, width = slots[1:]
@@ -504,7 +486,9 @@ def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
                 # triangle of the last rows is short.
                 while done < start[r1]:
                     stop = min(done + _TILE_CELLS, start[n])
-                    table[done:stop] = _cell_text(_packed(mat, start, done, stop), full)
+                    p = np.arange(done, stop)
+                    i = np.searchsorted(start, p, side="right") - 1
+                    table[done:stop] = _cell_text(mat[i, p - start[i] + i], full)
                     done = stop
                 rows = np.arange(r0, r1)[:, None]
                 cells = np.take(table, start[np.minimum(rows, cols)] + np.abs(rows - cols), axis=0)

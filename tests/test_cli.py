@@ -334,6 +334,23 @@ class TestSweep:
         assert result.exit_code == 2
         assert "pump.gain: expected a number" in all_output(result)
 
+    def test_bad_last_value_runs_no_point(self, runner, tmp_path):
+        """Every value is validated before the first point runs."""
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        result = runner.invoke(
+            main,
+            [
+                "sweep", str(cfg_path),
+                "--param", "grid.m",
+                "--values", "8,x",
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "grid.m: expected an integer, got 'x'" in all_output(result)
+        assert not out.exists()
+
     def test_failing_point_is_recorded_and_exit_3(self, runner, tmp_path):
         """A point that cannot run leaves an error row; the sweep continues."""
         cfg_path = write_config(tmp_path, grid={"m": 16})  # automatic band sizing

@@ -1,6 +1,7 @@
 """Tests for the CSV/JSON artifact writers."""
 
 import csv
+import io
 import json
 import math
 import tracemalloc
@@ -17,6 +18,10 @@ from twinbeams.io import export_matrix_heatmap, export_spectrum, exports, write_
 from twinbeams.twinbeam import SqueezingSpectrum, pair_eigenvalues
 
 np.random.seed(42)
+
+#: Exact ties at the 17th digit: 18 significant digits, the last a 5.
+#: Python rounds them half-even; the numpy path would round them up.
+TIES = [2091755748717130.75, 2091755748717130.25, 562949953421312.125, 562949953421312.375]
 
 
 def read_csv(path):
@@ -36,6 +41,25 @@ def assert_bytes_match_per_cell(tmp_path, mat, rg=None, cg=None):
     got = export_matrix_heatmap(mat, rg, cg, tmp_path / "fast.csv").read_bytes()
     want = per_cell_heatmap(mat, rg, cg, tmp_path / "ref.csv").read_bytes()
     assert got == want
+
+
+def reference_csv(header, rows) -> bytes:
+    """Reference: the per-cell writer, floats by Python's own ``%.17g``."""
+
+    def cell(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (bool, np.bool_)):
+            return str(bool(v))
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return format(float(v), ".17g")
+
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return text.getvalue().encode()
 
 
 def spectrum_with_gap():
@@ -69,6 +93,42 @@ class TestWriteCsv:
         path = write_csv(tmp_path / "n.csv", ["a"], [(1,)])
         data = path.read_bytes()
         assert b"\r" not in data
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [
+                (0.1, np.float64(-2.5), np.float32(0.1), 1e16, 1e-5),
+                (0.0, -0.0, math.nan, math.inf, -math.inf),
+                (5e-324, -5e-324, np.float64(-0.0), np.float32(-math.inf), 1.7976931348623157e308),
+                tuple(TIES) + (-TIES[0],),
+                (True, np.bool_(False), 7, np.int64(-3), np.uint8(200)),
+                ("", 'a "quoted", cell', "plain", 'x"', " "),
+            ],
+            [("only", 1, True), ("text", np.int64(2), np.bool_(True))],
+            [],
+        ],
+        ids=["every-cell-kind", "no-float-cells", "header-only"],
+    )
+    def test_bytes_match_reference_writer(self, tmp_path, rows):
+        header = [f"c{k}" for k in range(max(map(len, rows), default=3))]
+        path = write_csv(tmp_path / "t.csv", header, rows)
+        assert path.read_bytes() == reference_csv(header, rows)
+
+    def test_bytes_match_reference_writer_across_batches(self, tmp_path):
+        """A generator of rows longer than two batches, so batch edges fall
+        mid-table; each row mixes floats of every scale with other cells."""
+        rng = np.random.default_rng(5)
+        n = 2 * exports._CSV_BATCH_ROWS + 37
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+
+        def rows():
+            for k, v in enumerate(values):
+                yield (k, "ab"[k % 2], v, float(-v), np.float32(v), k % 3 == 0, "" if k % 5 else v / 3)
+
+        header = ["k", "s", "v", "w", "f32", "flag", "maybe"]
+        path = write_csv(tmp_path / "long.csv", header, rows())
+        assert path.read_bytes() == reference_csv(header, list(rows()))
 
 
 class TestExportSpectrum:
@@ -364,11 +424,6 @@ def assert_formats_like_python(values):
 
 def neighbours(x):
     return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
-
-
-#: Exact ties at the 17th digit: 18 significant digits, the last a 5.
-#: Python rounds them half-even; the numpy path would round them up.
-TIES = [2091755748717130.75, 2091755748717130.25, 562949953421312.125, 562949953421312.375]
 
 
 class TestFormatAll:
