@@ -54,9 +54,11 @@ _CSV_BATCH_ROWS = 256
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write one CSV table.  Float cells (``float`` or ``np.floating``) are
-    ``%.17g`` by ``_format_all``, one call per batch of rows; ``csv.writer``
-    writes the rest as they are (ints and bools, numpy's too, as ``str``)."""
+    """Write one CSV table.  Only float cells (``float`` or ``np.floating``)
+    are formatted: ``%.17g`` by ``_format_all``, one call per batch of rows.
+    ``csv.writer`` writes every other cell as its ``str()`` (strings, ints
+    and bools, numpy's too); an object that merely converts to float, such as
+    a 0-d array or a ``Decimal``, is written as its ``str()``, not ``%.17g``."""
     path = Path(path)
     rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:

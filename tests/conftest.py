@@ -6,13 +6,14 @@ covers the phase-matched bands plus their pump-broadened wings.
 """
 
 import cmath
+import csv
 import dataclasses
+import io
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from twinbeams.io import write_csv
 from twinbeams.mehler import characteristic_times, gaussian_model_params, mehler_factors
 from twinbeams.pdc import (
     PumpConfig,
@@ -23,8 +24,28 @@ from twinbeams.pdc import (
 )
 
 
+def reference_csv(header, rows) -> bytes:
+    """Reference: the per-cell CSV writer, floats by Python's own ``%.17g``,
+    independent of the numpy formatter the artifact writers use."""
+
+    def cell(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (bool, np.bool_)):
+            return str(bool(v))
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return format(float(v), ".17g")
+
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return text.getvalue().encode()
+
+
 def per_cell_heatmap(matrix, row_grid, col_grid, path):
-    """Reference: the element-by-element heatmap writer built on write_csv."""
+    """Reference: the element-by-element heatmap writer built on reference_csv."""
     mat = np.asarray(matrix)
     rows_w = np.asarray(row_grid, dtype=float)
     cols_w = np.asarray(col_grid, dtype=float)
@@ -35,7 +56,8 @@ def per_cell_heatmap(matrix, row_grid, col_grid, path):
                 v = complex(mat[i, j])
                 yield (rows_w[i], cols_w[j], v.real, v.imag, abs(v))
 
-    return write_csv(path, ["omega", "omega_prime", "re", "im", "abs"], rows())
+    path.write_bytes(reference_csv(["omega", "omega_prime", "re", "im", "abs"], rows()))
+    return path
 
 
 def random_unitary(n):

@@ -1,7 +1,6 @@
 """Tests for the CSV/JSON artifact writers."""
 
 import csv
-import io
 import json
 import math
 import tracemalloc
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import build_working_point, per_cell_heatmap, random_unitary
+from conftest import build_working_point, per_cell_heatmap, random_unitary, reference_csv
 from twinbeams.io import export_matrix_heatmap, export_spectrum, exports, write_csv
 from twinbeams.twinbeam import SqueezingSpectrum, pair_eigenvalues
 
@@ -41,25 +40,6 @@ def assert_bytes_match_per_cell(tmp_path, mat, rg=None, cg=None):
     got = export_matrix_heatmap(mat, rg, cg, tmp_path / "fast.csv").read_bytes()
     want = per_cell_heatmap(mat, rg, cg, tmp_path / "ref.csv").read_bytes()
     assert got == want
-
-
-def reference_csv(header, rows) -> bytes:
-    """Reference: the per-cell writer, floats by Python's own ``%.17g``."""
-
-    def cell(v):
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (bool, np.bool_)):
-            return str(bool(v))
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return format(float(v), ".17g")
-
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([cell(v) for v in row] for row in rows)
-    return text.getvalue().encode()
 
 
 def spectrum_with_gap():
