@@ -1,0 +1,121 @@
+#!/usr/bin/env bash
+# Smoke run of an installed twinbeams, from a directory outside the checkout
+# and without PYTHONPATH: bundled configs, byte-identical repeat runs of every
+# pipeline, tile edges of the squeezing-matrix build, an independent %.17g
+# oracle over every CSV, and the exit codes of failing runs.
+#
+#   cd "$(mktemp -d)" && PYTHONWARNINGS=error::RuntimeWarning bash -e /path/to/repo/ci/smoke.sh
+#
+# Outputs go under RUNNER_TEMP (a fresh temporary directory when unset).
+# GITHUB_WORKSPACE (this repository's root when unset) is the checkout that
+# twinbeams must not be imported from.
+RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
+GITHUB_WORKSPACE=${GITHUB_WORKSPACE:-$(cd "$(dirname "$0")/.." && pwd)}
+set -eo pipefail
+unset PYTHONPATH
+python -c "import pathlib, sys, twinbeams; p = pathlib.Path(twinbeams.__file__).resolve(); print(p); sys.exit(pathlib.Path('$GITHUB_WORKSPACE').resolve() in p.parents)"
+python -c "import importlib; mods = [importlib.import_module('twinbeams.' + m) for m in ('pdc', 'mehler', 'takagi', 'twinbeam', 'symplectic', 'io')]; [getattr(m, n) for m in mods for n in m.__all__]"
+# scipy is imported only by the two functions that use it: a run loads none of it.
+python -c "import sys, twinbeams.io.cli, twinbeams.io as io; io.run_pipeline(io.parse_config('bbo_nondegenerate'), '$RUNNER_TEMP/noscipy'); sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
+for name in $(python -c "import twinbeams.io as io; print(*io.bundled_configs())"); do
+  twinbeams validate "$name"
+done
+twinbeams run bbo_nondegenerate --out "$RUNNER_TEMP/smoke" | tee "$RUNNER_TEMP/smoke.log"
+if grep -q '^note:' "$RUNNER_TEMP/smoke.log"; then exit 1; fi
+# Identical configs must give byte-identical artifacts.
+twinbeams run bbo_nondegenerate --out "$RUNNER_TEMP/smoke2"
+diff -r "$RUNNER_TEMP/smoke" "$RUNNER_TEMP/smoke2"
+# The same for every pipeline, in every format: the analytic pipeline and the
+# real-Gamma numerical and near_degenerate runs exit 0 and repeat byte for byte.
+for run in a b; do
+  twinbeams sweep bbo_nondegenerate --param pipeline --values numerical,analytic,compare,near_degenerate --format both --out "$RUNNER_TEMP/pipelines$run"
+done
+diff -r "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP/pipelinesb"
+twinbeams sweep bbo_nondegenerate --param pump.gain --values 1,2 --out "$RUNNER_TEMP/sweep"
+# An explicit band skips the automatic sizing from the analytic model.
+twinbeams sweep bbo_nondegenerate --param grid.half_width --values 0.5,0.6 --out "$RUNNER_TEMP/band"
+# z0 = L/4 gives a complex128 Gamma, z0 = L/2 a float64 one: both dtype paths.
+twinbeams sweep bbo_nondegenerate --param pump.z0_fraction --values 0.25,0.5 --out "$RUNNER_TEMP/z0"
+# Tile edges of the squeezing-matrix build, for a float64 Gamma (z0 = L/2) and a
+# complex128 one (z0 = L/4): m = 1 and 37 fill part of one tile, and 2m = 400
+# ends on a partial tile.  The compare pipeline runs all three (exit 0): a
+# one-point band's analytic modes take the grid spacing.  m = 1 has one pair and
+# no fit; no point fails a threshold.
+printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, gain: 10.0, z0_fraction: 0.25}\npipeline: compare\n' > "$RUNNER_TEMP/z0q.yaml"
+for cfg in bbo_nondegenerate "$RUNNER_TEMP/z0q.yaml"; do
+  out="$RUNNER_TEMP/tiles_$(basename "$cfg" .yaml)"
+  rc=0
+  twinbeams sweep "$cfg" --param grid.m --values 1,37,200 --out "$out" || rc=$?
+  test "$rc" -eq 0
+  test "$(cut -d, -f1,5,6 "$out/sweep_summary.csv")" = "$(printf 'value,pairs_accepted,failures\n1,1,\n37,37,\n200,200,')"
+  grep -q '^1,[0-9.e+-]*,,,1,$' "$out/sweep_summary.csv"
+done
+# An independent oracle of every CSV float: %.17g round-trips, so each cell
+# that parses as a float must re-format to its own text by Python's %.17g.  It
+# reads every table of the pipeline sweep and the heatmaps at the tile edges
+# above, whose abs column must also be abs(complex(re, im)).  sweep_summary.csv's
+# value column echoes the --values text and is skipped.
+python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP"/tiles_* <<'PY'
+import csv, pathlib, sys
+paths = sorted(p for root in sys.argv[1:] for p in pathlib.Path(root).rglob("*.csv"))
+tables = {"spectrum.csv", "analytic_modes.csv", "mode_overlaps.csv", "eigenvalue_ratios.csv", "sweep_summary.csv"}
+assert tables <= {p.name for p in paths}, sorted(p.name for p in paths)
+tiles = [p for p in paths if p.name == "squeezing_matrix.csv" and p.parent.parent.name.startswith("tiles_")]
+assert len(tiles) == 6, tiles
+for path in paths:
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and b"\r" not in data, path
+    header, *rows = csv.reader(data.decode().splitlines())
+    skip = header.index("value") if path.name == "sweep_summary.csv" else None
+    heatmap = path.name == "squeezing_matrix.csv"
+    assert not heatmap or header == ["omega", "omega_prime", "re", "im", "abs"], path
+    count = 0
+    for row in rows:
+        for k, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if k != skip:
+                if cell != "%.17g" % value:
+                    sys.exit(f"{path}: {cell!r} != {'%.17g' % value!r}")
+                count += 1
+        if heatmap and row[4] != "%.17g" % abs(complex(float(row[2]), float(row[3]))):
+            sys.exit(f"{path}: abs {row[4]!r} of {row[2]!r}, {row[3]!r}")
+    print(path, count, "float cells match Python's %.17g")
+PY
+# The heatmap is written first and listed last: two identical compare runs of a
+# complex Gamma, every format, give the same files and manifest.
+twinbeams run "$RUNNER_TEMP/z0q.yaml" --format both --out "$RUNNER_TEMP/z0qa"
+twinbeams run "$RUNNER_TEMP/z0q.yaml" --format both --out "$RUNNER_TEMP/z0qb"
+diff -r "$RUNNER_TEMP/z0qa" "$RUNNER_TEMP/z0qb"
+printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0}\ngrid: {m: 1}\npipeline: numerical\n' > "$RUNNER_TEMP/m1.yaml"
+twinbeams sweep "$RUNNER_TEMP/m1.yaml" --param pump.z0_fraction --values 0.25,0.5 --out "$RUNNER_TEMP/m1"
+# Byte-identical artifacts also where 2m is no multiple of the tile.
+printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, z0_fraction: 0.25}\ngrid: {m: 200}\n' > "$RUNNER_TEMP/m200.yaml"
+twinbeams run "$RUNNER_TEMP/m200.yaml" --out "$RUNNER_TEMP/m200a"
+twinbeams run "$RUNNER_TEMP/m200.yaml" --out "$RUNNER_TEMP/m200b"
+diff -r "$RUNNER_TEMP/m200a" "$RUNNER_TEMP/m200b"
+# The near-degenerate config is built to leak past threshold: exit 3, report written.
+rc=0
+twinbeams run bbo_near_degenerate --out "$RUNNER_TEMP/near" || rc=$?
+test "$rc" -eq 3
+test -f "$RUNNER_TEMP/near/report.json"
+# The same for a complex Gamma (z0 = L/4), whose near_degenerate spectrum is the
+# complex Takagi path: two identical runs, exit 3 each, the same files.
+printf 'crystal: {length_mm: 2.0, theta0_deg: 29.18}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, gain: 10.0, z0_fraction: 0.25}\ngrid: {m: 128}\npipeline: near_degenerate\n' > "$RUNNER_TEMP/nearz0.yaml"
+for run in a b; do
+  rc=0
+  twinbeams run "$RUNNER_TEMP/nearz0.yaml" --out "$RUNNER_TEMP/nearz0$run" || rc=$?
+  test "$rc" -eq 3
+done
+diff -r "$RUNNER_TEMP/nearz0a" "$RUNNER_TEMP/nearz0b"
+# An exponent without a dot (1e-2) is a YAML float, not a string.
+printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0}\npairing_tol: 1e-2\n' > "$RUNNER_TEMP/tol.yaml"
+twinbeams validate "$RUNNER_TEMP/tol.yaml"
+# A 1000 mm crystal fails the Mehler factors' own checks: a stage label and exit 3.
+printf 'crystal: {length_mm: 1000.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, gain: 10.0}\npipeline: compare\n' > "$RUNNER_TEMP/long.yaml"
+rc=0
+twinbeams run "$RUNNER_TEMP/long.yaml" --out "$RUNNER_TEMP/long" 2> "$RUNNER_TEMP/long.err" || rc=$?
+test "$rc" -eq 3
+grep -q '^error: \[mehler-factors\]' "$RUNNER_TEMP/long.err"

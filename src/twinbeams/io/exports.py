@@ -18,10 +18,11 @@ lies within 8 parts in 2**64 of one half goes to Python's own ``%.17g``
 instead: that holds every tie, every value the error bound leaves in doubt,
 and nothing else in practice.  ``nan`` and ``+-inf`` go there as well.  The
 ``%g`` layout (fixed notation for decimal exponents -4 to 16, trailing
-zeros trimmed, the sign of ``-0`` kept) is built on each string as three
-little-endian 64-bit words, where the sign, the leading zeros of a small
-fixed-notation value, the decimal point and the exponent suffix are byte
-shifts and masks.
+zeros trimmed, the sign of ``-0`` kept) is one byte gather: each value's
+digits, a ``-``, a ``.``, a ``0`` and its exponent suffix are written to a
+32-byte source row, and a table, indexed by the sign, the notation and the
+count of digits up to the last nonzero one, names the source byte of each
+byte of the text.
 
 The heatmap formats each distinct cell string once: a bitwise-symmetric
 matrix (the squeezing matrix always is) reuses its upper triangle's strings
@@ -172,55 +173,8 @@ def _decimal_tables():
     return x_of_e, ceil10[x_of_e + 1 - _X_MIN], limbs, r_of_x
 
 
-def _byte_masks(count):
-    """Per word, the mask of bytes [0, count) of a three-word string."""
-    return [(1 << 8 * min(max(count - 8 * k, 0), 8)) - 1 for k in range(3)]
-
-
-# Strings of up to 24 bytes are held as three little-endian 64-bit words, one
-# row of n per word.
-_NO_POINT = 32
-
-
-@functools.cache
-def _layout_tables():
-    """The layout step's tables, built on first use.
-
-    By decimal exponent x (column x - _X_MIN): ``zeros``, the zeros before
-    the digits in fixed notation below 1 ("0.00123": 3, the point after the
-    first); ``point``, the position of the point among the digits; and
-    ``suffix``, the exponent suffix ("e-05", "e+308") outside fixed
-    notation as little-endian bytes, else 0.  By sign byte s and kept digit
-    count c (column 34 s + c): ``digit_bytes``, "0" in every digit byte
-    [s, s + c), which spells digit values as ASCII.  By point position q
-    (_NO_POINT: none): ``point_masks``, the bytes left in place, the bytes
-    taken from the string moved up by one, and the point.
-    """
-    xs = np.arange(_X_MIN, _X_MAX + 1)
-    fixed = (xs >= -4) & (xs <= 16)
-    zeros = np.where(fixed & (xs < 0), -xs, 0)
-    point = np.where(fixed & (xs >= 0), xs + 1, 1)
-    suffix = np.array(
-        [0 if f else int.from_bytes(b"e%+03d" % x, "little") for x, f in zip(xs.tolist(), fixed)],
-        dtype=np.uint64,
-    )
-    digit_bytes = np.array(
-        [[m & ~lo & 0x3030303030303030 for m, lo in zip(_byte_masks(s + c), _byte_masks(s))]
-         for s in (0, 1) for c in range(34)],
-        dtype=np.uint64,
-    ).T
-    point_masks = np.array(
-        [[_byte_masks(q), [~m & (2**64 - 1) for m in _byte_masks(q + 1)],
-          [0x2E << 8 * (q - 8 * k) if 0 <= q - 8 * k < 8 else 0 for k in range(3)]]
-         for q in range(_NO_POINT + 1)],
-        dtype=np.uint64,
-    ).transpose(1, 2, 0)
-    return zeros, point, suffix, digit_bytes, point_masks
-
-
 # Times a word with bits only at 8k, the bits gathered into its top byte.
 _GATHER = _U64(0x0102040810204080)
-_WORD_BITS = np.array([[0], [64], [128]], dtype=np.uint64)
 # Per byte: adding 0x7F to a digit 0-9 sets bit 7 exactly when it is not 0.
 _BYTE_7F, _BYTE_80 = _U64(0x7F7F7F7F7F7F7F7F), _U64(0x8080808080808080)
 
@@ -314,67 +268,75 @@ def _scaled(f, p, r):
     return (l5 << r64) | (l4 << r32) | (l3 >> r), (l3 << r64) | (l2 << r32) | (l1 >> r)
 
 
-def _digit_bytes(digits):
-    """``(w, kept)``: the 17 digit values of each ``digits`` at bytes
-    0 ... 16 of three little-endian words, and the count up to the last
-    nonzero digit (at least 1)."""
-    lead = digits // _U64(10**16)
-    rest = digits - lead * _U64(10**16)
-    eight = np.empty((2, len(digits)), dtype=np.uint64)
-    np.floor_divide(rest, _U64(10**8), out=eight[0])
-    np.subtract(rest, eight[0] * _U64(10**8), out=eight[1])
-    hi, lo = eight = _eight_digits(eight)
-    w = np.empty((3, len(digits)), dtype=np.uint64)
-    w[0] = lead | (hi << _U64(8))
-    w[1] = (hi >> _U64(56)) | (lo << _U64(8))
-    w[2] = lo >> _U64(56)
-    # Bit k of ``marks`` is set when digit k + 1 is not 0 (k < 16).
-    marks = ((((eight + _BYTE_7F) & _BYTE_80) >> _U64(7)) * _GATHER) >> _U64(56)
-    marks = marks[0] | (marks[1] << _U64(8))
-    return w, np.frexp(marks.astype(np.float64))[1] + 1
+#: Notation kinds: 0 ... 20 for fixed notation at decimal exponents -4 ... 16,
+#: then exponential notation.
+_EXPONENTIAL = 21
+
+
+@functools.cache
+def _layout_table():
+    """The layout step's tables, built on first use.
+
+    By decimal exponent x (column x - _X_MIN): ``kind``, the notation kind,
+    and ``suffix``, the exponent suffix ("e-05", "e+308") as a little-endian
+    word, 0 in fixed notation.  By sign s, kind k and c, the count of digits
+    up to the last nonzero one less one (row (22 s + k) * 17 + c):
+    ``source``, the byte of the source row (see ``_layout``) that each of
+    the 24 bytes of the text is, a NUL past its end.
+    """
+    xs = range(_X_MIN, _X_MAX + 1)
+    kind = np.array([x + 4 if -4 <= x <= 16 else _EXPONENTIAL for x in xs])
+    suffix = np.array(
+        [int.from_bytes(b"e%+03d" % x, "little") if k == _EXPONENTIAL else 0
+         for x, k in zip(xs, kind)],
+        dtype=np.uint64,
+    )
+    # Source row bytes: digit 0 at 16, digit j > 0 at j - 1, then the rest.
+    digit = [16, *range(16)]
+    minus, point, zero, nul, suffix_bytes = 17, 18, 19, 20, [24, 25, 26, 27, 28]
+    source = np.full((2, _EXPONENTIAL + 1, 17, 24), nul, dtype=np.intp)
+    for k, c in itertools.product(range(_EXPONENTIAL + 1), range(17)):
+        kept = digit[: c + 1]
+        if k == _EXPONENTIAL:
+            text = kept[:1] + ([point] + kept[1:] if c else []) + suffix_bytes
+        elif k < 4:  # 0.000ddd: 3 - k zeros after the point
+            text = [zero, point] + [zero] * (3 - k) + kept
+        else:  # k - 3 integer digits, then the point if a kept digit follows
+            text = digit[: k - 3] + ([point] + kept[k - 3 :] if c > k - 4 else [])
+        source[0, k, c, : len(text)] = text
+        source[1, k, c, : len(text) + 1] = [minus, *text]
+    return kind, suffix, source.reshape(-1, 24)
+
+
+# "0" in each byte, which spells digit values 0-9 as ASCII; and source row
+# bytes 16 ... 19: "0", which spells the leading digit, then "-", "." and "0".
+_ASCII_ZEROS, _LEAD_WORD = _U64(0x3030303030303030), _U64(0x302E2D30)
 
 
 def _layout(digits, x, neg) -> np.ndarray:
     """``%.17g`` text of ``(-1)**neg * digits * 10**(x - 16)``, as ``S24``.
 
-    ``digits`` has 17 digits, or is 0 with ``x`` 0.
+    ``digits`` has 17 digits, or is 0 with ``x`` 0.  Each value has a
+    32-byte source row of four little-endian words: digits 1 ... 16 in
+    ASCII (``_eight_digits`` of each half); the leading digit, ``-``,
+    ``.``, ``0`` and four NULs; and the exponent suffix, NUL-padded.  The
+    text is the 24 source bytes that its row of ``_layout_table()`` names
+    for the value's sign, notation kind and digits kept, in one ``np.take``.
     """
-    zeros, point, suffix, digit_bytes, (keep, take, dot) = _layout_tables()
-    w, kept = _digit_bytes(digits)
+    kind, suffix, source = _layout_table()
+    eight = _eight_digits(np.array(np.divmod(digits % _U64(10**16), _U64(10**8))))
     col = x - _X_MIN
-    zeros, point = zeros[col], point[col]
-    kept += zeros
-    has_point = kept > point
-    end = np.maximum(kept, point)
-    del kept
-    sign = neg.astype(np.int64)
-    # Make room for the sign and the zeros, spell the digits and the sign.
-    b = ((sign + zeros) << 3).astype(np.uint64)
-    moved = w << b
-    moved[1:] |= (w[:-1] >> _U64(1)) >> (_U64(63) - b)
-    w = moved
-    del b, zeros
-    w |= np.take(digit_bytes, 34 * sign + end, axis=1)
-    w[0] |= neg * _U64(ord("-"))
-    # Insert the point: the bytes from it on move up by one.
-    at = np.where(has_point, sign + point, _NO_POINT)
-    up = w << _U64(8)
-    up[1:] |= w[:-1] >> _U64(56)
-    w &= np.take(keep, at, axis=1)
-    up &= np.take(take, at, axis=1)
-    w |= up
-    w |= np.take(dot, at, axis=1)
-    del up, at
-    # Append the exponent suffix (0 in fixed notation) at bit s of the
-    # 192-bit string.  A shift by 64 or more gives 0, so with wrapping
-    # counts each word takes exactly its part.
-    s = ((sign + end + has_point) << 3).astype(np.uint64)
-    suffix = suffix[col]
-    w |= (suffix << (s - _WORD_BITS)) | (suffix >> (_WORD_BITS - s))
-    out = np.empty((len(digits), 3), dtype="<u8")
-    for k in range(3):
-        out[:, k] = w[k]
-    return out.view("S24").ravel()
+    src = np.stack([*(eight | _ASCII_ZEROS), digits // _U64(10**16) | _LEAD_WORD, suffix[col]], axis=1)
+    # Bit k of ``marks`` is set when digit k + 1 is not 0 (k < 16), so its
+    # frexp exponent is the count of digits kept less one.
+    marks = ((((eight + _BYTE_7F) & _BYTE_80) >> _U64(7)) * _GATHER) >> _U64(56)
+    marks = marks[0] | (marks[1] << _U64(8))
+    del eight
+    row = (neg * (_EXPONENTIAL + 1) + kind[col]) * 17 + np.frexp(marks.astype(np.float64))[1]
+    del marks, col
+    at = np.take(source, row, axis=0)
+    at += np.arange(0, 32 * len(digits), 32)[:, None]
+    return np.take(src.astype("<u8", copy=False).view(np.uint8), at).view("S24").ravel()
 
 
 #: Matrix cells per tile.  A tile is assembled in one record buffer and

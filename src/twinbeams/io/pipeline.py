@@ -65,6 +65,7 @@ from ..twinbeam import (
     pair_eigenvalues,
     schmidt_from_jsa,
     schmidt_number,
+    signal_first,
     spectrum_from_takagi,
 )
 from .config import RunConfig, config_to_dict
@@ -102,7 +103,7 @@ def _stage(name: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except PipelineError:
         raise
-    except (ValueError, ArithmeticError, RuntimeError) as err:
+    except (ValueError, ArithmeticError, RuntimeError, MemoryError) as err:
         raise PipelineError(name, str(err)) from err
 
 
@@ -264,7 +265,7 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         rolled = TakagiFactors(v=factors.v[band_order], r=factors.r)
         del factors
         spectrum = _stage("spectrum", spectrum_from_takagi, rolled)
-        target = sq.gamma[np.ix_(band_order, band_order)]
+        target = signal_first(sq.gamma)
     else:
         del factors
         sd = _stage("spectrum", schmidt_from_jsa, ext.jsa)

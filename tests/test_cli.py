@@ -167,6 +167,19 @@ class TestRun:
         assert "residual thresholds violated: takagi" in all_output(result)
         assert (out / "report.json").exists()
 
+    def test_unallocatable_matrix_exits_3(self, runner, tmp_path, monkeypatch):
+        """A MemoryError in a stage exits 3 with the stage label, no traceback."""
+
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(pipeline, "build_squeezing_matrix", unallocatable)
+        cfg_path = write_config(tmp_path, pipeline="numerical")
+        result = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert "error: [squeezing-matrix] Unable to allocate 29.1 TiB" in all_output(result)
+        assert "Traceback" not in all_output(result)
+
     @pytest.mark.parametrize("name", ["takagi", "leakage"])
     def test_nan_residual_exits_3(self, runner, tmp_path, monkeypatch, name):
         """A NaN residual fails its threshold: NaN is not at or below any number."""

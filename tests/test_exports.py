@@ -406,6 +406,24 @@ def neighbours(x):
     return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
 
+def layout_class(text):
+    """``(negative, notation, kept)`` of a finite ``%.17g`` text: notation is
+    the decimal exponent (-4 ... 16) in fixed notation, else ``"e2"`` or
+    ``"e3"`` by the exponent's digit count; kept counts the significant
+    digits up to the last nonzero one (1 for a zero)."""
+    body = text.lstrip(b"-")
+    mantissa, _, exponent = body.partition(b"e")
+    whole, _, frac = mantissa.partition(b".")
+    if exponent:
+        notation = f"e{len(exponent) - 1}"
+    elif whole == b"0" and frac:
+        notation = -1 - (len(frac) - len(frac.lstrip(b"0")))
+    else:
+        notation = len(whole) - 1
+    kept = len((whole + frac).lstrip(b"0").rstrip(b"0")) or 1
+    return body != text, notation, kept
+
+
 class TestFormatAll:
     """The vectorized ``%.17g`` against Python's, value by value."""
 
@@ -429,6 +447,39 @@ class TestFormatAll:
         scale = 10.0 ** rng.integers(-8, 20, 2**16)
         assert_formats_like_python(rng.standard_normal(2**16) * scale)
         assert_formats_like_python(np.round(rng.standard_normal(2**16) * 1e4) / scale)
+
+    def test_every_layout_class(self):
+        """Seeded candidates, sorted by Python's own text, hit every sign x
+        notation x digits-kept class of the layout, and one value of each
+        formats like Python."""
+        rng = np.random.default_rng(28)
+        ints = rng.integers(1, 2**53, 2**12) >> rng.integers(0, 53, 2**12)
+        dyadic = rng.integers(1, 2**20, 2**12) / 2.0 ** rng.integers(1, 64, 2**12)
+        # Short decimals of k digits at decimal exponent x, 64 per k and
+        # notation: x is -4 ... 16, or any normal 2- or 3-digit exponent.
+        # A leading 1 (k > 1) keeps all k digits in about half of them.
+        k = np.repeat(np.arange(1, 18), 23 * 64)
+        kind = np.tile(np.arange(23), 17 * 64)
+        x = np.select(
+            [kind < 21, kind == 21],
+            [kind - 4, rng.choice(np.r_[-99:-4, 17:100], len(kind))],
+            rng.choice(np.r_[-307:-99, 100:309], len(kind)),
+        )
+        lo = 10 ** (k - 1)
+        mantissas = rng.integers(lo, np.where(k > 1, 2 * lo, 10))
+        short = [float(f"{d}e{e}") for d, e in zip(mantissas.tolist(), (x - k + 1).tolist())]
+        candidates = [*ints.astype(float).tolist(), *dyadic.tolist(), *short]
+        first = {}
+        for v in candidates + [-v for v in candidates]:
+            if math.isfinite(v):
+                first.setdefault(layout_class(b"%.17g" % v), v)
+        notations = [*range(-4, 17), "e2", "e3"]
+        assert set(first) == {
+            (neg, notation, kept)
+            for neg in (False, True) for notation in notations for kept in range(1, 18)
+        }
+        values = list(first.values())
+        assert exports._format_all(np.array(values)).tolist() == [b"%.17g" % v for v in values]
 
     def test_edges(self):
         edges = [

@@ -408,6 +408,18 @@ class TestFailures:
         assert "at or below zero" in message
         assert "wavelength" not in message
 
+    def test_unallocatable_matrix_fails_in_its_stage(self, monkeypatch, tmp_path):
+        """A grid too large to allocate is a labelled stage error, not a traceback."""
+
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(pipeline, "build_squeezing_matrix", unallocatable)
+        with pytest.raises(PipelineError, match=r"^\[squeezing-matrix\] Unable to allocate") as info:
+            run_pipeline(small_config(pipeline="numerical"), out_dir=tmp_path)
+        assert info.value.stage == "squeezing-matrix"
+        assert isinstance(info.value.__cause__, MemoryError)
+
 
 class TestCheckPaths:
     """A failed check is recorded or raised where the run makes it."""
