@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke run of an installed twinbeams, from a directory outside the checkout
 # and without PYTHONPATH: bundled configs, byte-identical repeat runs of every
-# pipeline, tile edges of the squeezing-matrix build, an independent %.17g
-# oracle over every CSV, and the exit codes of failing runs.
+# pipeline, the symplectic residual rebuilt from each run's spectrum.json, tile
+# edges of the squeezing-matrix build, an independent %.17g oracle over every
+# CSV, and the exit codes of failing runs.
 #
 #   cd "$(mktemp -d)" && PYTHONWARNINGS=error::RuntimeWarning bash -e /path/to/repo/ci/smoke.sh
 #
@@ -31,6 +32,28 @@ for run in a b; do
   twinbeams sweep bbo_nondegenerate --param pipeline --values numerical,analytic,compare,near_degenerate --format both --out "$RUNNER_TEMP/pipelines$run"
 done
 diff -r "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP/pipelinesb"
+# The symplectic check takes the factors each run reports: the squeezer rebuilt
+# from spectrum.json (column k of V is entry k of modes_re and modes_im, R is
+# values) has the residual of report.json, bit for bit.
+python - "$RUNNER_TEMP/pipelinesa" <<'PY'
+import json, pathlib, sys
+import numpy as np
+from twinbeams.symplectic import squeezer_from_takagi
+from twinbeams.takagi import TakagiFactors
+runs = sorted(p.parent for p in pathlib.Path(sys.argv[1]).rglob("spectrum.json"))
+assert [run.name for run in runs] == ["pipeline=compare", "pipeline=near_degenerate", "pipeline=numerical"], runs
+for run in runs:
+    spectrum = json.loads((run / "spectrum.json").read_text(encoding="utf-8"))
+    reported = json.loads((run / "report.json").read_text(encoding="utf-8"))["residuals"]["symplectic"]
+    r = np.array(spectrum["values"])
+    v = np.empty((r.size, r.size), complex)
+    v.real[:] = np.array(spectrum["modes_re"]).T
+    v.imag[:] = np.array(spectrum["modes_im"]).T
+    residual = squeezer_from_takagi(TakagiFactors(v, r)).residual
+    if residual != reported:
+        sys.exit(f"{run}: symplectic residual {residual!r} from spectrum.json, {reported!r} in report.json")
+    print(run, "symplectic residual", residual, "matches report.json")
+PY
 twinbeams sweep bbo_nondegenerate --param pump.gain --values 1,2 --out "$RUNNER_TEMP/sweep"
 # An explicit band skips the automatic sizing from the analytic model.
 twinbeams sweep bbo_nondegenerate --param grid.half_width --values 0.5,0.6 --out "$RUNNER_TEMP/band"

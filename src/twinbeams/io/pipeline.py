@@ -3,25 +3,25 @@
 Four pipelines share the same plumbing:
 
 * ``numerical``        grid -> squeezing matrix (and its heatmap) -> JSA ->
-                       Takagi factors -> symplectic check -> spectrum ->
-                       Takagi residual -> pairing/fit -> spectrum files
+                       spectrum -> Takagi residual -> symplectic check ->
+                       pairing/fit -> spectrum files
 * ``analytic``         characteristic times -> Gaussian model -> Mehler factors
 * ``compare``          both of the above plus mode overlaps and ratio tables
 * ``near_degenerate``  numerical, but the spectrum is the Takagi factorization
                        of the full matrix (leakage blocks included) instead of
                        the SVD of the JSA block
 
-The squeezing matrix is factored once per run; the symplectic check and the
-``near_degenerate`` spectrum both use those factors.
+Each run factors once: the SVD of the JSA block, or in ``near_degenerate``
+the Takagi factorization of the full matrix.  The Takagi residual and the
+symplectic check both take the factors of the reported spectrum.
 
 Memory: the heatmap ``squeezing_matrix.csv`` is written right after the
 matrix is built, while it is the only large array, and each stage result
-is dropped after its last reader.  The squeezer runs before the spectrum
-and only its residual is kept, so the n x n results of the two routes
-are never live together: a traced ``compare`` run at m = 256 peaks at
-7.4 times the bytes of Gamma, in the symplectic check.  The manifest
-lists the heatmap after the spectrum files, and a run that fails after
-the matrix build leaves ``squeezing_matrix.csv`` on disk.
+is dropped after its last reader; of the squeezer only its residual is
+kept.  A traced ``compare`` run at m = 256 peaks at 6.6 times the bytes
+of Gamma, in the symplectic check.  The manifest lists the heatmap after
+the spectrum files, and a run that fails after the matrix build leaves
+``squeezing_matrix.csv`` on disk.
 
 Every run writes ``report.json`` with the resolved config (Sellmeier data
 included), a summary, the residual diagnostics with their thresholds, and a
@@ -220,8 +220,7 @@ def _resolve_grid(cfg: RunConfig, model):
 def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
     """Spectrum and checks; returns (Schmidt, spectrum), or None at zero gain.
 
-    Each stage result is dropped once its last reader is done, so the
-    n x n results of the two factorization routes are never live together.
+    Each stage result is dropped once its last reader is done.
     """
     report.summary["grid_m"] = int(grid.m)
     report.summary["grid_half_width"] = float(grid.half_width)
@@ -251,31 +250,28 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
             "pairing are trivial"
         )
 
-    # The one factorization of the run: Gamma = V R V^T in grid order.
-    factors = _stage("takagi", takagi_general, sq.gamma)
-    # The squeezer and its Bloch-Messiah factors (V, R, V) from the same
-    # factors, built before the spectrum so that its blocks never meet it;
-    # the report keeps only the residual.
-    symplectic_res = _stage("symplectic", squeezer_from_takagi, factors).residual
-
     # The grid runs idler band first; spectra and their labels run signal band first.
     band_order = np.roll(np.arange(2 * grid.m), grid.m)
     sd = None
     if cfg.pipeline == "near_degenerate" and not zero:
+        # The one factorization of the run: Gamma = V R V^T in grid order.
+        factors = _stage("takagi", takagi_general, sq.gamma)
         rolled = TakagiFactors(v=factors.v[band_order], r=factors.r)
         del factors
         spectrum = _stage("spectrum", spectrum_from_takagi, rolled)
         target = signal_first(sq.gamma)
     else:
-        del factors
         sd = _stage("spectrum", schmidt_from_jsa, ext.jsa)
         spectrum = eigenmodes_from_schmidt(sd)
         target = block_squeezing_matrix(ext.jsa)
     del sq, ext
 
-    _check(report, "takagi", takagi_residual(target, TakagiFactors(spectrum.modes, spectrum.values)))
+    reported = TakagiFactors(spectrum.modes, spectrum.values)
+    _check(report, "takagi", takagi_residual(target, reported))
     del target
-    _check(report, "symplectic", symplectic_res)
+    # The squeezer and its Bloch-Messiah factors (V, R, V) from the reported
+    # factors; the report keeps only the residual.
+    _check(report, "symplectic", _stage("symplectic", squeezer_from_takagi, reported).residual)
 
     report.summary["r1"] = float(spectrum.values[0])
     pairing = None

@@ -435,19 +435,27 @@ class TestCheckPaths:
         assert payload["threshold_failures"] == ["takagi"]
 
     def test_non_unitary_factors_fail_symplectic_stage(self, monkeypatch, tmp_path):
-        """A residual past SYMPLECTIC_THRESHOLD fails the stage, not the report."""
+        """A residual past SYMPLECTIC_THRESHOLD fails the stage, not the report.
+
+        One grid row of the near_degenerate factors is stretched by 1 + 1e-10:
+        the spectrum's Gram check (max|V^H V - I| <= 1e-10) still passes,
+        while the squeezer built from the reported factors is not symplectic."""
         original = pipeline.takagi_general
+        defects = []
 
         def stretched(gamma):
             factors = original(gamma)
             v = factors.v.copy()
-            v[:, 0] *= 1.001
+            v[np.argmin((np.abs(v) ** 2).max(axis=1))] *= 1.0 + 1e-10
+            defects.append(takagi._unitarity_defect(v))
             return takagi.TakagiFactors(v=v, r=factors.r)
 
         monkeypatch.setattr(pipeline, "takagi_general", stretched)
         with pytest.raises(PipelineError, match=r"\[symplectic\] matrix is not symplectic") as info:
-            run_pipeline(small_config(pipeline="numerical"), out_dir=tmp_path)
+            run_pipeline(small_config(pipeline="near_degenerate"), out_dir=tmp_path)
         assert info.value.stage == "symplectic"
+        (defect,) = defects
+        assert 0.0 < defect <= 1e-10
         assert not (tmp_path / "report.json").exists()
 
 
@@ -756,9 +764,11 @@ class TestHeatmapBytes:
 
 
 class TestSymplecticPath:
-    """Gamma is factored once by ``takagi_general``; no exponential is built."""
+    """No exponential is built, and only near_degenerate factors Gamma: with
+    ``takagi_general``, on the real path when Gamma is real.  Numerical and
+    compare runs build the squeezer from their Schmidt duos."""
 
-    @pytest.mark.parametrize("name", ["numerical", "compare"])
+    @pytest.mark.parametrize("name", ["numerical", "compare", "near_degenerate"])
     @pytest.mark.parametrize(
         "z0_fraction, expected",
         [
@@ -789,8 +799,56 @@ class TestSymplecticPath:
             "bbo_nondegenerate", pipeline=name, grid__m=16, pump__z0_fraction=z0_fraction
         )
         report = run_pipeline(cfg, out_dir=tmp_path)
-        assert calls == expected
+        factored = name == "near_degenerate"
+        assert calls == {key: count * factored for key, count in expected.items()}
         assert report.residuals["symplectic"] <= 1e-14
+
+
+def spectrum_factors(path):
+    """The Takagi factors of a ``spectrum.json``, bit for bit: column k of V
+    is entry k of ``modes_re`` and ``modes_im``."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    r = np.array(payload["values"])
+    v = np.empty((r.size, r.size), complex)
+    v.real[:] = np.array(payload["modes_re"]).T
+    v.imag[:] = np.array(payload["modes_im"]).T
+    return takagi.TakagiFactors(v=v, r=r)
+
+
+class TestSymplecticFromSpectrum:
+    """The symplectic residual checks the factors the run reports: it is the
+    residual of the squeezer rebuilt from the run's own ``spectrum.json``.
+    Numerical and compare runs make no eigendecomposition."""
+
+    @staticmethod
+    def _check_artifacts(report, out):
+        rebuilt = symplectic.squeezer_from_takagi(spectrum_factors(out / "spectrum.json"))
+        assert report.residuals["symplectic"] == rebuilt.residual
+        payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert payload["residuals"]["symplectic"] == rebuilt.residual
+
+    @pytest.mark.parametrize("name", ["numerical", "compare"])
+    @pytest.mark.parametrize("m", [16, 64])
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
+    def test_without_eigh(self, monkeypatch, tmp_path, z0_fraction, m, name):
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        cfg = bundled_config(
+            "bbo_nondegenerate", pipeline=name, grid__m=m, pump__z0_fraction=z0_fraction,
+            output__format="both",
+        )
+        report = run_pipeline(cfg, out_dir=tmp_path)
+        self._check_artifacts(report, tmp_path)
+
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
+    def test_near_degenerate(self, tmp_path, z0_fraction):
+        cfg = bundled_config(
+            "bbo_near_degenerate", grid__m=64, pump__z0_fraction=z0_fraction, output__format="json"
+        )
+        report = run_pipeline(cfg, out_dir=tmp_path)
+        self._check_artifacts(report, tmp_path)
 
 
 def former_symplectic_residual(factors):
