@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Smoke run of an installed twinbeams, from a directory outside the checkout
 # and without PYTHONPATH: bundled configs, byte-identical repeat runs of every
-# pipeline, the symplectic residual rebuilt from each run's spectrum.json, tile
-# edges of the squeezing-matrix build, an independent %.17g oracle over every
-# CSV, and the exit codes of failing runs.
+# pipeline and of a chirped pump, the symplectic residual rebuilt from each
+# run's spectrum.json, tile edges of the squeezing-matrix build, an independent
+# %.17g oracle over every CSV, and the exit codes of failing runs.
 #
 #   cd "$(mktemp -d)" && PYTHONWARNINGS=error::RuntimeWarning bash -e /path/to/repo/ci/smoke.sh
 #
@@ -73,12 +73,20 @@ for cfg in bbo_nondegenerate "$RUNNER_TEMP/z0q.yaml"; do
   test "$(cut -d, -f1,5,6 "$out/sweep_summary.csv")" = "$(printf 'value,pairs_accepted,failures\n1,1,\n37,37,\n200,200,')"
   grep -q '^1,[0-9.e+-]*,,,1,$' "$out/sweep_summary.csv"
 done
+# A chirped pump (no prechirp) at z0 = 0, whose E0 carries the dispersion phase
+# and whose tiles evaluate k_p twice: two identical compare runs, every format,
+# exit 0 and give the same files.
+printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, gain: 10.0, z0_fraction: 0.0, prechirp_compensated: false}\npipeline: compare\n' > "$RUNNER_TEMP/chirp.yaml"
+for run in a b; do
+  twinbeams run "$RUNNER_TEMP/chirp.yaml" --format both --out "$RUNNER_TEMP/chirp$run"
+done
+diff -r "$RUNNER_TEMP/chirpa" "$RUNNER_TEMP/chirpb"
 # An independent oracle of every CSV float: %.17g round-trips, so each cell
 # that parses as a float must re-format to its own text by Python's %.17g.  It
-# reads every table of the pipeline sweep and the heatmaps at the tile edges
-# above, whose abs column must also be abs(complex(re, im)).  sweep_summary.csv's
-# value column echoes the --values text and is skipped.
-python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP"/tiles_* <<'PY'
+# reads every table of the pipeline sweep, the heatmaps at the tile edges and
+# the chirped run above; a heatmap's abs column must also be abs(complex(re, im)).
+# sweep_summary.csv's value column echoes the --values text and is skipped.
+python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP"/tiles_* "$RUNNER_TEMP/chirpa" <<'PY'
 import csv, pathlib, sys
 paths = sorted(p for root in sys.argv[1:] for p in pathlib.Path(root).rglob("*.csv"))
 tables = {"spectrum.csv", "analytic_modes.csv", "mode_overlaps.csv", "eigenvalue_ratios.csv", "sweep_summary.csv"}

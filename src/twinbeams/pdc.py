@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .takagi import _as_square, _bit_symmetric, _check_symmetric, _float_or_complex, _mirror_blocks
+from .takagi import _as_square, _bit_symmetric, _check_finite, _check_symmetric
+from .takagi import _float_or_complex, _mirror_blocks
 from .twinbeam import JointSpectralAmplitude
 from .units import C_UM_PER_FS, UM_PER_MM, nm_to_um
 
@@ -183,6 +185,8 @@ class FrequencyGrid:
     spacing: float
 
     def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"m must be at least 1, got {self.m}")
         if not 0.0 < self.spacing < math.inf:
@@ -261,11 +265,6 @@ def refractive_index(crystal: CrystalConfig, lambda_um, polarization: str):
     n_e at theta = 90 deg.
     """
     _check_range(crystal, lambda_um, polarization)
-    return _refractive_index(crystal, lambda_um, polarization)
-
-
-def _refractive_index(crystal: CrystalConfig, lambda_um, polarization: str):
-    """``refractive_index`` at wavelengths already checked by ``_check_range``."""
     if polarization == "ordinary":
         return np.sqrt(crystal.sellmeier_o.n_squared(lambda_um))
     theta = math.radians(crystal.theta0_deg)
@@ -330,13 +329,7 @@ def wave_vector(detuning, branch: str, crystal: CrystalConfig, pump: PumpConfig)
     extraordinary at theta0, the downconverted light ordinary.
     """
     omega, lam, pol = _branch_optics(detuning, branch, pump)
-    _check_range(crystal, lam, pol)
-    return _wave_vector(crystal, omega, lam, pol)
-
-
-def _wave_vector(crystal: CrystalConfig, omega, lam, pol: str):
-    """``wave_vector`` from ``_branch_optics`` output already checked by ``_check_range``."""
-    return _refractive_index(crystal, lam, pol) * omega / C_UM_PER_FS * UM_PER_MM
+    return refractive_index(crystal, lam, pol) * omega / C_UM_PER_FS * UM_PER_MM
 
 
 def wave_vector_derivatives(
@@ -368,24 +361,6 @@ def phase_mismatch(omega_j, omega_l, crystal: CrystalConfig, pump: PumpConfig):
     )
 
 
-def _chirp_reference(crystal: CrystalConfig, pump: PumpConfig):
-    """(k_p0, k'_p0, z0) of the pump spectral phase exp(i (k_p - k_p0 - k'_p0 O) z0)."""
-    kp0, kp1, _ = wave_vector_derivatives(0.0, "pump", crystal, pump)
-    return kp0, kp1, pump.z0_fraction * crystal.length_mm
-
-
-def _pump_amplitude(osum: np.ndarray, omega_p: float, kp=None, chirp=None):
-    """``pump_spectrum`` of a float array: the Gaussian of bandwidth ``omega_p``,
-    times the chirp phase when ``chirp`` (``_chirp_reference``) and
-    kp = k_p(osum) are given."""
-    amp = np.exp(-(osum**2) / (2.0 * omega_p**2))
-    if chirp is None:
-        return amp
-    kp0, kp1, z0_mm = chirp
-    phase = (kp - kp0 - kp1 * osum) * z0_mm
-    return amp * np.exp(1j * phase)
-
-
 def pump_spectrum(sum_detuning, pump: PumpConfig, crystal: CrystalConfig):
     """Pump spectral amplitude at the interaction-picture origin z0.
 
@@ -393,19 +368,18 @@ def pump_spectrum(sum_detuning, pump: PumpConfig, crystal: CrystalConfig):
     normalized to 1 at the peak.  Constant and group-delay phases are removed
     by convention; with ``prechirp_compensated`` the remaining dispersion
     phase is compensated too and the amplitude is real (float64),
-    otherwise the factor exp(i (k_p(O) - k_p0 - k'_p0 O) z0) is kept.
+    otherwise the factor exp(i (k_p(O) - k_p0 - k'_p0 O) z0) is kept.  A NaN
+    or infinite sum detuning raises on both branches.
     """
     osum = np.asarray(sum_detuning, dtype=float)
-    omega_p = pump_bandwidth(pump)
+    _check_finite(osum, "sum detuning")
+    amp = np.exp(-(osum**2) / (2.0 * pump_bandwidth(pump) ** 2))
     if pump.prechirp_compensated:
-        return _pump_amplitude(osum, omega_p)
+        return amp
+    kp0, kp1, _ = wave_vector_derivatives(0.0, "pump", crystal, pump)
     kp = wave_vector(osum, "pump", crystal, pump)
-    return _pump_amplitude(osum, omega_p, kp, _chirp_reference(crystal, pump))
-
-
-def _sinc(x):
-    """sin(x)/x with sinc(0) = 1."""
-    return np.sinc(np.asarray(x) / math.pi)
+    phase = (kp - kp0 - kp1 * osum) * (pump.z0_fraction * crystal.length_mm)
+    return amp * np.exp(1j * phase)
 
 
 #: Cells of one row tile of ``build_squeezing_matrix``: 64 rows at 2m = 1024,
@@ -437,13 +411,15 @@ def build_squeezing_matrix(
 
     Gamma is preallocated and filled one tile of rows at a time
     (``_TILE_CELLS`` cells, 64 rows at 2m = 1024): k(Omega) of the band is
-    computed once, the pump factors k_p and E0 per tile.  The rotation
-    runs in place, the symmetric part and the +0.0 in place over square
-    blocks and their mirrors.  Every element goes through the operations
-    of the whole-matrix expression in the same order, so Gamma is
-    bit-identical to it.  The wavelength checks run first on the band and
-    on its extreme sums, which bound every sum of the grid, so an invalid
-    grid raises the same error text as the whole grid would.  Besides
+    computed once, and each tile takes k_p from the checked ``wave_vector``
+    and E0 from ``pump_spectrum`` (which evaluates k_p again for a chirped
+    pump).  The rotation runs in place, the symmetric part and the +0.0 in
+    place over square blocks and their mirrors.  Every element goes
+    through the operations of the whole-matrix expression in the same
+    order, so Gamma is bit-identical to it.  The wavelength checks run
+    first on the band and on its extreme sums, which bound every sum of
+    the grid, so an invalid grid raises the same error text as the whole
+    grid would, and each tile's own check then passes.  Besides
     Gamma the build holds tile-sized temporaries (a few MB whatever m) and
     one boolean matrix in the final checks; at m = 512 its traced peak is
     under three times the bytes of Gamma (nine for the whole-matrix build).
@@ -452,12 +428,11 @@ def build_squeezing_matrix(
     n = om.size
     length = crystal.length_mm
     offset = 0.5 * length - pump.z0_fraction * length
-    # O_1 + O_1 and O_2m + O_2m bound every pump wavelength of the grid, so
-    # no tile needs the wavelength check again.
+    # O_1 + O_1 and O_2m + O_2m bound every pump wavelength of the grid, so an
+    # invalid grid raises the whole grid's error here and every tile's own
+    # check then passes.
     wave_vector(om[[0, -1]] + om[[0, -1]], "pump", crystal, pump)
     k = wave_vector(om, "downconverted", crystal, pump)
-    omega_p = pump_bandwidth(pump)
-    chirp = None if pump.prechirp_compensated else _chirp_reference(crystal, pump)
     real = pump.prechirp_compensated and offset == 0.0
     gamma = np.empty((n, n), dtype=float if real else complex)
     step = max(1, _TILE_CELLS // n)
@@ -467,13 +442,12 @@ def build_squeezing_matrix(
     for r0 in range(0, n, step):
         rows = slice(r0, r0 + step)
         osum = om[rows, None] + om
-        kp = _wave_vector(crystal, *_branch_optics(osum, "pump", pump))
-        delta = kp - k[rows, None] - k
-        tile = pump.gain * _pump_amplitude(osum, omega_p, kp, chirp)
+        delta = wave_vector(osum, "pump", crystal, pump) - k[rows, None] - k
+        tile = pump.gain * pump_spectrum(osum, pump, crystal)
         if offset != 0.0:
             tile = tile * np.exp(1j * delta * offset)
         out = gamma[rows]
-        np.multiply(tile * _sinc(0.5 * delta * length), grid.spacing, out=out)
+        np.multiply(tile * np.sinc(0.5 * delta * length / math.pi), grid.spacing, out=out)
         mag = np.abs(out)
         i = np.argmax(mag)
         if mag.flat[i] > peak_abs:

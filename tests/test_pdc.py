@@ -323,6 +323,20 @@ class TestFrequencyGrid:
             with pytest.raises(ValueError, match="spacing must be positive and finite"):
                 FrequencyGrid(m=2, spacing=bad)
 
+    @pytest.mark.parametrize("bad", [2.5, 8.0, True, np.float64(3.0)])
+    def test_non_integer_m_raises(self, bad):
+        """m = 2.5 gave a 5-point grid whose ``idler`` and ``signal`` raised TypeError."""
+        for build in (lambda: FrequencyGrid(m=bad, spacing=0.5), lambda: build_frequency_grid(bad, 1.0)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == f"m must be an integer, got {bad!r}"
+
+    def test_numpy_integer_m_is_an_integer(self):
+        """A numpy integer m passes the integer check (numbers.Integral admits it)."""
+        grid = build_frequency_grid(np.int64(8), 0.5)
+        assert grid == build_frequency_grid(8, 0.5)
+        assert grid.idler.size == grid.signal.size == 8
+
 
 class TestPumpSpectrum:
     """Pump spectral amplitude and its chirp convention."""
@@ -348,6 +362,16 @@ class TestPumpSpectrum:
         assert np.allclose(np.abs(e), np.abs(ref), atol=1e-12, rtol=0)
         assert np.abs(e.imag).max() > 0.0
         assert np.allclose(pump_spectrum(0.0, chirped, CRYSTAL), 1.0, atol=1e-15, rtol=0)
+
+    @pytest.mark.parametrize("prechirp", [True, False], ids=["compensated", "chirped"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sum_detuning_raises(self, bad, prechirp):
+        """The compensated branch returned nan for NaN and 0.0 for +-inf."""
+        pump = PumpConfig(397.5, 129.0, prechirp_compensated=prechirp)
+        for osum in (bad, np.array([0.0, bad, 0.01])):
+            with pytest.raises(ValueError) as info:
+                pump_spectrum(osum, pump, CRYSTAL)
+            assert str(info.value) == "sum detuning has non-finite (NaN or inf) entries"
 
 
 class TestSqueezingMatrix:
@@ -444,11 +468,12 @@ def whole_matrix_gamma(crystal, pump, grid):
 
 #: The cut angles of the two bundled configs.
 BUNDLED_CRYSTALS = {"nondegenerate": bbo_crystal(2.0, 28.81), "near-degenerate": bbo_crystal(2.0, 29.18)}
-#: A float64 Gamma and two ways to a complex one.
+#: A float64 Gamma and three ways to a complex one.
 GAMMA_PUMPS = {
     "real": {},
     "z0-quarter": {"z0_fraction": 0.25},
     "chirped-z0-zero": {"z0_fraction": 0.0, "prechirp_compensated": False},
+    "chirped-z0-half": {"prechirp_compensated": False},
 }
 #: The default tiles (one tile below 2m = 257) and tiles of one to a few rows.
 TILE_CELLS = {"default-tiles": pdc._TILE_CELLS, "small-tiles": 700}
@@ -491,6 +516,13 @@ class TestTiledBuild:
             with pytest.raises(ValueError) as info:
                 build(CRYSTAL, PUMP, grid)
             assert str(info.value) == message
+
+    def test_build_takes_its_pump_from_pump_spectrum(self, monkeypatch):
+        """E0 comes from the public ``pump_spectrum``: a zero pump gives a zero Gamma."""
+        monkeypatch.setattr(pdc, "pump_spectrum", lambda osum, pump, crystal: np.zeros(np.shape(osum)))
+        gamma = build_squeezing_matrix(CRYSTAL, PUMP, build_frequency_grid(37, half_width=0.55)).gamma
+        assert gamma.shape == (74, 74)
+        assert not np.any(gamma)
 
     def test_traced_peak_stays_within_three_gammas(self):
         """Gamma plus tile-sized temporaries: the whole-matrix build peaked at 9x."""

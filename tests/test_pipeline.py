@@ -29,6 +29,7 @@ from twinbeams.io import (
     resolve_output_dir,
     run_pipeline,
 )
+from twinbeams.io.config import GridSpec
 
 MINIMAL = {
     "crystal": {"length_mm": 2.0, "theta0_deg": 28.81},
@@ -394,6 +395,15 @@ class TestFailures:
             run_pipeline(config_from_dict(raw), out_dir=tmp_path)
         assert info.value.stage == "jsa-extraction"
 
+
+    def test_non_integer_m_fails_in_grid_stage(self, tmp_path):
+        """A directly built GridSpec(m=2.5) stops at [grid], not in a later unlabelled TypeError."""
+        cfg = dataclasses.replace(small_config(), grid=GridSpec(m=2.5, half_width=0.55))
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(cfg, out_dir=tmp_path)
+        assert info.value.stage == "grid"
+        assert str(info.value) == "[grid] m must be an integer, got 2.5"
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_grid_past_optical_frequency(self, tmp_path):
         """A band wider than the optical frequency is named, not a negative wavelength."""
