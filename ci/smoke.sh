@@ -2,8 +2,9 @@
 # Smoke run of an installed twinbeams, from a directory outside the checkout
 # and without PYTHONPATH: bundled configs, byte-identical repeat runs of every
 # pipeline and of a chirped pump, the symplectic residual rebuilt from each
-# run's spectrum.json, tile edges of the squeezing-matrix build, an independent
-# %.17g oracle over every CSV, and the exit codes of failing runs.
+# run's spectrum.json, tile edges of the squeezing-matrix build, heatmaps
+# written from the stored matrix, an independent %.17g oracle over every CSV,
+# and the exit codes of failing runs.
 #
 #   cd "$(mktemp -d)" && PYTHONWARNINGS=error::RuntimeWarning bash -e /path/to/repo/ci/smoke.sh
 #
@@ -72,7 +73,31 @@ for cfg in bbo_nondegenerate "$RUNNER_TEMP/z0q.yaml"; do
   test "$rc" -eq 0
   test "$(cut -d, -f1,5,6 "$out/sweep_summary.csv")" = "$(printf 'value,pairs_accepted,failures\n1,1,\n37,37,\n200,200,')"
   grep -q '^1,[0-9.e+-]*,,,1,$' "$out/sweep_summary.csv"
+  for run in "$out"/grid.m=*; do
+    twinbeams heatmap "$run"
+  done
 done
+# Each heatmap written from a stored matrix spells it exactly: its label, re
+# and im columns parse back to the npz's omega and gamma bit for bit, row-major.
+python - "$RUNNER_TEMP"/tiles_* <<'PY'
+import csv, pathlib, sys
+import numpy as np
+runs = sorted(p.parent for root in sys.argv[1:] for p in pathlib.Path(root).rglob("squeezing_matrix.npz"))
+assert len(runs) == 6, runs
+for run in runs:
+    with np.load(run / "squeezing_matrix.npz") as data:
+        omega, gamma = data["omega"], data["gamma"]
+    with open(run / "squeezing_matrix.csv", newline="") as fh:
+        next(fh)
+        table = np.array([[float(cell) for cell in row] for row in csv.reader(fh)])
+    n = len(omega)
+    assert table.shape == (n * n, 5), run
+    want = (np.repeat(omega, n), np.tile(omega, n), gamma.real.ravel(), np.imag(gamma).ravel())
+    for k, column in enumerate(want):
+        if not np.array_equal(table[:, k].view(np.uint64), column.view(np.uint64)):
+            sys.exit(f"{run}: column {k} of the heatmap differs from the stored matrix")
+    print(run, gamma.dtype, n * n, "heatmap rows spell the stored matrix exactly")
+PY
 # A chirped pump (no prechirp) at z0 = 0, whose E0 carries the dispersion phase
 # and whose tiles evaluate k_p twice: two identical compare runs, every format,
 # exit 0 and give the same files.
@@ -83,8 +108,9 @@ done
 diff -r "$RUNNER_TEMP/chirpa" "$RUNNER_TEMP/chirpb"
 # An independent oracle of every CSV float: %.17g round-trips, so each cell
 # that parses as a float must re-format to its own text by Python's %.17g.  It
-# reads every table of the pipeline sweep, the heatmaps at the tile edges and
-# the chirped run above; a heatmap's abs column must also be abs(complex(re, im)).
+# reads every table of the pipeline sweep, the heatmaps written at the tile
+# edges and the chirped run above; a heatmap's abs column must also be
+# abs(complex(re, im)).
 # sweep_summary.csv's value column echoes the --values text and is skipped.
 python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP"/tiles_* "$RUNNER_TEMP/chirpa" <<'PY'
 import csv, pathlib, sys
@@ -115,7 +141,7 @@ for path in paths:
             sys.exit(f"{path}: abs {row[4]!r} of {row[2]!r}, {row[3]!r}")
     print(path, count, "float cells match Python's %.17g")
 PY
-# The heatmap is written first and listed last: two identical compare runs of a
+# The squeezing matrix is stored first and listed last: two identical compare runs of a
 # complex Gamma, every format, give the same files and manifest.
 twinbeams run "$RUNNER_TEMP/z0q.yaml" --format both --out "$RUNNER_TEMP/z0qa"
 twinbeams run "$RUNNER_TEMP/z0q.yaml" --format both --out "$RUNNER_TEMP/z0qb"

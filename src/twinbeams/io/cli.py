@@ -1,4 +1,4 @@
-"""Command-line front end: ``run``, ``validate`` and ``sweep``.
+"""Command-line front end: ``run``, ``validate``, ``sweep`` and ``heatmap``.
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 failure (a pipeline stage error or a residual past its threshold),
@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import sys
+import zipfile
 from pathlib import Path
 
 import click
@@ -25,7 +26,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .exports import write_csv
+from .exports import export_matrix_heatmap, load_squeezing_matrix, write_csv
 from .pipeline import ENV_OUTPUT_DIR, PipelineError, resolve_output_dir, run_pipeline
 
 EXIT_VALIDATION = 2
@@ -209,6 +210,27 @@ def sweep(config_source, param, values, out_dir, fmt, pairs_tol):
     click.echo(f"sweep summary: {summary_path}")
     if any_failed:
         sys.exit(EXIT_NUMERICAL)
+
+
+@main.command()
+@click.argument("run_dir", metavar="DIR", type=click.Path(file_okay=False))
+def heatmap(run_dir):
+    """Write DIR/squeezing_matrix.csv from a finished run's squeezing_matrix.npz.
+
+    One row omega,omega_prime,re,im,abs per element of Gamma, every float
+    ``%.17g``, so the text round-trips to the stored matrix exactly.
+    """
+    source = Path(run_dir) / "squeezing_matrix.npz"
+    if not source.is_file():
+        _fail(EXIT_VALIDATION, f"no squeezing matrix at {source}")
+    try:
+        omega, gamma = load_squeezing_matrix(source)
+        path = export_matrix_heatmap(gamma, omega, omega, source.with_suffix(".csv"))
+    except (KeyError, ValueError, zipfile.BadZipFile) as err:
+        _fail(EXIT_VALIDATION, f"{source}: not a squeezing matrix: {err}")
+    except OSError as err:
+        _fail(EXIT_IO, str(err))
+    click.echo(f"heatmap: {path}")
 
 
 if __name__ == "__main__":

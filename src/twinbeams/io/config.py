@@ -23,7 +23,7 @@ from pathlib import Path
 
 import yaml
 
-from ..pdc import CrystalConfig, PumpConfig
+from ..pdc import CrystalConfig, PumpConfig, _check_grid_size
 
 __all__ = [
     "PIPELINES",
@@ -78,8 +78,7 @@ class GridSpec:
     width_factor: float = 4.0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be at least 1, got {self.m}")
+        _check_grid_size(self.m)
         for name in ("half_width", "width_factor"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:

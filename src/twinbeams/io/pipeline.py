@@ -2,7 +2,7 @@
 
 Four pipelines share the same plumbing:
 
-* ``numerical``        grid -> squeezing matrix (and its heatmap) -> JSA ->
+* ``numerical``        grid -> squeezing matrix (stored as an npz) -> JSA ->
                        spectrum -> Takagi residual -> symplectic check ->
                        pairing/fit -> spectrum files
 * ``analytic``         characteristic times -> Gaussian model -> Mehler factors
@@ -15,13 +15,14 @@ Each run factors once: the SVD of the JSA block, or in ``near_degenerate``
 the Takagi factorization of the full matrix.  The Takagi residual and the
 symplectic check both take the factors of the reported spectrum.
 
-Memory: the heatmap ``squeezing_matrix.csv`` is written right after the
-matrix is built, while it is the only large array, and each stage result
-is dropped after its last reader; of the squeezer only its residual is
-kept.  A traced ``compare`` run at m = 256 peaks at 6.6 times the bytes
-of Gamma, in the symplectic check.  The manifest lists the heatmap after
-the spectrum files, and a run that fails after the matrix build leaves
-``squeezing_matrix.csv`` on disk.
+Memory: Gamma is stored exactly in ``squeezing_matrix.npz`` right after it
+is built, which holds one copy of it, and each stage result is dropped
+after its last reader; of the squeezer only its residual is kept.  A
+traced ``compare`` run at m = 256 peaks at 6.57 (real Gamma) and 6.52
+(complex) times the bytes of Gamma, in the symplectic check.  The manifest
+lists the matrix after the spectrum files, and a run that fails after the
+matrix build leaves ``squeezing_matrix.npz`` on disk.  Its CSV heatmap is
+written on request, by ``twinbeams heatmap DIR``.
 
 Every run writes ``report.json`` with the resolved config (Sellmeier data
 included), a summary, the residual diagnostics with their thresholds, and a
@@ -69,7 +70,7 @@ from ..twinbeam import (
     spectrum_from_takagi,
 )
 from .config import RunConfig, config_to_dict
-from .exports import export_matrix_heatmap, export_spectrum, write_csv
+from .exports import export_spectrum, export_squeezing_matrix, write_csv
 
 __all__ = [
     "ENV_OUTPUT_DIR",
@@ -227,11 +228,9 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
     report.summary["grid_spacing"] = float(grid.spacing)
 
     sq = _stage("squeezing-matrix", build_squeezing_matrix, cfg.crystal, cfg.pump, grid)
-    # Written while Gamma is the only large array; its manifest entry
-    # still follows those of the spectrum files.
-    heat = export_matrix_heatmap(
-        sq.gamma, grid.detunings, grid.detunings, out / "squeezing_matrix.csv"
-    )
+    # Stored at once, so a run that fails later still leaves it; its
+    # manifest entry follows those of the spectrum files.
+    stored = export_squeezing_matrix(sq.gamma, grid.detunings, out / "squeezing_matrix.npz")
     ext = _stage("jsa-extraction", extract_jsa, sq)
     _check(
         report, "leakage", ext.leakage,
@@ -306,7 +305,7 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         spectrum, out / "spectrum", cfg.output.format, detunings=detunings, pairing=pairing
     ):
         report.artifacts.append({"kind": "spectrum", "path": path.name})
-    report.artifacts.append({"kind": "squeezing_matrix", "path": heat.name})
+    report.artifacts.append({"kind": "squeezing_matrix", "path": stored.name})
 
     return None if zero else (sd, spectrum)
 

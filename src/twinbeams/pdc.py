@@ -172,6 +172,14 @@ def pump_bandwidth(pump: PumpConfig) -> float:
     return 2.0 * math.sqrt(math.log(2.0)) / pump.tau_p_fs
 
 
+def _check_grid_size(m) -> None:
+    """ValueError naming ``m`` unless it is an integer (a bool is not one) >= 1."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform detuning grid: Omega_l = (l - m - 1/2) spacing, l = 1..2m.
@@ -185,10 +193,7 @@ class FrequencyGrid:
     spacing: float
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
-            raise ValueError(f"m must be an integer, got {self.m!r}")
-        if self.m < 1:
-            raise ValueError(f"m must be at least 1, got {self.m}")
+        _check_grid_size(self.m)
         if not 0.0 < self.spacing < math.inf:
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
 
@@ -217,8 +222,7 @@ class FrequencyGrid:
 
 def build_frequency_grid(m: int, half_width: float) -> FrequencyGrid:
     """Grid of 2m detunings covering +-half_width, spacing half_width / m."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _check_grid_size(m)
     if not 0.0 < half_width < math.inf:
         raise ValueError("half_width must be positive and finite")
     return FrequencyGrid(m=m, spacing=half_width / m)

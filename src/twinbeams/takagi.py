@@ -19,8 +19,8 @@ an argument with a NaN or infinite entry; ``_check_symmetric`` requires
 max|A - A^T| (A^H when Hermitian) <= tol max|A|, tol = 1e-10 for the
 factorizations and the associated matrix, 1e-12 for Gamma and the
 generator and covariance blocks.  Input equal to its transpose bit for bit
-(``_bit_symmetric``) skips that test and is factored, or mirrored by the
-heatmap writer, as it is; other input is factored as 0.5 (A + A^T).  Each
+(``_bit_symmetric``) skips that test and is factored as it is; other
+input is factored as 0.5 (A + A^T).  Each
 tolerance test reads ``not x <= tol``, which a NaN fails.
 """
 

@@ -129,7 +129,8 @@ class TestRun:
         assert f"report: {out / 'report.json'}" in result.output
         assert (out / "report.json").exists()
         assert (out / "spectrum.csv").exists()
-        assert (out / "squeezing_matrix.csv").exists()
+        assert (out / "squeezing_matrix.npz").exists()
+        assert not (out / "squeezing_matrix.csv").exists()
 
     def test_format_override(self, runner, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -426,6 +427,48 @@ class TestSweep:
         assert "--values is empty" in all_output(result)
 
 
+class TestHeatmap:
+    """twinbeams heatmap"""
+
+    def test_writes_the_csv_next_to_the_npz(self, runner, tmp_path):
+        out = tmp_path / "out"
+        assert runner.invoke(main, ["run", str(write_config(tmp_path)), "--out", str(out)]).exit_code == 0
+        result = runner.invoke(main, ["heatmap", str(out)])
+        assert result.exit_code == 0
+        assert f"heatmap: {out / 'squeezing_matrix.csv'}" in result.output
+        with np.load(out / "squeezing_matrix.npz") as data:
+            gamma, omega = data["gamma"], data["omega"]
+        with open(out / "squeezing_matrix.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["omega", "omega_prime", "re", "im", "abs"]
+        assert len(rows) == gamma.size == 32 * 32
+        assert [float(r[0]) for r in rows[::32]] == omega.tolist()
+        assert [float(r[2]) for r in rows] == gamma.ravel().tolist()
+
+    def test_missing_npz_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["heatmap", str(tmp_path)])
+        assert result.exit_code == 2
+        assert f"no squeezing matrix at {tmp_path / 'squeezing_matrix.npz'}" in all_output(result)
+        assert not (tmp_path / "squeezing_matrix.csv").exists()
+
+    @pytest.mark.parametrize("content", ["text", "truncated", "no-gamma"])
+    def test_unreadable_npz_exits_2(self, runner, tmp_path, content):
+        path = tmp_path / "squeezing_matrix.npz"
+        if content == "text":
+            path.write_bytes(b"not an archive")
+        else:
+            arrays = {"omega": np.zeros(2)}
+            if content == "truncated":
+                arrays["gamma"] = np.eye(2)
+            np.savez(path, **arrays)
+            if content == "truncated":
+                path.write_bytes(path.read_bytes()[:100])
+        result = runner.invoke(main, ["heatmap", str(tmp_path)])
+        assert result.exit_code == 2
+        assert f"{path}: not a squeezing matrix" in all_output(result)
+        assert not (tmp_path / "squeezing_matrix.csv").exists()
+
+
 class TestMeta:
     """Version and help."""
 
@@ -437,5 +480,5 @@ class TestMeta:
     def test_help_lists_commands(self, runner):
         result = runner.invoke(main, ["-h"])
         assert result.exit_code == 0
-        for command in ("run", "validate", "sweep"):
+        for command in ("run", "validate", "sweep", "heatmap"):
             assert command in result.output

@@ -161,6 +161,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="grid: width_factor must be positive"):
             config_from_dict(minimal(grid={"width_factor": -1.0}))
 
+    @pytest.mark.parametrize("bad", ["8", 2.5, True, 8.0])
+    def test_grid_spec_non_integer_m_raises(self, bad):
+        """A directly built GridSpec checks m's type before comparing it: a
+        string gave a bare TypeError, and 2.5 or True was accepted."""
+        with pytest.raises(ValueError) as info:
+            GridSpec(m=bad)
+        assert str(info.value) == f"m must be an integer, got {bad!r}"
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

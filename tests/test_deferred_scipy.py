@@ -30,7 +30,7 @@ def run_fresh(script, cwd):
 
 
 def test_run_path_loads_no_scipy(tmp_path):
-    """Every pipeline with a float64 and a complex Gamma, and run/validate/sweep."""
+    """Every pipeline with a float64 and a complex Gamma, and run/validate/sweep/heatmap."""
     loaded = run_fresh(
         f"""
         import json, sys
@@ -53,6 +53,7 @@ def test_run_path_loads_no_scipy(tmp_path):
             ["run", "small.yaml", "--out", "run"],
             ["sweep", "small.yaml", "--param", "pump.z0_fraction", "--values", "0.25,0.5",
              "--out", "sweep"],
+            ["heatmap", "run"],
         ):
             try:
                 cli.main(args, standalone_mode=False)
@@ -63,6 +64,7 @@ def test_run_path_loads_no_scipy(tmp_path):
         tmp_path,
     )
     assert (tmp_path / "sweep").is_dir()
+    assert (tmp_path / "run" / "squeezing_matrix.csv").is_file()
     assert loaded == []
 
 

@@ -1,10 +1,10 @@
-"""Tests for the CSV/JSON artifact writers."""
+"""Tests for the CSV/JSON/npz artifact writers."""
 
 import csv
 import json
 import math
 import tracemalloc
-from decimal import Decimal
+import zipfile
 
 import numpy as np
 import pytest
@@ -13,13 +13,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import build_working_point, per_cell_heatmap, random_unitary, reference_csv
-from twinbeams.io import export_matrix_heatmap, export_spectrum, exports, write_csv
+from twinbeams.io import (
+    export_matrix_heatmap,
+    export_spectrum,
+    export_squeezing_matrix,
+    exports,
+    load_squeezing_matrix,
+    write_csv,
+)
 from twinbeams.twinbeam import SqueezingSpectrum, pair_eigenvalues
 
 np.random.seed(42)
 
-#: Exact ties at the 17th digit: 18 significant digits, the last a 5.
-#: Python rounds them half-even; the numpy path would round them up.
+#: Exact ties at the 17th digit: 18 significant digits, the last a 5, which
+#: ``%.17g`` rounds half-even.
 TIES = [2091755748717130.75, 2091755748717130.25, 562949953421312.125, 562949953421312.375]
 
 
@@ -95,11 +102,11 @@ class TestWriteCsv:
         path = write_csv(tmp_path / "t.csv", header, rows)
         assert path.read_bytes() == reference_csv(header, rows)
 
-    def test_bytes_match_reference_writer_across_batches(self, tmp_path):
-        """A generator of rows longer than two batches, so batch edges fall
-        mid-table; each row mixes floats of every scale with other cells."""
+    def test_bytes_match_reference_writer_long_generator(self, tmp_path):
+        """A generator of 549 rows, each mixing floats of every scale with
+        other cells."""
         rng = np.random.default_rng(5)
-        n = 2 * exports._CSV_BATCH_ROWS + 37
+        n = 549
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
 
         def rows():
@@ -210,6 +217,36 @@ class TestExportSpectrum:
         assert peak <= gamma_bytes
 
 
+class TestSqueezingMatrixFile:
+    """Gamma and its grid stored exactly in one uncompressed npz."""
+
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["float64", "complex128"])
+    def test_round_trip_is_bitwise(self, tmp_path, z0_fraction):
+        wp = build_working_point(m=16, z0_fraction=z0_fraction)
+        gamma, omega = wp.sq.gamma, wp.grid.detunings
+        path = export_squeezing_matrix(gamma, omega, tmp_path / "squeezing_matrix.npz")
+        assert path == tmp_path / "squeezing_matrix.npz"
+        with np.load(path) as data:
+            assert sorted(data.files) == ["gamma", "omega"]
+        back_omega, back = load_squeezing_matrix(path)
+        assert back.dtype == gamma.dtype == (np.float64 if z0_fraction == 0.5 else np.complex128)
+        assert np.array_equal(back.view(np.uint64), gamma.view(np.uint64))
+        assert np.array_equal(back_omega.view(np.uint64), omega.view(np.uint64))
+
+    def test_uncompressed_and_deterministic(self, tmp_path):
+        gamma = symmetric(np.random.randn(6, 6) + 1j * np.random.randn(6, 6))
+        gamma[0, 1] = gamma[1, 0] = complex(-0.0, -0.0)
+        omega = np.linspace(-0.5, 0.5, 6)
+        first = export_squeezing_matrix(gamma, omega, tmp_path / "a.npz").read_bytes()
+        second = export_squeezing_matrix(gamma, omega, tmp_path / "b.npz").read_bytes()
+        assert first == second
+        with zipfile.ZipFile(tmp_path / "a.npz") as archive:
+            infos = archive.infolist()
+        assert [i.filename for i in infos] == ["omega.npy", "gamma.npy"]
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+        assert {i.date_time for i in infos} == {(1980, 1, 1, 0, 0, 0)}
+
+
 class TestMatrixHeatmap:
     """Long-format complex matrix dump."""
 
@@ -275,7 +312,8 @@ class TestMatrixHeatmap:
 
 
 class TestSymmetricHeatmap:
-    """A bitwise-symmetric matrix formats each upper-triangle cell once."""
+    """Symmetric matrices, as Gamma is: signed-zero mirror pairs, rows with
+    and without an imaginary part, and edge values."""
 
     def test_real_symmetric(self, tmp_path):
         assert_bytes_match_per_cell(tmp_path, symmetric(np.random.randn(9, 9)))
@@ -329,45 +367,6 @@ class TestSymmetricHeatmap:
     def test_small(self, tmp_path, mat):
         assert_bytes_match_per_cell(tmp_path, mat)
 
-    def test_each_upper_cell_formatted_once(self, tmp_path, monkeypatch):
-        counted = []
-        original = exports._format_all
-
-        def counting(values):
-            counted.append(len(values))
-            return original(values)
-
-        monkeypatch.setattr(exports, "_format_all", counting)
-        g = np.linspace(-1.0, 1.0, 6)
-        real = symmetric(np.random.randn(6, 6))
-        export_matrix_heatmap(real, g, g, tmp_path / "r.csv")
-        assert sum(counted) == 6 * 7 // 2
-        counted.clear()
-        cplx = symmetric(np.random.randn(6, 6) + 1j * np.random.randn(6, 6))
-        export_matrix_heatmap(cplx, g, g, tmp_path / "c.csv")
-        assert sum(counted) == 3 * 6 * 7 // 2
-        counted.clear()
-        cplx[0, 1] += 1.0
-        export_matrix_heatmap(cplx, g, g, tmp_path / "n.csv")
-        assert sum(counted) == 3 * 6 * 6
-
-    @pytest.mark.parametrize("m", [128, 256])
-    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["float64", "complex128"])
-    def test_peak_memory_within_four_gammas(self, tmp_path, m, z0_fraction):
-        """The writer holds one tile and the packed strings of the upper
-        triangle: its traced peak stays within 4 Gammas."""
-        wp = build_working_point(m=m, z0_fraction=z0_fraction)
-        gamma = wp.sq.gamma
-        assert gamma.dtype == (np.float64 if z0_fraction == 0.5 else np.complex128)
-        grid = wp.grid.detunings
-        tracemalloc.start()
-        try:
-            export_matrix_heatmap(gamma, grid, grid, tmp_path / "m.csv")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * gamma.nbytes
-
 
 @st.composite
 def symmetric_matrices(draw):
@@ -388,137 +387,3 @@ def symmetric_matrices(draw):
 @given(symmetric_matrices())
 def test_symmetric_heatmap_property(tmp_path_factory, mat):
     assert_bytes_match_per_cell(tmp_path_factory.mktemp("heat"), mat)
-
-
-def python_g17(values):
-    """Python's ``%.17g`` of each value: the oracle of ``_format_all``."""
-    return [b"%.17g" % x for x in np.asarray(values, dtype=np.float64).tolist()]
-
-
-def assert_formats_like_python(values):
-    values = np.asarray(values, dtype=np.float64)
-    got = exports._format_all(values)
-    assert got.dtype == np.dtype("S24")
-    assert got.tolist() == python_g17(values)
-
-
-def neighbours(x):
-    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
-
-
-def layout_class(text):
-    """``(negative, notation, kept)`` of a finite ``%.17g`` text: notation is
-    the decimal exponent (-4 ... 16) in fixed notation, else ``"e2"`` or
-    ``"e3"`` by the exponent's digit count; kept counts the significant
-    digits up to the last nonzero one (1 for a zero)."""
-    body = text.lstrip(b"-")
-    mantissa, _, exponent = body.partition(b"e")
-    whole, _, frac = mantissa.partition(b".")
-    if exponent:
-        notation = f"e{len(exponent) - 1}"
-    elif whole == b"0" and frac:
-        notation = -1 - (len(frac) - len(frac.lstrip(b"0")))
-    else:
-        notation = len(whole) - 1
-    kept = len((whole + frac).lstrip(b"0").rstrip(b"0")) or 1
-    return body != text, notation, kept
-
-
-class TestFormatAll:
-    """The vectorized ``%.17g`` against Python's, value by value."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
-    def test_property_any_double(self, values):
-        assert_formats_like_python(values)
-
-    def test_random_bit_patterns(self):
-        """Over 10**6 seeded uint64 patterns: every exponent, subnormals,
-        nan and inf included."""
-        rng = np.random.default_rng(2024)
-        for _ in range(16):
-            bits = rng.integers(0, np.iinfo(np.uint64).max, 2**16, dtype=np.uint64, endpoint=True)
-            assert_formats_like_python(bits.view(np.float64))
-
-    def test_random_decimal_ranges(self):
-        """Fixed and exponential notation, and short decimals whose trailing
-        zeros are trimmed."""
-        rng = np.random.default_rng(7)
-        scale = 10.0 ** rng.integers(-8, 20, 2**16)
-        assert_formats_like_python(rng.standard_normal(2**16) * scale)
-        assert_formats_like_python(np.round(rng.standard_normal(2**16) * 1e4) / scale)
-
-    def test_every_layout_class(self):
-        """Seeded candidates, sorted by Python's own text, hit every sign x
-        notation x digits-kept class of the layout, and one value of each
-        formats like Python."""
-        rng = np.random.default_rng(28)
-        ints = rng.integers(1, 2**53, 2**12) >> rng.integers(0, 53, 2**12)
-        dyadic = rng.integers(1, 2**20, 2**12) / 2.0 ** rng.integers(1, 64, 2**12)
-        # Short decimals of k digits at decimal exponent x, 64 per k and
-        # notation: x is -4 ... 16, or any normal 2- or 3-digit exponent.
-        # A leading 1 (k > 1) keeps all k digits in about half of them.
-        k = np.repeat(np.arange(1, 18), 23 * 64)
-        kind = np.tile(np.arange(23), 17 * 64)
-        x = np.select(
-            [kind < 21, kind == 21],
-            [kind - 4, rng.choice(np.r_[-99:-4, 17:100], len(kind))],
-            rng.choice(np.r_[-307:-99, 100:309], len(kind)),
-        )
-        lo = 10 ** (k - 1)
-        mantissas = rng.integers(lo, np.where(k > 1, 2 * lo, 10))
-        short = [float(f"{d}e{e}") for d, e in zip(mantissas.tolist(), (x - k + 1).tolist())]
-        candidates = [*ints.astype(float).tolist(), *dyadic.tolist(), *short]
-        first = {}
-        for v in candidates + [-v for v in candidates]:
-            if math.isfinite(v):
-                first.setdefault(layout_class(b"%.17g" % v), v)
-        notations = [*range(-4, 17), "e2", "e3"]
-        assert set(first) == {
-            (neg, notation, kept)
-            for neg in (False, True) for notation in notations for kept in range(1, 18)
-        }
-        values = list(first.values())
-        assert exports._format_all(np.array(values)).tolist() == [b"%.17g" % v for v in values]
-
-    def test_edges(self):
-        edges = [
-            *neighbours(1e-5),  # the exponential/fixed switch below 1
-            *neighbours(1e-4),
-            *neighbours(1e16),  # the fixed/exponential switch above 1
-            *neighbours(1e17),
-            5e-324,  # the least subnormal
-            2.2250738585072014e-308,  # the least normal
-            1.7976931348623157e308,  # the largest double
-            1e-305,  # 17 digits of 9.99...e-306 carry to the next power of ten
-            1e-14,
-            0.0,
-            -0.0,
-            1.0,
-            0.5,
-            100.0,
-            123.456,
-            *TIES,
-        ]
-        assert_formats_like_python(edges + [-x for x in edges])
-        assert exports._format_all(np.array([1e-305]))[0] == b"1e-305"
-
-    def test_empty(self):
-        assert exports._format_all(np.array([])).shape == (0,)
-
-    def test_ties_nan_and_inf_go_to_python(self, monkeypatch):
-        for tie in TIES:
-            digits = Decimal(tie).as_tuple().digits
-            assert len(digits) == 18 and digits[-1] == 5
-        handed = []
-        original = exports._format_python
-
-        def counting(values):
-            handed.extend(values.tolist())
-            return original(values)
-
-        monkeypatch.setattr(exports, "_format_python", counting)
-        slow = [*TIES, math.nan, math.inf, -math.inf]
-        values = np.array([0.1, -2.5, 1e-300, *slow, 0.0, 7.0])
-        assert_formats_like_python(values)
-        assert np.array_equal(np.array(handed), np.array(slow), equal_nan=True)

@@ -323,9 +323,10 @@ class TestFrequencyGrid:
             with pytest.raises(ValueError, match="spacing must be positive and finite"):
                 FrequencyGrid(m=2, spacing=bad)
 
-    @pytest.mark.parametrize("bad", [2.5, 8.0, True, np.float64(3.0)])
+    @pytest.mark.parametrize("bad", [2.5, 8.0, True, np.float64(3.0), "8"])
     def test_non_integer_m_raises(self, bad):
-        """m = 2.5 gave a 5-point grid whose ``idler`` and ``signal`` raised TypeError."""
+        """m = 2.5 gave a 5-point grid whose ``idler`` and ``signal`` raised
+        TypeError, and build_frequency_grid("8", 1.0) a bare TypeError from m < 1."""
         for build in (lambda: FrequencyGrid(m=bad, spacing=0.5), lambda: build_frequency_grid(bad, 1.0)):
             with pytest.raises(ValueError) as info:
                 build()
