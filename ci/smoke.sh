@@ -2,7 +2,7 @@
 # Smoke run of an installed twinbeams, from a directory outside the checkout
 # and without PYTHONPATH: bundled configs, byte-identical repeat runs of every
 # pipeline and of a chirped pump, the symplectic residual rebuilt from each
-# run's spectrum.json, tile edges of the squeezing-matrix build, heatmaps
+# run's factors, tile edges of the squeezing-matrix build, heatmaps
 # written from the stored matrix, an independent %.17g oracle over every CSV,
 # and the exit codes of failing runs.
 #
@@ -33,14 +33,18 @@ for run in a b; do
   twinbeams sweep bbo_nondegenerate --param pipeline --values numerical,analytic,compare,near_degenerate --format both --out "$RUNNER_TEMP/pipelines$run"
 done
 diff -r "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP/pipelinesb"
-# The symplectic check takes the factors each run reports: the squeezer rebuilt
-# from spectrum.json (column k of V is entry k of modes_re and modes_im, R is
-# values) has the residual of report.json, bit for bit.
+# The symplectic check takes the factors each run reports.  A near_degenerate
+# run's residual is that of the squeezer rebuilt from spectrum.json (column k of
+# V is entry k of modes_re and modes_im, R is values), bit for bit.  A
+# numerical or compare run's is the block residual of the Schmidt factors of
+# J = gamma[m:, :m] from squeezing_matrix.npz, bit for bit, and the squeezer
+# rebuilt from its spectrum.json, which checks the duo assembly, is within 1e-14.
 python - "$RUNNER_TEMP/pipelinesa" <<'PY'
 import json, pathlib, sys
 import numpy as np
-from twinbeams.symplectic import squeezer_from_takagi
+from twinbeams.symplectic import schmidt_squeezer_residual, squeezer_from_takagi
 from twinbeams.takagi import TakagiFactors
+from twinbeams.twinbeam import JointSpectralAmplitude, schmidt_from_jsa
 runs = sorted(p.parent for p in pathlib.Path(sys.argv[1]).rglob("spectrum.json"))
 assert [run.name for run in runs] == ["pipeline=compare", "pipeline=near_degenerate", "pipeline=numerical"], runs
 for run in runs:
@@ -50,10 +54,20 @@ for run in runs:
     v = np.empty((r.size, r.size), complex)
     v.real[:] = np.array(spectrum["modes_re"]).T
     v.imag[:] = np.array(spectrum["modes_im"]).T
-    residual = squeezer_from_takagi(TakagiFactors(v, r)).residual
+    duos = squeezer_from_takagi(TakagiFactors(v, r)).residual
+    if run.name == "pipeline=near_degenerate":
+        residual, source = duos, "spectrum.json"
+    else:
+        with np.load(run / "squeezing_matrix.npz") as data:
+            gamma = data["gamma"]
+        m = gamma.shape[0] // 2
+        sd = schmidt_from_jsa(JointSpectralAmplitude(m=m, j_matrix=gamma[m:, :m].copy()))
+        residual, source = schmidt_squeezer_residual(sd), "squeezing_matrix.npz"
+        if not abs(duos - reported) <= 1e-14:
+            sys.exit(f"{run}: symplectic residual {duos!r} from spectrum.json, {reported!r} in report.json")
     if residual != reported:
-        sys.exit(f"{run}: symplectic residual {residual!r} from spectrum.json, {reported!r} in report.json")
-    print(run, "symplectic residual", residual, "matches report.json")
+        sys.exit(f"{run}: symplectic residual {residual!r} from {source}, {reported!r} in report.json")
+    print(run, "symplectic residual", residual, "from", source, "matches report.json")
 PY
 twinbeams sweep bbo_nondegenerate --param pump.gain --values 1,2 --out "$RUNNER_TEMP/sweep"
 # An explicit band skips the automatic sizing from the analytic model.

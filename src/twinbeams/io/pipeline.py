@@ -13,13 +13,16 @@ Four pipelines share the same plumbing:
 
 Each run factors once: the SVD of the JSA block, or in ``near_degenerate``
 the Takagi factorization of the full matrix.  The Takagi residual and the
-symplectic check both take the factors of the reported spectrum.
+symplectic check both take the factors of the reported spectrum: the
+Schmidt factors in m x m blocks, which is exact for the duos built from
+them, or the full-matrix factors of ``near_degenerate``.
 
 Memory: Gamma is stored exactly in ``squeezing_matrix.npz`` right after it
 is built, which holds one copy of it, and each stage result is dropped
-after its last reader; of the squeezer only its residual is kept.  A
-traced ``compare`` run at m = 256 peaks at 6.57 (real Gamma) and 6.52
-(complex) times the bytes of Gamma, in the symplectic check.  The manifest
+after its last reader; of the checks only their residuals are kept.  A
+traced ``compare`` run at m = 256 peaks at 4.53 (real Gamma) and 3.76
+(complex) times the bytes of Gamma, in the duo spectrum built after the
+checks.  The manifest
 lists the matrix after the spectrum files, and a run that fails after the
 matrix build leaves ``squeezing_matrix.npz`` on disk.  Its CSV heatmap is
 written on request, by ``twinbeams heatmap DIR``.
@@ -56,11 +59,11 @@ from ..mehler import (
     terms_for_tail_bound,
 )
 from ..pdc import build_frequency_grid, build_squeezing_matrix, extract_jsa, wave_vector
-from ..symplectic import SYMPLECTIC_THRESHOLD, squeezer_from_takagi
+from ..symplectic import SYMPLECTIC_THRESHOLD, schmidt_squeezer_residual, squeezer_from_takagi
 from ..takagi import TAKAGI_THRESHOLD, TakagiFactors, takagi_general, takagi_residual
 from ..twinbeam import (
     _duo_means,
-    block_squeezing_matrix,
+    _schmidt_residual,
     eigenmodes_from_schmidt,
     fit_geometric,
     pair_eigenvalues,
@@ -259,18 +262,23 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         del factors
         spectrum = _stage("spectrum", spectrum_from_takagi, rolled)
         target = signal_first(sq.gamma)
+        del sq, ext
+        reported = TakagiFactors(spectrum.modes, spectrum.values)
+        _check(report, "takagi", takagi_residual(target, reported))
+        del target
+        # The squeezer and its Bloch-Messiah factors (V, R, V) from the reported
+        # factors; the report keeps only the residual.
+        _check(report, "symplectic", _stage("symplectic", squeezer_from_takagi, reported).residual)
     else:
+        # The one factorization of the run: J = C R D^H.  Both checks read the
+        # Schmidt factors in m x m blocks, exactly those of the duo spectrum,
+        # which is built only after them.
         sd = _stage("spectrum", schmidt_from_jsa, ext.jsa)
+        del sq
+        _check(report, "takagi", _schmidt_residual(ext.jsa, sd))
+        del ext
+        _check(report, "symplectic", _stage("symplectic", schmidt_squeezer_residual, sd))
         spectrum = eigenmodes_from_schmidt(sd)
-        target = block_squeezing_matrix(ext.jsa)
-    del sq, ext
-
-    reported = TakagiFactors(spectrum.modes, spectrum.values)
-    _check(report, "takagi", takagi_residual(target, reported))
-    del target
-    # The squeezer and its Bloch-Messiah factors (V, R, V) from the reported
-    # factors; the report keeps only the residual.
-    _check(report, "symplectic", _stage("symplectic", squeezer_from_takagi, reported).residual)
 
     report.summary["r1"] = float(spectrum.values[0])
     pairing = None

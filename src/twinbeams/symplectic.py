@@ -36,6 +36,7 @@ from .takagi import (
     _real_basis,
     takagi_general,
 )
+from .twinbeam import SchmidtDecomposition
 
 __all__ = [
     "GeneratorMatrix",
@@ -48,6 +49,7 @@ __all__ = [
     "bloch_messiah",
     "propagate_state",
     "symplectic_residual",
+    "schmidt_squeezer_residual",
 ]
 
 
@@ -284,6 +286,47 @@ def squeezer_from_takagi(factors: TakagiFactors) -> SymplecticMatrix:
     sI = scaled @ w.T
     del w, scaled
     return SymplecticMatrix(n=v.shape[0], s0=s0, sI=sI)
+
+
+def schmidt_squeezer_residual(sd: SchmidtDecomposition) -> float:
+    """``symplectic_residual`` of the twin-beam squeezer of Schmidt factors, in m x m blocks.
+
+    The duo modes of ``eigenmodes_from_schmidt`` give ``squeezer_from_takagi``
+    the blocks s0 = diag(P, Q) and sI = [[0, X], [X^T, 0]] with
+
+        P = C cosh(R) C^H,    Q = conj(D) cosh(R) D^T,    X = C sinh(R) D^H,
+
+    exactly: the cross terms of each duo cancel.  The top row of
+    S K S^dagger - K is then diag(P P^H - X X^H - I, Q Q^H - X^T conj(X) - I)
+    and [[0, Y], [-Y^T, 0]] with Y = P X - X Q^T, so the residual is
+
+        max(|P P^H - X X^H - I|, |Q Q^H - X^T conj(X) - I|, |Y|)
+            / max(|P|^2, |Q|^2, |X|^2, 1),
+
+    that of the 2m x 2m squeezer without its exact zero blocks.  Real c and
+    d keep every product in real arithmetic, and each block is reduced to
+    its maximum in its own buffer before the next is formed.  A ValueError
+    names r_max when cosh(r_max)^2 would overflow, and another gives the
+    residual when it exceeds ``SYMPLECTIC_THRESHOLD``.
+    """
+    c, d, r = sd.c, sd.d, sd.values
+    _check_r_max(r)
+    cosh, sinh = np.cosh(r), np.sinh(r)
+    d_bar = d.conj()
+    p = (c * cosh) @ c.conj().T
+    q = (d_bar * cosh) @ d.T
+    x = (c * sinh) @ d_bar.T
+    norm2 = max(np.abs(p).max() ** 2, np.abs(q).max() ** 2, np.abs(x).max() ** 2, 1.0)
+    res = 0.0
+    for left, right in ((p, x), (q, x.T)):
+        block = _minus(left @ left.conj().T, right @ right.conj().T)
+        block[np.diag_indices_from(block)] -= 1.0
+        res = max(res, _abs_max(block))
+        del block
+    res = float(max(res, _abs_max(_minus(p @ x, x @ q.T))) / norm2)
+    if not res <= SYMPLECTIC_THRESHOLD:
+        raise ValueError(f"matrix is not symplectic: residual {res:.3e}")
+    return res
 
 
 def two_mode_squeezer(r: float) -> SymplecticMatrix:

@@ -28,6 +28,7 @@ from .takagi import (
     _factors_from_signed,
     _float_or_complex,
     _largest_entry_phase,
+    _minus,
     _polar,
     _unitarity_defect,
     takagi_real_symmetric,
@@ -215,6 +216,21 @@ def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
         partner *= inv_sqrt2
     values = np.repeat(sd.values, 2)
     return SqueezingSpectrum(values=values, modes=modes, source="jsa_svd")
+
+
+def _schmidt_residual(jsa: JointSpectralAmplitude, sd: SchmidtDecomposition) -> float:
+    """||J - C R D^H||_F / max(||J||_F, eps), the Takagi residual of the duo spectrum.
+
+    The duos of ``eigenmodes_from_schmidt`` give V R V^T =
+    [[0, C R D^H], [conj(D) R C^T, 0]] exactly, and the block matrix has
+    ||[[0, J], [J^T, 0]]||_F = sqrt(2) ||J||_F, so this is the
+    ``takagi_residual`` of the duos against ``block_squeezing_matrix(jsa)``
+    without its zero blocks.  Real factors of a real J stay real.
+    """
+    j = jsa.j_matrix
+    recon = (sd.c * sd.values) @ sd.d.conj().T
+    denom = max(np.linalg.norm(j), np.finfo(float).eps)
+    return float(np.linalg.norm(_minus(recon, j)) / denom)
 
 
 def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:

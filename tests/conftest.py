@@ -66,18 +66,18 @@ def random_unitary(n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def rotating_first_mode(make_spectrum):
-    """Wrap a spectrum builder so its first mode carries a stray e^{i pi/4}.
+def rotating_first_schmidt_mode(make_schmidt):
+    """Wrap a Schmidt decomposition builder so c's first column carries a stray e^{i pi/4}.
 
-    The modes stay unitary, so the spectrum is accepted, but V R V^T picks
-    up a factor i on the leading term and no longer reconstructs the matrix.
+    c stays unitary, so the decomposition is accepted, but C R D^H picks up
+    that phase on the leading term and no longer reconstructs the JSA.
     """
 
     def wrapper(*args, **kwargs):
-        spectrum = make_spectrum(*args, **kwargs)
-        modes = spectrum.modes.copy()
-        modes[:, 0] *= cmath.exp(0.25j * cmath.pi)
-        return dataclasses.replace(spectrum, modes=modes)
+        sd = make_schmidt(*args, **kwargs)
+        c = sd.c.astype(complex)
+        c[:, 0] *= cmath.exp(0.25j * cmath.pi)
+        return dataclasses.replace(sd, c=c)
 
     return wrapper
 

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from conftest import rotating_first_mode
+from conftest import rotating_first_schmidt_mode
 from twinbeams import __version__
 from twinbeams.io import config_from_dict, parse_config_text, pipeline, serialize_config
 from twinbeams.io.cli import main
@@ -157,9 +157,9 @@ class TestRun:
         assert (out / "report.json").exists()
 
     def test_takagi_failure_exits_3(self, runner, tmp_path, monkeypatch):
-        """A spectrum that stays unitary but reconstructs wrongly fails the check."""
+        """Schmidt factors that stay unitary but reconstruct J wrongly fail the check."""
         monkeypatch.setattr(
-            pipeline, "eigenmodes_from_schmidt", rotating_first_mode(pipeline.eigenmodes_from_schmidt)
+            pipeline, "schmidt_from_jsa", rotating_first_schmidt_mode(pipeline.schmidt_from_jsa)
         )
         cfg_path = write_config(tmp_path, pipeline="numerical")
         out = tmp_path / "out"
@@ -186,7 +186,7 @@ class TestRun:
         """A NaN residual fails its threshold: NaN is not at or below any number."""
         nan = float("nan")
         if name == "takagi":
-            monkeypatch.setattr(pipeline, "takagi_residual", lambda target, factors: nan)
+            monkeypatch.setattr(pipeline, "_schmidt_residual", lambda jsa, sd: nan)
         else:
             extract = pipeline.extract_jsa
             monkeypatch.setattr(

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import per_cell_heatmap, rotating_first_mode
+from conftest import per_cell_heatmap, rotating_first_schmidt_mode
 import twinbeams.mehler as mehler
 import twinbeams.pdc as pdc
 import twinbeams.symplectic as symplectic
@@ -261,16 +261,28 @@ class TestZeroGain:
     """gain = 0 short-circuits gracefully."""
 
     def test_zero_matrix_notes(self, tmp_path):
+        self.check_zero_gain_run(tmp_path, "numerical")
+
+    @pytest.mark.parametrize("name", ["compare", "near_degenerate"])
+    def test_zero_matrix_notes_in_every_pipeline(self, tmp_path, name):
+        """A zero Gamma takes the Schmidt route in every pipeline."""
+        self.check_zero_gain_run(tmp_path, name)
+
+    @staticmethod
+    def check_zero_gain_run(tmp_path, name):
         raw = {
             "crystal": dict(MINIMAL["crystal"]),
             "pump": {"lambda_p_nm": 397.5, "tau_p_fs": 129.0, "gain": 0.0},
             "grid": {"m": 16, "half_width": 0.55},
+            "pipeline": name,
         }
         report = run_pipeline(config_from_dict(raw), out_dir=tmp_path)
         assert any("identically zero" in note for note in report.notes)
         assert report.summary["r1"] == 0.0
         assert "pairs_accepted" not in report.summary
         assert report.threshold_failures == []
+        assert report.residuals["takagi"] == 0.0
+        assert report.residuals["symplectic"] <= 1e-15
         assert (tmp_path / "spectrum.csv").exists()
 
 
@@ -441,8 +453,9 @@ class TestCheckPaths:
     """A failed check is recorded or raised where the run makes it."""
 
     def test_takagi_failure_is_recorded(self, monkeypatch, tmp_path):
+        """Unitary Schmidt factors that reconstruct J wrongly fail only the Takagi check."""
         monkeypatch.setattr(
-            pipeline, "eigenmodes_from_schmidt", rotating_first_mode(pipeline.eigenmodes_from_schmidt)
+            pipeline, "schmidt_from_jsa", rotating_first_schmidt_mode(pipeline.schmidt_from_jsa)
         )
         report = run_pipeline(small_config(pipeline="numerical"), out_dir=tmp_path)
         assert report.residuals["takagi"] > pipeline.TAKAGI_THRESHOLD
@@ -469,6 +482,29 @@ class TestCheckPaths:
         monkeypatch.setattr(pipeline, "takagi_general", stretched)
         with pytest.raises(PipelineError, match=r"\[symplectic\] matrix is not symplectic") as info:
             run_pipeline(small_config(pipeline="near_degenerate"), out_dir=tmp_path)
+        assert info.value.stage == "symplectic"
+        (defect,) = defects
+        assert 0.0 < defect <= 1e-10
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["numerical", "compare"])
+    def test_non_unitary_schmidt_factors_fail_symplectic_stage(self, monkeypatch, tmp_path, name):
+        """One grid row of c is stretched by 1 + 1e-10: SchmidtDecomposition's
+        Gram check (max|C^H C - I| <= 1e-10) still passes, while the block
+        residual reads the stretch twice on the diagonal of C C^H."""
+        original = pipeline.schmidt_from_jsa
+        defects = []
+
+        def stretched(jsa):
+            sd = original(jsa)
+            c = sd.c.copy()
+            c[np.argmin((np.abs(c) ** 2).max(axis=1))] *= 1.0 + 1e-10
+            defects.append(takagi._unitarity_defect(c))
+            return dataclasses.replace(sd, c=c)
+
+        monkeypatch.setattr(pipeline, "schmidt_from_jsa", stretched)
+        with pytest.raises(PipelineError, match=r"\[symplectic\] matrix is not symplectic") as info:
+            run_pipeline(small_config(pipeline=name), out_dir=tmp_path)
         assert info.value.stage == "symplectic"
         (defect,) = defects
         assert 0.0 < defect <= 1e-10
@@ -555,8 +591,9 @@ class TestSmallGrids:
 class TestPeakMemory:
     """Each stage result is dropped after its last reader: a compare run held
     13.8 Gammas at once when both factorization routes stayed live.  At
-    m = 128 the traced peak reads 9.06 Gammas for a real Gamma and 6.54 for
-    a complex one (6.57 and 6.52 at m = 256, in the symplectic check)."""
+    m = 128 the traced peak reads 9.06 Gammas for a real Gamma, in the
+    Gamma build, and 5.03 for a complex one (4.53 and 3.76 at m = 256, in
+    the duo spectrum built after the m x m block checks)."""
 
     @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
     def test_traced_peak_stays_within_twelve_gammas(self, monkeypatch, tmp_path, z0_fraction):
@@ -620,17 +657,17 @@ class TestSymplecticCheck:
 
     def test_one_residual_per_numerical_run(self, monkeypatch, tmp_path):
         calls = []
-        original = symplectic.symplectic_residual
+        original = symplectic.schmidt_squeezer_residual
 
-        def counting(s):
-            calls.append(s.n)
-            return original(s)
+        def counting(sd):
+            calls.append(sd.c.shape[0])
+            return original(sd)
 
-        monkeypatch.setattr(symplectic, "symplectic_residual", counting)
-        # Also any binding imported by name into the pipeline module.
-        monkeypatch.setattr(pipeline, "symplectic_residual", counting, raising=False)
+        monkeypatch.setattr(symplectic, "schmidt_squeezer_residual", counting)
+        # Also the binding imported by name into the pipeline module.
+        monkeypatch.setattr(pipeline, "schmidt_squeezer_residual", counting)
         report = run_pipeline(small_config(pipeline="numerical"), out_dir=tmp_path)
-        assert calls == [32]
+        assert calls == [16]
         assert report.residuals["symplectic"] <= 1e-10
 
 
@@ -802,7 +839,7 @@ class TestHeatmapBytes:
 class TestSymplecticPath:
     """No exponential is built, and only near_degenerate factors Gamma: with
     ``takagi_general``, on the real path when Gamma is real.  Numerical and
-    compare runs build the squeezer from their Schmidt duos."""
+    compare runs check the Schmidt factors of their duos in m x m blocks."""
 
     @pytest.mark.parametrize("name", ["numerical", "compare", "near_degenerate"])
     @pytest.mark.parametrize(
@@ -839,6 +876,27 @@ class TestSymplecticPath:
         assert calls == {key: count * factored for key, count in expected.items()}
         assert report.residuals["symplectic"] <= 1e-14
 
+    @pytest.mark.parametrize("name", ["numerical", "compare"])
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
+    def test_no_two_band_matrix(self, monkeypatch, tmp_path, z0_fraction, name):
+        """The Schmidt route builds no 2m x 2m target or squeezer: a run whose
+        every binding of those builders raises still completes."""
+
+        def refused(*args, **kwargs):
+            raise AssertionError("2m x 2m check called")
+
+        for module in (symplectic, takagi, twinbeam, pipeline):
+            for fn in ("squeezer_from_takagi", "takagi_residual", "block_squeezing_matrix"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refused)
+        cfg = bundled_config(
+            "bbo_nondegenerate", pipeline=name, grid__m=32, pump__z0_fraction=z0_fraction
+        )
+        report = run_pipeline(cfg, out_dir=tmp_path)
+        assert report.threshold_failures == []
+        assert report.residuals["takagi"] <= 1e-14
+        assert report.residuals["symplectic"] <= 1e-14
+
 
 def spectrum_factors(path):
     """The Takagi factors of a ``spectrum.json``, bit for bit: column k of V
@@ -851,17 +909,28 @@ def spectrum_factors(path):
     return takagi.TakagiFactors(v=v, r=r)
 
 
-class TestSymplecticFromSpectrum:
-    """The symplectic residual checks the factors the run reports: it is the
-    residual of the squeezer rebuilt from the run's own ``spectrum.json``.
-    Numerical and compare runs make no eigendecomposition."""
+def stored_schmidt(out):
+    """``schmidt_from_jsa`` of J = gamma[m:, :m] from a run's ``squeezing_matrix.npz``."""
+    with np.load(Path(out) / "squeezing_matrix.npz") as data:
+        gamma = data["gamma"]
+    m = gamma.shape[0] // 2
+    jsa = twinbeam.JointSpectralAmplitude(m=m, j_matrix=gamma[m:, :m].copy())
+    return twinbeam.schmidt_from_jsa(jsa)
 
-    @staticmethod
-    def _check_artifacts(report, out):
-        rebuilt = symplectic.squeezer_from_takagi(spectrum_factors(out / "spectrum.json"))
-        assert report.residuals["symplectic"] == rebuilt.residual
-        payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        assert payload["residuals"]["symplectic"] == rebuilt.residual
+
+def reported_residuals(report, out):
+    """The symplectic residual of the returned report and of ``report.json``."""
+    payload = json.loads((Path(out) / "report.json").read_text(encoding="utf-8"))
+    return report.residuals["symplectic"], payload["residuals"]["symplectic"]
+
+
+class TestSymplecticFromSpectrum:
+    """The symplectic residual checks the factors the run reports.  A
+    near_degenerate run's is the residual of the squeezer rebuilt from its own
+    ``spectrum.json``; a numerical or compare run's is the block residual of
+    the Schmidt factors of its stored Gamma, within 1e-14 of the squeezer
+    rebuilt from its ``spectrum.json``.  Numerical and compare runs make no
+    eigendecomposition."""
 
     @pytest.mark.parametrize("name", ["numerical", "compare"])
     @pytest.mark.parametrize("m", [16, 64])
@@ -876,7 +945,10 @@ class TestSymplecticFromSpectrum:
             output__format="both",
         )
         report = run_pipeline(cfg, out_dir=tmp_path)
-        self._check_artifacts(report, tmp_path)
+        rebuilt = symplectic.schmidt_squeezer_residual(stored_schmidt(tmp_path))
+        assert reported_residuals(report, tmp_path) == (rebuilt, rebuilt)
+        duos = symplectic.squeezer_from_takagi(spectrum_factors(tmp_path / "spectrum.json"))
+        assert abs(duos.residual - rebuilt) <= 1e-14
 
     @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
     def test_near_degenerate(self, tmp_path, z0_fraction):
@@ -884,12 +956,14 @@ class TestSymplecticFromSpectrum:
             "bbo_near_degenerate", grid__m=64, pump__z0_fraction=z0_fraction, output__format="json"
         )
         report = run_pipeline(cfg, out_dir=tmp_path)
-        self._check_artifacts(report, tmp_path)
+        rebuilt = symplectic.squeezer_from_takagi(spectrum_factors(tmp_path / "spectrum.json"))
+        assert reported_residuals(report, tmp_path) == (rebuilt.residual, rebuilt.residual)
 
 
 def former_symplectic_residual(factors):
-    """The symplectic residual by its former formula: blocks cast to complex128,
-    then back to contiguous real parts when both imaginary parts are zero."""
+    """The 2m x 2m symplectic residual by its former formula: blocks cast to
+    complex128, then back to contiguous real parts when both imaginary parts
+    are zero."""
     w, imag = takagi._real_basis(factors.v)
     sinh = np.sinh(factors.r)
     s0 = ((w * np.cosh(factors.r)) @ w.conj().T).astype(complex)
@@ -903,46 +977,68 @@ def former_symplectic_residual(factors):
     return float(res / max(np.abs(s0).max() ** 2, np.abs(sI).max() ** 2, 1.0))
 
 
+def keep_schmidt(monkeypatch):
+    """A list that collects each Schmidt decomposition the pipeline makes."""
+    kept = []
+    original = pipeline.schmidt_from_jsa
+
+    def keeping(jsa):
+        kept.append(original(jsa))
+        return kept[-1]
+
+    monkeypatch.setattr(pipeline, "schmidt_from_jsa", keeping)
+    return kept
+
+
 class TestSymplecticResidualUnchanged:
-    """Real blocks are float64 with no complex copy, and the run's residual is
-    bitwise the one the complex-copy formula gave."""
+    """A real Gamma keeps float64 Schmidt factors, so the block residual runs
+    in real arithmetic; the run's residual is bitwise the block residual of
+    its stored Gamma, and within 1e-14 of the 2m x 2m complex-copy formula
+    applied to its duos."""
 
     @pytest.mark.parametrize("m", [16, 64])
     @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
     def test_bitwise(self, monkeypatch, tmp_path, z0_fraction, m):
-        kept = []
-        original = pipeline.squeezer_from_takagi
-
-        def keeping(factors):
-            kept.append((factors, original(factors)))
-            return kept[-1][1]
-
-        monkeypatch.setattr(pipeline, "squeezer_from_takagi", keeping)
+        kept = keep_schmidt(monkeypatch)
         cfg = bundled_config("bbo_nondegenerate", grid__m=m, pump__z0_fraction=z0_fraction)
         report = run_pipeline(cfg, out_dir=tmp_path)
-        ((factors, s),) = kept
+        (sd,) = kept
         dtype = np.float64 if z0_fraction == 0.5 else np.complex128
-        assert s.s0.dtype == s.sI.dtype == dtype
-        assert report.residuals["symplectic"] == former_symplectic_residual(factors)
+        assert sd.c.dtype == sd.d.dtype == dtype
+        rebuilt = symplectic.schmidt_squeezer_residual(stored_schmidt(tmp_path))
+        assert reported_residuals(report, tmp_path) == (rebuilt, rebuilt)
+        spectrum = twinbeam.eigenmodes_from_schmidt(sd)
+        former = former_symplectic_residual(takagi.TakagiFactors(spectrum.modes, spectrum.values))
+        assert abs(rebuilt - former) <= 1e-14
 
 
 class TestBlochMessiah:
-    """The Bloch-Messiah reduction of the squeezer each run builds."""
+    """The Bloch-Messiah reduction of the squeezer of each run's factors: the
+    near_degenerate run's own squeezer, and the 2m x 2m squeezer of the duos
+    built from a numerical run's Schmidt factors."""
 
     @pytest.mark.parametrize("m", [64, 128])
     @pytest.mark.parametrize("z0_fraction", [0.5, 0.25])
     @pytest.mark.parametrize("name", ["bbo_nondegenerate", "bbo_near_degenerate"])
     def test_reduces_pipeline_squeezer(self, monkeypatch, tmp_path, name, z0_fraction, m):
         kept = []
-        original = pipeline.squeezer_from_takagi
+        if name == "bbo_near_degenerate":
+            original = pipeline.squeezer_from_takagi
 
-        def keeping(factors):
-            kept.append((factors, original(factors)))
-            return kept[-1][1]
+            def keeping(factors):
+                kept.append((factors, original(factors)))
+                return kept[-1][1]
 
-        monkeypatch.setattr(pipeline, "squeezer_from_takagi", keeping)
+            monkeypatch.setattr(pipeline, "squeezer_from_takagi", keeping)
+        else:
+            schmidt = keep_schmidt(monkeypatch)
         cfg = bundled_config(name, grid__m=m, pump__z0_fraction=z0_fraction)
         run_pipeline(cfg, out_dir=tmp_path)
+        if name == "bbo_nondegenerate":
+            (sd,) = schmidt
+            spectrum = twinbeam.eigenmodes_from_schmidt(sd)
+            factors = takagi.TakagiFactors(spectrum.modes, spectrum.values)
+            kept.append((factors, symplectic.squeezer_from_takagi(factors)))
         ((factors, s),) = kept
         bm = symplectic.bloch_messiah(s)
         assert np.allclose(bm.r, factors.r, atol=1e-10 * factors.r[0], rtol=0)

@@ -17,11 +17,19 @@ from twinbeams.symplectic import (
     bloch_messiah,
     exponentiate_generator,
     propagate_state,
+    schmidt_squeezer_residual,
     squeezer_from_takagi,
     symplectic_residual,
     two_mode_squeezer,
 )
-from twinbeams.takagi import TakagiFactors, takagi_general, takagi_real_symmetric
+from twinbeams.takagi import TakagiFactors, takagi_general, takagi_real_symmetric, takagi_residual
+from twinbeams.twinbeam import (
+    JointSpectralAmplitude,
+    SchmidtDecomposition,
+    _schmidt_residual,
+    block_squeezing_matrix,
+    eigenmodes_from_schmidt,
+)
 
 np.random.seed(42)
 
@@ -233,6 +241,111 @@ class TestSymplecticResidual:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="not symplectic: residual nan"):
             SymplecticMatrix(n=1, s0=np.array([[np.nan]]), sI=np.zeros((1, 1)))
+
+
+def random_schmidt(m, dtype, r1=1.5, q=0.8, stretch=0.0):
+    """Haar-random c and d (orthogonal when real) with geometric values r1 q^k;
+    ``stretch`` scales the row of c with the smallest largest entry by
+    1 + stretch, which moves max|C^H C - I| the least."""
+    if dtype == np.float64:
+        factors = []
+        for _ in range(2):
+            o, t = np.linalg.qr(np.random.randn(m, m))
+            factors.append(o * np.sign(np.diag(t)))
+        c, d = factors
+    else:
+        c, d = random_unitary(m), random_unitary(m)
+    c[np.argmin(np.abs(c).max(axis=1))] *= 1.0 + stretch
+    return SchmidtDecomposition(c=c, d=d, values=r1 * q ** np.arange(m))
+
+
+def duo_factors(sd):
+    """The Takagi factors of the 2m x 2m duo spectrum of ``sd``."""
+    spectrum = eigenmodes_from_schmidt(sd)
+    return TakagiFactors(v=spectrum.modes, r=spectrum.values)
+
+
+class TestSchmidtSqueezerResidual:
+    """The m x m block residual of Schmidt factors against the 2m x 2m squeezer
+    of their duos, and the block Takagi residual against the block matrix."""
+
+    @pytest.mark.parametrize("stretch", [0.0, 1e-11], ids=["unitary", "stretched"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+    def test_matches_duo_squeezer(self, dtype, stretch):
+        sd = random_schmidt(64, dtype, stretch=stretch)
+        assert sd.c.dtype == sd.d.dtype == dtype
+        block = schmidt_squeezer_residual(sd)
+        assert abs(block - squeezer_from_takagi(duo_factors(sd)).residual) <= 1e-14
+        if stretch:
+            # The stretch reads twice on the diagonal of C C^H.
+            assert block >= stretch
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+    def test_takagi_residual_matches_block_matrix(self, dtype, noise):
+        sd = random_schmidt(64, dtype)
+        j = (sd.c * sd.values) @ sd.d.conj().T
+        j = j + noise * np.random.randn(*j.shape).astype(dtype)
+        jsa = JointSpectralAmplitude(m=64, j_matrix=j)
+        block = _schmidt_residual(jsa, sd)
+        assert abs(block - takagi_residual(block_squeezing_matrix(jsa), duo_factors(sd))) <= 1e-14
+        if noise:
+            assert block >= 0.1 * noise
+
+    def test_each_block_can_carry_the_maximum(self):
+        """Factors off unitary by about 1e-12 put the maximum in each of the
+        three blocks in turn, and in every draw the block residual follows the
+        2m x 2m one to within the rounding of cosh(5)^2."""
+        rng = np.random.default_rng(1)
+
+        def perturbed_unitary(m):
+            z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            u, t = np.linalg.qr(z)
+            noise = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            return u * (np.diag(t) / np.abs(np.diag(t))) + 1e-12 * noise
+
+        wins = [0, 0, 0]
+        for r1 in (0.1, 5.0):
+            for _ in range(100):
+                c, d = perturbed_unitary(4), perturbed_unitary(4)
+                sd = SchmidtDecomposition(c=c, d=d, values=r1 * 0.8 ** np.arange(4))
+                dense = squeezer_from_takagi(duo_factors(sd)).residual
+                assert abs(schmidt_squeezer_residual(sd) - dense) <= 1e-2 * dense
+                cosh, sinh = np.cosh(sd.values), np.sinh(sd.values)
+                p = (c * cosh) @ c.conj().T
+                q = (d.conj() * cosh) @ d.T
+                x = (c * sinh) @ d.conj().T
+                maxima = [
+                    np.abs(p @ p.conj().T - x @ x.conj().T - np.eye(4)).max(),
+                    np.abs(q @ q.conj().T - x.T @ x.conj() - np.eye(4)).max(),
+                    np.abs(p @ x - x @ q.T).max(),
+                ]
+                first, second = np.sort(maxima)[::-1][:2]
+                if first > 1.1 * second:
+                    wins[int(np.argmax(maxima))] += 1
+        assert min(wins) >= 1, wins
+
+    def test_zero_values(self):
+        sd = random_schmidt(16, np.complex128, r1=0.0)
+        block = schmidt_squeezer_residual(sd)
+        assert block <= 1e-14
+        assert abs(block - squeezer_from_takagi(duo_factors(sd)).residual) <= 1e-14
+
+    def test_overflow_names_r_max(self):
+        """The same message as the 2m x 2m squeezer."""
+        sd = SchmidtDecomposition(c=np.eye(2), d=np.eye(2), values=np.array([400.0, 400.0]))
+        with pytest.raises(ValueError, match=r"r_max = 400 exceeds 354\.9"):
+            schmidt_squeezer_residual(sd)
+
+    def test_large_finite_r(self):
+        sd = SchmidtDecomposition(c=np.eye(2), d=np.eye(2), values=np.array([354.0, 300.0]))
+        assert schmidt_squeezer_residual(sd) <= 1e-15
+
+    def test_residual_past_threshold_raises(self):
+        """A row stretch that SchmidtDecomposition's Gram check lets through."""
+        sd = random_schmidt(16, np.float64, r1=0.1, stretch=1e-10)
+        with pytest.raises(ValueError, match=r"matrix is not symplectic: residual"):
+            schmidt_squeezer_residual(sd)
 
 
 class TestSymplecticMatrix:
