@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke run of an installed twinbeams, from a directory outside the checkout
 # and without PYTHONPATH: bundled configs, byte-identical repeat runs of every
-# pipeline and of a chirped pump, the symplectic residual rebuilt from each
-# run's factors, tile edges of the squeezing-matrix build, heatmaps
+# pipeline and of a chirped pump, the tables of a csv run against a both
+# run's, the symplectic residual rebuilt from each run's factors, tile edges
+# of the squeezing-matrix build, heatmaps
 # written from the stored matrix, an independent %.17g oracle over every CSV,
 # and the exit codes of failing runs.
 #
@@ -33,6 +34,15 @@ for run in a b; do
   twinbeams sweep bbo_nondegenerate --param pipeline --values numerical,analytic,compare,near_degenerate --format both --out "$RUNNER_TEMP/pipelines$run"
 done
 diff -r "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP/pipelinesb"
+# A csv run stores no mode and builds none: the bundled compare config in csv
+# and in both formats writes the same tables, byte for byte.
+twinbeams run bbo_nondegenerate --format csv --out "$RUNNER_TEMP/fmtcsv"
+twinbeams run bbo_nondegenerate --format both --out "$RUNNER_TEMP/fmtboth"
+test ! -e "$RUNNER_TEMP/fmtcsv/spectrum.json"
+test "$(cd "$RUNNER_TEMP/fmtcsv" && ls ./*.csv)" = "$(cd "$RUNNER_TEMP/fmtboth" && ls ./*.csv)"
+for table in "$RUNNER_TEMP"/fmtcsv/*.csv; do
+  cmp "$table" "$RUNNER_TEMP/fmtboth/$(basename "$table")"
+done
 # The symplectic check takes the factors each run reports.  A near_degenerate
 # run's residual is that of the squeezer rebuilt from spectrum.json (column k of
 # V is entry k of modes_re and modes_im, R is values), bit for bit.  A
@@ -113,7 +123,7 @@ for run in runs:
     print(run, gamma.dtype, n * n, "heatmap rows spell the stored matrix exactly")
 PY
 # A chirped pump (no prechirp) at z0 = 0, whose E0 carries the dispersion phase
-# and whose tiles evaluate k_p twice: two identical compare runs, every format,
+# and evaluates k_p a second time: two identical compare runs, every format,
 # exit 0 and give the same files.
 printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, gain: 10.0, z0_fraction: 0.0, prechirp_compensated: false}\npipeline: compare\n' > "$RUNNER_TEMP/chirp.yaml"
 for run in a b; do
@@ -123,10 +133,10 @@ diff -r "$RUNNER_TEMP/chirpa" "$RUNNER_TEMP/chirpb"
 # An independent oracle of every CSV float: %.17g round-trips, so each cell
 # that parses as a float must re-format to its own text by Python's %.17g.  It
 # reads every table of the pipeline sweep, the heatmaps written at the tile
-# edges and the chirped run above; a heatmap's abs column must also be
-# abs(complex(re, im)).
+# edges, the chirped run and the csv and both runs above; a heatmap's abs
+# column must also be abs(complex(re, im)).
 # sweep_summary.csv's value column echoes the --values text and is skipped.
-python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP"/tiles_* "$RUNNER_TEMP/chirpa" <<'PY'
+python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP"/tiles_* "$RUNNER_TEMP/chirpa" "$RUNNER_TEMP/fmtcsv" "$RUNNER_TEMP/fmtboth" <<'PY'
 import csv, pathlib, sys
 paths = sorted(p for root in sys.argv[1:] for p in pathlib.Path(root).rglob("*.csv"))
 tables = {"spectrum.csv", "analytic_modes.csv", "mode_overlaps.csv", "eigenvalue_ratios.csv", "sweep_summary.csv"}

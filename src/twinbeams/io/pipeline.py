@@ -15,14 +15,19 @@ Each run factors once: the SVD of the JSA block, or in ``near_degenerate``
 the Takagi factorization of the full matrix.  The Takagi residual and the
 symplectic check both take the factors of the reported spectrum: the
 Schmidt factors in m x m blocks, which is exact for the duos built from
-them, or the full-matrix factors of ``near_degenerate``.
+them, or the full-matrix factors of ``near_degenerate``.  The duo modes
+of the Schmidt route are built only when ``spectrum.json`` stores them
+(format ``json`` or ``both``); a ``csv`` run reports a values-only
+spectrum, the Schmidt values twice each, and its tables are those of a
+``both`` run byte for byte.
 
 Memory: Gamma is stored exactly in ``squeezing_matrix.npz`` right after it
 is built, which holds one copy of it, and each stage result is dropped
 after its last reader; of the checks only their residuals are kept.  A
-traced ``compare`` run at m = 256 peaks at 4.53 (real Gamma) and 3.76
-(complex) times the bytes of Gamma, in the duo spectrum built after the
-checks.  The manifest
+traced ``csv`` ``compare`` run at m = 256 peaks at 2.54 (real Gamma, in
+the Gamma build) and 2.52 (complex, in the JSA SVD) times the bytes of
+Gamma; a run that writes ``spectrum.json`` peaks in the duo spectrum
+built after the checks (4.54 and 3.77).  The manifest
 lists the matrix after the spectrum files, and a run that fails after the
 matrix build leaves ``squeezing_matrix.npz`` on disk.  Its CSV heatmap is
 written on request, by ``twinbeams heatmap DIR``.
@@ -62,6 +67,7 @@ from ..pdc import build_frequency_grid, build_squeezing_matrix, extract_jsa, wav
 from ..symplectic import SYMPLECTIC_THRESHOLD, schmidt_squeezer_residual, squeezer_from_takagi
 from ..takagi import TAKAGI_THRESHOLD, TakagiFactors, takagi_general, takagi_residual
 from ..twinbeam import (
+    SqueezingSpectrum,
     _duo_means,
     _schmidt_residual,
     eigenmodes_from_schmidt,
@@ -73,7 +79,7 @@ from ..twinbeam import (
     spectrum_from_takagi,
 )
 from .config import RunConfig, config_to_dict
-from .exports import export_spectrum, export_squeezing_matrix, write_csv
+from .exports import _write_table, export_spectrum, export_squeezing_matrix, write_csv
 
 __all__ = [
     "ENV_OUTPUT_DIR",
@@ -272,13 +278,17 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
     else:
         # The one factorization of the run: J = C R D^H.  Both checks read the
         # Schmidt factors in m x m blocks, exactly those of the duo spectrum,
-        # which is built only after them.
+        # which is built only after them and only when spectrum.json stores
+        # its modes: the duos are unitary whenever C and D are.
         sd = _stage("spectrum", schmidt_from_jsa, ext.jsa)
         del sq
         _check(report, "takagi", _schmidt_residual(ext.jsa, sd))
         del ext
         _check(report, "symplectic", _stage("symplectic", schmidt_squeezer_residual, sd))
-        spectrum = eigenmodes_from_schmidt(sd)
+        if cfg.output.format == "csv":
+            spectrum = SqueezingSpectrum(np.repeat(sd.values, 2), None, source="jsa_svd")
+        else:
+            spectrum = eigenmodes_from_schmidt(sd)
 
     report.summary["r1"] = float(spectrum.values[0])
     pairing = None
@@ -376,14 +386,18 @@ def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path, model, grid) 
         for k in range(N_MODE_EXPORTS)
     ]
 
-    def mode_rows():
-        for k, pair in enumerate(modes):
-            for (branch, band), mode in zip(bands, pair):
-                for omega, value in zip(band, mode):
-                    yield (k, branch, omega, value.real, value.imag)
-
-    modes_path = write_csv(
-        out / "analytic_modes.csv", ["k", "branch", "omega", "re", "im"], mode_rows()
+    # One block of rows per (mode, branch), each row spelled by one format.
+    blocks = (
+        zip(
+            [k] * len(band), [branch] * len(band),
+            band.tolist(), mode.real.tolist(), mode.imag.tolist(),
+        )
+        for k, pair in enumerate(modes)
+        for (branch, band), mode in zip(bands, pair)
+    )
+    modes_path = _write_table(
+        out / "analytic_modes.csv", ["k", "branch", "omega", "re", "im"],
+        "%d,%s,%.17g,%.17g,%.17g\n", blocks,
     )
     report.artifacts.append({"kind": "analytic_modes", "path": modes_path.name})
 

@@ -137,23 +137,25 @@ class SqueezingSpectrum:
     max|V^H V - I|, which runs in real arithmetic when every column is
     purely real or purely imaginary (every path, for a real matrix); a NaN
     or infinite entry fails it.
-    ``modes`` is always stored as complex128, whatever the matrix dtype:
-    a duo partner of a real mode is imaginary.
+    ``modes`` is stored as complex128, whatever the matrix dtype: a duo
+    partner of a real mode is imaginary.  ``modes=None`` gives a
+    values-only spectrum, for a caller that stores no mode; the pairs, the
+    pairing and the spectrum table need only the values.
     """
 
     values: np.ndarray
-    modes: np.ndarray = field(repr=False)
+    modes: np.ndarray | None = field(repr=False)
     pairs: tuple = field(init=False)
     source: str = "direct_takagi"
 
     def __post_init__(self):
         r = np.asarray(self.values, dtype=float)
-        v = np.asarray(self.modes, dtype=complex)
+        v = None if self.modes is None else np.asarray(self.modes, dtype=complex)
         n = len(r)
-        if v.shape != (n, n):
+        if v is not None and v.shape != (n, n):
             raise ValueError("modes must be n x n for n values")
         _check_descending(r)
-        if not _unitarity_defect(v) <= 1e-10:
+        if v is not None and not _unitarity_defect(v) <= 1e-10:
             raise ValueError("modes are not unitary")
         if self.source not in SPECTRUM_SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
@@ -204,6 +206,16 @@ def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
     multiplicity.  Each column block is computed in its slice of the
     output by the products of the expressions above, in their order, so
     the one m x m temporary is the conjugate of a complex D.
+
+    The duos are unitary whenever C and D are.  With G_c = C^H C and
+    G_d = D^H D, the Gram entries of the duos are
+    A_j^H A_k = B_j^H B_k = (G_c + conj(G_d))_jk / 2 and
+    A_j^H B_k = -B_j^H A_k = i (G_c - conj(G_d))_jk / 2, so every entry of
+    the Gram matrix minus I is ((G_c - I) +- conj(G_d - I))_jk / 2 up to a
+    unit factor, and the duos' defect max|V^H V - I| is at most
+    max(defect of C, defect of D) (plus rounding of the products).
+    ``SchmidtDecomposition`` holds both to 1e-10, so a caller that stores
+    no mode may skip building them without losing that check.
     """
     m = sd.c.shape[0]
     d_bar = sd.d.conj()

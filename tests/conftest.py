@@ -60,6 +60,13 @@ def per_cell_heatmap(matrix, row_grid, col_grid, path):
     return path
 
 
+def grid_sums(grid):
+    """O_j + O_l of every cell of a grid as its exact sums (j + l + 1 - 2m) h,
+    one rounding each from the integer indices, the sums the build uses."""
+    j = np.arange(2 * grid.m)
+    return (j[:, None] + j[None, :] + 1 - 2 * grid.m) * grid.spacing
+
+
 def random_unitary(n):
     """Haar-random n x n unitary from the global NumPy RNG (QR, phases fixed by diag(R))."""
     q, r = np.linalg.qr(np.random.randn(n, n) + 1j * np.random.randn(n, n))

@@ -163,6 +163,32 @@ class TestExportSpectrum:
         # entry k of the JSON list is mode k, i.e. column k of the matrix
         assert np.array_equal(modes_re + 1j * modes_im, spec.modes.T)
 
+    def test_csv_bytes_match_the_per_cell_writer(self, tmp_path):
+        """One format per row spells what the per-cell CSV writer spells,
+        a negative zero and a tiny negative value included."""
+        values = np.array([3.0, 1 / 3, 1e-300, 5e-324, -0.0, -1e-16])
+        spec = SqueezingSpectrum(values=values, modes=None)
+        pairing = pair_eigenvalues(spec, rel_tol=0.9)
+        (path,) = export_spectrum(spec, tmp_path / "spec", pairing=pairing)
+        ids, gaps = exports._pair_columns(spec, pairing)
+        rows = [(i, values[i], ids[i], gaps[i]) for i in range(len(values))]
+        assert path.read_bytes() == reference_csv(["index", "r", "pair_id", "pair_gap"], rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "both"])
+    def test_values_only_spectrum_has_no_json_mirror(self, tmp_path, fmt):
+        spec = SqueezingSpectrum(values=spectrum_with_gap().values, modes=None)
+        with pytest.raises(ValueError, match="values-only spectrum has no modes"):
+            export_spectrum(spec, tmp_path / "spec", fmt=fmt)
+        assert not list(tmp_path.iterdir())
+
+    def test_values_only_csv_equals_full_spectrum_csv(self, tmp_path):
+        full = spectrum_with_gap()
+        pairing = pair_eigenvalues(full, rel_tol=1e-2)
+        values_only = SqueezingSpectrum(values=full.values, modes=None)
+        (a,) = export_spectrum(full, tmp_path / "full", pairing=pairing)
+        (b,) = export_spectrum(values_only, tmp_path / "values", pairing=pairing)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_both_writes_two_files(self, tmp_path):
         paths = export_spectrum(spectrum_with_gap(), tmp_path / "spec", fmt="both")
         assert [p.suffix for p in paths] == [".csv", ".json"]

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import grid_sums
 import twinbeams.pdc as pdc
 from twinbeams.mehler import characteristic_times
 from twinbeams.pdc import (
@@ -398,12 +399,13 @@ class TestSqueezingMatrix:
         pump = PumpConfig(397.5, 129.0, gain=10.0, **pump_kw)
         gamma = build_squeezing_matrix(CRYSTAL, pump, grid).gamma
 
-        om = grid.detunings
-        delta = phase_mismatch(om[:, None], om[None, :], CRYSTAL, pump)
+        osum = grid_sums(grid)
+        k = wave_vector(grid.detunings, "downconverted", CRYSTAL, pump)
+        delta = wave_vector(osum, "pump", CRYSTAL, pump) - k[:, None] - k[None, :]
         length = CRYSTAL.length_mm
         raw = (
             pump.gain
-            * pump_spectrum(om[:, None] + om[None, :], pump, CRYSTAL)
+            * pump_spectrum(osum, pump, CRYSTAL)
             * np.exp(1j * delta * (0.5 * length - pump.z0_fraction * length))
             * np.sinc(0.5 * delta * length / math.pi)
             * grid.spacing
@@ -449,10 +451,13 @@ class TestSqueezingMatrix:
 
 def whole_matrix_gamma(crystal, pump, grid):
     """Gamma as one expression over the whole (2m)^2 grid, step by step in the
-    order the tiled build must keep for every element."""
+    order the tiled build must keep for every element.  The sum detunings are
+    the grid's exact sums, and the pump sums are evaluated before the band."""
     om = grid.detunings
-    osum = om[:, None] + om[None, :]
-    delta = phase_mismatch(om[:, None], om[None, :], crystal, pump)
+    osum = grid_sums(grid)
+    kp = wave_vector(osum, "pump", crystal, pump)
+    k = wave_vector(om, "downconverted", crystal, pump)
+    delta = kp - k[:, None] - k[None, :]
     length = crystal.length_mm
     offset = 0.5 * length - pump.z0_fraction * length
     gamma = pump.gain * pump_spectrum(osum, pump, crystal)
@@ -517,6 +522,25 @@ class TestTiledBuild:
             with pytest.raises(ValueError) as info:
                 build(CRYSTAL, PUMP, grid)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("pump_kw", GAMMA_PUMPS.values(), ids=GAMMA_PUMPS.keys())
+    def test_pump_terms_once_per_grid_sum(self, monkeypatch, pump_kw):
+        """k_p is evaluated on the 2n - 1 grid sums only: once per build, and
+        once more inside ``pump_spectrum`` for a chirped pump.  Per-cell tiles
+        took up to ``_TILE_CELLS`` sums per call, a chirped one twice per tile."""
+        sizes = []
+        original = pdc.wave_vector
+
+        def spying(detuning, branch, *args):
+            if branch == "pump":
+                sizes.append(np.size(detuning))
+            return original(detuning, branch, *args)
+
+        monkeypatch.setattr(pdc, "wave_vector", spying)
+        m = 256
+        pump = PumpConfig(397.5, 129.0, gain=10.0, **pump_kw)
+        build_squeezing_matrix(CRYSTAL, pump, build_frequency_grid(m, half_width=0.55))
+        assert sizes == [4 * m - 1] * (1 if pump.prechirp_compensated else 2)
 
     def test_build_takes_its_pump_from_pump_spectrum(self, monkeypatch):
         """E0 comes from the public ``pump_spectrum``: a zero pump gives a zero Gamma."""

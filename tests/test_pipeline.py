@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import per_cell_heatmap, rotating_first_schmidt_mode
+from conftest import grid_sums, per_cell_heatmap, reference_csv, rotating_first_schmidt_mode
 import twinbeams.mehler as mehler
 import twinbeams.pdc as pdc
 import twinbeams.symplectic as symplectic
@@ -310,6 +310,22 @@ class TestAnalyticOnly:
         assert ks == {0, 1, 2, 3}
         assert branches == {"signal", "idler"}
 
+    def test_modes_bytes_match_the_per_cell_writer(self, tmp_path):
+        """One format per row spells what the per-cell CSV writer spells."""
+        cfg = small_config(pipeline="analytic")
+        model = pipeline._analytic_model(cfg)
+        grid = pipeline._resolve_grid(cfg, model)
+        t, _, f = model
+        rows = [
+            (k, branch, omega, value.real, value.imag)
+            for k in range(pipeline.N_MODE_EXPORTS)
+            for branch, band in (("signal", grid.signal), ("idler", grid.idler))
+            for omega, value in zip(band, mehler.analytic_schmidt_mode(k, branch, f, t, band, grid.spacing))
+        ]
+        run_pipeline(cfg, out_dir=tmp_path)
+        want = reference_csv(["k", "branch", "omega", "re", "im"], rows)
+        assert (tmp_path / "analytic_modes.csv").read_bytes() == want
+
     @pytest.mark.parametrize(
         "theta0_deg, terms", [(28.50, 78), (28.62, 85), (28.81, 104), (28.95, 129)]
     )
@@ -591,9 +607,10 @@ class TestSmallGrids:
 class TestPeakMemory:
     """Each stage result is dropped after its last reader: a compare run held
     13.8 Gammas at once when both factorization routes stayed live.  At
-    m = 128 the traced peak reads 9.06 Gammas for a real Gamma, in the
-    Gamma build, and 5.03 for a complex one (4.53 and 3.76 at m = 256, in
-    the duo spectrum built after the m x m block checks)."""
+    m = 128 the traced peak of this ``csv`` run reads 6.10 Gammas for a
+    real Gamma, in the Gamma build, and 4.55 for a complex one (2.54 and
+    2.52 at m = 256, where a run that writes ``spectrum.json`` reads 4.54
+    and 3.77 in the duo spectrum built after the m x m block checks)."""
 
     @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
     def test_traced_peak_stays_within_twelve_gammas(self, monkeypatch, tmp_path, z0_fraction):
@@ -698,16 +715,21 @@ class TestRealGamma:
             assert data["gamma"].dtype == np.float64
 
 
-def complex_build(crystal, pump, grid):
+def complex_build(crystal, pump, grid, per_cell_sums=False):
     """Gamma by the all-complex formula: e^{i Delta (L/2 - z0)} at every z0,
     the factor -i, then the unit phase p / |p| of the peak by numpy's
-    complex division, which multiplies by the reciprocal 1 / |p|."""
+    complex division, which multiplies by the reciprocal 1 / |p|.  The sum
+    detunings are the grid's exact sums, evaluated before the band, or with
+    ``per_cell_sums`` fl(O_j) + fl(O_l) formed per cell."""
     om = grid.detunings
-    delta = pdc.phase_mismatch(om[:, None], om[None, :], crystal, pump)
+    osum = om[:, None] + om[None, :] if per_cell_sums else grid_sums(grid)
+    kp = pdc.wave_vector(osum, "pump", crystal, pump)
+    k = pdc.wave_vector(grid.detunings, "downconverted", crystal, pump)
+    delta = kp - k[:, None] - k[None, :]
     length = crystal.length_mm
     gamma = (
         pump.gain
-        * pdc.pump_spectrum(om[:, None] + om[None, :], pump, crystal).astype(complex)
+        * pdc.pump_spectrum(osum, pump, crystal).astype(complex)
         * np.exp(1j * delta * (0.5 * length - pump.z0_fraction * length))
         * np.sinc(0.5 * delta * length / np.pi)
         * grid.spacing
@@ -776,6 +798,65 @@ class TestBuildMatchesComplexFormula:
         ref = complex_build(*point)
         assert gamma.dtype == np.complex128
         assert np.abs(gamma - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+class TestGridSums:
+    """The grid's exact sums (j + l + 1 - 2m) h differ from fl(O_j) + fl(O_l)
+    by up to one ulp, which moves k_p by about one ulp (3.6e-12 rad/mm) and
+    Gamma by that times L/2 through the sinc and the e^{i Delta (L/2 - z0)}
+    factor.  The worst case measured over these points is 2.0e-12 of
+    max|Gamma| (near-degenerate band, chirped pump at z0 = 0)."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize(
+        "pump",
+        [{}] + COMPLEX_PUMPS + [{"z0_fraction": 0.0, "prechirp_compensated": False}],
+        ids=["real", "z0-quarter", "no-prechirp", "no-prechirp-z0-zero"],
+    )
+    def test_build_moves_only_at_rounding(self, name, pump):
+        point = bundled_working_point(name, parse_config(name).grid.m, **pump)
+        gamma = pdc.build_squeezing_matrix(*point).gamma
+        ref = complex_build(*point, per_cell_sums=True)
+        assert np.abs(gamma - ref).max() <= 3e-12 * np.abs(ref).max()
+
+
+class TestValuesOnlySpectrum:
+    """A ``csv`` run of the Schmidt route stores no mode, so it builds no duo
+    modes: its spectrum is the duplicated Schmidt values.  The duos are
+    unitary whenever the Schmidt factors are, which the Schmidt
+    decomposition checks to 1e-10."""
+
+    @pytest.mark.parametrize("name", ["numerical", "compare"])
+    def test_csv_run_builds_no_duo_modes(self, monkeypatch, tmp_path, name):
+        def refusing(sd):
+            raise AssertionError("a csv run built the duo modes")
+
+        monkeypatch.setattr(pipeline, "eigenmodes_from_schmidt", refusing)
+        monkeypatch.setattr(twinbeam, "eigenmodes_from_schmidt", refusing)
+        report = run_pipeline(small_config(pipeline=name), out_dir=tmp_path)
+        assert report.summary["all_paired"]
+        assert (tmp_path / "spectrum.csv").exists()
+        assert not (tmp_path / "spectrum.json").exists()
+
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["z0-half", "z0-quarter"])
+    @pytest.mark.parametrize("name", ["numerical", "compare"])
+    @pytest.mark.parametrize("config", BUNDLED)
+    def test_csv_run_tables_equal_both_run(self, tmp_path, config, name, z0_fraction):
+        outs = {}
+        for fmt in ("csv", "both"):
+            cfg = bundled_config(
+                config, pipeline=name, pump__z0_fraction=z0_fraction, output__format=fmt
+            )
+            outs[fmt] = tmp_path / fmt
+            run_pipeline(cfg, out_dir=outs[fmt])
+        tables = sorted(p.name for p in outs["csv"].glob("*.csv"))
+        assert "spectrum.csv" in tables
+        assert tables == sorted(p.name for p in outs["both"].glob("*.csv"))
+        for table in tables:
+            assert (outs["csv"] / table).read_bytes() == (outs["both"] / table).read_bytes()
+        reports = [json.loads((out / "report.json").read_text()) for out in outs.values()]
+        for key in ("summary", "residuals", "threshold_failures", "notes"):
+            assert reports[0][key] == reports[1][key]
 
 
 HEATMAP_POINTS = [

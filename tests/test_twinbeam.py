@@ -6,6 +6,7 @@ import pytest
 from conftest import build_working_point
 from twinbeams.takagi import (
     TakagiFactors,
+    _unitarity_defect,
     takagi_general,
     takagi_real_symmetric,
     takagi_residual,
@@ -106,6 +107,18 @@ class TestContainers:
         with pytest.raises(TypeError, match="pairs"):
             SqueezingSpectrum(values=vals, modes=eye, pairs=((0, 1, 0.0),))
 
+    def test_values_only_spectrum(self):
+        """``modes=None`` keeps the values' checks and gives the same pairs."""
+        vals = np.array([2.0, 1.99, 1.0, 0.7, 0.3])
+        spec = SqueezingSpectrum(values=vals, modes=None, source="jsa_svd")
+        assert spec.modes is None
+        assert spec.pairs == synthetic_spectrum(vals).pairs
+        assert pair_eigenvalues(spec) == pair_eigenvalues(synthetic_spectrum(vals))
+        with pytest.raises(ValueError, match="nonnegative and descending"):
+            SqueezingSpectrum(values=vals[::-1], modes=None)
+        with pytest.raises(ValueError, match="unknown source"):
+            SqueezingSpectrum(values=vals, modes=None, source="guesswork")
+
     def test_spectrum_records_duo_gaps(self):
         spec = synthetic_spectrum([1.0, 0.99, 0.5, 0.5])
         assert len(spec.pairs) == 2
@@ -195,6 +208,27 @@ class TestDuoAssembly:
         assert np.signbit(parts[parts == 0]).any() or m == 1
         got = eigenmodes_from_schmidt(sd).modes
         assert np.array_equal(got.view(np.uint64), self.former_modes(sd).view(np.uint64))
+
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_gram_defect_bounded_by_schmidt_defects(self, real):
+        """The duos' Gram matrix minus I has entries ((G_c - I) +- conj(G_d - I)) / 2,
+        so its defect is at most the larger defect of C and D, up to rounding."""
+        rng = np.random.default_rng(17)
+        m = 32
+
+        def near_unitary():
+            shape = (m, m)
+            a = rng.standard_normal(shape) + (0.0 if real else 1j * rng.standard_normal(shape))
+            noise = rng.standard_normal(shape) + (0.0 if real else 1j * rng.standard_normal(shape))
+            return np.linalg.qr(a)[0] + 2e-12 * noise
+
+        for _ in range(100):
+            sd = SchmidtDecomposition(c=near_unitary(), d=near_unitary(), values=np.ones(m))
+            bound = max(_unitarity_defect(sd.c), _unitarity_defect(sd.d))
+            duos = _unitarity_defect(eigenmodes_from_schmidt(sd).modes)
+            assert bound > 1e-12
+            assert duos <= bound + 4 * np.finfo(float).eps
 
 
 class TestThreePaths:
