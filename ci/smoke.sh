@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Smoke run of an installed twinbeams, from a directory outside the checkout
 # and without PYTHONPATH: bundled configs, byte-identical repeat runs of every
-# pipeline and of a chirped pump, the tables of a csv run against a both
-# run's, the symplectic residual rebuilt from each run's factors, tile edges
-# of the squeezing-matrix build, heatmaps
-# written from the stored matrix, an independent %.17g oracle over every CSV,
-# and the exit codes of failing runs.
+# pipeline and of a chirped pump, tile edges of the squeezing-matrix build,
+# heatmaps written from the stored matrix, an independent %.17g oracle over
+# every CSV, the exit codes of failing runs, and each run's residuals rebuilt
+# from the factors it stores in spectrum.npz.
 #
 #   cd "$(mktemp -d)" && PYTHONWARNINGS=error::RuntimeWarning bash -e /path/to/repo/ci/smoke.sh
 #
@@ -28,57 +27,12 @@ if grep -q '^note:' "$RUNNER_TEMP/smoke.log"; then exit 1; fi
 # Identical configs must give byte-identical artifacts.
 twinbeams run bbo_nondegenerate --out "$RUNNER_TEMP/smoke2"
 diff -r "$RUNNER_TEMP/smoke" "$RUNNER_TEMP/smoke2"
-# The same for every pipeline, in every format: the analytic pipeline and the
-# real-Gamma numerical and near_degenerate runs exit 0 and repeat byte for byte.
+# The same for every pipeline: the analytic pipeline and the real-Gamma
+# numerical and near_degenerate runs exit 0 and repeat byte for byte.
 for run in a b; do
-  twinbeams sweep bbo_nondegenerate --param pipeline --values numerical,analytic,compare,near_degenerate --format both --out "$RUNNER_TEMP/pipelines$run"
+  twinbeams sweep bbo_nondegenerate --param pipeline --values numerical,analytic,compare,near_degenerate --out "$RUNNER_TEMP/pipelines$run"
 done
 diff -r "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP/pipelinesb"
-# A csv run stores no mode and builds none: the bundled compare config in csv
-# and in both formats writes the same tables, byte for byte.
-twinbeams run bbo_nondegenerate --format csv --out "$RUNNER_TEMP/fmtcsv"
-twinbeams run bbo_nondegenerate --format both --out "$RUNNER_TEMP/fmtboth"
-test ! -e "$RUNNER_TEMP/fmtcsv/spectrum.json"
-test "$(cd "$RUNNER_TEMP/fmtcsv" && ls ./*.csv)" = "$(cd "$RUNNER_TEMP/fmtboth" && ls ./*.csv)"
-for table in "$RUNNER_TEMP"/fmtcsv/*.csv; do
-  cmp "$table" "$RUNNER_TEMP/fmtboth/$(basename "$table")"
-done
-# The symplectic check takes the factors each run reports.  A near_degenerate
-# run's residual is that of the squeezer rebuilt from spectrum.json (column k of
-# V is entry k of modes_re and modes_im, R is values), bit for bit.  A
-# numerical or compare run's is the block residual of the Schmidt factors of
-# J = gamma[m:, :m] from squeezing_matrix.npz, bit for bit, and the squeezer
-# rebuilt from its spectrum.json, which checks the duo assembly, is within 1e-14.
-python - "$RUNNER_TEMP/pipelinesa" <<'PY'
-import json, pathlib, sys
-import numpy as np
-from twinbeams.symplectic import schmidt_squeezer_residual, squeezer_from_takagi
-from twinbeams.takagi import TakagiFactors
-from twinbeams.twinbeam import JointSpectralAmplitude, schmidt_from_jsa
-runs = sorted(p.parent for p in pathlib.Path(sys.argv[1]).rglob("spectrum.json"))
-assert [run.name for run in runs] == ["pipeline=compare", "pipeline=near_degenerate", "pipeline=numerical"], runs
-for run in runs:
-    spectrum = json.loads((run / "spectrum.json").read_text(encoding="utf-8"))
-    reported = json.loads((run / "report.json").read_text(encoding="utf-8"))["residuals"]["symplectic"]
-    r = np.array(spectrum["values"])
-    v = np.empty((r.size, r.size), complex)
-    v.real[:] = np.array(spectrum["modes_re"]).T
-    v.imag[:] = np.array(spectrum["modes_im"]).T
-    duos = squeezer_from_takagi(TakagiFactors(v, r)).residual
-    if run.name == "pipeline=near_degenerate":
-        residual, source = duos, "spectrum.json"
-    else:
-        with np.load(run / "squeezing_matrix.npz") as data:
-            gamma = data["gamma"]
-        m = gamma.shape[0] // 2
-        sd = schmidt_from_jsa(JointSpectralAmplitude(m=m, j_matrix=gamma[m:, :m].copy()))
-        residual, source = schmidt_squeezer_residual(sd), "squeezing_matrix.npz"
-        if not abs(duos - reported) <= 1e-14:
-            sys.exit(f"{run}: symplectic residual {duos!r} from spectrum.json, {reported!r} in report.json")
-    if residual != reported:
-        sys.exit(f"{run}: symplectic residual {residual!r} from {source}, {reported!r} in report.json")
-    print(run, "symplectic residual", residual, "from", source, "matches report.json")
-PY
 twinbeams sweep bbo_nondegenerate --param pump.gain --values 1,2 --out "$RUNNER_TEMP/sweep"
 # An explicit band skips the automatic sizing from the analytic model.
 twinbeams sweep bbo_nondegenerate --param grid.half_width --values 0.5,0.6 --out "$RUNNER_TEMP/band"
@@ -123,20 +77,20 @@ for run in runs:
     print(run, gamma.dtype, n * n, "heatmap rows spell the stored matrix exactly")
 PY
 # A chirped pump (no prechirp) at z0 = 0, whose E0 carries the dispersion phase
-# and evaluates k_p a second time: two identical compare runs, every format,
-# exit 0 and give the same files.
+# and evaluates k_p a second time: two identical compare runs exit 0 and give
+# the same files.
 printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, gain: 10.0, z0_fraction: 0.0, prechirp_compensated: false}\npipeline: compare\n' > "$RUNNER_TEMP/chirp.yaml"
 for run in a b; do
-  twinbeams run "$RUNNER_TEMP/chirp.yaml" --format both --out "$RUNNER_TEMP/chirp$run"
+  twinbeams run "$RUNNER_TEMP/chirp.yaml" --out "$RUNNER_TEMP/chirp$run"
 done
 diff -r "$RUNNER_TEMP/chirpa" "$RUNNER_TEMP/chirpb"
 # An independent oracle of every CSV float: %.17g round-trips, so each cell
 # that parses as a float must re-format to its own text by Python's %.17g.  It
 # reads every table of the pipeline sweep, the heatmaps written at the tile
-# edges, the chirped run and the csv and both runs above; a heatmap's abs
-# column must also be abs(complex(re, im)).
+# edges and the chirped run; a heatmap's abs column must also be
+# abs(complex(re, im)).
 # sweep_summary.csv's value column echoes the --values text and is skipped.
-python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP"/tiles_* "$RUNNER_TEMP/chirpa" "$RUNNER_TEMP/fmtcsv" "$RUNNER_TEMP/fmtboth" <<'PY'
+python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP"/tiles_* "$RUNNER_TEMP/chirpa" <<'PY'
 import csv, pathlib, sys
 paths = sorted(p for root in sys.argv[1:] for p in pathlib.Path(root).rglob("*.csv"))
 tables = {"spectrum.csv", "analytic_modes.csv", "mode_overlaps.csv", "eigenvalue_ratios.csv", "sweep_summary.csv"}
@@ -166,9 +120,9 @@ for path in paths:
     print(path, count, "float cells match Python's %.17g")
 PY
 # The squeezing matrix is stored first and listed last: two identical compare runs of a
-# complex Gamma, every format, give the same files and manifest.
-twinbeams run "$RUNNER_TEMP/z0q.yaml" --format both --out "$RUNNER_TEMP/z0qa"
-twinbeams run "$RUNNER_TEMP/z0q.yaml" --format both --out "$RUNNER_TEMP/z0qb"
+# complex Gamma give the same files and manifest.
+twinbeams run "$RUNNER_TEMP/z0q.yaml" --out "$RUNNER_TEMP/z0qa"
+twinbeams run "$RUNNER_TEMP/z0q.yaml" --out "$RUNNER_TEMP/z0qb"
 diff -r "$RUNNER_TEMP/z0qa" "$RUNNER_TEMP/z0qb"
 printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0}\ngrid: {m: 1}\npipeline: numerical\n' > "$RUNNER_TEMP/m1.yaml"
 twinbeams sweep "$RUNNER_TEMP/m1.yaml" --param pump.z0_fraction --values 0.25,0.5 --out "$RUNNER_TEMP/m1"
@@ -191,6 +145,56 @@ for run in a b; do
   test "$rc" -eq 3
 done
 diff -r "$RUNNER_TEMP/nearz0a" "$RUNNER_TEMP/nearz0b"
+# Every check reads the factors its run stores in spectrum.npz, and nothing
+# else: the symplectic and Takagi residuals of report.json rebuild from them
+# bit for bit, against J = gamma[m:, :m] or the signal-first Gamma of
+# squeezing_matrix.npz.  A numerical or compare run stores Schmidt factors,
+# float64 for a real Gamma (z0 = L/2) and complex128 for a complex one
+# (z0 = L/4); a near_degenerate run stores complex128 Takagi factors.  The
+# detunings run signal band first, and spectrum.csv lists r (twice each for
+# the Schmidt route).
+python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP/z0" "$RUNNER_TEMP/near" "$RUNNER_TEMP/nearz0a" <<'PY'
+import csv, json, pathlib, sys
+import numpy as np
+from twinbeams.io import load_spectrum, load_squeezing_matrix
+from twinbeams.symplectic import schmidt_squeezer_residual, squeezer_from_takagi
+from twinbeams.takagi import TakagiFactors, takagi_residual
+from twinbeams.twinbeam import JointSpectralAmplitude, _schmidt_residual, signal_first
+runs = sorted(p.parent for root in sys.argv[1:] for p in pathlib.Path(root).rglob("spectrum.npz"))
+assert len(runs) == 7, runs
+bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+seen = set()
+for run in runs:
+    report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    z0 = report["config"]["pump"]["z0_fraction"]
+    omega, factors = load_spectrum(run / "spectrum.npz")
+    grid, gamma = load_squeezing_matrix(run / "squeezing_matrix.npz")
+    m = gamma.shape[0] // 2
+    if isinstance(factors, TakagiFactors):
+        assert report["pipeline"] == "near_degenerate", run
+        route, r, dtype = "takagi", factors.r, factors.v.dtype
+        want = np.complex128
+        symplectic = squeezer_from_takagi(factors).residual
+        takagi = takagi_residual(signal_first(gamma), factors)
+    else:
+        route, r, dtype = "schmidt", np.repeat(factors.values, 2), factors.c.dtype
+        assert factors.d.dtype == dtype, run
+        want = {0.5: np.float64, 0.25: np.complex128}[z0]
+        symplectic = schmidt_squeezer_residual(factors)
+        takagi = _schmidt_residual(JointSpectralAmplitude(m=m, j_matrix=gamma[m:, :m].copy()), factors)
+    if dtype != want:
+        sys.exit(f"{run}: {route} factors are {dtype}, want {np.dtype(want)} at z0 = {z0}")
+    for name, value in (("symplectic", symplectic), ("takagi", takagi)):
+        if value != report["residuals"][name]:
+            sys.exit(f"{run}: {name} residual {value!r} from spectrum.npz, {report['residuals'][name]!r} in report.json")
+    assert np.array_equal(bits(omega), bits(np.roll(grid, m))), run
+    with open(run / "spectrum.csv", newline="") as fh:
+        table = np.array([float(row[1]) for row in list(csv.reader(fh))[1:]])
+    assert np.array_equal(bits(table), bits(r)), run
+    seen.add((route, np.dtype(dtype).name))
+    print(run, route, np.dtype(dtype).name, "residuals rebuild from spectrum.npz bit for bit")
+assert seen == {("schmidt", "float64"), ("schmidt", "complex128"), ("takagi", "complex128")}, seen
+PY
 # An exponent without a dot (1e-2) is a YAML float, not a string.
 printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0}\npairing_tol: 1e-2\n' > "$RUNNER_TEMP/tol.yaml"
 twinbeams validate "$RUNNER_TEMP/tol.yaml"

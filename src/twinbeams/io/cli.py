@@ -18,7 +18,6 @@ import yaml
 
 from .. import __version__
 from .config import (
-    FORMATS,
     ConfigError,
     _ConfigLoader,
     config_from_dict,
@@ -46,26 +45,15 @@ def _load(source):
         _fail(EXIT_VALIDATION, str(err))
 
 
-def _override(cfg, fmt=None, pairs_tol=None):
+def _override(cfg, pairs_tol):
+    if pairs_tol is None:
+        return cfg
     try:
-        if fmt is not None:
-            cfg = dataclasses.replace(
-                cfg, output=dataclasses.replace(cfg.output, format=fmt)
-            )
-        if pairs_tol is not None:
-            cfg = dataclasses.replace(cfg, pairing_tol=pairs_tol)
+        return dataclasses.replace(cfg, pairing_tol=pairs_tol)
     except ValueError as err:
         _fail(EXIT_VALIDATION, str(err))
-    return cfg
 
 
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(FORMATS),
-    default=None,
-    help="Artifact format override (csv, json or both).",
-)
 _out_option = click.option(
     "--out",
     "out_dir",
@@ -90,11 +78,10 @@ def main():
 @main.command()
 @click.argument("config_source", metavar="CONFIG")
 @_out_option
-@_format_option
 @_pairs_tol_option
-def run(config_source, out_dir, fmt, pairs_tol):
+def run(config_source, out_dir, pairs_tol):
     """Run the pipeline described by CONFIG (a path or a bundled name)."""
-    cfg = _override(_load(config_source), fmt=fmt, pairs_tol=pairs_tol)
+    cfg = _override(_load(config_source), pairs_tol)
     try:
         report = run_pipeline(cfg, out_dir=out_dir)
     except PipelineError as err:
@@ -139,15 +126,14 @@ def _set_path(tree: dict, dotted: str, value) -> None:
     "--values", required=True, help="Comma-separated values substituted into --param."
 )
 @_out_option
-@_format_option
 @_pairs_tol_option
-def sweep(config_source, param, values, out_dir, fmt, pairs_tol):
+def sweep(config_source, param, values, out_dir, pairs_tol):
     """Run CONFIG once per value of --param and collect a summary table.
 
     Each point writes its artifacts to the subdirectory ``<param>=<value>``
     of the output directory; the table lands in ``sweep_summary.csv``.
     """
-    base_cfg = _override(_load(config_source), fmt=fmt, pairs_tol=pairs_tol)
+    base_cfg = _override(_load(config_source), pairs_tol)
     base = config_to_dict(base_cfg)
     raw_values = [v.strip() for v in values.split(",") if v.strip()]
     if not raw_values:

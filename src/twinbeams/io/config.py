@@ -27,7 +27,6 @@ from ..pdc import CrystalConfig, PumpConfig, _check_grid_size
 
 __all__ = [
     "PIPELINES",
-    "FORMATS",
     "ConfigError",
     "GridSpec",
     "OutputConfig",
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 PIPELINES = ("numerical", "analytic", "compare", "near_degenerate")
-FORMATS = ("csv", "json", "both")
 
 class ConfigError(ValueError):
     """Configuration parse or validation failure (CLI exit code 2)."""
@@ -87,16 +85,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    """Artifact destination and format (``csv``, ``json`` or ``both``)."""
+    """Artifact destination."""
 
     directory: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise ValueError(
-                f"format must be one of {', '.join(FORMATS)}, got {self.format!r}"
-            )
 
 
 @dataclass(frozen=True)

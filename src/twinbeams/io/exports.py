@@ -1,27 +1,28 @@
-"""Artifact writers: spectrum tables, the squeezing matrix, matrix heatmaps,
-generic CSV.
+"""Artifact writers: spectrum tables and factors, the squeezing matrix,
+matrix heatmaps, generic CSV.
 
 Floats in CSV are written with 17 significant digits (Python's ``%.17g``),
 which round-trips every IEEE double exactly, so re-running an identical
-config reproduces the artifact files byte for byte.  The squeezing matrix
-itself is stored exactly in binary, as ``squeezing_matrix.npz``; its CSV
-heatmap is written from that file on request (``twinbeams heatmap DIR``).
+config reproduces the artifact files byte for byte.  The spectrum's factors
+and the squeezing matrix are stored exactly in binary, as ``spectrum.npz``
+and ``squeezing_matrix.npz``; the matrix's CSV heatmap is written from its
+file on request (``twinbeams heatmap DIR``).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 import numpy as np
 
-from ..takagi import _float_or_complex
-from .config import FORMATS
+from ..takagi import TakagiFactors, _float_or_complex
+from ..twinbeam import SchmidtDecomposition, SqueezingSpectrum
 
 __all__ = [
     "write_csv",
     "export_spectrum",
+    "load_spectrum",
     "export_squeezing_matrix",
     "load_squeezing_matrix",
     "export_matrix_heatmap",
@@ -75,51 +76,57 @@ def _pair_columns(spectrum, pairing):
     return ids, gaps
 
 
-def export_spectrum(spectrum, stem, fmt="csv", detunings=None, pairing=None) -> list[Path]:
-    """Write a squeezing spectrum as CSV and/or JSON next to ``stem``.
+def export_spectrum(spectrum, factors, detunings, stem, pairing=None) -> list[Path]:
+    """Write a squeezing spectrum as ``stem.csv`` and its factors as ``stem.npz``.
 
     The CSV columns are exactly ``index,r,pair_id,pair_gap``, one ``%.17g``
-    per float.  The JSON mirror additionally carries every mode vector (real
-    and imaginary parts as separate arrays, one entry per mode) and, when
-    given, the detuning labels of the mode rows (signal half first, then
-    idler); a values-only spectrum (``modes`` None) has no mirror, and
-    asking for one is a ValueError.
+    per float.  The npz is one uncompressed ``np.savez`` of ``omega`` (the
+    detunings of the mode rows, signal band first), ``r`` and either ``c``
+    and ``d`` (a ``SchmidtDecomposition``) or ``v`` (``TakagiFactors``), each
+    as stored; ``load_spectrum`` gives them back bit for bit.
     """
-    if fmt not in FORMATS:
-        raise ValueError(f"format must be csv, json or both, got {fmt!r}")
-    if fmt != "csv" and spectrum.modes is None:
-        raise ValueError(f"a values-only spectrum has no modes for the {fmt!r} JSON mirror")
     stem = Path(stem)
     ids, gaps = _pair_columns(spectrum, pairing)
-    written: list[Path] = []
-    if fmt in ("csv", "both"):
-        rows = zip(range(len(ids)), spectrum.values.tolist(), ids, gaps)
-        written.append(_write_table(
-            stem.with_suffix(".csv"), ["index", "r", "pair_id", "pair_gap"],
-            "%d,%.17g,%d,%.17g\n", [rows],
-        ))
-    if fmt in ("json", "both"):
-        head = {
-            "source": spectrum.source,
-            "values": [float(r) for r in spectrum.values],
-            "pair_id": ids,
-            "pair_gap": [float(g) for g in gaps],
-        }
-        tail = {} if detunings is None else {"detunings": [float(w) for w in np.asarray(detunings)]}
-        path = stem.with_suffix(".json")
-        # The bytes of json.dumps(head | modes_re | modes_im | tail) + "\n",
-        # with the n x n mode arrays written one mode (column) at a time.
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(head)[:-1])
-            for key, part in (("modes_re", np.real), ("modes_im", np.imag)):
-                fh.write(f', "{key}": [')
-                for k in range(spectrum.modes.shape[1]):
-                    fh.write((", " if k else "") + json.dumps(part(spectrum.modes[:, k]).tolist()))
-                fh.write("]")
-            fh.write(", " + json.dumps(tail)[1:] if tail else "}")
-            fh.write("\n")
-        written.append(path)
-    return written
+    rows = zip(range(len(ids)), spectrum.values.tolist(), ids, gaps)
+    table = _write_table(
+        stem.with_suffix(".csv"), ["index", "r", "pair_id", "pair_gap"],
+        "%d,%.17g,%d,%.17g\n", [rows],
+    )
+    if isinstance(factors, SchmidtDecomposition):
+        arrays = dict(r=factors.values, c=factors.c, d=factors.d)
+    else:
+        arrays = dict(r=factors.r, v=factors.v)
+    store = stem.with_suffix(".npz")
+    with open(store, "wb") as fh:
+        np.savez(fh, omega=detunings, **arrays)
+    return [table, store]
+
+
+def load_spectrum(path) -> tuple[np.ndarray, SchmidtDecomposition | TakagiFactors]:
+    """``(omega, factors)`` of a ``spectrum.npz`` written by ``export_spectrum``.
+
+    The key set names the route: ``omega, r, c, d`` gives a validated
+    ``SchmidtDecomposition`` (2m detunings for m values), ``omega, r, v``
+    the ``TakagiFactors`` of a validated spectrum (one detuning per value).
+    Any other key set, a shape mismatch or a non-unitary factor is a
+    ValueError.
+    """
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    keys = sorted(arrays)
+    if keys == ["c", "d", "omega", "r"]:
+        factors = SchmidtDecomposition(arrays["c"], arrays["d"], arrays["r"])
+        n = 2 * len(factors.values)
+    elif keys == ["omega", "r", "v"]:
+        spectrum = SqueezingSpectrum(arrays["r"], arrays["v"])
+        factors = TakagiFactors(spectrum.modes, spectrum.values)
+        n = len(spectrum.values)
+    else:
+        raise ValueError(f"{path}: keys {keys} are neither omega, r, c, d nor omega, r, v")
+    omega = arrays["omega"]
+    if omega.shape != (n,):
+        raise ValueError(f"{path}: omega has shape {omega.shape}, the modes have {n} rows")
+    return omega, factors
 
 
 def export_squeezing_matrix(gamma, detunings, path) -> Path:

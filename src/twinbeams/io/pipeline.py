@@ -3,8 +3,8 @@
 Four pipelines share the same plumbing:
 
 * ``numerical``        grid -> squeezing matrix (stored as an npz) -> JSA ->
-                       spectrum -> Takagi residual -> symplectic check ->
-                       pairing/fit -> spectrum files
+                       Schmidt factors -> Takagi residual -> symplectic
+                       check -> pairing/fit -> spectrum table and factors
 * ``analytic``         characteristic times -> Gaussian model -> Mehler factors
 * ``compare``          both of the above plus mode overlaps and ratio tables
 * ``near_degenerate``  numerical, but the spectrum is the Takagi factorization
@@ -13,24 +13,23 @@ Four pipelines share the same plumbing:
 
 Each run factors once: the SVD of the JSA block, or in ``near_degenerate``
 the Takagi factorization of the full matrix.  The Takagi residual and the
-symplectic check both take the factors of the reported spectrum: the
-Schmidt factors in m x m blocks, which is exact for the duos built from
-them, or the full-matrix factors of ``near_degenerate``.  The duo modes
-of the Schmidt route are built only when ``spectrum.json`` stores them
-(format ``json`` or ``both``); a ``csv`` run reports a values-only
-spectrum, the Schmidt values twice each, and its tables are those of a
-``both`` run byte for byte.
+symplectic check both take the factors the run stores in ``spectrum.npz``:
+the Schmidt factors (C, R, D) in m x m blocks, which is exact for the duo
+modes built from them, or the full-matrix factors (V, R) of
+``near_degenerate``.  No run builds the duo modes: the Schmidt route
+reports a values-only spectrum, the Schmidt values twice each, and
+``eigenmodes_from_schmidt`` of the stored factors rebuilds the modes.
 
 Memory: Gamma is stored exactly in ``squeezing_matrix.npz`` right after it
 is built, which holds one copy of it, and each stage result is dropped
 after its last reader; of the checks only their residuals are kept.  A
-traced ``csv`` ``compare`` run at m = 256 peaks at 2.54 (real Gamma, in
-the Gamma build) and 2.52 (complex, in the JSA SVD) times the bytes of
-Gamma; a run that writes ``spectrum.json`` peaks in the duo spectrum
-built after the checks (4.54 and 3.77).  The manifest
-lists the matrix after the spectrum files, and a run that fails after the
-matrix build leaves ``squeezing_matrix.npz`` on disk.  Its CSV heatmap is
-written on request, by ``twinbeams heatmap DIR``.
+traced ``compare`` run at m = 256 peaks at 2.54 (real Gamma, in the Gamma
+build) and 2.52 (complex, in the JSA SVD) times the bytes of Gamma, and
+writing the factors it already holds to ``spectrum.npz`` leaves that
+peak as it was.  The manifest lists the matrix after the spectrum files,
+and a run that fails after the matrix build leaves
+``squeezing_matrix.npz`` on disk.  Its CSV heatmap is written on request,
+by ``twinbeams heatmap DIR``.
 
 Every run writes ``report.json`` with the resolved config (Sellmeier data
 included), a summary, the residual diagnostics with their thresholds, and a
@@ -70,7 +69,6 @@ from ..twinbeam import (
     SqueezingSpectrum,
     _duo_means,
     _schmidt_residual,
-    eigenmodes_from_schmidt,
     fit_geometric,
     pair_eigenvalues,
     schmidt_from_jsa,
@@ -228,7 +226,8 @@ def _resolve_grid(cfg: RunConfig, model):
 
 
 def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
-    """Spectrum and checks; returns (Schmidt, spectrum), or None at zero gain.
+    """Spectrum, checks and spectrum files; returns (Schmidt factors,
+    spectrum), or None at zero gain.
 
     Each stage result is dropped once its last reader is done.
     """
@@ -260,7 +259,6 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
 
     # The grid runs idler band first; spectra and their labels run signal band first.
     band_order = np.roll(np.arange(2 * grid.m), grid.m)
-    sd = None
     if cfg.pipeline == "near_degenerate" and not zero:
         # The one factorization of the run: Gamma = V R V^T in grid order.
         factors = _stage("takagi", takagi_general, sq.gamma)
@@ -269,26 +267,22 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         spectrum = _stage("spectrum", spectrum_from_takagi, rolled)
         target = signal_first(sq.gamma)
         del sq, ext
-        reported = TakagiFactors(spectrum.modes, spectrum.values)
-        _check(report, "takagi", takagi_residual(target, reported))
+        factors = TakagiFactors(spectrum.modes, spectrum.values)
+        _check(report, "takagi", takagi_residual(target, factors))
         del target
-        # The squeezer and its Bloch-Messiah factors (V, R, V) from the reported
+        # The squeezer and its Bloch-Messiah factors (V, R, V) from the stored
         # factors; the report keeps only the residual.
-        _check(report, "symplectic", _stage("symplectic", squeezer_from_takagi, reported).residual)
+        _check(report, "symplectic", _stage("symplectic", squeezer_from_takagi, factors).residual)
     else:
         # The one factorization of the run: J = C R D^H.  Both checks read the
-        # Schmidt factors in m x m blocks, exactly those of the duo spectrum,
-        # which is built only after them and only when spectrum.json stores
-        # its modes: the duos are unitary whenever C and D are.
-        sd = _stage("spectrum", schmidt_from_jsa, ext.jsa)
+        # Schmidt factors in m x m blocks, exactly those of the duo modes,
+        # which are unitary whenever C and D are and are never built.
+        factors = _stage("spectrum", schmidt_from_jsa, ext.jsa)
         del sq
-        _check(report, "takagi", _schmidt_residual(ext.jsa, sd))
+        _check(report, "takagi", _schmidt_residual(ext.jsa, factors))
         del ext
-        _check(report, "symplectic", _stage("symplectic", schmidt_squeezer_residual, sd))
-        if cfg.output.format == "csv":
-            spectrum = SqueezingSpectrum(np.repeat(sd.values, 2), None, source="jsa_svd")
-        else:
-            spectrum = eigenmodes_from_schmidt(sd)
+        _check(report, "symplectic", _stage("symplectic", schmidt_squeezer_residual, factors))
+        spectrum = SqueezingSpectrum(np.repeat(factors.values, 2), None, source="jsa_svd")
 
     report.summary["r1"] = float(spectrum.values[0])
     pairing = None
@@ -319,13 +313,11 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
             report.notes.append(f"geometric fit skipped: {err}")
 
     detunings = grid.detunings[band_order]
-    for path in export_spectrum(
-        spectrum, out / "spectrum", cfg.output.format, detunings=detunings, pairing=pairing
-    ):
+    for path in export_spectrum(spectrum, factors, detunings, out / "spectrum", pairing):
         report.artifacts.append({"kind": "spectrum", "path": path.name})
     report.artifacts.append({"kind": "squeezing_matrix", "path": stored.name})
 
-    return None if zero else (sd, spectrum)
+    return None if zero else (factors, spectrum)
 
 
 def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path, model, grid) -> list:
@@ -443,8 +435,11 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunReport:
     The output directory is resolved from the ``out_dir`` argument, the
     config, the ``TWINBEAMS_OUTPUT_DIR`` environment variable, and the
     current directory, in that order, and is created if missing.  Identical
-    configs produce byte-identical artifacts (nothing time- or
-    machine-dependent is written).
+    configs produce byte-identical artifacts on one machine at one BLAS
+    thread count: nothing time- or machine-dependent is written, but the
+    factorizations' rounding follows the BLAS build and its thread count
+    (a ``near_degenerate`` r1 of 0.15976253319174122 at one OpenBLAS thread
+    reads ...114 at two).
     """
     out = resolve_output_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)

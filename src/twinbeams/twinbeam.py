@@ -215,7 +215,7 @@ def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
     unit factor, and the duos' defect max|V^H V - I| is at most
     max(defect of C, defect of D) (plus rounding of the products).
     ``SchmidtDecomposition`` holds both to 1e-10, so a caller that stores
-    no mode may skip building them without losing that check.
+    the Schmidt factors instead, as every pipeline run does, loses no check.
     """
     m = sd.c.shape[0]
     d_bar = sd.d.conj()

@@ -67,9 +67,10 @@ def grid_sums(grid):
     return (j[:, None] + j[None, :] + 1 - 2 * grid.m) * grid.spacing
 
 
-def random_unitary(n):
-    """Haar-random n x n unitary from the global NumPy RNG (QR, phases fixed by diag(R))."""
-    q, r = np.linalg.qr(np.random.randn(n, n) + 1j * np.random.randn(n, n))
+def random_unitary(n, rng=np.random):
+    """Haar-random n x n unitary (QR, phases fixed by diag(R)) drawn from
+    ``rng``, a ``Generator`` or by default the global NumPy RNG."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 

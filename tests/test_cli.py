@@ -99,8 +99,8 @@ class TestValidate:
         assert "bbo_nondegenerate" in all_output(result)
 
     def test_mehler_terms_key_exits_2(self, runner, tmp_path):
-        """The removed ``mehler_terms`` and ``grid.window_T`` settings fail
-        loudly, naming the key."""
+        """The removed ``mehler_terms``, ``grid.window_T`` and ``output.format``
+        settings fail loudly, naming the key."""
         path = tmp_path / "old.yaml"
         base = (
             "crystal:\n  length_mm: 2.0\n  theta0_deg: 28.81\n"
@@ -109,6 +109,7 @@ class TestValidate:
         for extra, message in (
             ("mehler_terms: 80\n", "config: unknown key 'mehler_terms'"),
             ("grid:\n  window_T: 50.0\n", "grid: unknown key 'window_T'"),
+            ("output:\n  format: csv\n", "output: unknown key 'format'"),
         ):
             path.write_text(base + extra)
             result = runner.invoke(main, ["validate", str(path)])
@@ -129,18 +130,9 @@ class TestRun:
         assert f"report: {out / 'report.json'}" in result.output
         assert (out / "report.json").exists()
         assert (out / "spectrum.csv").exists()
+        assert (out / "spectrum.npz").exists()
         assert (out / "squeezing_matrix.npz").exists()
         assert not (out / "squeezing_matrix.csv").exists()
-
-    def test_format_override(self, runner, tmp_path):
-        cfg_path = write_config(tmp_path)
-        out = tmp_path / "out"
-        result = runner.invoke(
-            main, ["run", str(cfg_path), "--out", str(out), "--format", "both"]
-        )
-        assert result.exit_code == 0
-        assert (out / "spectrum.csv").exists()
-        assert (out / "spectrum.json").exists()
 
     def test_threshold_failure_exits_3(self, runner, tmp_path):
         cfg_path = write_config(
@@ -275,17 +267,20 @@ class TestRun:
         assert result.exit_code == 2
         assert "pairing_tol" in all_output(result)
 
+    @pytest.mark.parametrize("option", [["--terms", "5"], ["--format", "json"]], ids=["terms", "format"])
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_terms_option_is_a_usage_error(self, runner, tmp_path, command):
-        """The Mehler term count is derived from its tail bound, not set."""
+    def test_removed_option_is_a_usage_error(self, runner, tmp_path, command, option):
+        """The Mehler term count is derived from its tail bound, not set, and
+        every run writes the one spectrum table and factor file, so neither
+        has an option."""
         cfg_path = write_config(tmp_path, pipeline="analytic")
-        args = [command, str(cfg_path), "--out", str(tmp_path / "out"), "--terms", "5"]
+        args = [command, str(cfg_path), "--out", str(tmp_path / "out"), *option]
         if command == "sweep":
             args += ["--param", "pump.gain", "--values", "1"]
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "No such option" in all_output(result)
-        assert "--terms" in all_output(result)
+        assert option[0] in all_output(result)
         assert not (tmp_path / "out").exists()
 
     def test_output_dir_from_environment(self, runner, tmp_path):

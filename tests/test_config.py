@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinbeams.io import (
-    FORMATS,
     PIPELINES,
     ConfigError,
     GridSpec,
@@ -49,7 +48,7 @@ class TestDefaults:
             assert cfg.pairing_tol == 1e-2
             assert cfg.fit_pairs == 15
             assert cfg.grid == GridSpec(m=128, half_width=None, width_factor=4.0)
-            assert cfg.output == OutputConfig(directory=None, format="csv")
+            assert cfg.output == OutputConfig(directory=None)
             assert cfg.pump.gain == 1.0
             assert cfg.pump.z0_fraction == 0.5
             assert cfg.pump.prechirp_compensated is True
@@ -130,8 +129,8 @@ class TestValidation:
         raw["pump"]["prechirp_compensated"] = "yes"
         with pytest.raises(ConfigError, match="pump.prechirp_compensated: expected true/false"):
             config_from_dict(raw)
-        raw = minimal(output={"format": 3})
-        with pytest.raises(ConfigError, match="output.format: expected a string"):
+        raw = minimal(output={"directory": 3})
+        with pytest.raises(ConfigError, match="output.directory: expected a string"):
             config_from_dict(raw)
         with pytest.raises(ConfigError, match="config.pairing_tol: integer too large") as info:
             config_from_dict(minimal(pairing_tol=10**400))
@@ -154,8 +153,6 @@ class TestValidation:
             config_from_dict(minimal(fit_pairs=1))
         with pytest.raises(ConfigError, match="config: unknown key 'mehler_terms'"):
             config_from_dict(minimal(mehler_terms=80))
-        with pytest.raises(ConfigError, match="output: format must be one of"):
-            config_from_dict(minimal(output={"format": "xml"}))
         with pytest.raises(ConfigError, match="grid: m must be at least 1"):
             config_from_dict(minimal(grid={"m": 0}))
         with pytest.raises(ConfigError, match="grid: width_factor must be positive"):
@@ -305,7 +302,7 @@ class TestRoundTrip:
             pairing_tol=0.05,
             fit_pairs=10,
             grid={"m": 64, "half_width": 0.5, "width_factor": 3.0},
-            output={"directory": "out", "format": "both"},
+            output={"directory": "out"},
         )
         raw["pump"].update(gain=10.0, z0_fraction=0.25, prechirp_compensated=False)
         cfg = config_from_dict(raw)
@@ -327,7 +324,7 @@ class TestRoundTrip:
         assert d["pipeline"] == "numerical"
         assert d["fit_pairs"] == 15
         assert d["crystal"]["sellmeier_o"]["a"] == BBO_SELLMEIER_ORDINARY.a
-        assert d["output"] == {"directory": None, "format": "csv"}
+        assert d["output"] == {"directory": None}
 
     def test_to_dict_key_order(self):
         """The report.json echo depends on this exact nested key order."""
@@ -344,7 +341,7 @@ class TestRoundTrip:
             "lambda_p_nm", "tau_p_fs", "gain", "z0_fraction", "prechirp_compensated",
         ]
         assert list(d["grid"]) == ["m", "half_width", "width_factor"]
-        assert list(d["output"]) == ["directory", "format"]
+        assert list(d["output"]) == ["directory"]
 
 
 def _number(lo, hi):
@@ -408,7 +405,7 @@ def raw_configs(draw):
             "pairing_tol": st.floats(1e-9, 0.999),
             "fit_pairs": st.integers(3, 200),
             "output": lambda: section(
-                {}, {"directory": st.text(min_size=1), "format": st.sampled_from(FORMATS)}
+                {}, {"directory": st.text(min_size=1)}
             ),
         },
     )

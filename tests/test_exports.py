@@ -1,9 +1,7 @@
-"""Tests for the CSV/JSON/npz artifact writers."""
+"""Tests for the CSV and npz artifact writers."""
 
 import csv
-import json
 import math
-import tracemalloc
 import zipfile
 
 import numpy as np
@@ -12,16 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import build_working_point, per_cell_heatmap, random_unitary, reference_csv
+from conftest import build_working_point, per_cell_heatmap, reference_csv
 from twinbeams.io import (
     export_matrix_heatmap,
     export_spectrum,
     export_squeezing_matrix,
     exports,
+    load_spectrum,
     load_squeezing_matrix,
     write_csv,
 )
-from twinbeams.twinbeam import SqueezingSpectrum, pair_eigenvalues
+from twinbeams.takagi import TakagiFactors, takagi_general
+from twinbeams.twinbeam import (
+    SchmidtDecomposition,
+    SqueezingSpectrum,
+    pair_eigenvalues,
+    schmidt_from_jsa,
+    signal_first,
+    spectrum_from_takagi,
+)
 
 np.random.seed(42)
 
@@ -118,12 +125,19 @@ class TestWriteCsv:
         assert path.read_bytes() == reference_csv(header, list(rows()))
 
 
+def export_table(spec, stem, pairing=None):
+    """``spectrum.csv`` of ``spec``, stored with its own modes as the factors."""
+    n = len(spec.values)
+    v = np.eye(n, dtype=complex) if spec.modes is None else spec.modes
+    table, _ = export_spectrum(spec, TakagiFactors(v, spec.values), np.zeros(n), stem, pairing)
+    return table
+
+
 class TestExportSpectrum:
     """Spectrum tables with pairing annotations."""
 
     def test_csv_header_exact(self, tmp_path):
-        paths = export_spectrum(spectrum_with_gap(), tmp_path / "spec")
-        header, rows = read_csv(paths[0])
+        header, rows = read_csv(export_table(spectrum_with_gap(), tmp_path / "spec"))
         assert header == ["index", "r", "pair_id", "pair_gap"]
         assert len(rows) == 6
         assert [r[0] for r in rows] == ["0", "1", "2", "3", "4", "5"]
@@ -132,36 +146,15 @@ class TestExportSpectrum:
         spec = spectrum_with_gap()
         pairing = pair_eigenvalues(spec, rel_tol=1e-2)
         assert pairing.n_pairs == 2
-        paths = export_spectrum(spec, tmp_path / "spec", pairing=pairing)
-        _, rows = read_csv(paths[0])
+        _, rows = read_csv(export_table(spec, tmp_path / "spec", pairing))
         assert [r[2] for r in rows] == ["1", "1", "2", "2", "0", "0"]
         # gap column reports the positional duo gap even for rejected duos
         assert float(rows[4][3]) == spec.pairs[2][2]
         assert float(rows[0][3]) == 0.0
 
     def test_without_pairing_ids_are_zero(self, tmp_path):
-        paths = export_spectrum(spectrum_with_gap(), tmp_path / "spec")
-        _, rows = read_csv(paths[0])
+        _, rows = read_csv(export_table(spectrum_with_gap(), tmp_path / "spec"))
         assert {r[2] for r in rows} == {"0"}
-
-    def test_json_mirror(self, tmp_path):
-        spec = spectrum_with_gap()
-        pairing = pair_eigenvalues(spec, rel_tol=1e-2)
-        detunings = np.linspace(-1.0, 1.0, 6)
-        paths = export_spectrum(
-            spec, tmp_path / "spec", fmt="json", detunings=detunings, pairing=pairing
-        )
-        assert paths[0].suffix == ".json"
-        payload = json.loads(paths[0].read_text())
-        assert payload["source"] == "direct_takagi"
-        assert payload["values"] == list(spec.values)
-        assert payload["pair_id"] == [1, 1, 2, 2, 0, 0]
-        assert payload["detunings"] == list(detunings)
-        modes_re = np.array(payload["modes_re"])
-        modes_im = np.array(payload["modes_im"])
-        assert modes_re.shape == (6, 6)
-        # entry k of the JSON list is mode k, i.e. column k of the matrix
-        assert np.array_equal(modes_re + 1j * modes_im, spec.modes.T)
 
     def test_csv_bytes_match_the_per_cell_writer(self, tmp_path):
         """One format per row spells what the per-cell CSV writer spells,
@@ -169,78 +162,116 @@ class TestExportSpectrum:
         values = np.array([3.0, 1 / 3, 1e-300, 5e-324, -0.0, -1e-16])
         spec = SqueezingSpectrum(values=values, modes=None)
         pairing = pair_eigenvalues(spec, rel_tol=0.9)
-        (path,) = export_spectrum(spec, tmp_path / "spec", pairing=pairing)
+        path = export_table(spec, tmp_path / "spec", pairing)
         ids, gaps = exports._pair_columns(spec, pairing)
         rows = [(i, values[i], ids[i], gaps[i]) for i in range(len(values))]
         assert path.read_bytes() == reference_csv(["index", "r", "pair_id", "pair_gap"], rows)
-
-    @pytest.mark.parametrize("fmt", ["json", "both"])
-    def test_values_only_spectrum_has_no_json_mirror(self, tmp_path, fmt):
-        spec = SqueezingSpectrum(values=spectrum_with_gap().values, modes=None)
-        with pytest.raises(ValueError, match="values-only spectrum has no modes"):
-            export_spectrum(spec, tmp_path / "spec", fmt=fmt)
-        assert not list(tmp_path.iterdir())
 
     def test_values_only_csv_equals_full_spectrum_csv(self, tmp_path):
         full = spectrum_with_gap()
         pairing = pair_eigenvalues(full, rel_tol=1e-2)
         values_only = SqueezingSpectrum(values=full.values, modes=None)
-        (a,) = export_spectrum(full, tmp_path / "full", pairing=pairing)
-        (b,) = export_spectrum(values_only, tmp_path / "values", pairing=pairing)
+        a = export_table(full, tmp_path / "full", pairing)
+        b = export_table(values_only, tmp_path / "values", pairing)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_both_writes_two_files(self, tmp_path):
-        paths = export_spectrum(spectrum_with_gap(), tmp_path / "spec", fmt="both")
-        assert [p.suffix for p in paths] == [".csv", ".json"]
+    def test_writes_table_and_factors(self, tmp_path):
+        paths = export_spectrum(
+            spectrum_with_gap(), TakagiFactors(np.eye(6), np.ones(6)), np.zeros(6), tmp_path / "spec"
+        )
+        assert paths == [tmp_path / "spec.csv", tmp_path / "spec.npz"]
         for p in paths:
             assert p.exists()
 
-    def test_bad_format_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="format must be csv, json or both"):
-            export_spectrum(spectrum_with_gap(), tmp_path / "spec", fmt="xml")
 
-    @pytest.mark.parametrize("n", [1, 2, 6])
-    @pytest.mark.parametrize("with_detunings", [False, True])
-    @pytest.mark.parametrize("real_modes", [False, True])
-    def test_json_bytes_equal_one_dumps(self, tmp_path, n, with_detunings, real_modes):
-        """The mode arrays are streamed to the bytes of one json.dumps."""
-        rng = np.random.default_rng(n)
-        values = np.sort(rng.uniform(0.1, 2.0, n))[::-1]
-        modes = np.eye(n)[rng.permutation(n)] if real_modes else random_unitary(n)
-        spec = SqueezingSpectrum(values=values, modes=modes, source="jsa_svd")
-        pairing = pair_eigenvalues(spec, rel_tol=0.5) if n > 1 else None
-        detunings = np.linspace(-0.3, 0.3, n) if with_detunings else None
-        (path,) = export_spectrum(
-            spec, tmp_path / "spec", fmt="json", detunings=detunings, pairing=pairing
-        )
-        ids, gaps = exports._pair_columns(spec, pairing)
-        payload = {
-            "source": spec.source,
-            "values": [float(r) for r in spec.values],
-            "pair_id": ids,
-            "pair_gap": [float(g) for g in gaps],
-            "modes_re": spec.modes.real.T.tolist(),
-            "modes_im": spec.modes.imag.T.tolist(),
-        }
-        if detunings is not None:
-            payload["detunings"] = detunings.tolist()
-        assert path.read_bytes() == (json.dumps(payload) + "\n").encode()
+def schmidt_factors(z0_fraction):
+    """(detunings signal band first, Schmidt factors) of a small working point."""
+    wp = build_working_point(m=8, z0_fraction=z0_fraction)
+    omega = np.roll(wp.grid.detunings, wp.grid.m)
+    return omega, schmidt_from_jsa(wp.ext.jsa)
 
-    def test_json_peak_memory_at_m256(self, tmp_path):
-        """A 512-mode spectrum (m = 256) is written within one real Gamma's
-        bytes; the whole-payload json.dumps peaked at 17.6 of them, against
-        7.4 for the rest of a run."""
-        n = 512
-        modes = np.eye(n)[np.random.default_rng(5).permutation(n)]
-        spec = SqueezingSpectrum(values=np.linspace(2.0, 0.1, n), modes=modes)
-        gamma_bytes = n * n * 8
-        tracemalloc.start()
-        try:
-            export_spectrum(spec, tmp_path / "spec", fmt="json", detunings=np.zeros(n))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= gamma_bytes
+
+def takagi_factors(z0_fraction):
+    """(detunings signal band first, full-matrix Takagi factors) of a small working point."""
+    wp = build_working_point(m=8, z0_fraction=z0_fraction)
+    spec = spectrum_from_takagi(takagi_general(signal_first(wp.sq.gamma)))
+    return np.roll(wp.grid.detunings, wp.grid.m), TakagiFactors(spec.modes, spec.values)
+
+
+def store(path, **arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
+def assert_bitwise(a, b):
+    """Equal dtype, shape and bits (a factor may be stored in Fortran order)."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    bits = [np.ascontiguousarray(x).view(np.uint64) for x in (a, b)]
+    assert np.array_equal(*bits)
+
+
+class TestSpectrumFile:
+    """``spectrum.npz`` stores a run's factors exactly, and ``load_spectrum``
+    gives them back or raises a ValueError."""
+
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["float64", "complex128"])
+    def test_schmidt_round_trip_is_bitwise(self, tmp_path, z0_fraction):
+        omega, sd = schmidt_factors(z0_fraction)
+        spec = SqueezingSpectrum(np.repeat(sd.values, 2), None, source="jsa_svd")
+        _, path = export_spectrum(spec, sd, omega, tmp_path / "spectrum")
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert [i.filename for i in infos] == ["omega.npy", "r.npy", "c.npy", "d.npy"]
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+        back_omega, back = load_spectrum(path)
+        assert isinstance(back, SchmidtDecomposition)
+        assert sd.c.dtype == (np.float64 if z0_fraction == 0.5 else np.complex128)
+        for got, want in ((back_omega, omega), (back.values, sd.values), (back.c, sd.c), (back.d, sd.d)):
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["float64", "complex128"])
+    def test_takagi_round_trip_is_bitwise(self, tmp_path, z0_fraction):
+        omega, factors = takagi_factors(z0_fraction)
+        spec = SqueezingSpectrum(factors.r, factors.v)
+        _, path = export_spectrum(spec, factors, omega, tmp_path / "spectrum")
+        with np.load(path) as data:
+            assert data.files == ["omega", "r", "v"]
+        back_omega, back = load_spectrum(path)
+        assert isinstance(back, TakagiFactors)
+        for got, want in ((back_omega, omega), (back.r, factors.r), (back.v, factors.v)):
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("missing-key", "neither"),
+            ("c-and-v", "neither"),
+            ("pickled-object", "neither|pickle"),
+            ("short-omega", "omega has shape"),
+            ("c-shape", "c, d must be m x m"),
+            ("v-shape", "modes must be n x n"),
+            ("non-unitary-c", "c is not unitary"),
+            ("non-unitary-v", "modes are not unitary"),
+        ],
+    )
+    def test_malformed_file_raises(self, tmp_path, case, message):
+        omega, sd = schmidt_factors(0.5)
+        _, tf = takagi_factors(0.5)
+        schmidt = dict(omega=omega, r=sd.values, c=sd.c, d=sd.d)
+        takagi = dict(omega=omega, r=tf.r, v=tf.v)
+        arrays = {
+            "missing-key": {k: v for k, v in schmidt.items() if k != "d"},
+            "c-and-v": {**schmidt, "v": tf.v},
+            "pickled-object": {**schmidt, "extra": np.array([None], dtype=object)},
+            "short-omega": {**schmidt, "omega": omega[:-1]},
+            "c-shape": {**schmidt, "c": sd.c[:, :-1]},
+            "v-shape": {**takagi, "v": tf.v[:-1]},
+            "non-unitary-c": {**schmidt, "c": 2.0 * sd.c},
+            "non-unitary-v": {**takagi, "v": 2.0 * tf.v},
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            load_spectrum(store(tmp_path / "bad.npz", **arrays))
 
 
 class TestSqueezingMatrixFile:

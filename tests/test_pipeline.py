@@ -26,6 +26,8 @@ from twinbeams.io import (
     PipelineError,
     config_from_dict,
     config_to_dict,
+    export_spectrum,
+    load_spectrum,
     parse_config,
     pipeline,
     resolve_output_dir,
@@ -203,7 +205,7 @@ class TestCompareRun:
         """Re-running the same config reproduces every artifact byte for byte."""
         _, out = compare_run
         run_pipeline(parse_config("bbo_nondegenerate"), out_dir=tmp_path)
-        for name in ("report.json", "spectrum.csv", "mode_overlaps.csv"):
+        for name in ("report.json", "spectrum.csv", "spectrum.npz", "mode_overlaps.csv"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
 
@@ -249,12 +251,12 @@ class TestNearDegenerateRun:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        cfg = bundled_config("bbo_near_degenerate", grid__m=64, output__format="json")
+        cfg = bundled_config("bbo_near_degenerate", grid__m=64)
         report = run_pipeline(cfg, out_dir=tmp_path)
         assert report.residuals["imag_fraction"] == 0.0
         assert shapes == [(128, 128)]
-        payload = json.loads((tmp_path / "spectrum.json").read_text(encoding="utf-8"))
-        assert payload["source"] == "direct_takagi"
+        _, factors = load_spectrum(tmp_path / "spectrum.npz")
+        assert isinstance(factors, takagi.TakagiFactors)
 
 
 class TestZeroGain:
@@ -284,6 +286,8 @@ class TestZeroGain:
         assert report.residuals["takagi"] == 0.0
         assert report.residuals["symplectic"] <= 1e-15
         assert (tmp_path / "spectrum.csv").exists()
+        _, factors = load_spectrum(tmp_path / "spectrum.npz")
+        assert isinstance(factors, twinbeam.SchmidtDecomposition)
 
 
 class TestAnalyticOnly:
@@ -607,10 +611,11 @@ class TestSmallGrids:
 class TestPeakMemory:
     """Each stage result is dropped after its last reader: a compare run held
     13.8 Gammas at once when both factorization routes stayed live.  At
-    m = 128 the traced peak of this ``csv`` run reads 6.10 Gammas for a
-    real Gamma, in the Gamma build, and 4.55 for a complex one (2.54 and
-    2.52 at m = 256, where a run that writes ``spectrum.json`` reads 4.54
-    and 3.77 in the duo spectrum built after the m x m block checks)."""
+    m = 128 the traced peak of this run reads 6.10 Gammas for a real
+    Gamma, in the Gamma build, and 4.55 for a complex one (2.54 and 2.52
+    at m = 256).  No run builds the 2m x 2m duo modes, which a run that
+    wrote them to ``spectrum.json`` peaked in (4.54 and 3.77 at m = 256);
+    ``spectrum.npz`` stores the Schmidt factors the run already holds."""
 
     @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
     def test_traced_peak_stays_within_twelve_gammas(self, monkeypatch, tmp_path, z0_fraction):
@@ -821,42 +826,41 @@ class TestGridSums:
 
 
 class TestValuesOnlySpectrum:
-    """A ``csv`` run of the Schmidt route stores no mode, so it builds no duo
-    modes: its spectrum is the duplicated Schmidt values.  The duos are
-    unitary whenever the Schmidt factors are, which the Schmidt
-    decomposition checks to 1e-10."""
+    """No run builds duo modes: the Schmidt route's spectrum is the
+    duplicated Schmidt values, and ``spectrum.npz`` stores the factors the
+    modes are built from.  The duos are unitary whenever the Schmidt
+    factors are, which the Schmidt decomposition checks to 1e-10."""
 
-    @pytest.mark.parametrize("name", ["numerical", "compare"])
-    def test_csv_run_builds_no_duo_modes(self, monkeypatch, tmp_path, name):
+    @pytest.mark.parametrize("name", PIPELINES)
+    def test_no_run_builds_duo_modes(self, monkeypatch, tmp_path, name):
         def refusing(sd):
-            raise AssertionError("a csv run built the duo modes")
+            raise AssertionError("a run built the duo modes")
 
-        monkeypatch.setattr(pipeline, "eigenmodes_from_schmidt", refusing)
         monkeypatch.setattr(twinbeam, "eigenmodes_from_schmidt", refusing)
         report = run_pipeline(small_config(pipeline=name), out_dir=tmp_path)
-        assert report.summary["all_paired"]
-        assert (tmp_path / "spectrum.csv").exists()
-        assert not (tmp_path / "spectrum.json").exists()
+        assert (tmp_path / "spectrum.npz").exists() == (name != "analytic")
+        if name != "analytic":
+            assert report.summary["all_paired"]
+            assert (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["z0-half", "z0-quarter"])
     @pytest.mark.parametrize("name", ["numerical", "compare"])
     @pytest.mark.parametrize("config", BUNDLED)
-    def test_csv_run_tables_equal_both_run(self, tmp_path, config, name, z0_fraction):
-        outs = {}
-        for fmt in ("csv", "both"):
-            cfg = bundled_config(
-                config, pipeline=name, pump__z0_fraction=z0_fraction, output__format=fmt
-            )
-            outs[fmt] = tmp_path / fmt
-            run_pipeline(cfg, out_dir=outs[fmt])
-        tables = sorted(p.name for p in outs["csv"].glob("*.csv"))
-        assert "spectrum.csv" in tables
-        assert tables == sorted(p.name for p in outs["both"].glob("*.csv"))
-        for table in tables:
-            assert (outs["csv"] / table).read_bytes() == (outs["both"] / table).read_bytes()
-        reports = [json.loads((out / "report.json").read_text()) for out in outs.values()]
-        for key in ("summary", "residuals", "threshold_failures", "notes"):
-            assert reports[0][key] == reports[1][key]
+    def test_tables_equal_those_of_the_duo_modes(self, tmp_path, config, name, z0_fraction):
+        """The duo modes built from the stored factors pair, report and
+        tabulate exactly as the run's values-only spectrum."""
+        cfg = bundled_config(config, pipeline=name, pump__z0_fraction=z0_fraction)
+        report = run_pipeline(cfg, out_dir=tmp_path / "run")
+        omega, sd = load_spectrum(tmp_path / "run" / "spectrum.npz")
+        duos = twinbeam.eigenmodes_from_schmidt(sd)
+        pairing = twinbeam.pair_eigenvalues(duos, cfg.pairing_tol)
+        assert report.summary["r1"] == float(duos.values[0])
+        assert report.summary["pairs_accepted"] == pairing.n_pairs
+        assert report.summary["first_failure_index"] == pairing.first_failure_index
+        assert report.summary["all_paired"] == pairing.all_paired
+        (tmp_path / "duos").mkdir()
+        table, _ = export_spectrum(duos, sd, omega, tmp_path / "duos" / "spectrum", pairing)
+        assert table.read_bytes() == (tmp_path / "run" / "spectrum.csv").read_bytes()
 
 
 HEATMAP_POINTS = [
@@ -895,6 +899,35 @@ class TestStoredGamma:
             data = (tmp_path / run / "squeezing_matrix.npz").read_bytes()
             digests.add(hashlib.sha256(data).hexdigest())
         assert len(digests) == 1
+
+
+class TestStoredSpectrum:
+    """Every spectrum run stores its own factors in ``spectrum.npz``: Schmidt
+    factors of Gamma's dtype on the Schmidt route, complex128 Takagi factors
+    in near_degenerate, with the detunings signal band first and the values
+    of ``spectrum.csv``."""
+
+    @pytest.mark.parametrize("name", ["numerical", "compare", "near_degenerate"])
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
+    def test_factors_match_the_run(self, tmp_path, name, z0_fraction):
+        cfg = bundled_config("bbo_nondegenerate", pipeline=name, grid__m=16, pump__z0_fraction=z0_fraction)
+        report = run_pipeline(cfg, out_dir=tmp_path)
+        omega, factors = load_spectrum(tmp_path / "spectrum.npz")
+        with np.load(tmp_path / "squeezing_matrix.npz") as data:
+            assert np.array_equal(omega, np.roll(data["omega"], 16))
+        if name == "near_degenerate":
+            assert factors.v.dtype == np.complex128
+            values = factors.r
+        else:
+            dtype = np.float64 if z0_fraction == 0.5 else np.complex128
+            assert factors.c.dtype == factors.d.dtype == dtype
+            values = np.repeat(factors.values, 2)
+        _, rows = read_csv(tmp_path / "spectrum.csv")
+        assert [float(row[1]) for row in rows] == values.tolist()
+        assert values[0] == report.summary["r1"]
+        paths = [entry["path"] for entry in report.artifacts]
+        at = paths.index("spectrum.csv")
+        assert paths[at : at + 3] == ["spectrum.csv", "spectrum.npz", "squeezing_matrix.npz"]
 
 
 class TestHeatmapBytes:
@@ -979,24 +1012,9 @@ class TestSymplecticPath:
         assert report.residuals["symplectic"] <= 1e-14
 
 
-def spectrum_factors(path):
-    """The Takagi factors of a ``spectrum.json``, bit for bit: column k of V
-    is entry k of ``modes_re`` and ``modes_im``."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    r = np.array(payload["values"])
-    v = np.empty((r.size, r.size), complex)
-    v.real[:] = np.array(payload["modes_re"]).T
-    v.imag[:] = np.array(payload["modes_im"]).T
-    return takagi.TakagiFactors(v=v, r=r)
-
-
-def stored_schmidt(out):
-    """``schmidt_from_jsa`` of J = gamma[m:, :m] from a run's ``squeezing_matrix.npz``."""
-    with np.load(Path(out) / "squeezing_matrix.npz") as data:
-        gamma = data["gamma"]
-    m = gamma.shape[0] // 2
-    jsa = twinbeam.JointSpectralAmplitude(m=m, j_matrix=gamma[m:, :m].copy())
-    return twinbeam.schmidt_from_jsa(jsa)
+def stored_factors(out):
+    """The factors a run stored in its ``spectrum.npz``."""
+    return load_spectrum(Path(out) / "spectrum.npz")[1]
 
 
 def reported_residuals(report, out):
@@ -1006,11 +1024,11 @@ def reported_residuals(report, out):
 
 
 class TestSymplecticFromSpectrum:
-    """The symplectic residual checks the factors the run reports.  A
-    near_degenerate run's is the residual of the squeezer rebuilt from its own
-    ``spectrum.json``; a numerical or compare run's is the block residual of
-    the Schmidt factors of its stored Gamma, within 1e-14 of the squeezer
-    rebuilt from its ``spectrum.json``.  Numerical and compare runs make no
+    """The symplectic residual checks the factors the run stores in
+    ``spectrum.npz``, bit for bit: a near_degenerate run's is the residual of
+    the squeezer rebuilt from its (V, R), a numerical or compare run's the
+    block residual of its (C, R, D), within 1e-14 of the squeezer of the
+    duo modes built from them.  Numerical and compare runs make no
     eigendecomposition."""
 
     @pytest.mark.parametrize("name", ["numerical", "compare"])
@@ -1022,22 +1040,21 @@ class TestSymplecticFromSpectrum:
 
         monkeypatch.setattr(np.linalg, "eigh", refused)
         cfg = bundled_config(
-            "bbo_nondegenerate", pipeline=name, grid__m=m, pump__z0_fraction=z0_fraction,
-            output__format="both",
+            "bbo_nondegenerate", pipeline=name, grid__m=m, pump__z0_fraction=z0_fraction
         )
         report = run_pipeline(cfg, out_dir=tmp_path)
-        rebuilt = symplectic.schmidt_squeezer_residual(stored_schmidt(tmp_path))
+        sd = stored_factors(tmp_path)
+        rebuilt = symplectic.schmidt_squeezer_residual(sd)
         assert reported_residuals(report, tmp_path) == (rebuilt, rebuilt)
-        duos = symplectic.squeezer_from_takagi(spectrum_factors(tmp_path / "spectrum.json"))
+        spectrum = twinbeam.eigenmodes_from_schmidt(sd)
+        duos = symplectic.squeezer_from_takagi(takagi.TakagiFactors(spectrum.modes, spectrum.values))
         assert abs(duos.residual - rebuilt) <= 1e-14
 
     @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
     def test_near_degenerate(self, tmp_path, z0_fraction):
-        cfg = bundled_config(
-            "bbo_near_degenerate", grid__m=64, pump__z0_fraction=z0_fraction, output__format="json"
-        )
+        cfg = bundled_config("bbo_near_degenerate", grid__m=64, pump__z0_fraction=z0_fraction)
         report = run_pipeline(cfg, out_dir=tmp_path)
-        rebuilt = symplectic.squeezer_from_takagi(spectrum_factors(tmp_path / "spectrum.json"))
+        rebuilt = symplectic.squeezer_from_takagi(stored_factors(tmp_path))
         assert reported_residuals(report, tmp_path) == (rebuilt.residual, rebuilt.residual)
 
 
@@ -1073,9 +1090,9 @@ def keep_schmidt(monkeypatch):
 
 class TestSymplecticResidualUnchanged:
     """A real Gamma keeps float64 Schmidt factors, so the block residual runs
-    in real arithmetic; the run's residual is bitwise the block residual of
-    its stored Gamma, and within 1e-14 of the 2m x 2m complex-copy formula
-    applied to its duos."""
+    in real arithmetic; the run stores its factors bit for bit, its residual
+    is bitwise the block residual of the stored factors, and within 1e-14 of
+    the 2m x 2m complex-copy formula applied to its duos."""
 
     @pytest.mark.parametrize("m", [16, 64])
     @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
@@ -1086,7 +1103,13 @@ class TestSymplecticResidualUnchanged:
         (sd,) = kept
         dtype = np.float64 if z0_fraction == 0.5 else np.complex128
         assert sd.c.dtype == sd.d.dtype == dtype
-        rebuilt = symplectic.schmidt_squeezer_residual(stored_schmidt(tmp_path))
+        stored = stored_factors(tmp_path)
+        for got, want in ((stored.c, sd.c), (stored.d, sd.d), (stored.values, sd.values)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(
+                np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
+            )
+        rebuilt = symplectic.schmidt_squeezer_residual(stored)
         assert reported_residuals(report, tmp_path) == (rebuilt, rebuilt)
         spectrum = twinbeam.eigenmodes_from_schmidt(sd)
         former = former_symplectic_residual(takagi.TakagiFactors(spectrum.modes, spectrum.values))

@@ -31,25 +31,27 @@ from twinbeams.twinbeam import (
     eigenmodes_from_schmidt,
 )
 
-np.random.seed(42)
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def random_generator(n, scale=0.3):
-    a = np.random.randn(n, n) + 1j * np.random.randn(n, n)
-    b = np.random.randn(n, n) + 1j * np.random.randn(n, n)
+def complex_normal(rng, *shape):
+    """Entries with standard normal real and imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_generator(rng, n, scale=0.3):
+    a, b = complex_normal(rng, n, n), complex_normal(rng, n, n)
     return GeneratorMatrix(
         n=n, h0=scale * (a + a.conj().T) / 2, hI=scale * (b + b.T) / 2
     )
 
 
-def random_symplectic(n, scale=0.3):
-    return exponentiate_generator(random_generator(n, scale))
+def random_symplectic(rng, n, scale=0.3):
+    return exponentiate_generator(random_generator(rng, n, scale))
 
 
-def random_symmetric(n, scale=0.3):
-    b = np.random.randn(n, n) + 1j * np.random.randn(n, n)
+def random_symmetric(rng, n, scale=0.3):
+    b = complex_normal(rng, n, n)
     return scale * (b + b.T) / 2
 
 
@@ -105,14 +107,15 @@ class TestGenerator:
         assert np.abs(s.sI).max() == 0.0
 
     def test_exponential_is_symplectic(self):
+        rng = np.random.default_rng(1)
         for n in (1, 2, 5):
             for _ in range(5):
-                s = random_symplectic(n)
+                s = random_symplectic(rng, n)
                 assert symplectic_residual(s) <= 1e-12
 
     def test_passive_generator_stays_passive(self):
         """hI = 0 exponentiates to a unitary s0 with sI = 0."""
-        a = np.random.randn(3, 3) + 1j * np.random.randn(3, 3)
+        a = complex_normal(np.random.default_rng(2), 3, 3)
         g = GeneratorMatrix(n=3, h0=(a + a.conj().T) / 2, hI=np.zeros((3, 3)))
         s = exponentiate_generator(g)
         assert np.abs(s.sI).max() < 1e-14
@@ -130,14 +133,16 @@ class TestPureSqueezerClosedForm:
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_random_complex_symmetric(self):
+        rng = np.random.default_rng(3)
         for n in (1, 2, 5, 16):
             for scale in (0.3, 2.0):
-                self.assert_matches_expm(random_symmetric(n, scale))
+                self.assert_matches_expm(random_symmetric(rng, n, scale))
 
     def test_rank_deficient(self):
         """Zero squeezing parameters: sinh(r)/r takes its limit 1 there."""
+        rng = np.random.default_rng(4)
         for rank in (1, 2):
-            v = np.random.randn(6, rank) + 1j * np.random.randn(6, rank)
+            v = complex_normal(rng, 6, rank)
             self.assert_matches_expm(v @ v.T)
 
     def test_exactly_degenerate_two_mode_blocks(self):
@@ -176,8 +181,9 @@ class TestSqueezerFromTakagi:
         assert got.residual <= 1e-14
 
     def test_random_real_symmetric_matches_expm(self):
+        rng = np.random.default_rng(5)
         for n in (1, 2, 5, 16):
-            a = np.random.randn(n, n)
+            a = rng.standard_normal((n, n))
             gamma = a + a.T
             ref = dense_exponential(pure_squeezer(1j * gamma))
             got = squeezer_from_takagi(takagi_real_symmetric(gamma)).full()
@@ -186,10 +192,11 @@ class TestSqueezerFromTakagi:
     def test_block_dtypes_follow_the_factors(self):
         """Real factors give float64 blocks, with no complex copy; a complex
         Gamma and the eigh closed form give complex128 blocks."""
-        a = np.random.randn(6, 6)
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((6, 6))
         real = squeezer_from_takagi(takagi_real_symmetric(a + a.T))
         assert real.s0.dtype == real.sI.dtype == np.float64
-        complex_ = squeezer_from_takagi(takagi_general(random_symmetric(6)))
+        complex_ = squeezer_from_takagi(takagi_general(random_symmetric(rng, 6)))
         assert complex_.s0.dtype == complex_.sI.dtype == np.complex128
         generated = exponentiate_generator(pure_squeezer(1j * (a + a.T)))
         assert generated.s0.dtype == generated.sI.dtype == np.complex128
@@ -217,25 +224,27 @@ class TestSymplecticResidual:
     """The block residual against the dense formula."""
 
     def test_matches_dense_formula_on_random_blocks(self):
+        rng = np.random.default_rng(7)
         for n in (1, 3, 6):
             for scale in (0.1, 1.0, 10.0):
                 s = SimpleNamespace(
                     n=n,
-                    s0=scale * (np.random.randn(n, n) + 1j * np.random.randn(n, n)),
-                    sI=scale * (np.random.randn(n, n) + 1j * np.random.randn(n, n)),
+                    s0=scale * complex_normal(rng, n, n),
+                    sI=scale * complex_normal(rng, n, n),
                 )
                 assert np.isclose(
                     symplectic_residual(s), dense_residual(s), rtol=1e-12, atol=0
                 )
 
     def test_matches_dense_formula_on_random_symplectic(self):
+        rng = np.random.default_rng(8)
         for n in (1, 3, 6):
-            s = random_symplectic(n, scale=1.0)
+            s = random_symplectic(rng, n, scale=1.0)
             assert symplectic_residual(s) <= 1e-13
             assert dense_residual(s) <= 1e-13
 
     def test_attribute_is_the_residual(self):
-        for s in (random_symplectic(4), two_mode_squeezer(1.5)):
+        for s in (random_symplectic(np.random.default_rng(9), 4), two_mode_squeezer(1.5)):
             assert s.residual == symplectic_residual(s)
 
     def test_nan_rejected(self):
@@ -243,18 +252,18 @@ class TestSymplecticResidual:
             SymplecticMatrix(n=1, s0=np.array([[np.nan]]), sI=np.zeros((1, 1)))
 
 
-def random_schmidt(m, dtype, r1=1.5, q=0.8, stretch=0.0):
+def random_schmidt(rng, m, dtype, r1=1.5, q=0.8, stretch=0.0):
     """Haar-random c and d (orthogonal when real) with geometric values r1 q^k;
     ``stretch`` scales the row of c with the smallest largest entry by
     1 + stretch, which moves max|C^H C - I| the least."""
     if dtype == np.float64:
         factors = []
         for _ in range(2):
-            o, t = np.linalg.qr(np.random.randn(m, m))
+            o, t = np.linalg.qr(rng.standard_normal((m, m)))
             factors.append(o * np.sign(np.diag(t)))
         c, d = factors
     else:
-        c, d = random_unitary(m), random_unitary(m)
+        c, d = random_unitary(m, rng), random_unitary(m, rng)
     c[np.argmin(np.abs(c).max(axis=1))] *= 1.0 + stretch
     return SchmidtDecomposition(c=c, d=d, values=r1 * q ** np.arange(m))
 
@@ -272,7 +281,7 @@ class TestSchmidtSqueezerResidual:
     @pytest.mark.parametrize("stretch", [0.0, 1e-11], ids=["unitary", "stretched"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
     def test_matches_duo_squeezer(self, dtype, stretch):
-        sd = random_schmidt(64, dtype, stretch=stretch)
+        sd = random_schmidt(np.random.default_rng(10), 64, dtype, stretch=stretch)
         assert sd.c.dtype == sd.d.dtype == dtype
         block = schmidt_squeezer_residual(sd)
         assert abs(block - squeezer_from_takagi(duo_factors(sd)).residual) <= 1e-14
@@ -283,9 +292,10 @@ class TestSchmidtSqueezerResidual:
     @pytest.mark.parametrize("noise", [0.0, 1e-9], ids=["exact", "perturbed"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
     def test_takagi_residual_matches_block_matrix(self, dtype, noise):
-        sd = random_schmidt(64, dtype)
+        rng = np.random.default_rng(11)
+        sd = random_schmidt(rng, 64, dtype)
         j = (sd.c * sd.values) @ sd.d.conj().T
-        j = j + noise * np.random.randn(*j.shape).astype(dtype)
+        j = j + noise * rng.standard_normal(j.shape).astype(dtype)
         jsa = JointSpectralAmplitude(m=64, j_matrix=j)
         block = _schmidt_residual(jsa, sd)
         assert abs(block - takagi_residual(block_squeezing_matrix(jsa), duo_factors(sd))) <= 1e-14
@@ -326,7 +336,7 @@ class TestSchmidtSqueezerResidual:
         assert min(wins) >= 1, wins
 
     def test_zero_values(self):
-        sd = random_schmidt(16, np.complex128, r1=0.0)
+        sd = random_schmidt(np.random.default_rng(12), 16, np.complex128, r1=0.0)
         block = schmidt_squeezer_residual(sd)
         assert block <= 1e-14
         assert abs(block - squeezer_from_takagi(duo_factors(sd)).residual) <= 1e-14
@@ -343,7 +353,7 @@ class TestSchmidtSqueezerResidual:
 
     def test_residual_past_threshold_raises(self):
         """A row stretch that SchmidtDecomposition's Gram check lets through."""
-        sd = random_schmidt(16, np.float64, r1=0.1, stretch=1e-10)
+        sd = random_schmidt(np.random.default_rng(13), 16, np.float64, r1=0.1, stretch=1e-10)
         with pytest.raises(ValueError, match=r"matrix is not symplectic: residual"):
             schmidt_squeezer_residual(sd)
 
@@ -390,9 +400,10 @@ class TestBlochMessiah:
     """Passive-squeeze-passive factorization."""
 
     def test_random_symplectic(self):
+        rng = np.random.default_rng(14)
         for n in (1, 2, 5):
             for _ in range(5):
-                s = random_symplectic(n, scale=0.5)
+                s = random_symplectic(rng, n, scale=0.5)
                 bm = bloch_messiah(s)
                 assert np.abs(bm.v.conj().T @ bm.v - np.eye(n)).max() <= 1e-10
                 assert np.abs(bm.q.conj().T @ bm.q - np.eye(n)).max() <= 1e-10
@@ -417,7 +428,7 @@ class TestBlochMessiah:
         assert np.abs((v2 * sh) @ q2.T - s.sI).max() <= 1e-12
 
     def test_passive_input_has_zero_r(self):
-        s = SymplecticMatrix(n=3, s0=random_unitary(3), sI=np.zeros((3, 3)))
+        s = SymplecticMatrix(n=3, s0=random_unitary(3, np.random.default_rng(15)), sI=np.zeros((3, 3)))
         bm = bloch_messiah(s)
         assert np.abs(bm.r).max() <= 1e-12
 
@@ -429,7 +440,7 @@ class TestBlochMessiah:
 
     def test_reads_the_stored_residual(self, monkeypatch):
         """The residual computed on construction is not recomputed."""
-        s = random_symplectic(4, scale=0.5)
+        s = random_symplectic(np.random.default_rng(16), 4, scale=0.5)
         calls = []
         monkeypatch.setattr(symplectic, "symplectic_residual", lambda m: calls.append(m))
         bloch_messiah(s)
@@ -491,7 +502,7 @@ class TestPropagation:
 
     def test_vacuum_covariance_from_bloch_messiah(self):
         """Sigma0 = V cosh(2R) V^H / 2 and SigmaI = V sinh(2R) V^T / 2 out of vacuum."""
-        s = random_symplectic(4, scale=0.5)
+        s = random_symplectic(np.random.default_rng(17), 4, scale=0.5)
         bm = bloch_messiah(s)
         st = propagate_state(s, GaussianState.vacuum(4))
         sig0 = 0.5 * (bm.v * np.cosh(2 * bm.r)) @ bm.v.conj().T
@@ -500,7 +511,7 @@ class TestPropagation:
         assert np.abs(st.sigmaI - sigI).max() <= 1e-8
 
     def test_mean_propagation(self):
-        u = random_unitary(3)
+        u = random_unitary(3, np.random.default_rng(18))
         mean = np.array([1.0 + 0.5j, -0.3, 0.2j])
         st = GaussianState(
             n=3, mean=mean, sigma0=0.5 * np.eye(3), sigmaI=np.zeros((3, 3))
