@@ -198,6 +198,18 @@ PY
 # An exponent without a dot (1e-2) is a YAML float, not a string.
 printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0}\npairing_tol: 1e-2\n' > "$RUNNER_TEMP/tol.yaml"
 twinbeams validate "$RUNNER_TEMP/tol.yaml"
+# pairing_tol has no option of its own: --pairs-tol is a usage error (exit 2,
+# nothing written), and sweeping the config key is the way to vary it.
+for cmd in "run bbo_nondegenerate" "sweep bbo_nondegenerate --param pump.gain --values 1"; do
+  rc=0
+  twinbeams $cmd --pairs-tol 0.02 --out "$RUNNER_TEMP/pairstol" 2> "$RUNNER_TEMP/pairstol.err" || rc=$?
+  test "$rc" -eq 2
+  grep -q 'No such option' "$RUNNER_TEMP/pairstol.err"
+  grep -q -- '--pairs-tol' "$RUNNER_TEMP/pairstol.err"
+  test ! -e "$RUNNER_TEMP/pairstol"
+done
+twinbeams sweep bbo_nondegenerate --param pairing_tol --values 0.01,0.02 --out "$RUNNER_TEMP/tolsweep"
+test "$(cut -d, -f1 "$RUNNER_TEMP/tolsweep/sweep_summary.csv")" = "$(printf 'value\n0.01\n0.02')"
 # A 1000 mm crystal fails the Mehler factors' own checks: a stage label and exit 3.
 printf 'crystal: {length_mm: 1000.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, gain: 10.0}\npipeline: compare\n' > "$RUNNER_TEMP/long.yaml"
 rc=0

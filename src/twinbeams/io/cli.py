@@ -8,7 +8,6 @@ failure (a pipeline stage error or a residual past its threshold),
 from __future__ import annotations
 
 import copy
-import dataclasses
 import sys
 import zipfile
 from pathlib import Path
@@ -45,27 +44,12 @@ def _load(source):
         _fail(EXIT_VALIDATION, str(err))
 
 
-def _override(cfg, pairs_tol):
-    if pairs_tol is None:
-        return cfg
-    try:
-        return dataclasses.replace(cfg, pairing_tol=pairs_tol)
-    except ValueError as err:
-        _fail(EXIT_VALIDATION, str(err))
-
-
 _out_option = click.option(
     "--out",
     "out_dir",
     type=click.Path(file_okay=False),
     default=None,
     help=f"Output directory (default: config value, then ${ENV_OUTPUT_DIR}, then CWD).",
-)
-_pairs_tol_option = click.option(
-    "--pairs-tol",
-    type=float,
-    default=None,
-    help="Relative gap below which consecutive eigenvalues count as a pair.",
 )
 
 
@@ -78,10 +62,9 @@ def main():
 @main.command()
 @click.argument("config_source", metavar="CONFIG")
 @_out_option
-@_pairs_tol_option
-def run(config_source, out_dir, pairs_tol):
+def run(config_source, out_dir):
     """Run the pipeline described by CONFIG (a path or a bundled name)."""
-    cfg = _override(_load(config_source), pairs_tol)
+    cfg = _load(config_source)
     try:
         report = run_pipeline(cfg, out_dir=out_dir)
     except PipelineError as err:
@@ -126,14 +109,13 @@ def _set_path(tree: dict, dotted: str, value) -> None:
     "--values", required=True, help="Comma-separated values substituted into --param."
 )
 @_out_option
-@_pairs_tol_option
-def sweep(config_source, param, values, out_dir, pairs_tol):
+def sweep(config_source, param, values, out_dir):
     """Run CONFIG once per value of --param and collect a summary table.
 
     Each point writes its artifacts to the subdirectory ``<param>=<value>``
     of the output directory; the table lands in ``sweep_summary.csv``.
     """
-    base_cfg = _override(_load(config_source), pairs_tol)
+    base_cfg = _load(config_source)
     base = config_to_dict(base_cfg)
     raw_values = [v.strip() for v in values.split(",") if v.strip()]
     if not raw_values:

@@ -108,21 +108,30 @@ def load_spectrum(path) -> tuple[np.ndarray, SchmidtDecomposition | TakagiFactor
     The key set names the route: ``omega, r, c, d`` gives a validated
     ``SchmidtDecomposition`` (2m detunings for m values), ``omega, r, v``
     the ``TakagiFactors`` of a validated spectrum (one detuning per value).
-    Any other key set, a shape mismatch or a non-unitary factor is a
-    ValueError.
+    ``omega`` and ``r`` must be finite float64, and ``c``, ``d`` and ``v``
+    float64 or complex128, the dtypes ``export_spectrum`` writes.  Any other
+    key set or dtype, a shape mismatch or a non-unitary factor is a
+    ValueError that names the file.
     """
     with np.load(path, allow_pickle=False) as data:
         arrays = {key: data[key] for key in data.files}
     keys = sorted(arrays)
-    if keys == ["c", "d", "omega", "r"]:
-        factors = SchmidtDecomposition(arrays["c"], arrays["d"], arrays["r"])
-        n = 2 * len(factors.values)
-    elif keys == ["omega", "r", "v"]:
+    if keys not in (["c", "d", "omega", "r"], ["omega", "r", "v"]):
+        raise ValueError(f"{path}: keys {keys} are neither omega, r, c, d nor omega, r, v")
+    for key, array in arrays.items():
+        real = key in ("omega", "r")
+        if array.dtype != np.float64 and (real or array.dtype != np.complex128):
+            allowed = "float64" if real else "float64 or complex128"
+            raise ValueError(f"{path}: {key} has dtype {array.dtype}, not {allowed}")
+        if real and not np.all(np.isfinite(array)):
+            raise ValueError(f"{path}: {key} has a NaN or infinite entry")
+    if "v" in arrays:
         spectrum = SqueezingSpectrum(arrays["r"], arrays["v"])
         factors = TakagiFactors(spectrum.modes, spectrum.values)
         n = len(spectrum.values)
     else:
-        raise ValueError(f"{path}: keys {keys} are neither omega, r, c, d nor omega, r, v")
+        factors = SchmidtDecomposition(arrays["c"], arrays["d"], arrays["r"])
+        n = 2 * len(factors.values)
     omega = arrays["omega"]
     if omega.shape != (n,):
         raise ValueError(f"{path}: omega has shape {omega.shape}, the modes have {n} rows")

@@ -260,14 +260,14 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
     # The grid runs idler band first; spectra and their labels run signal band first.
     band_order = np.roll(np.arange(2 * grid.m), grid.m)
     if cfg.pipeline == "near_degenerate" and not zero:
-        # The one factorization of the run: Gamma = V R V^T in grid order.
+        # The one factorization of the run: Gamma = V R V^T in grid order,
+        # its rows then rolled signal band first.  The spectrum, both checks
+        # and spectrum.npz all read these rolled factors.
         factors = _stage("takagi", takagi_general, sq.gamma)
-        rolled = TakagiFactors(v=factors.v[band_order], r=factors.r)
-        del factors
-        spectrum = _stage("spectrum", spectrum_from_takagi, rolled)
+        factors = TakagiFactors(v=factors.v[band_order], r=factors.r)
+        spectrum = _stage("spectrum", spectrum_from_takagi, factors)
         target = signal_first(sq.gamma)
         del sq, ext
-        factors = TakagiFactors(spectrum.modes, spectrum.values)
         _check(report, "takagi", takagi_residual(target, factors))
         del target
         # The squeezer and its Bloch-Messiah factors (V, R, V) from the stored
@@ -282,7 +282,7 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         _check(report, "takagi", _schmidt_residual(ext.jsa, factors))
         del ext
         _check(report, "symplectic", _stage("symplectic", schmidt_squeezer_residual, factors))
-        spectrum = SqueezingSpectrum(np.repeat(factors.values, 2), None, source="jsa_svd")
+        spectrum = SqueezingSpectrum(np.repeat(factors.values, 2), None)
 
     report.summary["r1"] = float(spectrum.values[0])
     pairing = None

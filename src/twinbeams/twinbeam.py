@@ -51,9 +51,6 @@ __all__ = [
     "fit_geometric",
 ]
 
-SPECTRUM_SOURCES = ("jsa_svd", "associated_spectral", "direct_takagi")
-
-
 @dataclass(frozen=True)
 class JointSpectralAmplitude:
     """Signal x idler coupling block of the squeezing matrix.
@@ -132,11 +129,12 @@ class SqueezingSpectrum:
     """Squeezing eigenvalues and eigenmodes of a two-band matrix.
 
     ``pairs`` is derived from ``values``: (i0, i1, relative gap) for every
-    consecutive duo of the descending values.  ``source`` names the path
-    that produced the spectrum.  The modes must be unitary to 1e-10,
-    max|V^H V - I|, which runs in real arithmetic when every column is
-    purely real or purely imaginary (every path, for a real matrix); a NaN
-    or infinite entry fails it.
+    consecutive duo of the descending values.  The route that produced it
+    is named by the factors a run stores (a ``SchmidtDecomposition`` or
+    ``TakagiFactors``), and so by the key set of ``spectrum.npz``.  The
+    modes must be unitary to 1e-10, max|V^H V - I|, which runs in real
+    arithmetic when every column is purely real or purely imaginary (every
+    path, for a real matrix); a NaN or infinite entry fails it.
     ``modes`` is stored as complex128, whatever the matrix dtype: a duo
     partner of a real mode is imaginary.  ``modes=None`` gives a
     values-only spectrum, for a caller that stores no mode; the pairs, the
@@ -146,7 +144,6 @@ class SqueezingSpectrum:
     values: np.ndarray
     modes: np.ndarray | None = field(repr=False)
     pairs: tuple = field(init=False)
-    source: str = "direct_takagi"
 
     def __post_init__(self):
         r = np.asarray(self.values, dtype=float)
@@ -157,8 +154,6 @@ class SqueezingSpectrum:
         _check_descending(r)
         if v is not None and not _unitarity_defect(v) <= 1e-10:
             raise ValueError("modes are not unitary")
-        if self.source not in SPECTRUM_SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
         object.__setattr__(self, "values", r)
         object.__setattr__(self, "modes", v)
         object.__setattr__(self, "pairs", _duo_gaps(r))
@@ -227,7 +222,7 @@ def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
         np.multiply(phase, u, out=partner)
         partner *= inv_sqrt2
     values = np.repeat(sd.values, 2)
-    return SqueezingSpectrum(values=values, modes=modes, source="jsa_svd")
+    return SqueezingSpectrum(values=values, modes=modes)
 
 
 def _schmidt_residual(jsa: JointSpectralAmplitude, sd: SchmidtDecomposition) -> float:
@@ -271,21 +266,19 @@ def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:
         _check_symmetric(g, 1e-10, message, hermitian=True)
     if np.isrealobj(g) or not np.any(g.imag):
         f = takagi_real_symmetric(g.real)
-        return SqueezingSpectrum(values=f.r, modes=f.v, source="associated_spectral")
+        return SqueezingSpectrum(values=f.r, modes=f.v)
     lam, u = np.linalg.eigh(g)
     u /= _largest_entry_phase(u)
     u[m:, :] = u[m:, :].conj()
     f = _factors_from_signed(lam, u)
     # Complex eigh mixes the +-lambda partners of small eigenvalues, which
     # the idler conjugation makes non-orthogonal: take the polar factor.
-    return SqueezingSpectrum(values=f.r, modes=_polar(f.v), source="associated_spectral")
+    return SqueezingSpectrum(values=f.r, modes=_polar(f.v))
 
 
 def spectrum_from_takagi(factors: TakagiFactors) -> SqueezingSpectrum:
     """Wrap a Takagi factorization of the full matrix as a spectrum."""
-    return SqueezingSpectrum(
-        values=factors.r, modes=factors.v, source="direct_takagi"
-    )
+    return SqueezingSpectrum(values=factors.r, modes=factors.v)
 
 
 @dataclass(frozen=True)

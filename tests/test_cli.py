@@ -261,18 +261,17 @@ class TestRun:
         assert f"error: {stage}" in all_output(result)
         assert "inconsistent" in all_output(result)
 
-    def test_bad_override_exits_2(self, runner, tmp_path):
-        cfg_path = write_config(tmp_path)
-        result = runner.invoke(main, ["run", str(cfg_path), "--pairs-tol", "-1"])
-        assert result.exit_code == 2
-        assert "pairing_tol" in all_output(result)
-
-    @pytest.mark.parametrize("option", [["--terms", "5"], ["--format", "json"]], ids=["terms", "format"])
+    @pytest.mark.parametrize(
+        "option",
+        [["--terms", "5"], ["--format", "json"], ["--pairs-tol", "0.02"]],
+        ids=["terms", "format", "pairs-tol"],
+    )
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_removed_option_is_a_usage_error(self, runner, tmp_path, command, option):
-        """The Mehler term count is derived from its tail bound, not set, and
-        every run writes the one spectrum table and factor file, so neither
-        has an option."""
+        """The Mehler term count is derived from its tail bound, not set,
+        every run writes the one spectrum table and factor file, and
+        ``pairing_tol`` is set in the config or swept with ``--param``, so
+        none has an option."""
         cfg_path = write_config(tmp_path, pipeline="analytic")
         args = [command, str(cfg_path), "--out", str(tmp_path / "out"), *option]
         if command == "sweep":

@@ -218,7 +218,7 @@ class TestSpectrumFile:
     @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["float64", "complex128"])
     def test_schmidt_round_trip_is_bitwise(self, tmp_path, z0_fraction):
         omega, sd = schmidt_factors(z0_fraction)
-        spec = SqueezingSpectrum(np.repeat(sd.values, 2), None, source="jsa_svd")
+        spec = SqueezingSpectrum(np.repeat(sd.values, 2), None)
         _, path = export_spectrum(spec, sd, omega, tmp_path / "spectrum")
         with zipfile.ZipFile(path) as archive:
             infos = archive.infolist()
@@ -253,6 +253,11 @@ class TestSpectrumFile:
             ("v-shape", "modes must be n x n"),
             ("non-unitary-c", "c is not unitary"),
             ("non-unitary-v", "modes are not unitary"),
+            ("nan-omega", "bad.npz: omega has a NaN or infinite entry"),
+            ("complex-omega", "bad.npz: omega has dtype complex128, not float64"),
+            ("string-omega", "bad.npz: omega has dtype <U1, not float64"),
+            ("string-r", "bad.npz: r has dtype <U.*, not float64"),
+            ("integer-c", "bad.npz: c has dtype int64, not float64 or complex128"),
         ],
     )
     def test_malformed_file_raises(self, tmp_path, case, message):
@@ -269,6 +274,11 @@ class TestSpectrumFile:
             "v-shape": {**takagi, "v": tf.v[:-1]},
             "non-unitary-c": {**schmidt, "c": 2.0 * sd.c},
             "non-unitary-v": {**takagi, "v": 2.0 * tf.v},
+            "nan-omega": {**schmidt, "omega": np.full_like(omega, np.nan)},
+            "complex-omega": {**schmidt, "omega": omega.astype(complex)},
+            "string-omega": {**schmidt, "omega": np.full(omega.shape, "1")},
+            "string-r": {**schmidt, "r": sd.values.astype(str)},
+            "integer-c": {**schmidt, "c": np.eye(len(sd.values), dtype=np.int64)},
         }[case]
         with pytest.raises(ValueError, match=message):
             load_spectrum(store(tmp_path / "bad.npz", **arrays))

@@ -102,22 +102,20 @@ class TestContainers:
             modes[3, 0] = entry
             with pytest.raises(ValueError, match="modes are not unitary"):
                 SqueezingSpectrum(values=vals, modes=modes)
-        with pytest.raises(ValueError, match="unknown source"):
-            SqueezingSpectrum(values=vals, modes=eye, source="guesswork")
         with pytest.raises(TypeError, match="pairs"):
             SqueezingSpectrum(values=vals, modes=eye, pairs=((0, 1, 0.0),))
+        with pytest.raises(TypeError, match="source"):
+            SqueezingSpectrum(values=vals, modes=eye, source="jsa_svd")
 
     def test_values_only_spectrum(self):
         """``modes=None`` keeps the values' checks and gives the same pairs."""
         vals = np.array([2.0, 1.99, 1.0, 0.7, 0.3])
-        spec = SqueezingSpectrum(values=vals, modes=None, source="jsa_svd")
+        spec = SqueezingSpectrum(values=vals, modes=None)
         assert spec.modes is None
         assert spec.pairs == synthetic_spectrum(vals).pairs
         assert pair_eigenvalues(spec) == pair_eigenvalues(synthetic_spectrum(vals))
         with pytest.raises(ValueError, match="nonnegative and descending"):
             SqueezingSpectrum(values=vals[::-1], modes=None)
-        with pytest.raises(ValueError, match="unknown source"):
-            SqueezingSpectrum(values=vals, modes=None, source="guesswork")
 
     def test_spectrum_records_duo_gaps(self):
         spec = synthetic_spectrum([1.0, 0.99, 0.5, 0.5])
@@ -242,9 +240,6 @@ class TestThreePaths:
         spec_asc = associated_spectral(target)
         spec_tak = spectrum_from_takagi(takagi_general(target))
 
-        assert spec_svd.source == "jsa_svd"
-        assert spec_asc.source == "associated_spectral"
-        assert spec_tak.source == "direct_takagi"
         assert np.abs(spec_svd.values - spec_asc.values).max() <= 1e-9
         assert np.abs(spec_svd.values - spec_tak.values).max() <= 1e-9
         for spec in (spec_svd, spec_asc, spec_tak):
@@ -298,7 +293,6 @@ class TestThreePaths:
             assert not np.any(target.imag)
             spec = associated_spectral(target)
             ref = takagi_real_symmetric(target.real)
-            assert spec.source == "associated_spectral"
             assert np.array_equal(spec.values, ref.r)
             assert np.array_equal(spec.modes, ref.v)
 
@@ -502,7 +496,7 @@ class TestRotatePair:
         modes = spec.modes.copy()
         modes[:, i0] = c * spec.modes[:, i0] + s * spec.modes[:, i1]
         modes[:, i1] = -s * spec.modes[:, i0] + c * spec.modes[:, i1]
-        rotated = SqueezingSpectrum(values=spec.values.copy(), modes=modes, source=spec.source)
+        rotated = SqueezingSpectrum(values=spec.values.copy(), modes=modes)
         assert np.array_equal(rotated.values, spec.values)
         recon = (rotated.modes * rotated.values) @ rotated.modes.T
         assert np.abs(recon - target).max() <= 1e-10
