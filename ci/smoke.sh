@@ -3,8 +3,9 @@
 # and without PYTHONPATH: bundled configs, byte-identical repeat runs of every
 # pipeline and of a chirped pump, tile edges of the squeezing-matrix build,
 # heatmaps written from the stored matrix, an independent %.17g oracle over
-# every CSV, the exit codes of failing runs, and each run's residuals rebuilt
-# from the factors it stores in spectrum.npz.
+# every CSV, sweep rows read against each point's report.json, the exit codes
+# of failing runs and malformed inputs, and each run's residuals rebuilt from
+# the factors it stores in spectrum.npz.
 #
 #   cd "$(mktemp -d)" && PYTHONWARNINGS=error::RuntimeWarning bash -e /path/to/repo/ci/smoke.sh
 #
@@ -33,6 +34,31 @@ for run in a b; do
   twinbeams sweep bbo_nondegenerate --param pipeline --values numerical,analytic,compare,near_degenerate --out "$RUNNER_TEMP/pipelines$run"
 done
 diff -r "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP/pipelinesb"
+# Each sweep row is its point's report.json flattened: the scalar summary
+# values, the residuals, residual / threshold as <name>_margin for each gated
+# residual, the note count and the threshold failures, in the order the keys
+# first appear across the points; a key the point lacks, or a null, is blank.
+python - "$RUNNER_TEMP/pipelinesa" <<'PY'
+import csv, json, pathlib, sys
+root = pathlib.Path(sys.argv[1])
+with open(root / "sweep_summary.csv", newline="") as fh:
+    header, *rows = list(csv.reader(fh))
+spell = lambda v: "" if v is None else "%.17g" % v if isinstance(v, float) else str(v)
+order = {}
+for row in rows:
+    report = json.loads((root / f"pipeline={row[0]}" / "report.json").read_text(encoding="utf-8"))
+    res, limits = report["residuals"], report["thresholds"]
+    want = {"value": row[0], **report["summary"], **res}
+    want.update((f"{k}_margin", None if v is None else v / limits[k]) for k, v in res.items() if k in limits)
+    want.update(notes=len(report["notes"]), failures=";".join(report["threshold_failures"]))
+    order.update(dict.fromkeys(want))
+    got = dict(zip(header, row))
+    for key in header:
+        if got[key] != spell(want.get(key)):
+            sys.exit(f"{root}: {key} of {row[0]} is {got[key]!r}, report.json gives {spell(want.get(key))!r}")
+    print(row[0], len(want), "cells of report.json match the sweep row")
+assert header == list(order), header
+PY
 twinbeams sweep bbo_nondegenerate --param pump.gain --values 1,2 --out "$RUNNER_TEMP/sweep"
 # An explicit band skips the automatic sizing from the analytic model.
 twinbeams sweep bbo_nondegenerate --param grid.half_width --values 0.5,0.6 --out "$RUNNER_TEMP/band"
@@ -42,19 +68,33 @@ twinbeams sweep bbo_nondegenerate --param pump.z0_fraction --values 0.25,0.5 --o
 # complex128 one (z0 = L/4): m = 1 and 37 fill part of one tile, and 2m = 400
 # ends on a partial tile.  The compare pipeline runs all three (exit 0): a
 # one-point band's analytic modes take the grid spacing.  m = 1 has one pair and
-# no fit; no point fails a threshold.
+# no fit; no point fails a threshold.  Columns are read by header name.
 printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, gain: 10.0, z0_fraction: 0.25}\npipeline: compare\n' > "$RUNNER_TEMP/z0q.yaml"
 for cfg in bbo_nondegenerate "$RUNNER_TEMP/z0q.yaml"; do
   out="$RUNNER_TEMP/tiles_$(basename "$cfg" .yaml)"
   rc=0
   twinbeams sweep "$cfg" --param grid.m --values 1,37,200 --out "$out" || rc=$?
   test "$rc" -eq 0
-  test "$(cut -d, -f1,5,6 "$out/sweep_summary.csv")" = "$(printf 'value,pairs_accepted,failures\n1,1,\n37,37,\n200,200,')"
-  grep -q '^1,[0-9.e+-]*,,,1,$' "$out/sweep_summary.csv"
+  python - "$out/sweep_summary.csv" <<'PY'
+import csv, sys
+with open(sys.argv[1], newline="") as fh:
+    rows = list(csv.DictReader(fh))
+got = [(row["value"], row["pairs_accepted"], row["failures"]) for row in rows]
+assert got == [("1", "1", ""), ("37", "37", ""), ("200", "200", "")], got
+assert float(rows[0]["r1"]) > 0.0 and rows[0]["q_fit"] == rows[0]["schmidt_number"] == "", rows[0]
+PY
   for run in "$out"/grid.m=*; do
     twinbeams heatmap "$run"
   done
 done
+# A squeezing_matrix.npz that export_squeezing_matrix could not have written
+# (here an all-NaN gamma) is a validation failure: exit 2 and no CSV.
+mkdir -p "$RUNNER_TEMP/nanmatrix"
+python -c "import numpy as np, sys; np.savez(sys.argv[1], omega=np.zeros(2), gamma=np.full((2, 2), np.nan))" "$RUNNER_TEMP/nanmatrix/squeezing_matrix.npz"
+rc=0
+twinbeams heatmap "$RUNNER_TEMP/nanmatrix" || rc=$?
+test "$rc" -eq 2
+test ! -e "$RUNNER_TEMP/nanmatrix/squeezing_matrix.csv"
 # Each heatmap written from a stored matrix spells it exactly: its label, re
 # and im columns parse back to the npz's omega and gamma bit for bit, row-major.
 python - "$RUNNER_TEMP"/tiles_* <<'PY'
@@ -209,7 +249,7 @@ for cmd in "run bbo_nondegenerate" "sweep bbo_nondegenerate --param pump.gain --
   test ! -e "$RUNNER_TEMP/pairstol"
 done
 twinbeams sweep bbo_nondegenerate --param pairing_tol --values 0.01,0.02 --out "$RUNNER_TEMP/tolsweep"
-test "$(cut -d, -f1 "$RUNNER_TEMP/tolsweep/sweep_summary.csv")" = "$(printf 'value\n0.01\n0.02')"
+python -c "import csv, sys; values = [row['value'] for row in csv.DictReader(open(sys.argv[1], newline=''))]; assert values == ['0.01', '0.02'], values" "$RUNNER_TEMP/tolsweep/sweep_summary.csv"
 # A 1000 mm crystal fails the Mehler factors' own checks: a stage label and exit 3.
 printf 'crystal: {length_mm: 1000.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, gain: 10.0}\npipeline: compare\n' > "$RUNNER_TEMP/long.yaml"
 rc=0

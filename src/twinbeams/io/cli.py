@@ -102,6 +102,21 @@ def _set_path(tree: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
+def _sweep_row(value: str, report) -> dict:
+    """A point's report.json as one sweep_summary.csv row; None is a blank cell."""
+    data = report.to_dict()
+    residuals, thresholds = data["residuals"], data["thresholds"]
+    row = {"value": value}
+    row.update((k, v) for k, v in data["summary"].items() if not isinstance(v, (list, dict)))
+    row.update(residuals)
+    row.update(
+        (f"{k}_margin", None if v is None else v / thresholds[k])
+        for k, v in residuals.items() if k in thresholds
+    )
+    row.update(notes=len(data["notes"]), failures=";".join(data["threshold_failures"]))
+    return row
+
+
 @main.command()
 @click.argument("config_source", metavar="CONFIG")
 @click.option("--param", required=True, help="Dotted config path, e.g. pump.gain.")
@@ -113,7 +128,7 @@ def sweep(config_source, param, values, out_dir):
     """Run CONFIG once per value of --param and collect a summary table.
 
     Each point writes its artifacts to the subdirectory ``<param>=<value>``
-    of the output directory; the table lands in ``sweep_summary.csv``.
+    of the output directory, and its report.json as a row of ``sweep_summary.csv``.
     """
     base_cfg = _load(config_source)
     base = config_to_dict(base_cfg)
@@ -135,48 +150,33 @@ def sweep(config_source, param, values, out_dir):
             _fail(EXIT_VALIDATION, f"cannot parse value {raw!r}: {err}")
 
     rows = []
-    any_failed = False
     for raw, cfg in zip(raw_values, cfgs):
         sub = root / f"{param}={raw}".replace("/", "_")
         try:
             report = run_pipeline(cfg, out_dir=sub)
         except PipelineError as err:
-            any_failed = True
-            rows.append((raw, "", "", "", "", str(err)))
+            rows.append({"value": raw, "failures": str(err), "failed_stage": err.stage})
             click.echo(f"{param}={raw}: failed: {err}", err=True)
             continue
         except OSError as err:
             _fail(EXIT_IO, str(err))
-        s = report.summary
-        failures = ";".join(report.threshold_failures)
-        any_failed = any_failed or bool(report.threshold_failures)
-        rows.append(
-            (
-                raw,
-                s.get("r1", ""),
-                s.get("q_fit", ""),
-                s.get("schmidt_number", ""),
-                s.get("pairs_accepted", ""),
-                failures,
-            )
-        )
+        rows.append(_sweep_row(raw, report))
+        s, failures = report.summary, rows[-1]["failures"]
         click.echo(
             f"{param}={raw}: r1={s.get('r1', float('nan')):.6g} "
             f"pairs={s.get('pairs_accepted', '-')}"
             + (f" [{failures}]" if failures else "")
         )
 
+    header = list(dict.fromkeys(key for row in rows for key in row))
+    cells = ([row.get(key) for key in header] for row in rows)
     try:
         root.mkdir(parents=True, exist_ok=True)
-        summary_path = write_csv(
-            root / "sweep_summary.csv",
-            ["value", "r1", "q_fit", "schmidt_number", "pairs_accepted", "failures"],
-            rows,
-        )
+        summary_path = write_csv(root / "sweep_summary.csv", header, cells)
     except OSError as err:
         _fail(EXIT_IO, str(err))
     click.echo(f"sweep summary: {summary_path}")
-    if any_failed:
+    if any(row["failures"] for row in rows):
         sys.exit(EXIT_NUMERICAL)
 
 
@@ -194,7 +194,7 @@ def heatmap(run_dir):
     try:
         omega, gamma = load_squeezing_matrix(source)
         path = export_matrix_heatmap(gamma, omega, omega, source.with_suffix(".csv"))
-    except (KeyError, ValueError, zipfile.BadZipFile) as err:
+    except (ValueError, zipfile.BadZipFile) as err:
         _fail(EXIT_VALIDATION, f"{source}: not a squeezing matrix: {err}")
     except OSError as err:
         _fail(EXIT_IO, str(err))

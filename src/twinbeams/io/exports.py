@@ -102,29 +102,41 @@ def export_spectrum(spectrum, factors, detunings, stem, pairing=None) -> list[Pa
     return [table, store]
 
 
+def _read_npz(path) -> dict[str, np.ndarray]:
+    """Every array of an npz archive, read without pickle and held to what the
+    exporters here write: ``omega`` and ``r`` float64, any other key float64 or
+    complex128, and no NaN or infinite entry.  Anything else, a lone ``.npy``
+    array included, is a ValueError that names the file (and the key)."""
+    data = np.load(path, allow_pickle=False)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: one .npy array, not an npz archive")
+    with data:
+        arrays = {key: data[key] for key in data.files}
+    for key, array in arrays.items():
+        real = key in ("omega", "r")
+        if array.dtype != np.float64 and (real or array.dtype != np.complex128):
+            allowed = "float64" if real else "float64 or complex128"
+            raise ValueError(f"{path}: {key} has dtype {array.dtype}, not {allowed}")
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{path}: {key} has a NaN or infinite entry")
+    return arrays
+
+
 def load_spectrum(path) -> tuple[np.ndarray, SchmidtDecomposition | TakagiFactors]:
     """``(omega, factors)`` of a ``spectrum.npz`` written by ``export_spectrum``.
 
     The key set names the route: ``omega, r, c, d`` gives a validated
     ``SchmidtDecomposition`` (2m detunings for m values), ``omega, r, v``
     the ``TakagiFactors`` of a validated spectrum (one detuning per value).
-    ``omega`` and ``r`` must be finite float64, and ``c``, ``d`` and ``v``
-    float64 or complex128, the dtypes ``export_spectrum`` writes.  Any other
-    key set or dtype, a shape mismatch or a non-unitary factor is a
+    Every array must be finite, ``omega`` and ``r`` float64, and ``c``, ``d``
+    and ``v`` float64 or complex128, the dtypes ``export_spectrum`` writes.
+    Any other key set or dtype, a shape mismatch or a non-unitary factor is a
     ValueError that names the file.
     """
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {key: data[key] for key in data.files}
+    arrays = _read_npz(path)
     keys = sorted(arrays)
     if keys not in (["c", "d", "omega", "r"], ["omega", "r", "v"]):
         raise ValueError(f"{path}: keys {keys} are neither omega, r, c, d nor omega, r, v")
-    for key, array in arrays.items():
-        real = key in ("omega", "r")
-        if array.dtype != np.float64 and (real or array.dtype != np.complex128):
-            allowed = "float64" if real else "float64 or complex128"
-            raise ValueError(f"{path}: {key} has dtype {array.dtype}, not {allowed}")
-        if real and not np.all(np.isfinite(array)):
-            raise ValueError(f"{path}: {key} has a NaN or infinite entry")
     if "v" in arrays:
         spectrum = SqueezingSpectrum(arrays["r"], arrays["v"])
         factors = TakagiFactors(spectrum.modes, spectrum.values)
@@ -153,9 +165,19 @@ def export_squeezing_matrix(gamma, detunings, path) -> Path:
 
 
 def load_squeezing_matrix(path) -> tuple[np.ndarray, np.ndarray]:
-    """``(omega, gamma)`` of a file written by ``export_squeezing_matrix``."""
-    with np.load(path) as data:
-        return data["omega"], data["gamma"]
+    """``(omega, gamma)`` of a file written by ``export_squeezing_matrix``:
+    exactly a finite float64 ``omega`` of shape (n,) and a finite float64 or
+    complex128 ``gamma`` of shape (n, n), else a ValueError naming the file."""
+    arrays = _read_npz(path)
+    keys = sorted(arrays)
+    if keys != ["gamma", "omega"]:
+        raise ValueError(f"{path}: keys {keys} are not gamma, omega")
+    omega, gamma = arrays["omega"], arrays["gamma"]
+    if omega.ndim != 1 or gamma.shape != 2 * omega.shape:
+        raise ValueError(
+            f"{path}: shapes omega {omega.shape} and gamma {gamma.shape} are not (n,) and (n, n)"
+        )
+    return omega, gamma
 
 
 def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:

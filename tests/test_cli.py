@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from conftest import rotating_first_schmidt_mode
 from twinbeams import __version__
-from twinbeams.io import config_from_dict, parse_config_text, pipeline, serialize_config
+from twinbeams.io import cli, config_from_dict, parse_config_text, pipeline, serialize_config
 from twinbeams.io.cli import main
 
 
@@ -294,6 +294,16 @@ class TestRun:
         assert (env_out / "report.json").exists()
 
 
+def read_table(path):
+    """(header, rows) of a CSV table, each row a dict keyed by the header."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
+
+
+SIX_COLUMNS = ["value", "r1", "q_fit", "schmidt_number", "pairs_accepted", "failures"]
+
+
 class TestSweep:
     """twinbeams sweep"""
 
@@ -312,11 +322,11 @@ class TestSweep:
         assert result.exit_code == 0
         assert (out / "pump.gain=1" / "report.json").exists()
         assert (out / "pump.gain=2" / "report.json").exists()
-        with open(out / "sweep_summary.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["value", "r1", "q_fit", "schmidt_number", "pairs_accepted", "failures"]
-        assert len(rows) == 3
-        r1_by_gain = {row[0]: float(row[1]) for row in rows[1:]}
+        header, rows = read_table(out / "sweep_summary.csv")
+        assert set(SIX_COLUMNS) <= set(header)
+        assert "failed_stage" not in header
+        assert len(rows) == 2
+        r1_by_gain = {row["value"]: float(row["r1"]) for row in rows}
         assert np.allclose(r1_by_gain["2"], 2.0 * r1_by_gain["1"], atol=1e-12, rtol=0)
 
     def test_unknown_param_exits_2(self, runner, tmp_path):
@@ -373,13 +383,15 @@ class TestSweep:
             ],
         )
         assert result.exit_code == 3
-        with open(out / "sweep_summary.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 3
-        good, bad = rows[1], rows[2]
-        assert float(good[1]) > 0.0
-        assert bad[1] == ""
-        assert "[grid]" in bad[5]
+        header, rows = read_table(out / "sweep_summary.csv")
+        assert set(SIX_COLUMNS) <= set(header)
+        assert len(rows) == 2
+        good, bad = rows
+        assert float(good["r1"]) > 0.0
+        assert good["failures"] == good["failed_stage"] == ""
+        assert bad["r1"] == ""
+        assert "[grid]" in bad["failures"]
+        assert bad["failed_stage"] == "grid"
         assert (out / "crystal.theta0_deg=28.81" / "report.json").exists()
 
     def test_mehler_failure_is_a_row_and_exit_3(self, runner, tmp_path):
@@ -395,11 +407,102 @@ class TestSweep:
             ],
         )
         assert result.exit_code == 3
-        with open(out / "sweep_summary.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert [row[0] for row in rows[1:]] == ["2.0", "1000.0"]
-        assert float(rows[1][1]) > 0.0
-        assert rows[2][5].startswith("[mehler-factors] ")
+        header, rows = read_table(out / "sweep_summary.csv")
+        assert set(SIX_COLUMNS) <= set(header)
+        assert [row["value"] for row in rows] == ["2.0", "1000.0"]
+        assert float(rows[0]["r1"]) > 0.0
+        assert rows[0]["failed_stage"] == ""
+        assert rows[1]["r1"] == ""
+        assert rows[1]["failures"].startswith("[mehler-factors] ")
+        assert rows[1]["failed_stage"] == "mehler-factors"
+
+    def test_a_new_summary_key_is_a_column(self, runner, tmp_path, monkeypatch):
+        """The table is the report: a summary key the pipeline adds becomes a
+        column without any change to the sweep."""
+        def run_pipeline(cfg, out_dir=None):
+            report = pipeline.run_pipeline(cfg, out_dir=out_dir)
+            report.summary["probe"] = 2.0 * cfg.pump.gain
+            return report
+
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        out = tmp_path / "sweep"
+        args = ["sweep", str(write_config(tmp_path)), "--param", "pump.gain", "--values", "1,3"]
+        assert runner.invoke(main, [*args, "--out", str(out)]).exit_code == 0
+        header, rows = read_table(out / "sweep_summary.csv")
+        assert header.index("probe") < header.index("leakage")
+        assert [row["probe"] for row in rows] == ["2", "6"]
+
+    def test_columns_are_the_report_flattened(self, runner, tmp_path):
+        """Every summary value, residual, margin and the note count of each
+        point's report.json, cell for cell; a margin is residual / threshold
+        bit for bit."""
+        out = tmp_path / "sweep"
+        args = ["sweep", str(write_config(tmp_path)), "--param", "pump.gain", "--values", "1,2"]
+        assert runner.invoke(main, [*args, "--out", str(out)]).exit_code == 0
+        header, rows = read_table(out / "sweep_summary.csv")
+        for row in rows:
+            report = json.loads((out / f"pump.gain={row['value']}" / "report.json").read_text())
+            residuals, thresholds = report["residuals"], report["thresholds"]
+            gated = [k for k in residuals if k in thresholds]
+            margins = {f"{k}_margin": residuals[k] / thresholds[k] for k in gated}
+            assert set(margins) == {"leakage_margin", "takagi_margin", "symplectic_margin"}
+            want = {**report["summary"], **residuals, **margins}
+            assert header == ["value", *want, "notes", "failures"]
+            for key, value in want.items():
+                if value is None:
+                    assert row[key] == ""
+                elif isinstance(value, float):
+                    assert float(row[key]).hex() == value.hex(), key
+                else:
+                    assert row[key] == str(value), key
+            assert row["notes"] == str(len(report["notes"]))
+            assert row["failures"] == ";".join(report["threshold_failures"]) == ""
+
+    def test_nan_residual_is_a_blank_residual_and_margin(self, runner, tmp_path, monkeypatch):
+        def run_pipeline(cfg, out_dir=None):
+            report = pipeline.run_pipeline(cfg, out_dir=out_dir)
+            report.residuals["leakage"] = float("nan")
+            return report
+
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        out = tmp_path / "sweep"
+        args = ["sweep", str(write_config(tmp_path)), "--param", "pump.gain", "--values", "1"]
+        assert runner.invoke(main, [*args, "--out", str(out)]).exit_code == 0
+        header, (row,) = read_table(out / "sweep_summary.csv")
+        assert "leakage" in header and "leakage_margin" in header
+        assert row["leakage"] == row["leakage_margin"] == ""
+        assert float(row["takagi_margin"]) > 0.0
+
+    def test_failure_message_with_a_comma_round_trips(self, runner, tmp_path):
+        out = tmp_path / "sweep"
+        cfg_path = write_config(tmp_path)
+        args = ["sweep", str(cfg_path), "--param", "grid.half_width", "--values", "0.5,1.5"]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 3
+        header, rows = read_table(out / "sweep_summary.csv")
+        assert [row["value"] for row in rows] == ["0.5", "1.5"]
+        assert rows[0]["failures"] == rows[0]["failed_stage"] == ""
+        assert rows[1]["failures"].startswith("[squeezing-matrix] ")
+        assert rows[1]["failures"].endswith(" range [0.19, 1.5] um")
+        assert rows[1]["failed_stage"] == "squeezing-matrix"
+        assert header[-2:] == ["failures", "failed_stage"]
+
+    def test_repeat_sweep_is_byte_identical(self, runner, tmp_path):
+        """Columns follow their first appearance: the analytic point's keys
+        come after the numerical point's whole row."""
+        tables = []
+        cfg_path = write_config(tmp_path)
+        args = ["sweep", str(cfg_path), "--param", "pipeline", "--values", "numerical,analytic"]
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert runner.invoke(main, [*args, "--out", str(out)]).exit_code == 0
+            tables.append((out / "sweep_summary.csv").read_bytes())
+        assert tables[0] == tables[1]
+        header, rows = read_table(tmp_path / "a" / "sweep_summary.csv")
+        first = header.index("failures") + 1
+        analytic = json.loads((tmp_path / "a" / "pipeline=analytic" / "report.json").read_text())
+        assert header[first:] == [*analytic["summary"], *analytic["residuals"]]
+        assert rows[1]["r1"] == rows[0]["q_analytic"] == ""
 
     def test_exponent_float_value(self, runner, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -445,15 +548,26 @@ class TestHeatmap:
         assert f"no squeezing matrix at {tmp_path / 'squeezing_matrix.npz'}" in all_output(result)
         assert not (tmp_path / "squeezing_matrix.csv").exists()
 
-    @pytest.mark.parametrize("content", ["text", "truncated", "no-gamma"])
+    @pytest.mark.parametrize(
+        "content",
+        ["text", "truncated", "no-gamma", "nan-gamma", "integer-gamma", "string-omega", "npy"],
+    )
     def test_unreadable_npz_exits_2(self, runner, tmp_path, content):
         path = tmp_path / "squeezing_matrix.npz"
+        omega = np.zeros(2)
+        arrays = {
+            "truncated": dict(omega=omega, gamma=np.eye(2)),
+            "no-gamma": dict(omega=omega),
+            "nan-gamma": dict(omega=omega, gamma=np.full((2, 2), np.nan)),
+            "integer-gamma": dict(omega=omega, gamma=np.eye(2, dtype=np.int64)),
+            "string-omega": dict(omega=np.array(["1", "2"]), gamma=np.eye(2)),
+        }.get(content)
         if content == "text":
             path.write_bytes(b"not an archive")
+        elif content == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.eye(2))
         else:
-            arrays = {"omega": np.zeros(2)}
-            if content == "truncated":
-                arrays["gamma"] = np.eye(2)
             np.savez(path, **arrays)
             if content == "truncated":
                 path.write_bytes(path.read_bytes()[:100])

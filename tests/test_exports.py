@@ -258,6 +258,7 @@ class TestSpectrumFile:
             ("string-omega", "bad.npz: omega has dtype <U1, not float64"),
             ("string-r", "bad.npz: r has dtype <U.*, not float64"),
             ("integer-c", "bad.npz: c has dtype int64, not float64 or complex128"),
+            ("nan-c", "bad.npz: c has a NaN or infinite entry"),
         ],
     )
     def test_malformed_file_raises(self, tmp_path, case, message):
@@ -279,6 +280,7 @@ class TestSpectrumFile:
             "string-omega": {**schmidt, "omega": np.full(omega.shape, "1")},
             "string-r": {**schmidt, "r": sd.values.astype(str)},
             "integer-c": {**schmidt, "c": np.eye(len(sd.values), dtype=np.int64)},
+            "nan-c": {**schmidt, "c": np.where(sd.c == sd.c[0, 0], np.nan, sd.c)},
         }[case]
         with pytest.raises(ValueError, match=message):
             load_spectrum(store(tmp_path / "bad.npz", **arrays))
@@ -312,6 +314,49 @@ class TestSqueezingMatrixFile:
         assert [i.filename for i in infos] == ["omega.npy", "gamma.npy"]
         assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
         assert {i.date_time for i in infos} == {(1980, 1, 1, 0, 0, 0)}
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("no-gamma", r"bad.npz: keys \['omega'\] are not gamma, omega"),
+            ("extra-key", r"bad.npz: keys \['extra', 'gamma', 'omega'\] are not gamma, omega"),
+            ("pickled-object", "pickle"),
+            ("nan-gamma", "bad.npz: gamma has a NaN or infinite entry"),
+            ("inf-omega", "bad.npz: omega has a NaN or infinite entry"),
+            ("integer-gamma", "bad.npz: gamma has dtype int64, not float64 or complex128"),
+            ("complex64-gamma", "bad.npz: gamma has dtype complex64, not float64 or complex128"),
+            ("string-omega", "bad.npz: omega has dtype <U1, not float64"),
+            ("npy-file", r"bad.npz: one .npy array, not an npz archive"),
+            ("2d-omega", r"bad.npz: shapes omega \(1, 4\) and gamma \(4, 4\) are not"),
+            ("non-square-gamma", r"bad.npz: shapes omega \(4,\) and gamma \(4, 3\) are not"),
+        ],
+    )
+    def test_malformed_file_raises(self, tmp_path, case, message):
+        """Only what ``export_squeezing_matrix`` writes loads; the dtype and
+        finiteness rule is ``load_spectrum``'s."""
+        omega = np.linspace(-0.5, 0.5, 4)
+        gamma = symmetric(np.random.randn(4, 4))
+        arrays = {
+            "no-gamma": dict(omega=omega),
+            "extra-key": dict(omega=omega, gamma=gamma, extra=omega),
+            "pickled-object": dict(omega=omega, gamma=np.array([None], dtype=object)),
+            "nan-gamma": dict(omega=omega, gamma=np.full_like(gamma, np.nan)),
+            "inf-omega": dict(omega=np.full_like(omega, np.inf), gamma=gamma),
+            "integer-gamma": dict(omega=omega, gamma=np.eye(4, dtype=np.int64)),
+            "complex64-gamma": dict(omega=omega, gamma=gamma.astype(np.complex64)),
+            "string-omega": dict(omega=np.full(omega.shape, "1"), gamma=gamma),
+            "npy-file": None,
+            "2d-omega": dict(omega=omega[None, :], gamma=gamma),
+            "non-square-gamma": dict(omega=omega, gamma=gamma[:, :-1]),
+        }[case]
+        path = tmp_path / "bad.npz"
+        if arrays is None:
+            with open(path, "wb") as fh:
+                np.save(fh, gamma)
+        else:
+            store(path, **arrays)
+        with pytest.raises(ValueError, match=message):
+            load_squeezing_matrix(path)
 
 
 class TestMatrixHeatmap:
