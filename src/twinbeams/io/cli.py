@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import copy
 import sys
-import zipfile
 from pathlib import Path
 
 import click
@@ -194,8 +193,8 @@ def heatmap(run_dir):
     try:
         omega, gamma = load_squeezing_matrix(source)
         path = export_matrix_heatmap(gamma, omega, omega, source.with_suffix(".csv"))
-    except (ValueError, zipfile.BadZipFile) as err:
-        _fail(EXIT_VALIDATION, f"{source}: not a squeezing matrix: {err}")
+    except ValueError as err:  # names the file
+        _fail(EXIT_VALIDATION, f"not a squeezing matrix: {err}")
     except OSError as err:
         _fail(EXIT_IO, str(err))
     click.echo(f"heatmap: {path}")

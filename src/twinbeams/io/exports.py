@@ -12,6 +12,7 @@ file on request (``twinbeams heatmap DIR``).
 from __future__ import annotations
 
 import csv
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -106,12 +107,17 @@ def _read_npz(path) -> dict[str, np.ndarray]:
     """Every array of an npz archive, read without pickle and held to what the
     exporters here write: ``omega`` and ``r`` float64, any other key float64 or
     complex128, and no NaN or infinite entry.  Anything else, a lone ``.npy``
-    array included, is a ValueError that names the file (and the key)."""
-    data = np.load(path, allow_pickle=False)
+    array, an empty or damaged file and a pickled array included, is a
+    ValueError that names the file (and the key)."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if isinstance(data, np.lib.npyio.NpzFile):
+            with data:
+                arrays = {key: data[key] for key in data.files}
+    except (EOFError, ValueError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{path}: {err}") from err
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ValueError(f"{path}: one .npy array, not an npz archive")
-    with data:
-        arrays = {key: data[key] for key in data.files}
     for key, array in arrays.items():
         real = key in ("omega", "r")
         if array.dtype != np.float64 and (real or array.dtype != np.complex128):
@@ -137,13 +143,16 @@ def load_spectrum(path) -> tuple[np.ndarray, SchmidtDecomposition | TakagiFactor
     keys = sorted(arrays)
     if keys not in (["c", "d", "omega", "r"], ["omega", "r", "v"]):
         raise ValueError(f"{path}: keys {keys} are neither omega, r, c, d nor omega, r, v")
-    if "v" in arrays:
-        spectrum = SqueezingSpectrum(arrays["r"], arrays["v"])
-        factors = TakagiFactors(spectrum.modes, spectrum.values)
-        n = len(spectrum.values)
-    else:
-        factors = SchmidtDecomposition(arrays["c"], arrays["d"], arrays["r"])
-        n = 2 * len(factors.values)
+    try:
+        if "v" in arrays:
+            spectrum = SqueezingSpectrum(arrays["r"], arrays["v"])
+            factors = TakagiFactors(spectrum.modes, spectrum.values)
+            n = len(spectrum.values)
+        else:
+            factors = SchmidtDecomposition(arrays["c"], arrays["d"], arrays["r"])
+            n = 2 * len(factors.values)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     omega = arrays["omega"]
     if omega.shape != (n,):
         raise ValueError(f"{path}: omega has shape {omega.shape}, the modes have {n} rows")

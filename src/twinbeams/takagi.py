@@ -129,11 +129,20 @@ def _largest_entry_phase(u: np.ndarray) -> np.ndarray:
     decomposition; repeated runs then produce identical output.  Columns
     whose largest entry is zero get phase 1.
     """
-    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    mag = np.abs(u)
+    peak = mag.max(axis=0)
+    # The first row reaching the column maximum is np.argmax's pivot.  An
+    # axis-0 argmax copies the transpose of its input: of these bool flags
+    # (one byte each), not of the float64 magnitudes.
+    rows = np.argmax(mag == peak, axis=0)
+    nan = np.isnan(peak)
+    if np.any(nan):  # np.argmax stops at a column's first NaN
+        rows[nan] = np.argmax(np.isnan(mag[:, nan]), axis=0)
+    pivot = u[rows, np.arange(u.shape[1])]
     if not np.iscomplexobj(u):
         return np.where(pivot == 0, 1.0, np.sign(pivot))
-    mag = np.hypot(pivot.real, pivot.imag)
-    return np.divide(pivot, mag, out=np.ones_like(pivot), where=mag != 0)
+    size = np.hypot(pivot.real, pivot.imag)
+    return np.divide(pivot, size, out=np.ones_like(pivot), where=size != 0)
 
 
 def _real_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,11 +156,30 @@ def _real_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if np.isrealobj(v):
         return v, np.zeros(v.shape[1], dtype=bool)
-    re, im = v.real, v.imag
-    imag = np.any(im, axis=0)
-    if np.any(imag & np.any(re, axis=0)):
+    parts = _nonzero_parts(v)
+    imag = parts[:, 1]
+    if np.any(imag & parts[:, 0]):
         return v, np.zeros_like(imag)
-    return re + im, imag
+    return v.real + v.imag, imag
+
+
+def _nonzero_parts(v: np.ndarray) -> np.ndarray:
+    """(any nonzero real part, any nonzero imaginary part) of each column of a
+    complex ``v``, shape (columns, 2); NaN counts as nonzero, +-0 as zero.
+
+    A C- or F-contiguous ``v`` is read once, through its float view.  Each
+    entry's two flags form one uint16 word, so the OR down a column runs on
+    whole words: np.any on the float view would step through (re, im) pairs
+    two at a time when the columns are contiguous.
+    """
+    if v.flags.c_contiguous:
+        floats, axis = v.view(np.float64).reshape(*v.shape, 2), 0
+    elif v.flags.f_contiguous:
+        floats, axis = v.T.view(np.float64).reshape(*v.T.shape, 2), 1
+    else:
+        return np.stack((np.any(v.real, axis=0), np.any(v.imag, axis=0)), axis=1)
+    words = floats.astype(bool).view(np.uint16)
+    return np.bitwise_or.reduce(words, axis=axis).view(bool)
 
 
 def _abs_max(x: np.ndarray):
@@ -176,12 +204,16 @@ def _unitarity_defect(v: np.ndarray) -> float:
     V^H V and only change the phase of the off-diagonal entries.  A real
     Gram matrix takes its absolute values in place.
     """
-    w = _real_basis(v)[0]
+    return float(_abs_max(_gram_minus_identity(_real_basis(v)[0])))
+
+
+def _gram_minus_identity(u: np.ndarray) -> np.ndarray:
+    """U^H U - I, in real arithmetic for a real ``u``."""
     # A non-finite entry gives a NaN or inf defect, which ``not x <= tol`` rejects.
     with np.errstate(invalid="ignore", over="ignore"):
-        gram = w.conj().T @ w
+        gram = u.conj().T @ u
     gram[np.diag_indices_from(gram)] -= 1.0
-    return float(_abs_max(gram))
+    return gram
 
 
 def _factors_from_signed(lam: np.ndarray, vectors: np.ndarray) -> TakagiFactors:
@@ -189,11 +221,19 @@ def _factors_from_signed(lam: np.ndarray, vectors: np.ndarray) -> TakagiFactors:
 
     The one ordering and sign rule of every route: r = |lam| descending,
     ties kept in solver order, and each column times i where lam < 0.
+    ``vectors`` is finite, as every solver gives it.
     """
     order = np.argsort(-np.abs(lam), kind="stable")
     lam = lam[order]
-    v = vectors[:, order].astype(complex, copy=False)
-    v[:, lam < 0] *= 1j
+    # np.take copies row by row; the fancy index vectors[:, order] takes
+    # numpy's general mapping path, about 8x slower on an n = 1024 matrix.
+    v = np.take(vectors, order, axis=1)
+    if np.isrealobj(v):
+        # x (1 + 0i) = x + 0i, exactly what a complex cast of a finite x gives.
+        v = v * np.where(lam < 0, 1j, 1)
+    else:
+        # (1 + 0i) would flip the sign of some complex zeros: scale only lam < 0.
+        np.multiply(v, 1j, out=v, where=lam < 0)
     return TakagiFactors(v=v, r=np.abs(lam))
 
 

@@ -23,10 +23,12 @@ import numpy as np
 
 from .takagi import (
     TakagiFactors,
+    _abs_max,
     _as_square,
     _check_symmetric,
     _factors_from_signed,
     _float_or_complex,
+    _gram_minus_identity,
     _largest_entry_phase,
     _minus,
     _polar,
@@ -115,13 +117,11 @@ class SchmidtDecomposition:
 
 def _duo_gaps(values: np.ndarray) -> tuple[tuple[int, int, float], ...]:
     """Relative gap of every consecutive duo, normalized by the leading value."""
-    r1 = values[0] if len(values) else 0.0
-    pairs = []
-    for k in range(len(values) // 2):
-        i0, i1 = 2 * k, 2 * k + 1
-        gap = 0.0 if r1 == 0.0 else abs(values[i0] - values[i1]) / r1
-        pairs.append((i0, i1, float(gap)))
-    return tuple(pairs)
+    n = len(values) // 2 * 2
+    r1 = values[0] if n else 0.0
+    gaps = np.abs(values[0:n:2] - values[1:n:2])
+    gaps = np.zeros_like(gaps) if r1 == 0.0 else gaps / r1
+    return tuple(zip(range(0, n, 2), range(1, n, 2), gaps.tolist()))
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,28 @@ class SqueezingSpectrum:
     pairs: tuple = field(init=False)
 
     def __post_init__(self):
+        self._check_and_store(defect=None)
+
+    @classmethod
+    def _with_defect(cls, values, modes, defect: float) -> SqueezingSpectrum:
+        """The spectrum of ``modes`` whose max|V^H V - I| is known to be ``defect``."""
+        spectrum = object.__new__(cls)
+        object.__setattr__(spectrum, "values", values)
+        object.__setattr__(spectrum, "modes", modes)
+        spectrum._check_and_store(defect)
+        return spectrum
+
+    def _check_and_store(self, defect: float | None) -> None:
+        """Check and store the fields; a ``defect`` of None is measured from the modes."""
         r = np.asarray(self.values, dtype=float)
         v = None if self.modes is None else np.asarray(self.modes, dtype=complex)
         n = len(r)
         if v is not None and v.shape != (n, n):
             raise ValueError("modes must be n x n for n values")
         _check_descending(r)
-        if v is not None and not _unitarity_defect(v) <= 1e-10:
+        if v is not None and defect is None:
+            defect = _unitarity_defect(v)
+        if v is not None and not defect <= 1e-10:
             raise ValueError("modes are not unitary")
         object.__setattr__(self, "values", r)
         object.__setattr__(self, "modes", v)
@@ -206,11 +221,14 @@ def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
     G_d = D^H D, the Gram entries of the duos are
     A_j^H A_k = B_j^H B_k = (G_c + conj(G_d))_jk / 2 and
     A_j^H B_k = -B_j^H A_k = i (G_c - conj(G_d))_jk / 2, so every entry of
-    the Gram matrix minus I is ((G_c - I) +- conj(G_d - I))_jk / 2 up to a
-    unit factor, and the duos' defect max|V^H V - I| is at most
-    max(defect of C, defect of D) (plus rounding of the products).
-    ``SchmidtDecomposition`` holds both to 1e-10, so a caller that stores
-    the Schmidt factors instead, as every pipeline run does, loses no check.
+    the Gram matrix minus I is (E_c +- conj(E_d))_jk / 2 up to a unit
+    factor, E = G - I.  The spectrum's check therefore takes the duos'
+    defect max|V^H V - I| as max(max|E_c + conj E_d|, max|E_c - conj E_d|) / 2
+    from two m x m Gram matrices, without the 2m x 2m one; it equals the
+    defect of the modes up to rounding of the products.  It is at most
+    max(defect of C, defect of D), which ``SchmidtDecomposition`` holds to
+    1e-10, so a caller that stores the Schmidt factors instead, as every
+    pipeline run does, loses no check.
     """
     m = sd.c.shape[0]
     d_bar = sd.d.conj()
@@ -222,7 +240,18 @@ def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
         np.multiply(phase, u, out=partner)
         partner *= inv_sqrt2
     values = np.repeat(sd.values, 2)
-    return SqueezingSpectrum(values=values, modes=modes)
+    return SqueezingSpectrum._with_defect(values, modes, _duo_defect(sd.c, sd.d))
+
+
+def _duo_defect(c: np.ndarray, d: np.ndarray) -> float:
+    """max|V^H V - I| of the duos of ``eigenmodes_from_schmidt``, from m x m blocks.
+
+    It is max(max|E_c + conj E_d|, max|E_c - conj E_d|) / 2 with
+    E_c = C^H C - I and E_d = D^H D - I (see ``eigenmodes_from_schmidt``).
+    """
+    e_c = _gram_minus_identity(c)
+    e_d = _gram_minus_identity(d).conj()
+    return 0.5 * float(max(_abs_max(e_c + e_d), _abs_max(_minus(e_c, e_d))))
 
 
 def _schmidt_residual(jsa: JointSpectralAmplitude, sd: SchmidtDecomposition) -> float:

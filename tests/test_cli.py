@@ -550,13 +550,18 @@ class TestHeatmap:
 
     @pytest.mark.parametrize(
         "content",
-        ["text", "truncated", "no-gamma", "nan-gamma", "integer-gamma", "string-omega", "npy"],
+        [
+            "text", "empty", "truncated", "pickled-gamma", "no-gamma", "nan-gamma",
+            "integer-gamma", "string-omega", "npy",
+        ],
     )
     def test_unreadable_npz_exits_2(self, runner, tmp_path, content):
+        """Every failure, numpy's own included, is one error line naming the file once."""
         path = tmp_path / "squeezing_matrix.npz"
         omega = np.zeros(2)
         arrays = {
             "truncated": dict(omega=omega, gamma=np.eye(2)),
+            "pickled-gamma": dict(omega=omega, gamma=np.array([None, 1], dtype=object)),
             "no-gamma": dict(omega=omega),
             "nan-gamma": dict(omega=omega, gamma=np.full((2, 2), np.nan)),
             "integer-gamma": dict(omega=omega, gamma=np.eye(2, dtype=np.int64)),
@@ -564,6 +569,8 @@ class TestHeatmap:
         }.get(content)
         if content == "text":
             path.write_bytes(b"not an archive")
+        elif content == "empty":
+            path.write_bytes(b"")
         elif content == "npy":
             with open(path, "wb") as fh:
                 np.save(fh, np.eye(2))
@@ -573,7 +580,9 @@ class TestHeatmap:
                 path.write_bytes(path.read_bytes()[:100])
         result = runner.invoke(main, ["heatmap", str(tmp_path)])
         assert result.exit_code == 2
-        assert f"{path}: not a squeezing matrix" in all_output(result)
+        errors = [line for line in all_output(result).splitlines() if line.startswith("error:")]
+        assert errors and all(line.count(str(path)) == 1 for line in errors)
+        assert f"error: not a squeezing matrix: {path}: " in errors[0]
         assert not (tmp_path / "squeezing_matrix.csv").exists()
 
 

@@ -245,14 +245,15 @@ class TestSpectrumFile:
     @pytest.mark.parametrize(
         "case, message",
         [
-            ("missing-key", "neither"),
-            ("c-and-v", "neither"),
-            ("pickled-object", "neither|pickle"),
-            ("short-omega", "omega has shape"),
-            ("c-shape", "c, d must be m x m"),
-            ("v-shape", "modes must be n x n"),
-            ("non-unitary-c", "c is not unitary"),
-            ("non-unitary-v", "modes are not unitary"),
+            ("missing-key", "bad.npz: keys .* are neither"),
+            ("c-and-v", "bad.npz: keys .* are neither"),
+            ("pickled-object", "bad.npz: Object arrays cannot be loaded when allow_pickle=False"),
+            ("short-omega", "bad.npz: omega has shape"),
+            ("c-shape", "bad.npz: c, d must be m x m"),
+            ("v-shape", "bad.npz: modes must be n x n"),
+            ("non-unitary-c", "bad.npz: c is not unitary"),
+            ("non-unitary-v", "bad.npz: modes are not unitary"),
+            ("ascending-r", "bad.npz: values must be finite, nonnegative and descending"),
             ("nan-omega", "bad.npz: omega has a NaN or infinite entry"),
             ("complex-omega", "bad.npz: omega has dtype complex128, not float64"),
             ("string-omega", "bad.npz: omega has dtype <U1, not float64"),
@@ -275,6 +276,7 @@ class TestSpectrumFile:
             "v-shape": {**takagi, "v": tf.v[:-1]},
             "non-unitary-c": {**schmidt, "c": 2.0 * sd.c},
             "non-unitary-v": {**takagi, "v": 2.0 * tf.v},
+            "ascending-r": {**schmidt, "r": sd.values[::-1]},
             "nan-omega": {**schmidt, "omega": np.full_like(omega, np.nan)},
             "complex-omega": {**schmidt, "omega": omega.astype(complex)},
             "string-omega": {**schmidt, "omega": np.full(omega.shape, "1")},
@@ -320,7 +322,10 @@ class TestSqueezingMatrixFile:
         [
             ("no-gamma", r"bad.npz: keys \['omega'\] are not gamma, omega"),
             ("extra-key", r"bad.npz: keys \['extra', 'gamma', 'omega'\] are not gamma, omega"),
-            ("pickled-object", "pickle"),
+            ("pickled-object", "bad.npz: Object arrays cannot be loaded when allow_pickle=False"),
+            ("empty-file", "bad.npz: No data left in file"),
+            ("not-a-zip", r"bad.npz: This file contains pickled \(object\) data"),
+            ("truncated", "bad.npz: File is not a zip file"),
             ("nan-gamma", "bad.npz: gamma has a NaN or infinite entry"),
             ("inf-omega", "bad.npz: omega has a NaN or infinite entry"),
             ("integer-gamma", "bad.npz: gamma has dtype int64, not float64 or complex128"),
@@ -346,6 +351,9 @@ class TestSqueezingMatrixFile:
             "complex64-gamma": dict(omega=omega, gamma=gamma.astype(np.complex64)),
             "string-omega": dict(omega=np.full(omega.shape, "1"), gamma=gamma),
             "npy-file": None,
+            "empty-file": b"",
+            "not-a-zip": b"not an archive",
+            "truncated": b"PK\x03\x04",
             "2d-omega": dict(omega=omega[None, :], gamma=gamma),
             "non-square-gamma": dict(omega=omega, gamma=gamma[:, :-1]),
         }[case]
@@ -353,6 +361,8 @@ class TestSqueezingMatrixFile:
         if arrays is None:
             with open(path, "wb") as fh:
                 np.save(fh, gamma)
+        elif isinstance(arrays, bytes):
+            path.write_bytes(arrays)
         else:
             store(path, **arrays)
         with pytest.raises(ValueError, match=message):
