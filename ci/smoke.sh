@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke run of an installed twinbeams, from a directory outside the checkout
 # and without PYTHONPATH: bundled configs, byte-identical repeat runs of every
-# pipeline and of a chirped pump, tile edges of the squeezing-matrix build,
-# heatmaps written from the stored matrix, an independent %.17g oracle over
+# pipeline and of a chirped pump, block edges of the squeezing-matrix build,
+# a bit-symmetric stored Gamma with no negative zero, heatmaps written from the stored matrix, an independent %.17g oracle over
 # every CSV, sweep rows read against each point's report.json, the exit codes
 # of failing runs and malformed inputs, and each run's residuals rebuilt from
 # the factors it stores in spectrum.npz.
@@ -64,14 +64,32 @@ twinbeams sweep bbo_nondegenerate --param pump.gain --values 1,2 --out "$RUNNER_
 twinbeams sweep bbo_nondegenerate --param grid.half_width --values 0.5,0.6 --out "$RUNNER_TEMP/band"
 # z0 = L/4 gives a complex128 Gamma, z0 = L/2 a float64 one: both dtype paths.
 twinbeams sweep bbo_nondegenerate --param pump.z0_fraction --values 0.25,0.5 --out "$RUNNER_TEMP/z0"
-# Tile edges of the squeezing-matrix build, for a float64 Gamma (z0 = L/2) and a
-# complex128 one (z0 = L/4): m = 1 and 37 fill part of one tile, and 2m = 400
-# ends on a partial tile.  The compare pipeline runs all three (exit 0): a
+# Gamma is symmetric by construction: the stored matrix of the bundled real run
+# and of the z0 = L/4 run equals its transpose bit for bit (uint64 words of each
+# part) and holds no -0.0.
+python - "$RUNNER_TEMP/smoke" "$RUNNER_TEMP/z0/pump.z0_fraction=0.25" <<'PY'
+import sys
+import numpy as np
+for run, want in zip(sys.argv[1:], (np.float64, np.complex128)):
+    with np.load(f"{run}/squeezing_matrix.npz") as data:
+        gamma = data["gamma"]
+    assert gamma.dtype == want, (run, gamma.dtype)
+    for part in (gamma.real, gamma.imag) if gamma.dtype == np.complex128 else (gamma,):
+        words = np.ascontiguousarray(part).view(np.uint64)
+        if not np.array_equal(words, words.T):
+            sys.exit(f"{run}: gamma differs from its transpose")
+        if np.any(words == np.uint64(1 << 63)):
+            sys.exit(f"{run}: gamma holds a -0.0")
+    print(run, gamma.dtype, "gamma equals its transpose bit for bit and holds no -0.0")
+PY
+# Block edges of the squeezing-matrix build, for a float64 Gamma (z0 = L/2) and
+# a complex128 one (z0 = L/4): m = 1 fills part of one 64 x 64 mirror block,
+# and 2m = 74 and 400 end on a partial block.  The compare pipeline runs all three (exit 0): a
 # one-point band's analytic modes take the grid spacing.  m = 1 has one pair and
 # no fit; no point fails a threshold.  Columns are read by header name.
 printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, gain: 10.0, z0_fraction: 0.25}\npipeline: compare\n' > "$RUNNER_TEMP/z0q.yaml"
 for cfg in bbo_nondegenerate "$RUNNER_TEMP/z0q.yaml"; do
-  out="$RUNNER_TEMP/tiles_$(basename "$cfg" .yaml)"
+  out="$RUNNER_TEMP/blocks_$(basename "$cfg" .yaml)"
   rc=0
   twinbeams sweep "$cfg" --param grid.m --values 1,37,200 --out "$out" || rc=$?
   test "$rc" -eq 0
@@ -97,7 +115,7 @@ test "$rc" -eq 2
 test ! -e "$RUNNER_TEMP/nanmatrix/squeezing_matrix.csv"
 # Each heatmap written from a stored matrix spells it exactly: its label, re
 # and im columns parse back to the npz's omega and gamma bit for bit, row-major.
-python - "$RUNNER_TEMP"/tiles_* <<'PY'
+python - "$RUNNER_TEMP"/blocks_* <<'PY'
 import csv, pathlib, sys
 import numpy as np
 runs = sorted(p.parent for root in sys.argv[1:] for p in pathlib.Path(root).rglob("squeezing_matrix.npz"))
@@ -126,17 +144,17 @@ done
 diff -r "$RUNNER_TEMP/chirpa" "$RUNNER_TEMP/chirpb"
 # An independent oracle of every CSV float: %.17g round-trips, so each cell
 # that parses as a float must re-format to its own text by Python's %.17g.  It
-# reads every table of the pipeline sweep, the heatmaps written at the tile
+# reads every table of the pipeline sweep, the heatmaps written at the block
 # edges and the chirped run; a heatmap's abs column must also be
 # abs(complex(re, im)).
 # sweep_summary.csv's value column echoes the --values text and is skipped.
-python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP"/tiles_* "$RUNNER_TEMP/chirpa" <<'PY'
+python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP"/blocks_* "$RUNNER_TEMP/chirpa" <<'PY'
 import csv, pathlib, sys
 paths = sorted(p for root in sys.argv[1:] for p in pathlib.Path(root).rglob("*.csv"))
 tables = {"spectrum.csv", "analytic_modes.csv", "mode_overlaps.csv", "eigenvalue_ratios.csv", "sweep_summary.csv"}
 assert tables <= {p.name for p in paths}, sorted(p.name for p in paths)
-tiles = [p for p in paths if p.name == "squeezing_matrix.csv" and p.parent.parent.name.startswith("tiles_")]
-assert len(tiles) == 6, tiles
+blocks = [p for p in paths if p.name == "squeezing_matrix.csv" and p.parent.parent.name.startswith("blocks_")]
+assert len(blocks) == 6, blocks
 for path in paths:
     data = path.read_bytes()
     assert data.endswith(b"\n") and b"\r" not in data, path
@@ -166,7 +184,7 @@ twinbeams run "$RUNNER_TEMP/z0q.yaml" --out "$RUNNER_TEMP/z0qb"
 diff -r "$RUNNER_TEMP/z0qa" "$RUNNER_TEMP/z0qb"
 printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0}\ngrid: {m: 1}\npipeline: numerical\n' > "$RUNNER_TEMP/m1.yaml"
 twinbeams sweep "$RUNNER_TEMP/m1.yaml" --param pump.z0_fraction --values 0.25,0.5 --out "$RUNNER_TEMP/m1"
-# Byte-identical artifacts also where 2m is no multiple of the tile.
+# Byte-identical artifacts also where 2m is no multiple of the mirror block.
 printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, z0_fraction: 0.25}\ngrid: {m: 200}\n' > "$RUNNER_TEMP/m200.yaml"
 twinbeams run "$RUNNER_TEMP/m200.yaml" --out "$RUNNER_TEMP/m200a"
 twinbeams run "$RUNNER_TEMP/m200.yaml" --out "$RUNNER_TEMP/m200b"

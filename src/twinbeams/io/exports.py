@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import zipfile
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -204,14 +205,13 @@ def export_matrix_heatmap(matrix, row_grid, col_grid, path) -> Path:
             f"matrix shape {mat.shape} does not match grids "
             f"({len(rows_w)} x {len(cols_w)})"
         )
+    # Each label is spelled once.  abs() is Python's, cell by cell: numpy's
+    # complex abs can differ from it in the last bit.
     cols = ["%.17g," % w for w in cols_w.tolist()]
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("omega,omega_prime,re,im,abs\n")
-        for w, row in zip(rows_w.tolist(), mat):
-            head = "%.17g," % w
-            fh.write("".join(
-                "%s%s%.17g,%.17g,%.17g\n" % (head, col, v.real, v.imag, abs(v))
-                for col, v in zip(cols, row.tolist())
-            ))
-    return path
+    blocks = (
+        zip(repeat(head), cols, row.real.tolist(), row.imag.tolist(), map(abs, row.tolist()))
+        for head, row in zip(["%.17g," % w for w in rows_w.tolist()], mat)
+    )
+    return _write_table(
+        path, ["omega", "omega_prime", "re", "im", "abs"], "%s%s%.17g,%.17g,%.17g\n", blocks
+    )

@@ -23,11 +23,11 @@ reports a values-only spectrum, the Schmidt values twice each, and
 Memory: Gamma is stored exactly in ``squeezing_matrix.npz`` right after it
 is built, which holds one copy of it, and each stage result is dropped
 after its last reader; of the checks only their residuals are kept.  A
-traced ``compare`` run at m = 256 peaks at 2.54 (real Gamma, in the Gamma
-build) and 2.52 (complex, in the JSA SVD) times the bytes of Gamma, and
-writing the factors it already holds to ``spectrum.npz`` leaves that
-peak as it was.  The manifest lists the matrix after the spectrum files,
-and a run that fails after the matrix build leaves
+traced ``compare`` run at m = 256 peaks at 2.28 (real Gamma, at max|Gamma|
+before the spectrum) and 2.51 (complex, in the JSA SVD) times the bytes
+of Gamma, and writing the factors it already holds to ``spectrum.npz``
+leaves that peak as it was.  The manifest lists the matrix after the
+spectrum files, and a run that fails after the matrix build leaves
 ``squeezing_matrix.npz`` on disk.  Its CSV heatmap is written on request,
 by ``twinbeams heatmap DIR``.
 
@@ -64,7 +64,7 @@ from ..mehler import (
 )
 from ..pdc import build_frequency_grid, build_squeezing_matrix, extract_jsa, wave_vector
 from ..symplectic import SYMPLECTIC_THRESHOLD, schmidt_squeezer_residual, squeezer_from_takagi
-from ..takagi import TAKAGI_THRESHOLD, TakagiFactors, takagi_general, takagi_residual
+from ..takagi import TAKAGI_THRESHOLD, takagi_general, takagi_residual
 from ..twinbeam import (
     SqueezingSpectrum,
     _duo_means,
@@ -257,17 +257,15 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
             "pairing are trivial"
         )
 
-    # The grid runs idler band first; spectra and their labels run signal band first.
-    band_order = np.roll(np.arange(2 * grid.m), grid.m)
     if cfg.pipeline == "near_degenerate" and not zero:
-        # The one factorization of the run: Gamma = V R V^T in grid order,
-        # its rows then rolled signal band first.  The spectrum, both checks
-        # and spectrum.npz all read these rolled factors.
-        factors = _stage("takagi", takagi_general, sq.gamma)
-        factors = TakagiFactors(v=factors.v[band_order], r=factors.r)
-        spectrum = _stage("spectrum", spectrum_from_takagi, factors)
+        # The one factorization of the run: Gamma = V R V^T of the
+        # signal-first Gamma, so V runs signal band first like the spectrum
+        # and its labels.  The spectrum, both checks and spectrum.npz all
+        # read these factors.
         target = signal_first(sq.gamma)
         del sq, ext
+        factors = _stage("takagi", takagi_general, target)
+        spectrum = _stage("spectrum", spectrum_from_takagi, factors)
         _check(report, "takagi", takagi_residual(target, factors))
         del target
         # The squeezer and its Bloch-Messiah factors (V, R, V) from the stored
@@ -312,7 +310,8 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         except ValueError as err:
             report.notes.append(f"geometric fit skipped: {err}")
 
-    detunings = grid.detunings[band_order]
+    # The grid runs idler band first; spectra and their labels run signal band first.
+    detunings = np.roll(grid.detunings, grid.m)
     for path in export_spectrum(spectrum, factors, detunings, out / "spectrum", pairing):
         report.artifacts.append({"kind": "spectrum", "path": path.name})
     report.artifacts.append({"kind": "squeezing_matrix", "path": stored.name})
@@ -406,8 +405,8 @@ def _compare_stages(report: RunReport, out: Path, grid, q, modes, sd, spectrum) 
         ov_idler = abs(mode_overlap(sd.d[:, k].conj() * weight, a_idler, grid.spacing))
         overlap_rows.append((k, "signal", ov_signal))
         overlap_rows.append((k, "idler", ov_idler))
-    overlaps_path = write_csv(
-        out / "mode_overlaps.csv", ["k", "branch", "overlap_abs"], overlap_rows
+    overlaps_path = _write_table(
+        out / "mode_overlaps.csv", ["k", "branch", "overlap_abs"], "%d,%s,%.17g\n", [overlap_rows]
     )
     report.artifacts.append({"kind": "mode_overlaps", "path": overlaps_path.name})
     report.summary["mode_overlap_signal_k0"] = float(overlap_rows[0][2])

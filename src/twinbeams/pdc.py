@@ -357,12 +357,16 @@ def wave_vector_derivatives(
 
 
 def phase_mismatch(omega_j, omega_l, crystal: CrystalConfig, pump: PumpConfig):
-    """Delta_jl = k_p(Omega_j + Omega_l) - k(Omega_j) - k(Omega_l) (rad/mm)."""
+    """Delta_jl = k_p(Omega_j + Omega_l) - (k(Omega_j) + k(Omega_l)) (rad/mm).
+
+    The two band wave vectors are added first, so Delta_jl = Delta_lj exactly.
+    """
     oj = np.asarray(omega_j, dtype=float)
     ol = np.asarray(omega_l, dtype=float)
     kp = wave_vector(oj + ol, "pump", crystal, pump)
-    return kp - wave_vector(oj, "downconverted", crystal, pump) - wave_vector(
-        ol, "downconverted", crystal, pump
+    return kp - (
+        wave_vector(oj, "downconverted", crystal, pump)
+        + wave_vector(ol, "downconverted", crystal, pump)
     )
 
 
@@ -387,11 +391,6 @@ def pump_spectrum(sum_detuning, pump: PumpConfig, crystal: CrystalConfig):
     return amp * np.exp(1j * phase)
 
 
-#: Cells of one row tile of ``build_squeezing_matrix``: 64 rows at 2m = 1024,
-#: so a float64 temporary of a tile is 512 KB and stays in cache.
-_TILE_CELLS = 1 << 16
-
-
 def build_squeezing_matrix(
     crystal: CrystalConfig, pump: PumpConfig, grid: FrequencyGrid
 ) -> SqueezingMatrixPhysical:
@@ -406,15 +405,10 @@ def build_squeezing_matrix(
     z0 = L/2 Gamma is therefore computed in real arithmetic and is float64;
     otherwise it is complex128.
 
-    The unit phase is formed as p (1/|p|), the value numpy's complex
-    division gives for p / |p|; for a real p it is sign(p) |p| (1/|p|),
-    within one rounding of sign(p).  Gamma is then replaced by its
-    symmetric part 0.5 (Gamma + Gamma^T), and adding +0.0 turns each -0.0
-    (a Gaussian that underflows to 0 times a negative sinc) into +0.0, so
-    every zero element has the same bits and Gamma equals its transpose
-    bit for bit.
-
-    On the uniform grid every sum detuning is one of the 2n - 1 values
+    Gamma is symmetric by construction.  The pump enters only through the
+    sum detuning O_j + O_l, and Delta = k_p - (k_j + k_l) is formed with
+    ``phase_mismatch``'s grouping, whose one addition commutes exactly.  On
+    the uniform grid every sum is one of the 2n - 1 values
     O_j + O_l = (j + l + 1 - n) spacing (0-based j, l; n = 2m), each formed
     as one rounding of that product.  k_p is taken from the checked
     ``wave_vector`` and gain E0 from ``pump_spectrum`` (which evaluates k_p
@@ -424,19 +418,22 @@ def build_squeezing_matrix(
     once.  The pump call sees every sum, so an invalid grid raises the
     whole grid's error; the pump sums are checked before the band.
 
-    Gamma is preallocated and filled one tile of rows at a time
-    (``_TILE_CELLS`` cells, 64 rows at 2m = 1024); Delta = k_p - k_j - k_l
-    is formed in ``phase_mismatch``'s order.  The peak search runs tile by
-    tile, the rotation in place, the symmetric part and the +0.0 in place
-    over square blocks and their mirrors.  Every element goes through the
-    operations of the whole-matrix expression on the same sums in the same
-    order, so Gamma is bit-identical to it.  Against sums formed per cell as
-    fl(O_j) + fl(O_l), which differ from the grid's sums by up to one ulp,
-    Gamma moves only at rounding (up to about 2e-12 of max|Gamma| on the
-    bundled working points, from the ulp of k_p ~ 2.6e4 rad/mm).  Besides Gamma the build holds
-    tile-sized temporaries (a few MB whatever m) and one boolean matrix in
-    the final checks; at m = 512 its traced peak is under three times the
-    bytes of Gamma (nine for the whole-matrix build).
+    Gamma is preallocated and filled in one pass over the square blocks on
+    and above the diagonal (``takagi._mirror_blocks``): each block is
+    evaluated once, written in place and written transposed to its mirror
+    (a diagonal block is its own, symmetric like Delta and the sums), so
+    Gamma equals its transpose bit for bit and each mirror pair costs one
+    evaluation.  The peak is the first largest |element| in row order,
+    tracked block by block.  The unit phase is formed as p (1/|p|), the
+    value numpy's complex division gives for p / |p|; for a real p it is
+    sign(p) |p| (1/|p|), within one rounding of sign(p).  After the
+    rotation, adding +0.0 in place turns each -0.0 (a Gaussian that
+    underflows to 0 times a negative sinc) into +0.0, so every zero element
+    has the same bits.  Every element goes through the operations of the
+    whole-matrix expression on the same sums in the same order, so Gamma is
+    bit-identical to it.  Besides Gamma the build holds block-sized
+    temporaries and, in the final checks, one boolean matrix; at m = 512
+    its traced peak is under three times the bytes of Gamma.
     """
     om = grid.detunings
     n = om.size
@@ -449,29 +446,28 @@ def build_squeezing_matrix(
     k = wave_vector(om, "downconverted", crystal, pump)
     real = pump.prechirp_compensated and offset == 0.0
     gamma = np.empty((n, n), dtype=float if real else complex)
-    step = max(1, _TILE_CELLS // n)
 
-    # The first largest |element| in row order: np.argmax over the whole Gamma.
-    peak, peak_abs = 0.0, -1.0
-    for r0 in range(0, n, step):
-        rows = slice(r0, r0 + step)
-        delta = kp[rows] - k[rows, None] - k
-        tile = e0[rows]
+    # The first largest |element| in row order: np.argmax over the whole
+    # Gamma, whose first hit is always on or above the diagonal.
+    peak, peak_abs, peak_at = 0.0, -1.0, (n, n)
+    for rows, cols in _mirror_blocks(n):
+        delta = kp[rows, cols] - (k[rows, None] + k[cols])
+        block = e0[rows, cols]
         if offset != 0.0:
-            tile = tile * np.exp(1j * delta * offset)
-        out = gamma[rows]
-        np.multiply(tile * np.sinc(0.5 * delta * length / math.pi), grid.spacing, out=out)
+            block = block * np.exp(1j * delta * offset)
+        out = gamma[rows, cols]
+        np.multiply(block * np.sinc(0.5 * delta * length / math.pi), grid.spacing, out=out)
+        if rows != cols:
+            gamma[cols, rows] = out.T
         mag = np.abs(out)
         i = np.argmax(mag)
-        if mag.flat[i] > peak_abs:
-            peak, peak_abs = out.flat[i], mag.flat[i]
+        r, c = divmod(int(i), out.shape[1])
+        at = (rows.start + r, cols.start + c)
+        if mag.flat[i] > peak_abs or (mag.flat[i] == peak_abs and at < peak_at):
+            peak, peak_abs, peak_at = out.flat[i], mag.flat[i], at
     if peak != 0.0:
         gamma *= (peak * (1.0 / abs(peak))).conjugate()
-    for rows, cols in _mirror_blocks(n):
-        upper = 0.5 * (gamma[rows, cols] + gamma[cols, rows].T)
-        upper += 0.0
-        gamma[rows, cols] = upper
-        gamma[cols, rows] = upper.T
+    gamma += 0.0
     return SqueezingMatrixPhysical(grid=grid, gamma=gamma)
 
 

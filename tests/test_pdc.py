@@ -8,6 +8,7 @@ import pytest
 
 from conftest import grid_sums
 import twinbeams.pdc as pdc
+import twinbeams.takagi as takagi
 from twinbeams.mehler import characteristic_times
 from twinbeams.pdc import (
     BBO_SELLMEIER_EXTRAORDINARY,
@@ -206,7 +207,7 @@ class TestWaveVectors:
     def test_mismatch_is_symmetric(self):
         om = np.linspace(-0.3, 0.3, 7)
         d = phase_mismatch(om[:, None], om[None, :], CRYSTAL, PUMP)
-        assert np.allclose(d, d.T, atol=1e-10, rtol=0)
+        assert np.array_equal(d, d.T)
 
     def test_unknown_branch_raises(self):
         with pytest.raises(ValueError, match="unknown branch"):
@@ -401,7 +402,7 @@ class TestSqueezingMatrix:
 
         osum = grid_sums(grid)
         k = wave_vector(grid.detunings, "downconverted", CRYSTAL, pump)
-        delta = wave_vector(osum, "pump", CRYSTAL, pump) - k[:, None] - k[None, :]
+        delta = wave_vector(osum, "pump", CRYSTAL, pump) - (k[:, None] + k[None, :])
         length = CRYSTAL.length_mm
         raw = (
             pump.gain
@@ -413,7 +414,6 @@ class TestSqueezingMatrix:
         raw = -1j * raw
         peak = raw.flat[np.argmax(np.abs(raw))]
         old = raw * np.exp(-1j * np.angle(peak))
-        old = 0.5 * (old + old.T)
 
         assert np.abs(gamma.imag).max() > 1e-3 * np.abs(gamma).max()
         assert np.abs(gamma - old).max() <= 1e-15 * np.abs(old).max()
@@ -451,13 +451,13 @@ class TestSqueezingMatrix:
 
 def whole_matrix_gamma(crystal, pump, grid):
     """Gamma as one expression over the whole (2m)^2 grid, step by step in the
-    order the tiled build must keep for every element.  The sum detunings are
+    order the block build must keep for every element.  The sum detunings are
     the grid's exact sums, and the pump sums are evaluated before the band."""
     om = grid.detunings
     osum = grid_sums(grid)
     kp = wave_vector(osum, "pump", crystal, pump)
     k = wave_vector(om, "downconverted", crystal, pump)
-    delta = kp - k[:, None] - k[None, :]
+    delta = kp - (k[:, None] + k[None, :])
     length = crystal.length_mm
     offset = 0.5 * length - pump.z0_fraction * length
     gamma = pump.gain * pump_spectrum(osum, pump, crystal)
@@ -467,7 +467,6 @@ def whole_matrix_gamma(crystal, pump, grid):
     peak = gamma.flat[np.argmax(np.abs(gamma))]
     if peak != 0.0:
         gamma = gamma * (peak * (1.0 / abs(peak))).conjugate()
-    gamma = 0.5 * (gamma + gamma.T)
     gamma += 0.0
     return gamma
 
@@ -481,27 +480,40 @@ GAMMA_PUMPS = {
     "chirped-z0-zero": {"z0_fraction": 0.0, "prechirp_compensated": False},
     "chirped-z0-half": {"prechirp_compensated": False},
 }
-#: The default tiles (one tile below 2m = 257) and tiles of one to a few rows.
-TILE_CELLS = {"default-tiles": pdc._TILE_CELLS, "small-tiles": 700}
+#: The default mirror blocks (one block below 2m = 65), blocks that leave a
+#: partial block at every 2m here, and one cell per block (not at m = 256,
+#: where its 131 328 blocks take seconds per build).
+MIRROR_BLOCKS = {"default-blocks": takagi._MIRROR_BLOCK, "blocks-7": 7, "blocks-1": 1}
+BUILD_SIZES = [
+    pytest.param(m, block, id=f"{m}-{name}")
+    for m in (1, 37, 64, 100, 256)
+    for name, block in MIRROR_BLOCKS.items()
+    if block > 1 or m < 256
+]
 
 
 class TestTiledBuild:
-    """The row-tiled build against the whole-matrix expression."""
+    """The mirror-block build against the whole-matrix expression."""
 
-    @pytest.mark.parametrize("tiles", TILE_CELLS.values(), ids=TILE_CELLS.keys())
     @pytest.mark.parametrize("pump_kw", GAMMA_PUMPS.values(), ids=GAMMA_PUMPS.keys())
     @pytest.mark.parametrize("crystal", BUNDLED_CRYSTALS.values(), ids=BUNDLED_CRYSTALS.keys())
-    @pytest.mark.parametrize("m", [1, 37, 64, 100, 256])
-    def test_bit_identical_to_whole_matrix(self, monkeypatch, m, crystal, pump_kw, tiles):
-        monkeypatch.setattr(pdc, "_TILE_CELLS", tiles)
+    @pytest.mark.parametrize("m, block", BUILD_SIZES)
+    def test_bit_identical_to_whole_matrix(self, monkeypatch, m, crystal, pump_kw, block):
+        monkeypatch.setattr(takagi, "_MIRROR_BLOCK", block)
         grid = build_frequency_grid(m, half_width=0.55)
         pump = PumpConfig(397.5, 129.0, gain=10.0, **pump_kw)
         got = build_squeezing_matrix(crystal, pump, grid).gamma
         want = whole_matrix_gamma(crystal, pump, grid)
         assert got.dtype == want.dtype == (complex if pump_kw else float)
         assert got.tobytes() == want.tobytes()
+        # Bit-symmetric, and no zero carries a sign.
+        parts = (got.real, got.imag) if pump_kw else (got,)
+        for part in parts:
+            words = np.ascontiguousarray(part).view(np.uint64)
+            assert np.array_equal(words, words.T)
+            assert not np.any(np.signbit(part) & (part == 0.0))
 
-    @pytest.mark.parametrize("tiles", TILE_CELLS.values(), ids=TILE_CELLS.keys())
+    @pytest.mark.parametrize("block", MIRROR_BLOCKS.values(), ids=MIRROR_BLOCKS.keys())
     @pytest.mark.parametrize(
         "half_width, message",
         [
@@ -514,9 +526,9 @@ class TestTiledBuild:
         ],
         ids=["sellmeier-range", "negative-pump-frequency"],
     )
-    def test_invalid_grid_raises_the_whole_grid_error(self, monkeypatch, half_width, message, tiles):
-        """The checks see the whole band, not the first tile's part of it."""
-        monkeypatch.setattr(pdc, "_TILE_CELLS", tiles)
+    def test_invalid_grid_raises_the_whole_grid_error(self, monkeypatch, half_width, message, block):
+        """The checks see the whole band, not the first block's part of it."""
+        monkeypatch.setattr(takagi, "_MIRROR_BLOCK", block)
         grid = build_frequency_grid(64, half_width=half_width)
         for build in (build_squeezing_matrix, whole_matrix_gamma):
             with pytest.raises(ValueError) as info:
@@ -526,8 +538,7 @@ class TestTiledBuild:
     @pytest.mark.parametrize("pump_kw", GAMMA_PUMPS.values(), ids=GAMMA_PUMPS.keys())
     def test_pump_terms_once_per_grid_sum(self, monkeypatch, pump_kw):
         """k_p is evaluated on the 2n - 1 grid sums only: once per build, and
-        once more inside ``pump_spectrum`` for a chirped pump.  Per-cell tiles
-        took up to ``_TILE_CELLS`` sums per call, a chirped one twice per tile."""
+        once more inside ``pump_spectrum`` for a chirped pump, never per cell."""
         sizes = []
         original = pdc.wave_vector
 
@@ -549,8 +560,51 @@ class TestTiledBuild:
         assert gamma.shape == (74, 74)
         assert not np.any(gamma)
 
+    @pytest.mark.parametrize("pump_kw", GAMMA_PUMPS.values(), ids=GAMMA_PUMPS.keys())
+    def test_each_mirror_pair_is_evaluated_once(self, monkeypatch, pump_kw):
+        """np.sinc sees the cells of the blocks on and above the diagonal once
+        each, fewer than the n^2 cells of Gamma."""
+        sizes = []
+        original = np.sinc
+
+        def spying(x):
+            sizes.append(np.size(x))
+            return original(x)
+
+        monkeypatch.setattr(np, "sinc", spying)
+        n = 2 * 100
+        pump = PumpConfig(397.5, 129.0, gain=10.0, **pump_kw)
+        build_squeezing_matrix(CRYSTAL, pump, build_frequency_grid(n // 2, half_width=0.55))
+        upper = sum(
+            len(range(n)[rows]) * len(range(n)[cols]) for rows, cols in takagi._mirror_blocks(n)
+        )
+        assert sum(sizes) == upper < n * n
+
+    def test_first_peak_in_row_order_wins_a_tie(self, monkeypatch):
+        """Two largest |elements| of opposite phase: (0, 100) comes first in
+        row order, (37, 63) in the first block.  Band wave vectors of
+        +-d/2 give Delta = -d on the anti-diagonal j + l = 100, whose pump
+        weight is the largest, and +d at (37, 63) alone; the pump k_p is 0."""
+        n, d = 128, 1.0
+        k = np.full(n, 0.5 * d)
+        k[[37, 63]] = -0.5 * d
+        weight = np.full(2 * n - 1, 0.5)
+        weight[100] = 1.0
+
+        def fake_k(detuning, branch, *args):
+            return np.zeros(np.shape(detuning)) if branch == "pump" else k
+
+        monkeypatch.setattr(pdc, "wave_vector", fake_k)
+        monkeypatch.setattr(pdc, "pump_spectrum", lambda osum, pump, crystal: weight)
+        pump = PumpConfig(397.5, 129.0, z0_fraction=0.25)
+        gamma = build_squeezing_matrix(CRYSTAL, pump, build_frequency_grid(n // 2, 0.55)).gamma
+        peak = np.abs(gamma).max()
+        assert abs(gamma[0, 100]) == abs(gamma[37, 63]) == peak
+        assert abs(gamma[0, 100].imag) <= 1e-15 * peak
+        assert abs(gamma[37, 63].imag) > 0.5 * peak
+
     def test_traced_peak_stays_within_three_gammas(self):
-        """Gamma plus tile-sized temporaries: the whole-matrix build peaked at 9x."""
+        """Gamma plus block-sized temporaries: the whole-matrix build peaked at 9x."""
         grid = build_frequency_grid(512, half_width=0.55)
         tracemalloc.start()
         try:

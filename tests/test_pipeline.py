@@ -721,16 +721,17 @@ class TestRealGamma:
 
 
 def complex_build(crystal, pump, grid, per_cell_sums=False):
-    """Gamma by the all-complex formula: e^{i Delta (L/2 - z0)} at every z0,
-    the factor -i, then the unit phase p / |p| of the peak by numpy's
-    complex division, which multiplies by the reciprocal 1 / |p|.  The sum
+    """Gamma by the all-complex formula: Delta = k_p - (k_j + k_l),
+    e^{i Delta (L/2 - z0)} at every z0, the factor -i, then the unit phase
+    p / |p| of the peak by numpy's complex division, which multiplies by the
+    reciprocal 1 / |p|, and + 0.0 for the sign of every zero.  The sum
     detunings are the grid's exact sums, evaluated before the band, or with
     ``per_cell_sums`` fl(O_j) + fl(O_l) formed per cell."""
     om = grid.detunings
     osum = om[:, None] + om[None, :] if per_cell_sums else grid_sums(grid)
     kp = pdc.wave_vector(osum, "pump", crystal, pump)
     k = pdc.wave_vector(grid.detunings, "downconverted", crystal, pump)
-    delta = kp - k[:, None] - k[None, :]
+    delta = kp - (k[:, None] + k[None, :])
     length = crystal.length_mm
     gamma = (
         pump.gain
@@ -741,8 +742,7 @@ def complex_build(crystal, pump, grid, per_cell_sums=False):
     )
     gamma = -1j * gamma
     peak = gamma.flat[np.argmax(np.abs(gamma))]
-    gamma = gamma * (peak / abs(peak)).conjugate()
-    return 0.5 * (gamma + gamma.T)
+    return gamma * (peak / abs(peak)).conjugate() + 0.0
 
 
 def bundled_working_point(name, m, **pump):
