@@ -25,6 +25,23 @@ for name in $(python -c "import twinbeams.io as io; print(*io.bundled_configs())
 done
 twinbeams run bbo_nondegenerate --out "$RUNNER_TEMP/smoke" | tee "$RUNNER_TEMP/smoke.log"
 if grep -q '^note:' "$RUNNER_TEMP/smoke.log"; then exit 1; fi
+# The digest is the run's report.json flattened: every scalar summary value
+# (floats %.6g), every residual (%.3e) and residual / threshold of each gated
+# residual as <name>_margin has its own line of the log.
+python - "$RUNNER_TEMP/smoke" "$RUNNER_TEMP/smoke.log" <<'PY'
+import json, pathlib, sys
+report = json.loads((pathlib.Path(sys.argv[1]) / "report.json").read_text(encoding="utf-8"))
+lines = set(pathlib.Path(sys.argv[2]).read_text(encoding="utf-8").splitlines())
+spell = lambda v: "%.6g" % v if isinstance(v, float) else str(v)
+res, limits = report["residuals"], report["thresholds"]
+want = [f"{k}: {spell(v)}" for k, v in report["summary"].items() if not isinstance(v, (list, dict))]
+want += [f"residual {k}: {v:.3e}" for k, v in res.items()]
+want += [f"{k}_margin: {spell(v / limits[k])}" for k, v in res.items() if k in limits]
+missing = [line for line in want if line not in lines]
+if missing or len(res) < 4:
+    sys.exit(f"digest lacks {missing} of report.json")
+print(len(want), "values of report.json have their line in the digest")
+PY
 # Identical configs must give byte-identical artifacts.
 twinbeams run bbo_nondegenerate --out "$RUNNER_TEMP/smoke2"
 diff -r "$RUNNER_TEMP/smoke" "$RUNNER_TEMP/smoke2"

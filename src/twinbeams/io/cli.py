@@ -103,17 +103,8 @@ def _set_path(tree: dict, dotted: str, value) -> None:
 
 def _sweep_row(value: str, report) -> dict:
     """A point's report.json as one sweep_summary.csv row; None is a blank cell."""
-    data = report.to_dict()
-    residuals, thresholds = data["residuals"], data["thresholds"]
-    row = {"value": value}
-    row.update((k, v) for k, v in data["summary"].items() if not isinstance(v, (list, dict)))
-    row.update(residuals)
-    row.update(
-        (f"{k}_margin", None if v is None else v / thresholds[k])
-        for k, v in residuals.items() if k in thresholds
-    )
-    row.update(notes=len(data["notes"]), failures=";".join(data["threshold_failures"]))
-    return row
+    failures = ";".join(report.threshold_failures)
+    return {"value": value, **report._flat(), "notes": len(report.notes), "failures": failures}
 
 
 @main.command()

@@ -23,13 +23,13 @@ reports a values-only spectrum, the Schmidt values twice each, and
 Memory: Gamma is stored exactly in ``squeezing_matrix.npz`` right after it
 is built, which holds one copy of it, and each stage result is dropped
 after its last reader; of the checks only their residuals are kept.  A
-traced ``compare`` run at m = 256 peaks at 2.28 (real Gamma, at max|Gamma|
-before the spectrum) and 2.51 (complex, in the JSA SVD) times the bytes
-of Gamma, and writing the factors it already holds to ``spectrum.npz``
-leaves that peak as it was.  The manifest lists the matrix after the
-spectrum files, and a run that fails after the matrix build leaves
-``squeezing_matrix.npz`` on disk.  Its CSV heatmap is written on request,
-by ``twinbeams heatmap DIR``.
+traced ``compare`` run at m = 256 peaks in the JSA SVD at 2.09 (real
+Gamma) and 2.51 (complex) times the bytes of Gamma, as max|Gamma| takes
+no full-size temporary, and writing the factors it already holds to
+``spectrum.npz`` leaves that peak as it was.  The manifest lists the
+matrix after the spectrum files, and a run that fails after the matrix
+build leaves ``squeezing_matrix.npz`` on disk.  Its CSV heatmap is
+written on request, by ``twinbeams heatmap DIR``.
 
 Every run writes ``report.json`` with the resolved config (Sellmeier data
 included), a summary, the residual diagnostics with their thresholds, and a
@@ -37,8 +37,11 @@ manifest of the artifact files, so each reported number can be traced to an
 output file.  Stage failures are re-raised as :class:`PipelineError` with the
 stage label.  Each check is recorded by ``_check``: on a miss (NaN always is
 one), a check gated in ``thresholds`` is a threshold failure (the CLI exits
-3) and a check with a note adds it; a symplectic miss fails its stage first.
-The checks take no settings; the Mehler series is summed to its tail bound.
+3) and a check with a note adds it; a symplectic miss fails its stage first,
+and a ``near_degenerate`` Takagi miss is a threshold failure for a complex
+Gamma as for a real one.  The checks take no settings; the Mehler series is
+summed to its tail bound.  One flattening of the report (``RunReport._flat``)
+is both its ``sweep_summary.csv`` row and the ``twinbeams run`` digest.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from ..mehler import (
 )
 from ..pdc import build_frequency_grid, build_squeezing_matrix, extract_jsa, wave_vector
 from ..symplectic import SYMPLECTIC_THRESHOLD, schmidt_squeezer_residual, squeezer_from_takagi
-from ..takagi import TAKAGI_THRESHOLD, takagi_general, takagi_residual
+from ..takagi import TAKAGI_THRESHOLD, _takagi_unchecked, takagi_residual
 from ..twinbeam import (
     SqueezingSpectrum,
     _duo_means,
@@ -150,45 +153,30 @@ class RunReport:
         path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
         return path
 
+    def _flat(self) -> dict:
+        """The scalar summary values, the residuals (a non-finite one as None)
+        and ``<name>_margin`` = residual / threshold of each gated residual,
+        in report order: a sweep row and the CLI digest both read this."""
+        residuals = self.to_dict()["residuals"]
+        flat = {k: v for k, v in self.summary.items() if not isinstance(v, (list, dict))}
+        flat.update(residuals)
+        flat.update(
+            (f"{k}_margin", None if v is None else v / self.thresholds[k])
+            for k, v in residuals.items() if k in self.thresholds
+        )
+        return flat
+
     def summary_lines(self) -> list[str]:
-        """Human-readable digest printed by the CLI after a run."""
-        s = self.summary
+        """The CLI digest: the report flattened, one ``key: value`` line per
+        item (a residual as ``residual <name>: %.3e``, other floats %.6g),
+        then the notes, the threshold failures and the artifact count."""
         lines = [f"pipeline: {self.pipeline}"]
-        if "grid_m" in s:
-            lines.append(
-                f"grid: 2m = {2 * s['grid_m']} detunings, half-width "
-                f"{s['grid_half_width']:.6g} rad/fs"
-            )
-        if "r1" in s:
-            lines.append(f"leading eigenvalue r1 = {s['r1']:.6g}")
-        if "q_fit" in s:
-            lines.append(
-                f"geometric fit: q = {s['q_fit']:.6g} (log-domain RMS {s['fit_rms']:.2e})"
-            )
-        if "schmidt_number" in s:
-            lines.append(f"Schmidt number K = {s['schmidt_number']:.4g}")
-        if "q_analytic" in s:
-            lines.append(
-                f"analytic model: q = {s['q_analytic']:.6g}, "
-                f"K = {s['schmidt_number_analytic']:.4g}"
-            )
-        if "pairs_accepted" in s:
-            if s.get("all_paired"):
-                lines.append(f"pairing: all {s['pairs_accepted']} pairs accepted")
+        for key, value in self._flat().items():
+            if key in self.residuals:
+                lines.append(f"residual {key}: {self.residuals[key]:.3e}")
             else:
-                lines.append(
-                    f"pairing: {s['pairs_accepted']} pairs accepted, first failure "
-                    f"at eigenvalue {s['first_failure_index']}"
-                )
-        if "mode_overlap_signal_k0" in s:
-            lines.append(
-                f"mode overlap (k=0): signal {s['mode_overlap_signal_k0']:.4f}, "
-                f"idler {s['mode_overlap_idler_k0']:.4f}"
-            )
-        for key, value in self.residuals.items():
-            lines.append(f"residual {key}: {value:.3e}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
+                lines.append(f"{key}: {f'{value:.6g}' if isinstance(value, float) else value}")
+        lines += [f"note: {note}" for note in self.notes]
         if self.threshold_failures:
             lines.append("threshold failures: " + ", ".join(self.threshold_failures))
         lines.append(f"artifacts: {len(self.artifacts)} files")
@@ -206,6 +194,14 @@ def _check(report: RunReport, name: str, value, note: str = "", threshold=math.i
             report.threshold_failures.append(name)
         if note:
             report.notes.append(note)
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """``np.abs(a).max()`` with no full-size temporary: max(max a, -min a) of
+    a real ``a``, and the maximum of |a| row block by row block of a complex one."""
+    if np.isrealobj(a):
+        return float(max(a.max(), -a.min()))
+    return float(np.max([np.abs(a[r : r + 64]).max() for r in range(0, len(a), 64)]))
 
 
 def _analytic_model(cfg: RunConfig):
@@ -246,11 +242,11 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         "twin-beam block structure is degraded at this working point",
     )
 
-    scale = float(np.abs(sq.gamma).max())
+    scale = _max_abs(sq.gamma)
     zero = scale == 0.0
     # A float64 Gamma has no imaginary part to build or measure.
     real = zero or np.isrealobj(sq.gamma)
-    _check(report, "imag_fraction", 0.0 if real else np.abs(sq.gamma.imag).max() / scale)
+    _check(report, "imag_fraction", 0.0 if real else _max_abs(sq.gamma.imag) / scale)
     if zero:
         report.notes.append(
             "squeezing matrix is identically zero (gain = 0); spectrum, fit and "
@@ -261,10 +257,10 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         # The one factorization of the run: Gamma = V R V^T of the
         # signal-first Gamma, so V runs signal band first like the spectrum
         # and its labels.  The spectrum, both checks and spectrum.npz all
-        # read these factors.
+        # read these factors, and only the run measures their residual.
         target = signal_first(sq.gamma)
         del sq, ext
-        factors = _stage("takagi", takagi_general, target)
+        _, factors = _stage("takagi", _takagi_unchecked, target)
         spectrum = _stage("spectrum", spectrum_from_takagi, factors)
         _check(report, "takagi", takagi_residual(target, factors))
         del target
@@ -338,10 +334,10 @@ def _analytic_stages(cfg: RunConfig, report: RunReport, out: Path, model, grid) 
         report.notes.append(f"band edges lie outside the dispersion model's range: {err}")
 
     # Mehler series, summed to a tail bound under KERNEL_THRESHOLD, against the
-    # closed-form kernel on a fixed 41 x 41 probe of the rescaled coordinates;
-    # they disagree only if the Mehler factors miss the Gaussian model.
+    # closed-form kernel on the 41 x 41 probe of two rescaled axes; they
+    # disagree only if the Mehler factors miss the Gaussian model.
     x = np.linspace(-4.0, 4.0, 41)
-    xx, yy = np.meshgrid(x, x, indexing="ij")
+    xx, yy = x[:, None], x[None, :]
     lhs = evaluate_kernel_lhs(params, xx, yy)
     terms = terms_for_tail_bound(f, KERNEL_THRESHOLD)
     total, _bound = evaluate_kernel_sum(f, xx, yy, terms)

@@ -350,10 +350,10 @@ def evaluate_kernel_sum(f: MehlerFactors, x, y, terms: int):
         raise ValueError("terms must be at least 1")
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
-    xa, ya = np.broadcast_arrays(xa, ya)
+    # Each recurrence runs on its input as given; only the products broadcast.
     ratio = f.q * cmath.exp(1j * f.theta)
     coeff = 1.0 + 0.0j
-    total = np.zeros(xa.shape, dtype=complex)
+    total = np.zeros(np.broadcast_shapes(xa.shape, ya.shape), dtype=complex)
     for _, hx, hy in zip(range(terms), _hermite_functions(xa), _hermite_functions(ya)):
         total = total + coeff * hx * hy
         coeff *= ratio

@@ -298,22 +298,29 @@ def takagi_general(a: np.ndarray) -> TakagiFactors:
     RuntimeError
         If the reconstruction residual exceeds tolerance (reported).
     """
+    checked, factors = _takagi_unchecked(a)
+    if checked is not None:
+        residual = takagi_residual(checked, factors)
+        if not residual <= TAKAGI_THRESHOLD:
+            raise RuntimeError(
+                f"Takagi factorization residual {residual:.3e} exceeds {TAKAGI_THRESHOLD:g}"
+            )
+    return factors
+
+
+def _takagi_unchecked(a) -> tuple[np.ndarray | None, TakagiFactors]:
+    """(symmetric matrix factored, factors) of ``takagi_general`` without its
+    residual check; the matrix is None on the real route, which has none."""
     # The real route checks its own input; a NaN or inf imaginary part is nonzero.
     if np.isrealobj(a) or not np.any(np.imag(a)):
-        return takagi_real_symmetric(np.real(a))
+        return None, takagi_real_symmetric(np.real(a))
     a = _symmetric_part(_as_square(a))
     n = a.shape[0]
 
     lam, w = np.linalg.eigh(np.block([[a.real, a.imag], [a.imag, -a.real]]))
     s = lam[n:][::-1]
     top = w[:, n:][:, ::-1]
-    factors = _factors_from_signed(s, _polar(top[:n] + 1j * top[n:]))
-    residual = takagi_residual(a, factors)
-    if not residual <= TAKAGI_THRESHOLD:
-        raise RuntimeError(
-            f"Takagi factorization residual {residual:.3e} exceeds {TAKAGI_THRESHOLD:g}"
-        )
-    return factors
+    return a, _factors_from_signed(s, _polar(top[:n] + 1j * top[n:]))
 
 
 def takagi_residual(a: np.ndarray, factors: TakagiFactors) -> float:

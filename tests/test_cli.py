@@ -126,13 +126,57 @@ class TestRun:
         result = runner.invoke(main, ["run", str(cfg_path), "--out", str(out)])
         assert result.exit_code == 0
         assert "pipeline: numerical" in result.output
-        assert "leading eigenvalue r1" in result.output
+        assert "\nr1: " in result.output
         assert f"report: {out / 'report.json'}" in result.output
         assert (out / "report.json").exists()
         assert (out / "spectrum.csv").exists()
         assert (out / "spectrum.npz").exists()
         assert (out / "squeezing_matrix.npz").exists()
         assert not (out / "squeezing_matrix.csv").exists()
+
+    @pytest.mark.parametrize("name", ["numerical", "analytic", "compare", "near_degenerate"])
+    def test_digest_is_the_report_flattened(self, runner, tmp_path, name):
+        """One line per scalar summary value, residual and gated margin of
+        report.json, in its order, then the notes and the artifact count."""
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["run", str(write_config(tmp_path, pipeline=name)), "--out", str(out)]
+        )
+        assert result.exit_code == 0, all_output(result)
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        residuals, thresholds = report["residuals"], report["thresholds"]
+
+        def spell(v):
+            return f"{v:.6g}" if isinstance(v, float) else str(v)
+
+        gated = [k for k in residuals if k in thresholds]
+        margins = [f"{k}_margin: {spell(residuals[k] / thresholds[k])}" for k in gated]
+        assert len(margins) == (0 if name == "analytic" else 3)
+        assert result.output.splitlines() == [
+            f"pipeline: {name}",
+            *(f"{k}: {spell(v)}" for k, v in report["summary"].items()),
+            *(f"residual {k}: {v:.3e}" for k, v in residuals.items()),
+            *margins,
+            *(f"note: {note}" for note in report["notes"]),
+            f"artifacts: {len(report['artifacts'])} files",
+            f"report: {out / 'report.json'}",
+        ]
+
+    def test_a_new_summary_key_is_a_digest_line(self, runner, tmp_path, monkeypatch):
+        """The digest is the report: a summary key the pipeline adds is printed
+        without any change to the CLI, before the residuals."""
+        def run_pipeline(cfg, out_dir=None):
+            report = pipeline.run_pipeline(cfg, out_dir=out_dir)
+            report.summary["probe"] = 2.0 * cfg.pump.gain
+            return report
+
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        args = ["run", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        first_residual = next(k for k, line in enumerate(lines) if line.startswith("residual "))
+        assert lines.index("probe: 20") < first_residual
 
     def test_threshold_failure_exits_3(self, runner, tmp_path):
         cfg_path = write_config(
@@ -189,6 +233,9 @@ class TestRun:
         result = runner.invoke(main, ["run", str(cfg_path), "--out", str(out)])
         assert result.exit_code == 3
         assert f"residual thresholds violated: {name}" in all_output(result)
+        # The digest spells the NaN residual and leaves its margin empty, as report.json does.
+        assert f"residual {name}: nan" in result.output.splitlines()
+        assert f"{name}_margin: None" in result.output.splitlines()
         payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert payload["threshold_failures"] == [name]
 

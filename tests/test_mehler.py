@@ -284,6 +284,23 @@ class TestKernelIdentity:
         assert isinstance(total, complex)
         assert abs(val - total) <= bound
 
+    @pytest.mark.parametrize("length_mm", [1.0, 2.0, 4.0])
+    def test_axes_give_the_mesh_values(self, length_mm):
+        """The two 41-point axes, broadcast, give the meshgrid's values and
+        bound bit for bit, for the series and the closed form alike."""
+        params = gaussian_model_params(times_for(length_mm))
+        f = mehler_factors(params)
+        xx, yy = self.mesh()
+        x = xx[:, 0]
+        n = terms_for_tail_bound(f, 1e-6)
+        mesh_total, mesh_bound = evaluate_kernel_sum(f, xx, yy, n)
+        axes_total, axes_bound = evaluate_kernel_sum(f, x[:, None], x[None, :], n)
+        assert axes_total.shape == mesh_total.shape == (41, 41)
+        assert axes_total.tobytes() == mesh_total.tobytes()
+        assert axes_bound == mesh_bound
+        mesh_lhs = evaluate_kernel_lhs(params, xx, yy)
+        assert evaluate_kernel_lhs(params, x[:, None], x[None, :]).tobytes() == mesh_lhs.tobytes()
+
     def test_too_few_terms_raises(self):
         f = mehler_factors(gaussian_model_params(times_for(2.0)))
         with pytest.raises(ValueError, match="terms must be at least 1"):

@@ -32,6 +32,7 @@ from twinbeams.io import (
     pipeline,
     resolve_output_dir,
     run_pipeline,
+    serialize_config,
 )
 from twinbeams.io import cli
 
@@ -489,23 +490,67 @@ class TestCheckPaths:
         One grid row of the near_degenerate factors is stretched by 1 + 1e-10:
         the spectrum's Gram check (max|V^H V - I| <= 1e-10) still passes,
         while the squeezer built from the reported factors is not symplectic."""
-        original = pipeline.takagi_general
+        original = pipeline._takagi_unchecked
         defects = []
 
         def stretched(gamma):
-            factors = original(gamma)
+            checked, factors = original(gamma)
             v = factors.v.copy()
             v[np.argmin((np.abs(v) ** 2).max(axis=1))] *= 1.0 + 1e-10
             defects.append(takagi._unitarity_defect(v))
-            return takagi.TakagiFactors(v=v, r=factors.r)
+            return checked, takagi.TakagiFactors(v=v, r=factors.r)
 
-        monkeypatch.setattr(pipeline, "takagi_general", stretched)
+        monkeypatch.setattr(pipeline, "_takagi_unchecked", stretched)
         with pytest.raises(PipelineError, match=r"\[symplectic\] matrix is not symplectic") as info:
             run_pipeline(small_config(pipeline="near_degenerate"), out_dir=tmp_path)
         assert info.value.stage == "symplectic"
         (defect,) = defects
         assert 0.0 < defect <= 1e-10
         assert not (tmp_path / "report.json").exists()
+
+    def test_complex_takagi_residual_is_measured_once(self, monkeypatch, tmp_path):
+        """A complex Gamma's near_degenerate factors are checked by the run
+        alone, on the matrix it factored: one residual, the one reported."""
+        residuals = []
+
+        def recording(a, factors):
+            residuals.append(original(a, factors))
+            return residuals[-1]
+
+        original = takagi.takagi_residual
+        for module in (takagi, pipeline):
+            monkeypatch.setattr(module, "takagi_residual", recording)
+        cfg = bundled_config(
+            "bbo_nondegenerate", pipeline="near_degenerate", grid__m=32, pump__z0_fraction=0.25
+        )
+        report = run_pipeline(cfg, out_dir=tmp_path)
+        assert residuals == [report.residuals["takagi"]]
+        assert report.threshold_failures == []
+
+    def test_complex_takagi_failure_is_recorded(self, monkeypatch, tmp_path):
+        """A polar step whose unitary factor carries a stray e^{i pi/4} on its
+        first column reconstructs a wrong Gamma: for a complex Gamma too this
+        is the ``takagi`` threshold failure, exit 3 with report.json written,
+        as the Schmidt route's ``test_takagi_failure_is_recorded``."""
+        polar = takagi._polar
+
+        def rotated(v):
+            u = polar(v)
+            u[:, 0] *= np.exp(0.25j * np.pi)
+            return u
+
+        monkeypatch.setattr(takagi, "_polar", rotated)
+        cfg = bundled_config(
+            "bbo_nondegenerate", pipeline="near_degenerate", grid__m=32, pump__z0_fraction=0.25
+        )
+        path = tmp_path / "run.yaml"
+        path.write_text(serialize_config(cfg))
+        result = CliRunner().invoke(cli.main, ["run", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        payload = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert payload["residuals"]["takagi"] > pipeline.TAKAGI_THRESHOLD
+        assert payload["threshold_failures"] == ["takagi"]
+        assert payload["residuals"]["symplectic"] <= pipeline.SYMPLECTIC_THRESHOLD
 
     @pytest.mark.parametrize("name", ["numerical", "compare"])
     def test_non_unitary_schmidt_factors_fail_symplectic_stage(self, monkeypatch, tmp_path, name):
@@ -611,8 +656,8 @@ class TestSmallGrids:
 class TestPeakMemory:
     """Each stage result is dropped after its last reader: a compare run held
     13.8 Gammas at once when both factorization routes stayed live.  At
-    m = 128 the traced peak of this run reads 6.10 Gammas for a real
-    Gamma, in the Gamma build, and 4.55 for a complex one (2.54 and 2.52
+    m = 128 the traced peak of this run reads 2.23 Gammas for a real
+    Gamma and 2.54 for a complex one, both in the JSA SVD (2.09 and 2.51
     at m = 256).  No run builds the 2m x 2m duo modes, which a run that
     wrote them to ``spectrum.json`` peaked in (4.54 and 3.77 at m = 256);
     ``spectrum.npz`` stores the Schmidt factors the run already holds."""
@@ -952,8 +997,9 @@ class TestHeatmapBytes:
 
 class TestSymplecticPath:
     """No exponential is built, and only near_degenerate factors Gamma: with
-    ``takagi_general``, on the real path when Gamma is real.  Numerical and
-    compare runs check the Schmidt factors of their duos in m x m blocks."""
+    the unchecked step of ``takagi_general``, on the real path when Gamma is
+    real.  Numerical and compare runs check the Schmidt factors of their duos
+    in m x m blocks."""
 
     @pytest.mark.parametrize("name", ["numerical", "compare", "near_degenerate"])
     @pytest.mark.parametrize(
@@ -976,9 +1022,10 @@ class TestSymplecticPath:
         monkeypatch.setattr(
             symplectic, "exponentiate_generator", counting("exp", symplectic.exponentiate_generator)
         )
-        general = counting("general", takagi.takagi_general)
-        for module in (takagi, pipeline):
-            monkeypatch.setattr(module, "takagi_general", general)
+        monkeypatch.setattr(takagi, "takagi_general", counting("general", takagi.takagi_general))
+        monkeypatch.setattr(
+            pipeline, "_takagi_unchecked", counting("general", takagi._takagi_unchecked)
+        )
         monkeypatch.setattr(
             takagi, "takagi_real_symmetric", counting("real", takagi.takagi_real_symmetric)
         )
