@@ -4,8 +4,8 @@
 # pipeline and of a chirped pump, block edges of the squeezing-matrix build,
 # a bit-symmetric stored Gamma with no negative zero, heatmaps written from the stored matrix, an independent %.17g oracle over
 # every CSV, sweep rows read against each point's report.json, the exit codes
-# of failing runs and malformed inputs, and each run's residuals rebuilt from
-# the factors it stores in spectrum.npz.
+# of failing runs and malformed inputs, each run re-analysed from its own npz
+# files, and an analysis-only sweep against plain runs.
 #
 #   cd "$(mktemp -d)" && PYTHONWARNINGS=error::RuntimeWarning bash -e /path/to/repo/ci/smoke.sh
 #
@@ -220,55 +220,30 @@ for run in a b; do
   test "$rc" -eq 3
 done
 diff -r "$RUNNER_TEMP/nearz0a" "$RUNNER_TEMP/nearz0b"
-# Every check reads the factors its run stores in spectrum.npz, and nothing
-# else: the symplectic and Takagi residuals of report.json rebuild from them
-# bit for bit, against J = gamma[m:, :m] or the signal-first Gamma of
-# squeezing_matrix.npz.  A numerical or compare run stores Schmidt factors,
-# float64 for a real Gamma (z0 = L/2) and complex128 for a complex one
-# (z0 = L/4); a near_degenerate run stores complex128 Takagi factors.  The
-# detunings run signal band first, and spectrum.csv lists r (twice each for
-# the Schmidt route).
-python - "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP/z0" "$RUNNER_TEMP/near" "$RUNNER_TEMP/nearz0a" <<'PY'
-import csv, json, pathlib, sys
-import numpy as np
-from twinbeams.io import load_spectrum, load_squeezing_matrix
-from twinbeams.symplectic import schmidt_squeezer_residual, squeezer_from_takagi
-from twinbeams.takagi import TakagiFactors, takagi_residual
-from twinbeams.twinbeam import JointSpectralAmplitude, _schmidt_residual, signal_first
-runs = sorted(p.parent for root in sys.argv[1:] for p in pathlib.Path(root).rglob("spectrum.npz"))
+# Every check reads only its run's files: the run's own analysis, pointed at the
+# squeezing_matrix.npz and spectrum.npz of seven runs, rewrites every artifact
+# byte for byte.  Numerical and compare runs store Schmidt factors (float64 for a
+# real Gamma at z0 = L/2, complex128 at z0 = L/4), near_degenerate complex128 Takagi ones.
+python - "$RUNNER_TEMP/reanalysed" "$RUNNER_TEMP/pipelinesa" "$RUNNER_TEMP/z0" "$RUNNER_TEMP/near" "$RUNNER_TEMP/nearz0a" <<'PY'
+import json, pathlib, subprocess, sys
+from twinbeams.io import config_from_dict, load_spectrum, pipeline
+from twinbeams.takagi import TakagiFactors
+runs = sorted(p.parent for root in sys.argv[2:] for p in pathlib.Path(root).rglob("spectrum.npz"))
 assert len(runs) == 7, runs
-bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
 seen = set()
-for run in runs:
+for k, run in enumerate(runs):
     report = json.loads((run / "report.json").read_text(encoding="utf-8"))
-    z0 = report["config"]["pump"]["z0_fraction"]
-    omega, factors = load_spectrum(run / "spectrum.npz")
-    grid, gamma = load_squeezing_matrix(run / "squeezing_matrix.npz")
-    m = gamma.shape[0] // 2
-    if isinstance(factors, TakagiFactors):
-        assert report["pipeline"] == "near_degenerate", run
-        route, r, dtype = "takagi", factors.r, factors.v.dtype
-        want = np.complex128
-        symplectic = squeezer_from_takagi(factors).residual
-        takagi = takagi_residual(signal_first(gamma), factors)
-    else:
-        route, r, dtype = "schmidt", np.repeat(factors.values, 2), factors.c.dtype
-        assert factors.d.dtype == dtype, run
-        want = {0.5: np.float64, 0.25: np.complex128}[z0]
-        symplectic = schmidt_squeezer_residual(factors)
-        takagi = _schmidt_residual(JointSpectralAmplitude(m=m, j_matrix=gamma[m:, :m].copy()), factors)
-    if dtype != want:
-        sys.exit(f"{run}: {route} factors are {dtype}, want {np.dtype(want)} at z0 = {z0}")
-    for name, value in (("symplectic", symplectic), ("takagi", takagi)):
-        if value != report["residuals"][name]:
-            sys.exit(f"{run}: {name} residual {value!r} from spectrum.npz, {report['residuals'][name]!r} in report.json")
-    assert np.array_equal(bits(omega), bits(np.roll(grid, m))), run
-    with open(run / "spectrum.csv", newline="") as fh:
-        table = np.array([float(row[1]) for row in list(csv.reader(fh))[1:]])
-    assert np.array_equal(bits(table), bits(r)), run
-    seen.add((route, np.dtype(dtype).name))
-    print(run, route, np.dtype(dtype).name, "residuals rebuild from spectrum.npz bit for bit")
-assert seen == {("schmidt", "float64"), ("schmidt", "complex128"), ("takagi", "complex128")}, seen
+    factors = load_spectrum(run / "spectrum.npz")[1]
+    takagi = isinstance(factors, TakagiFactors)
+    assert takagi == (report["pipeline"] == "near_degenerate"), run
+    dtypes = {a.dtype.name for a in ([factors.v] if takagi else [factors.c, factors.d])}
+    seen.add(("takagi" if takagi else "schmidt", report["config"]["pump"]["z0_fraction"], *dtypes))
+    out = pathlib.Path(sys.argv[1], str(k))
+    pipeline._run(config_from_dict(report["config"]), out, run)
+    subprocess.run(["diff", "-r", out, run], check=True)
+    print(run, "re-analysed from its npz files byte for byte:", *dtypes)
+routes = {("schmidt", 0.5, "float64"), ("schmidt", 0.25, "complex128"), ("takagi", 0.5, "complex128"), ("takagi", 0.25, "complex128")}
+assert seen == routes, seen ^ routes
 PY
 # An exponent without a dot (1e-2) is a YAML float, not a string.
 printf 'crystal: {length_mm: 2.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0}\npairing_tol: 1e-2\n' > "$RUNNER_TEMP/tol.yaml"
@@ -285,6 +260,12 @@ for cmd in "run bbo_nondegenerate" "sweep bbo_nondegenerate --param pump.gain --
 done
 twinbeams sweep bbo_nondegenerate --param pairing_tol --values 0.01,0.02 --out "$RUNNER_TEMP/tolsweep"
 python -c "import csv, sys; values = [row['value'] for row in csv.DictReader(open(sys.argv[1], newline=''))]; assert values == ['0.01', '0.02'], values" "$RUNNER_TEMP/tolsweep/sweep_summary.csv"
+# Each point of that sweep, analysed from the first point's files, is the plain run of its config.
+for tol in 0.01 0.02; do
+  twinbeams validate bbo_nondegenerate | sed "s/^pairing_tol: .*/pairing_tol: $tol/" > "$RUNNER_TEMP/tol$tol.yaml"
+  twinbeams run "$RUNNER_TEMP/tol$tol.yaml" --out "$RUNNER_TEMP/tolrun$tol" > /dev/null
+  diff -r "$RUNNER_TEMP/tolsweep/pairing_tol=$tol" "$RUNNER_TEMP/tolrun$tol"
+done
 # A 1000 mm crystal fails the Mehler factors' own checks: a stage label and exit 3.
 printf 'crystal: {length_mm: 1000.0, theta0_deg: 28.81}\npump: {lambda_p_nm: 397.5, tau_p_fs: 129.0, gain: 10.0}\npipeline: compare\n' > "$RUNNER_TEMP/long.yaml"
 rc=0

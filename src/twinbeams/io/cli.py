@@ -24,7 +24,7 @@ from .config import (
     serialize_config,
 )
 from .exports import export_matrix_heatmap, load_squeezing_matrix, write_csv
-from .pipeline import ENV_OUTPUT_DIR, PipelineError, resolve_output_dir, run_pipeline
+from .pipeline import ENV_OUTPUT_DIR, PipelineError, _run, resolve_output_dir, run_pipeline
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -119,6 +119,8 @@ def sweep(config_source, param, values, out_dir):
 
     Each point writes its artifacts to the subdirectory ``<param>=<value>``
     of the output directory, and its report.json as a row of ``sweep_summary.csv``.
+    A ``pairing_tol`` or ``fit_pairs`` sweep solves once: each later point
+    analyses the first completed point's two npz files, with the same bytes.
     """
     base_cfg = _load(config_source)
     base = config_to_dict(base_cfg)
@@ -139,24 +141,25 @@ def sweep(config_source, param, values, out_dir):
         except yaml.YAMLError as err:
             _fail(EXIT_VALIDATION, f"cannot parse value {raw!r}: {err}")
 
-    rows = []
+    rows, stored = [], None
     for raw, cfg in zip(raw_values, cfgs):
         sub = root / f"{param}={raw}".replace("/", "_")
         try:
-            report = run_pipeline(cfg, out_dir=sub)
+            report = run_pipeline(cfg, out_dir=sub) if stored is None else _run(cfg, sub, stored)
         except PipelineError as err:
             rows.append({"value": raw, "failures": str(err), "failed_stage": err.stage})
             click.echo(f"{param}={raw}: failed: {err}", err=True)
             continue
         except OSError as err:
             _fail(EXIT_IO, str(err))
-        rows.append(_sweep_row(raw, report))
-        s, failures = report.summary, rows[-1]["failures"]
-        click.echo(
-            f"{param}={raw}: r1={s.get('r1', float('nan')):.6g} "
-            f"pairs={s.get('pairs_accepted', '-')}"
-            + (f" [{failures}]" if failures else "")
-        )
+        if stored is None and param in ("pairing_tol", "fit_pairs"):
+            stored = sub
+        row = _sweep_row(raw, report)
+        rows.append(row)
+        shown = [f"r1={row['r1']:.6g}"] if "r1" in row else []
+        shown += [f"pairs={row['pairs_accepted']}"] if "pairs_accepted" in row else []
+        shown += [f"[{row['failures']}]"] if row["failures"] else []
+        click.echo(" ".join([f"{param}={raw}:", *shown]))
 
     header = list(dict.fromkeys(key for row in rows for key in row))
     cells = ([row.get(key) for key in header] for row in rows)

@@ -19,6 +19,9 @@ modes built from them, or the full-matrix factors (V, R) of
 ``near_degenerate``.  No run builds the duo modes: the Schmidt route
 reports a values-only spectrum, the Schmidt values twice each, and
 ``eigenmodes_from_schmidt`` of the stored factors rebuilds the modes.
+Gamma and the factors come from the build and that factorization or, for
+each later point of a ``pairing_tol`` or ``fit_pairs`` sweep, from a finished
+run's ``squeezing_matrix.npz`` and ``spectrum.npz``; one analysis follows.
 
 Memory: Gamma is stored exactly in ``squeezing_matrix.npz`` right after it
 is built, which holds one copy of it, and each stage result is dropped
@@ -65,7 +68,9 @@ from ..mehler import (
     mode_overlap,
     terms_for_tail_bound,
 )
-from ..pdc import build_frequency_grid, build_squeezing_matrix, extract_jsa, wave_vector
+from ..pdc import (
+    SqueezingMatrixPhysical, build_frequency_grid, build_squeezing_matrix, extract_jsa, wave_vector,
+)
 from ..symplectic import SYMPLECTIC_THRESHOLD, schmidt_squeezer_residual, squeezer_from_takagi
 from ..takagi import TAKAGI_THRESHOLD, _takagi_unchecked, takagi_residual
 from ..twinbeam import (
@@ -80,7 +85,10 @@ from ..twinbeam import (
     spectrum_from_takagi,
 )
 from .config import RunConfig, config_to_dict
-from .exports import _write_table, export_spectrum, export_squeezing_matrix, write_csv
+from .exports import (
+    _write_table, export_spectrum, export_squeezing_matrix, load_spectrum, load_squeezing_matrix,
+    write_csv,
+)
 
 __all__ = [
     "ENV_OUTPUT_DIR",
@@ -196,14 +204,6 @@ def _check(report: RunReport, name: str, value, note: str = "", threshold=math.i
             report.notes.append(note)
 
 
-def _max_abs(a: np.ndarray) -> float:
-    """``np.abs(a).max()`` with no full-size temporary: max(max a, -min a) of
-    a real ``a``, and the maximum of |a| row block by row block of a complex one."""
-    if np.isrealobj(a):
-        return float(max(a.max(), -a.min()))
-    return float(np.max([np.abs(a[r : r + 64]).max() for r in range(0, len(a), 64)]))
-
-
 def _analytic_model(cfg: RunConfig):
     """(times, Gaussian model, Mehler factors), each step a labelled stage."""
     t = _stage("characteristic-times", characteristic_times, cfg.crystal, cfg.pump)
@@ -221,20 +221,27 @@ def _resolve_grid(cfg: RunConfig, model):
     return build_frequency_grid(spec.m, half_width)
 
 
-def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
+def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid, stored=None):
     """Spectrum, checks and spectrum files; returns (Schmidt factors,
     spectrum), or None at zero gain.
 
-    Each stage result is dropped once its last reader is done.
+    With ``stored``, Gamma and the factors are read from that finished
+    run's files.  Each stage result is dropped once its last reader is done.
     """
     report.summary["grid_m"] = int(grid.m)
     report.summary["grid_half_width"] = float(grid.half_width)
     report.summary["grid_spacing"] = float(grid.spacing)
 
-    sq = _stage("squeezing-matrix", build_squeezing_matrix, cfg.crystal, cfg.pump, grid)
+    if stored is None:
+        sq = _stage("squeezing-matrix", build_squeezing_matrix, cfg.crystal, cfg.pump, grid)
+    else:
+        sq = _stage("squeezing-matrix", load_squeezing_matrix, stored / "squeezing_matrix.npz")[1]
+        sq = _stage("squeezing-matrix", SqueezingMatrixPhysical, grid, sq)
     # Stored at once, so a run that fails later still leaves it; its
     # manifest entry follows those of the spectrum files.
-    stored = export_squeezing_matrix(sq.gamma, grid.detunings, out / "squeezing_matrix.npz")
+    matrix = export_squeezing_matrix(sq.gamma, grid.detunings, out / "squeezing_matrix.npz")
+    # Stored factors are read only now, as np.savez copies Gamma whole.
+    factors = stored and _stage("spectrum", load_spectrum, stored / "spectrum.npz")[1]
     ext = _stage("jsa-extraction", extract_jsa, sq)
     _check(
         report, "leakage", ext.leakage,
@@ -242,11 +249,12 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         "twin-beam block structure is degraded at this working point",
     )
 
-    scale = _max_abs(sq.gamma)
+    # A float64 Gamma has no imaginary part to build or measure, and its
+    # max|Gamma| takes no full-size temporary.
+    real = np.isrealobj(sq.gamma)
+    scale = float(max(sq.gamma.max(), -sq.gamma.min()) if real else np.abs(sq.gamma).max())
     zero = scale == 0.0
-    # A float64 Gamma has no imaginary part to build or measure.
-    real = zero or np.isrealobj(sq.gamma)
-    _check(report, "imag_fraction", 0.0 if real else _max_abs(sq.gamma.imag) / scale)
+    _check(report, "imag_fraction", 0.0 if real or zero else np.abs(sq.gamma.imag).max() / scale)
     if zero:
         report.notes.append(
             "squeezing matrix is identically zero (gain = 0); spectrum, fit and "
@@ -260,7 +268,8 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         # read these factors, and only the run measures their residual.
         target = signal_first(sq.gamma)
         del sq, ext
-        _, factors = _stage("takagi", _takagi_unchecked, target)
+        if factors is None:
+            _, factors = _stage("takagi", _takagi_unchecked, target)
         spectrum = _stage("spectrum", spectrum_from_takagi, factors)
         _check(report, "takagi", takagi_residual(target, factors))
         del target
@@ -271,7 +280,8 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
         # The one factorization of the run: J = C R D^H.  Both checks read the
         # Schmidt factors in m x m blocks, exactly those of the duo modes,
         # which are unitary whenever C and D are and are never built.
-        factors = _stage("spectrum", schmidt_from_jsa, ext.jsa)
+        if factors is None:
+            factors = _stage("spectrum", schmidt_from_jsa, ext.jsa)
         del sq
         _check(report, "takagi", _schmidt_residual(ext.jsa, factors))
         del ext
@@ -310,7 +320,7 @@ def _numerical_stages(cfg: RunConfig, report: RunReport, out: Path, grid):
     detunings = np.roll(grid.detunings, grid.m)
     for path in export_spectrum(spectrum, factors, detunings, out / "spectrum", pairing):
         report.artifacts.append({"kind": "spectrum", "path": path.name})
-    report.artifacts.append({"kind": "squeezing_matrix", "path": stored.name})
+    report.artifacts.append({"kind": "squeezing_matrix", "path": matrix.name})
 
     return None if zero else (factors, spectrum)
 
@@ -436,6 +446,11 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunReport:
     (a ``near_degenerate`` r1 of 0.15976253319174122 at one OpenBLAS thread
     reads ...114 at two).
     """
+    return _run(cfg, out_dir)
+
+
+def _run(cfg: RunConfig, out_dir=None, stored: Path | None = None) -> RunReport:
+    """``run_pipeline``; given ``stored``, Gamma and the factors come from that run's files."""
     out = resolve_output_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -460,7 +475,7 @@ def run_pipeline(cfg: RunConfig, out_dir=None) -> RunReport:
     if analytic:
         modes = _analytic_stages(cfg, report, out, model, grid)
     if cfg.pipeline != "analytic":
-        numerical = _numerical_stages(cfg, report, out, grid)
+        numerical = _numerical_stages(cfg, report, out, grid, stored)
     if cfg.pipeline == "compare":
         if numerical is None:
             report.notes.append("comparison skipped: spectrum is identically zero")

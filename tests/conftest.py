@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import io
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,12 @@ def per_cell_heatmap(matrix, row_grid, col_grid, path):
 
     path.write_bytes(reference_csv(["omega", "omega_prime", "re", "im", "abs"], rows()))
     return path
+
+
+def artifact_bytes(root):
+    """{path relative to ``root``: bytes} of every file under ``root``."""
+    root = Path(root)
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def grid_sums(grid):

@@ -9,9 +9,16 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from conftest import rotating_first_schmidt_mode
+from conftest import artifact_bytes, rotating_first_schmidt_mode
 from twinbeams import __version__
-from twinbeams.io import cli, config_from_dict, parse_config_text, pipeline, serialize_config
+from twinbeams.io import (
+    cli,
+    config_from_dict,
+    parse_config,
+    parse_config_text,
+    pipeline,
+    serialize_config,
+)
 from twinbeams.io.cli import main
 
 
@@ -569,6 +576,117 @@ class TestSweep:
         )
         assert result.exit_code == 2
         assert "--values is empty" in all_output(result)
+
+
+    def test_echo_shows_only_what_the_report_holds(self, runner, tmp_path):
+        """r1 and the pair count are echoed where the report has them: an
+        analytic point has neither and prints no nan."""
+        out = tmp_path / "sweep"
+        args = ["sweep", str(write_config(tmp_path)), "--param", "pipeline"]
+        result = runner.invoke(main, [*args, "--values", "numerical,analytic", "--out", str(out)])
+        assert result.exit_code == 0
+        summary = json.loads((out / "pipeline=numerical" / "report.json").read_text())["summary"]
+        assert result.output.splitlines()[:2] == [
+            f"pipeline=numerical: r1={summary['r1']:.6g} pairs={summary['pairs_accepted']}",
+            "pipeline=analytic:",
+        ]
+
+
+ANALYSIS_SWEEPS = [("pairing_tol", "0.005,0.01,0.02"), ("fit_pairs", "3,null,15")]
+
+
+def record_calls(monkeypatch, *names):
+    """A list that gets ``name`` at each call of ``pipeline.<name>``."""
+    calls = []
+
+    def recording(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
+    return calls
+
+
+class TestAnalysisOnlySweep:
+    """A sweep over a key that only the pairing and the fit read runs its
+    first point in full; each later point analyses that point's
+    squeezing_matrix.npz and spectrum.npz, and its files are those of a
+    plain run of its config."""
+
+    @pytest.fixture(params=[0.5, 0.25], ids=["real-gamma", "complex-gamma"])
+    def z0_fraction(self, request):
+        return request.param
+
+    def sweep(self, runner, tmp_path, name, z0_fraction, param, values):
+        raw = yaml.safe_load(write_config(tmp_path, pipeline=name).read_text())
+        raw["pump"]["z0_fraction"] = z0_fraction
+        cfg_path = tmp_path / "base.yaml"
+        cfg_path.write_text(serialize_config(config_from_dict(raw)))
+        args = ["sweep", str(cfg_path), "--param", param, "--values", values]
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "sweep")])
+        assert result.exit_code == 0, all_output(result)
+        return raw
+
+    @pytest.mark.parametrize("param, values", ANALYSIS_SWEEPS)
+    @pytest.mark.parametrize("name", ["numerical", "near_degenerate"])
+    def test_one_build_and_one_factorization(
+        self, runner, tmp_path, monkeypatch, z0_fraction, name, param, values
+    ):
+        calls = record_calls(
+            monkeypatch, "build_squeezing_matrix", "schmidt_from_jsa", "_takagi_unchecked"
+        )
+        self.sweep(runner, tmp_path, name, z0_fraction, param, values)
+        route = "_takagi_unchecked" if name == "near_degenerate" else "schmidt_from_jsa"
+        assert calls == ["build_squeezing_matrix", route]
+        _, rows = read_table(tmp_path / "sweep" / "sweep_summary.csv")
+        assert [row["value"] for row in rows] == values.split(",")
+
+    @pytest.mark.parametrize("param, values", ANALYSIS_SWEEPS)
+    @pytest.mark.parametrize("name", ["numerical", "compare", "near_degenerate"])
+    def test_points_are_plain_runs(self, runner, tmp_path, z0_fraction, name, param, values):
+        raw = self.sweep(runner, tmp_path, name, z0_fraction, param, values)
+        for value in values.split(","):
+            plain = tmp_path / f"plain-{value}"
+            pipeline.run_pipeline(config_from_dict({**raw, param: yaml.safe_load(value)}), plain)
+            assert artifact_bytes(tmp_path / "sweep" / f"{param}={value}") == artifact_bytes(plain)
+
+    def test_near_degenerate_pairs_from_one_build(self, runner, tmp_path, monkeypatch):
+        """Near degeneracy at m = 32: each point keeps the first point's
+        leakage failure (exit 3), the accepted pairs grow with the
+        tolerance, and Gamma is built once."""
+        built = record_calls(monkeypatch, "build_squeezing_matrix")
+        raw = yaml.safe_load(serialize_config(parse_config("bbo_near_degenerate")))
+        raw["grid"]["m"] = 32
+        cfg_path = tmp_path / "near.yaml"
+        cfg_path.write_text(serialize_config(config_from_dict(raw)))
+        out = tmp_path / "sweep"
+        args = ["sweep", str(cfg_path), "--param", "pairing_tol", "--values", "0.005,0.012,0.02"]
+        assert runner.invoke(main, [*args, "--out", str(out)]).exit_code == 3
+        _, rows = read_table(out / "sweep_summary.csv")
+        assert [(row["pairs_accepted"], row["failures"]) for row in rows] == [
+            ("3", "leakage"), ("4", "leakage"), ("6", "leakage")
+        ]
+        assert len(built) == 1
+
+    def test_failed_first_point_fails_every_point(self, runner, tmp_path, monkeypatch):
+        """A band past the optical frequency fails the first point's matrix
+        build, so no files are left to analyse: every point runs in full and
+        gets its own failure row."""
+        attempts = record_calls(monkeypatch, "build_squeezing_matrix")
+        cfg_path = write_config(tmp_path, grid={"m": 16, "half_width": 20.0})
+        out = tmp_path / "sweep"
+        args = ["sweep", str(cfg_path), "--param", "pairing_tol", "--values", "0.01,0.02"]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 3
+        assert len(attempts) == 2
+        _, rows = read_table(out / "sweep_summary.csv")
+        assert [row["failed_stage"] for row in rows] == ["squeezing-matrix"] * 2
+        assert rows[0]["failures"] == rows[1]["failures"]
+        assert rows[0]["failures"].startswith("[squeezing-matrix] ")
 
 
 class TestHeatmap:

@@ -14,7 +14,13 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_sums, per_cell_heatmap, reference_csv, rotating_first_schmidt_mode
+from conftest import (
+    artifact_bytes,
+    grid_sums,
+    per_cell_heatmap,
+    reference_csv,
+    rotating_first_schmidt_mode,
+)
 import twinbeams.mehler as mehler
 import twinbeams.pdc as pdc
 import twinbeams.symplectic as symplectic
@@ -1103,6 +1109,43 @@ class TestSymplecticFromSpectrum:
         report = run_pipeline(cfg, out_dir=tmp_path)
         rebuilt = symplectic.squeezer_from_takagi(stored_factors(tmp_path))
         assert reported_residuals(report, tmp_path) == (rebuilt.residual, rebuilt.residual)
+
+
+class TestAnalysisFromStoredFiles:
+    """Pointed at a finished run, the run's analysis reads Gamma from its
+    ``squeezing_matrix.npz`` and the factors from its ``spectrum.npz``, builds
+    and factors nothing, and rewrites every artifact byte for byte."""
+
+    @pytest.mark.parametrize(
+        "config, name",
+        [
+            ("bbo_nondegenerate", "numerical"),
+            ("bbo_nondegenerate", "compare"),
+            ("bbo_near_degenerate", "near_degenerate"),
+        ],
+    )
+    @pytest.mark.parametrize("z0_fraction", [0.5, 0.25], ids=["real-gamma", "complex-gamma"])
+    def test_rewrites_every_artifact(self, monkeypatch, tmp_path, config, name, z0_fraction):
+        cfg = bundled_config(config, pipeline=name, grid__m=32, pump__z0_fraction=z0_fraction)
+        run = tmp_path / "run"
+        report = run_pipeline(cfg, out_dir=run)
+
+        def refused(*args):
+            raise AssertionError("the analysis built or factored")
+
+        for fn in ("build_squeezing_matrix", "schmidt_from_jsa", "_takagi_unchecked"):
+            monkeypatch.setattr(pipeline, fn, refused)
+        again = pipeline._run(cfg, tmp_path / "again", run)
+        assert again.to_dict() == report.to_dict()
+        assert artifact_bytes(tmp_path / "again") == artifact_bytes(run)
+        assert len(artifact_bytes(run)) == len(report.artifacts)
+
+    def test_files_of_another_grid_fail_the_matrix_stage(self, tmp_path):
+        run = tmp_path / "run"
+        run_pipeline(small_config(), out_dir=run)
+        with pytest.raises(PipelineError) as info:
+            pipeline._run(small_config(grid={"m": 8, "half_width": 0.55}), tmp_path / "again", run)
+        assert info.value.stage == "squeezing-matrix"
 
 
 def former_symplectic_residual(factors):
