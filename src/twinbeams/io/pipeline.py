@@ -27,12 +27,12 @@ Memory: Gamma is stored exactly in ``squeezing_matrix.npz`` right after it
 is built, which holds one copy of it, and each stage result is dropped
 after its last reader; of the checks only their residuals are kept.  A
 traced ``compare`` run at m = 256 peaks in the JSA SVD at 2.09 (real
-Gamma) and 2.51 (complex) times the bytes of Gamma, as max|Gamma| takes
-no full-size temporary, and writing the factors it already holds to
-``spectrum.npz`` leaves that peak as it was.  The manifest lists the
-matrix after the spectrum files, and a run that fails after the matrix
-build leaves ``squeezing_matrix.npz`` on disk.  Its CSV heatmap is
-written on request, by ``twinbeams heatmap DIR``.
+Gamma) and 2.51 (complex) times the bytes of Gamma.  max|Gamma| takes no
+full-size temporary for a real Gamma, half its bytes for a complex one,
+and writing ``spectrum.npz`` from the factors held leaves the peak as it
+was.  The manifest lists the matrix after the spectrum files, and a run
+that fails after the matrix build leaves ``squeezing_matrix.npz`` on
+disk.  Its CSV heatmap is written on request, by ``twinbeams heatmap DIR``.
 
 Every run writes ``report.json`` with the resolved config (Sellmeier data
 included), a summary, the residual diagnostics with their thresholds, and a

@@ -32,6 +32,7 @@ from .takagi import (
     _check_finite,
     _check_symmetric,
     _float_or_complex,
+    _identity_defect,
     _minus,
     _real_basis,
     takagi_general,
@@ -131,14 +132,20 @@ def symplectic_residual(s: SymplecticMatrix) -> float:
     when real), so at most two n x n temporaries are live at once.
     """
     s0, sI = s.s0, s.sI
-    top_left = _minus(s0 @ s0.conj().T, sI @ sI.conj().T)
-    top_left[np.diag_indices_from(top_left)] -= 1.0
-    res_left = _abs_max(top_left)
-    del top_left
+    res_left = _diagonal_block_defect(s0, sI)
     x = s0 @ sI.T
     res = max(res_left, _abs_max(x - x.T))
-    norm2 = max(np.abs(s0).max() ** 2, np.abs(sI).max() ** 2, 1.0)
-    return float(res / norm2)
+    return float(res / _residual_scale(s0, sI))
+
+
+def _diagonal_block_defect(a: np.ndarray, b: np.ndarray) -> float:
+    """max|A A^H - B B^H - I|, a diagonal block of S K S^dagger - K."""
+    return _identity_defect(_minus(a @ a.conj().T, b @ b.conj().T))
+
+
+def _residual_scale(*blocks: np.ndarray) -> float:
+    """max(max|X|^2 over the blocks, 1), the scale of a symplectic residual."""
+    return max(*(np.abs(x).max() ** 2 for x in blocks), 1.0)
 
 
 @dataclass(frozen=True)
@@ -316,13 +323,8 @@ def schmidt_squeezer_residual(sd: SchmidtDecomposition) -> float:
     p = (c * cosh) @ c.conj().T
     q = (d_bar * cosh) @ d.T
     x = (c * sinh) @ d_bar.T
-    norm2 = max(np.abs(p).max() ** 2, np.abs(q).max() ** 2, np.abs(x).max() ** 2, 1.0)
-    res = 0.0
-    for left, right in ((p, x), (q, x.T)):
-        block = _minus(left @ left.conj().T, right @ right.conj().T)
-        block[np.diag_indices_from(block)] -= 1.0
-        res = max(res, _abs_max(block))
-        del block
+    norm2 = _residual_scale(p, q, x)
+    res = max(_diagonal_block_defect(p, x), _diagonal_block_defect(q, x.T))
     res = float(max(res, _abs_max(_minus(p @ x, x @ q.T))) / norm2)
     if not res <= SYMPLECTIC_THRESHOLD:
         raise ValueError(f"matrix is not symplectic: residual {res:.3e}")

@@ -197,23 +197,31 @@ def _minus(x: np.ndarray, y) -> np.ndarray:
     return x
 
 
+def _identity_defect(g: np.ndarray) -> float:
+    """max|G - I| of a temporary square ``g``, taken in its buffer."""
+    g[np.diag_indices_from(g)] -= 1.0
+    return float(_abs_max(g))
+
+
+def _relative_residual(a: np.ndarray, recon: np.ndarray) -> float:
+    """||a - recon||_F / max(||a||_F, eps) of a temporary ``recon``.  recon - a,
+    whose norm is that of a - recon bit for bit, is taken in the buffer of
+    ``recon`` when its dtype holds the result."""
+    denom = max(np.linalg.norm(a), np.finfo(float).eps)
+    return float(np.linalg.norm(_minus(recon, a)) / denom)
+
+
 def _unitarity_defect(v: np.ndarray) -> float:
     """max|V^H V - I|, evaluated as max|W^H W - I| in the ``_real_basis`` W.
 
     The column factors i of V = W diag(1 or i) cancel on the diagonal of
-    V^H V and only change the phase of the off-diagonal entries.  A real
-    Gram matrix takes its absolute values in place.
+    V^H V and only change the phase of the off-diagonal entries, so a real
+    W gives a real Gram matrix.
     """
-    return float(_abs_max(_gram_minus_identity(_real_basis(v)[0])))
-
-
-def _gram_minus_identity(u: np.ndarray) -> np.ndarray:
-    """U^H U - I, in real arithmetic for a real ``u``."""
+    w = _real_basis(v)[0]
     # A non-finite entry gives a NaN or inf defect, which ``not x <= tol`` rejects.
     with np.errstate(invalid="ignore", over="ignore"):
-        gram = u.conj().T @ u
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return gram
+        return _identity_defect(w.conj().T @ w)
 
 
 def _factors_from_signed(lam: np.ndarray, vectors: np.ndarray) -> TakagiFactors:
@@ -328,16 +336,11 @@ def takagi_residual(a: np.ndarray, factors: TakagiFactors) -> float:
 
     V R V^T = W (D^2 R) W^T in the ``_real_basis`` W of V = W D, with
     D^2 = -1 for each imaginary column (i^2 = -1); it runs in real
-    arithmetic when W is real.  The difference is taken in the buffer of
-    V R V^T as recon - a, whose norm is that of a - recon bit for bit; a
-    dtype that does not fit that buffer (a complex ``a`` against real
-    factors) gets a new one.
+    arithmetic when W is real.
     """
     a = _as_square(a)
     v, r = factors.v, factors.r
     if v.shape[0] != a.shape[0] or len(r) != a.shape[0]:
         raise ValueError("factor dimensions do not match the matrix")
     w, imag = _real_basis(v)
-    recon = (w * np.where(imag, -r, r)) @ w.T
-    denom = max(np.linalg.norm(a), np.finfo(float).eps)
-    return float(np.linalg.norm(_minus(recon, a)) / denom)
+    return _relative_residual(a, (w * np.where(imag, -r, r)) @ w.T)

@@ -23,15 +23,13 @@ import numpy as np
 
 from .takagi import (
     TakagiFactors,
-    _abs_max,
     _as_square,
     _check_symmetric,
     _factors_from_signed,
     _float_or_complex,
-    _gram_minus_identity,
     _largest_entry_phase,
-    _minus,
     _polar,
+    _relative_residual,
     _unitarity_defect,
     takagi_real_symmetric,
 )
@@ -52,6 +50,10 @@ __all__ = [
     "schmidt_number",
     "fit_geometric",
 ]
+
+#: Largest max|U^H U - I| of the Schmidt factors and of a spectrum's modes.
+_UNITARY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class JointSpectralAmplitude:
@@ -107,7 +109,7 @@ class SchmidtDecomposition:
         if c.shape != (m, m) or d.shape != (m, m) or r.shape != (m,):
             raise ValueError("c, d must be m x m and values length m")
         for name, u in (("c", c), ("d", d)):
-            if not _unitarity_defect(u) <= 1e-10:
+            if not _unitarity_defect(u) <= _UNITARY_TOL:
                 raise ValueError(f"{name} is not unitary")
         _check_descending(r)
         object.__setattr__(self, "c", c)
@@ -149,12 +151,12 @@ class SqueezingSpectrum:
         self._check_and_store(defect=None)
 
     @classmethod
-    def _with_defect(cls, values, modes, defect: float) -> SqueezingSpectrum:
-        """The spectrum of ``modes`` whose max|V^H V - I| is known to be ``defect``."""
+    def _with_defect(cls, values, modes, bound: float) -> SqueezingSpectrum:
+        """The spectrum of ``modes`` whose max|V^H V - I| is at most ``bound``."""
         spectrum = object.__new__(cls)
         object.__setattr__(spectrum, "values", values)
         object.__setattr__(spectrum, "modes", modes)
-        spectrum._check_and_store(defect)
+        spectrum._check_and_store(bound)
         return spectrum
 
     def _check_and_store(self, defect: float | None) -> None:
@@ -167,7 +169,7 @@ class SqueezingSpectrum:
         _check_descending(r)
         if v is not None and defect is None:
             defect = _unitarity_defect(v)
-        if v is not None and not defect <= 1e-10:
+        if v is not None and not defect <= _UNITARY_TOL:
             raise ValueError("modes are not unitary")
         object.__setattr__(self, "values", r)
         object.__setattr__(self, "modes", v)
@@ -222,13 +224,13 @@ def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
     A_j^H A_k = B_j^H B_k = (G_c + conj(G_d))_jk / 2 and
     A_j^H B_k = -B_j^H A_k = i (G_c - conj(G_d))_jk / 2, so every entry of
     the Gram matrix minus I is (E_c +- conj(E_d))_jk / 2 up to a unit
-    factor, E = G - I.  The spectrum's check therefore takes the duos'
-    defect max|V^H V - I| as max(max|E_c + conj E_d|, max|E_c - conj E_d|) / 2
-    from two m x m Gram matrices, without the 2m x 2m one; it equals the
-    defect of the modes up to rounding of the products.  It is at most
-    max(defect of C, defect of D), which ``SchmidtDecomposition`` holds to
-    1e-10, so a caller that stores the Schmidt factors instead, as every
-    pipeline run does, loses no check.
+    factor, E = G - I.  The duos' defect max|V^H V - I| therefore lies
+    between half of max(defect of C, defect of D) and that maximum.  The
+    spectrum's check takes the maximum as its bound, from the two m x m
+    Gram matrices of the check ``SchmidtDecomposition`` makes, without the
+    2m x 2m one: it accepts exactly the factors the decomposition accepted
+    and still rejects C or D spoiled after it.  A caller that stores the
+    Schmidt factors instead, as every pipeline run does, loses no check.
     """
     m = sd.c.shape[0]
     d_bar = sd.d.conj()
@@ -239,19 +241,9 @@ def eigenmodes_from_schmidt(sd: SchmidtDecomposition) -> SqueezingSpectrum:
         partner = rows[:, 1::2]
         np.multiply(phase, u, out=partner)
         partner *= inv_sqrt2
-    values = np.repeat(sd.values, 2)
-    return SqueezingSpectrum._with_defect(values, modes, _duo_defect(sd.c, sd.d))
-
-
-def _duo_defect(c: np.ndarray, d: np.ndarray) -> float:
-    """max|V^H V - I| of the duos of ``eigenmodes_from_schmidt``, from m x m blocks.
-
-    It is max(max|E_c + conj E_d|, max|E_c - conj E_d|) / 2 with
-    E_c = C^H C - I and E_d = D^H D - I (see ``eigenmodes_from_schmidt``).
-    """
-    e_c = _gram_minus_identity(c)
-    e_d = _gram_minus_identity(d).conj()
-    return 0.5 * float(max(_abs_max(e_c + e_d), _abs_max(_minus(e_c, e_d))))
+    # np.maximum, unlike max, keeps a NaN defect of either factor.
+    bound = np.maximum(_unitarity_defect(sd.c), _unitarity_defect(sd.d))
+    return SqueezingSpectrum._with_defect(np.repeat(sd.values, 2), modes, bound)
 
 
 def _schmidt_residual(jsa: JointSpectralAmplitude, sd: SchmidtDecomposition) -> float:
@@ -263,10 +255,7 @@ def _schmidt_residual(jsa: JointSpectralAmplitude, sd: SchmidtDecomposition) -> 
     ``takagi_residual`` of the duos against ``block_squeezing_matrix(jsa)``
     without its zero blocks.  Real factors of a real J stay real.
     """
-    j = jsa.j_matrix
-    recon = (sd.c * sd.values) @ sd.d.conj().T
-    denom = max(np.linalg.norm(j), np.finfo(float).eps)
-    return float(np.linalg.norm(_minus(recon, j)) / denom)
+    return _relative_residual(jsa.j_matrix, (sd.c * sd.values) @ sd.d.conj().T)
 
 
 def associated_spectral(gamma: np.ndarray) -> SqueezingSpectrum:

@@ -9,6 +9,7 @@ a signed zero or a NaN in a different place fails.
 import numpy as np
 import pytest
 
+import twinbeams.takagi as takagi
 from twinbeams.takagi import (
     _factors_from_signed,
     _largest_entry_phase,
@@ -17,7 +18,6 @@ from twinbeams.takagi import (
 )
 from twinbeams.twinbeam import (
     SchmidtDecomposition,
-    _duo_defect,
     _duo_gaps,
     eigenmodes_from_schmidt,
 )
@@ -278,12 +278,31 @@ class TestDuoGram:
         ids=["unperturbed", "independent", "sum-term", "difference-term"],
     )
     def test_equals_the_modes_defect(self, rng, complex_, eps, d_shift):
+        """The spectrum's bound, the larger defect of C and D, lies between the
+        modes' 2m x 2m Gram defect and twice it."""
         c, d, values = schmidt_factors(rng, 48, complex_, eps, d_shift)
         modes = eigenmodes_from_schmidt(SchmidtDecomposition(c, d, values)).modes
-        got, full = _duo_defect(c, d), _unitarity_defect(modes)
+        bound, full = max(_unitarity_defect(c), _unitarity_defect(d)), _unitarity_defect(modes)
         if eps:
             assert 1e-11 < full < 1e-10
-        assert abs(got - full) <= 64 * np.finfo(float).eps
+        assert full <= bound + 64 * np.finfo(float).eps
+        assert bound <= 2 * full + 64 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_only_m_by_m_gram_matrices(self, monkeypatch, rng, complex_):
+        """The check forms the Gram matrices of C and D, never the 2m x 2m one."""
+        c, d, values = schmidt_factors(rng, 20, complex_, 5e-11)
+        sd = SchmidtDecomposition(c, d, values)
+        shapes = []
+        kernel = takagi._identity_defect
+
+        def recording(g):
+            shapes.append(g.shape)
+            return kernel(g)
+
+        monkeypatch.setattr(takagi, "_identity_defect", recording)
+        eigenmodes_from_schmidt(sd)
+        assert shapes == [(20, 20), (20, 20)]
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_spectrum_is_the_out_of_place_duos(self, rng, complex_):
@@ -300,5 +319,14 @@ class TestDuoGram:
         c, d, values = schmidt_factors(rng, 16, False)
         sd = SchmidtDecomposition(c, d, values)
         sd.c[0, 0] += 1e-9
+        with pytest.raises(ValueError, match="modes are not unitary"):
+            eigenmodes_from_schmidt(sd)
+
+    @pytest.mark.parametrize("factor", ["c", "d"])
+    def test_nan_in_either_factor_fails(self, rng, factor):
+        """A NaN put into C or D after validation fails the check."""
+        c, d, values = schmidt_factors(rng, 16, True)
+        sd = SchmidtDecomposition(c, d, values)
+        getattr(sd, factor)[3, 5] = np.nan
         with pytest.raises(ValueError, match="modes are not unitary"):
             eigenmodes_from_schmidt(sd)

@@ -514,6 +514,31 @@ class TestCheckPaths:
         assert 0.0 < defect <= 1e-10
         assert not (tmp_path / "report.json").exists()
 
+    def test_mixed_columns_fail_spectrum_stage(self, monkeypatch, tmp_path):
+        """3e-10 of column 0 is added to column 1 of the near_degenerate
+        factors: the squeezer built from them passes the symplectic check,
+        while the spectrum's Gram check rejects them.  With the stretched row
+        above, each check catches a defect that the other lets through."""
+        original = pipeline._takagi_unchecked
+        residuals = []
+
+        def mixed(gamma):
+            checked, factors = original(gamma)
+            v = factors.v.copy()
+            v[:, 1] += 3e-10 * v[:, 0]
+            mixed_factors = takagi.TakagiFactors(v=v, r=factors.r)
+            residuals.append(symplectic.squeezer_from_takagi(mixed_factors).residual)
+            return checked, mixed_factors
+
+        monkeypatch.setattr(pipeline, "_takagi_unchecked", mixed)
+        cfg = bundled_config("bbo_near_degenerate", grid__m=64)
+        with pytest.raises(PipelineError, match=r"\[spectrum\] modes are not unitary") as info:
+            run_pipeline(cfg, out_dir=tmp_path)
+        assert info.value.stage == "spectrum"
+        (residual,) = residuals
+        assert 0.0 < residual <= pipeline.SYMPLECTIC_THRESHOLD
+        assert not (tmp_path / "report.json").exists()
+
     def test_complex_takagi_residual_is_measured_once(self, monkeypatch, tmp_path):
         """A complex Gamma's near_degenerate factors are checked by the run
         alone, on the matrix it factored: one residual, the one reported."""

@@ -26,6 +26,7 @@ from twinbeams.takagi import TakagiFactors, takagi_general, takagi_real_symmetri
 from twinbeams.twinbeam import (
     JointSpectralAmplitude,
     SchmidtDecomposition,
+    SqueezingSpectrum,
     _schmidt_residual,
     block_squeezing_matrix,
     eigenmodes_from_schmidt,
@@ -356,6 +357,67 @@ class TestSchmidtSqueezerResidual:
         sd = random_schmidt(np.random.default_rng(13), 16, np.float64, r1=0.1, stretch=1e-10)
         with pytest.raises(ValueError, match=r"matrix is not symplectic: residual"):
             schmidt_squeezer_residual(sd)
+
+    @pytest.mark.parametrize("stretch", [0.0, 1e-11], ids=["unitary", "stretched"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+    def test_block_checks_are_their_out_of_place_expressions(self, dtype, stretch):
+        """Both block checks, in their own buffers, return bit for bit what the
+        out-of-place expressions give, for a J of the factors' dtype and for a
+        complex J against real factors."""
+        rng = np.random.default_rng(14)
+        sd = random_schmidt(rng, 48, dtype, stretch=stretch)
+        assert schmidt_squeezer_residual(sd) == former_schmidt_squeezer_residual(sd)
+        j = (sd.c * sd.values) @ sd.d.conj().T + 1e-9 * rng.standard_normal((48, 48))
+        for j_matrix in (j, j + 1e-9j * rng.standard_normal((48, 48))):
+            jsa = JointSpectralAmplitude(m=48, j_matrix=j_matrix)
+            assert _schmidt_residual(jsa, sd) == former_schmidt_residual(jsa, sd)
+
+
+def former_schmidt_residual(jsa, sd):
+    """||J - C R D^H||_F / max(||J||_F, eps), every difference in a new array."""
+    j = jsa.j_matrix
+    recon = (sd.c * sd.values) @ sd.d.conj().T
+    return float(np.linalg.norm(j - recon) / max(np.linalg.norm(j), np.finfo(float).eps))
+
+
+def former_schmidt_squeezer_residual(sd):
+    """The block residual of ``schmidt_squeezer_residual``, every difference and
+    absolute value in a new array."""
+    c, d, r = sd.c, sd.d, sd.values
+    cosh, sinh = np.cosh(r), np.sinh(r)
+    d_bar = d.conj()
+    p = (c * cosh) @ c.conj().T
+    q = (d_bar * cosh) @ d.T
+    x = (c * sinh) @ d_bar.T
+    maxima = []
+    for left, right in ((p, x), (q, x.T)):
+        block = left @ left.conj().T - right @ right.conj().T
+        block[np.diag_indices_from(block)] -= 1.0
+        maxima.append(np.abs(block).max())
+    maxima.append(np.abs(p @ x - x @ q.T).max())
+    norm2 = max(np.abs(p).max() ** 2, np.abs(q).max() ** 2, np.abs(x).max() ** 2, 1.0)
+    return float(max(maxima) / norm2)
+
+
+class TestColumnMix:
+    """The Gram check is not weaker than the symplectic one: 3e-10 of column 0
+    added to column 1 of a real Takagi factor moves max|V^H V - I| by 3e-10,
+    which the spectrum rejects, and the squeezer's residual by about 3e-11,
+    which passes.  A stretched row does the reverse (``TestSchmidtSqueezerResidual``
+    above, ``TestCheckPaths`` in test_pipeline.py), so each check catches a
+    defect the other lets through."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_passes_symplectic_fails_gram(self, n):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((n, n))
+        factors = takagi_real_symmetric(a + a.T)
+        r = factors.r * (0.1 / factors.r[0])
+        v = factors.v.copy()
+        v[:, 1] += 3e-10 * v[:, 0]
+        assert squeezer_from_takagi(TakagiFactors(v=v, r=r)).residual <= 1e-10
+        with pytest.raises(ValueError, match="modes are not unitary"):
+            SqueezingSpectrum(values=r, modes=v)
 
 
 class TestSymplecticMatrix:
