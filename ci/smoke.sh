@@ -18,8 +18,9 @@ set -eo pipefail
 unset PYTHONPATH
 python -c "import pathlib, sys, twinbeams; p = pathlib.Path(twinbeams.__file__).resolve(); print(p); sys.exit(pathlib.Path('$GITHUB_WORKSPACE').resolve() in p.parents)"
 python -c "import importlib; mods = [importlib.import_module('twinbeams.' + m) for m in ('pdc', 'mehler', 'takagi', 'twinbeam', 'symplectic', 'io')]; [getattr(m, n) for m in mods for n in m.__all__]"
-# scipy is imported only by the two functions that use it: a run loads none of it.
-python -c "import sys, twinbeams.io.cli, twinbeams.io as io; io.run_pipeline(io.parse_config('bbo_nondegenerate'), '$RUNNER_TEMP/noscipy'); sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
+# scipy is imported only by its one user, exponentiate_generator's general-h0
+# expm: a run and the central-detuning solve load none of it.
+python -c "import sys, twinbeams.io.cli, twinbeams.io as io, twinbeams.pdc as pdc; cfg = io.parse_config('bbo_nondegenerate'); io.run_pipeline(cfg, '$RUNNER_TEMP/noscipy'); pdc.find_central_detuning(cfg.crystal, cfg.pump); sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
 for name in $(python -c "import twinbeams.io as io; print(*io.bundled_configs())"); do
   twinbeams validate "$name"
 done

@@ -9,12 +9,6 @@ Conventions: detunings in rad/fs, wave vectors in rad/mm, crystal length
 in mm, wavelengths in um inside the dispersion model.  The pump is
 extraordinary-polarized at the optic-axis angle theta0; the downconverted
 light is ordinary (type-I phase matching).
-
-scipy is imported only inside ``find_central_detuning``, the one caller
-of ``scipy.optimize.brentq``, when it is first called.  No pipeline calls
-it, and a module-level import would cost every run about 0.65 s of
-import time and a second OpenBLAS runtime (scipy's own, about 45 MB
-resident) next to numpy's.
 """
 
 from __future__ import annotations
@@ -87,8 +81,7 @@ class SellmeierSet:
             )
 
     def n_squared(self, lambda_um):
-        lam2 = np.square(np.asarray(lambda_um, dtype=float))
-        return self.a + self.b / (lam2 - self.c) - self.d * lam2
+        return self.n_squared_derivatives(lambda_um)[0]
 
     def n_squared_derivatives(self, lambda_um):
         """(f, f', f'') of f(lambda) = n^2 with respect to lambda in um."""
@@ -252,13 +245,36 @@ class SqueezingMatrixPhysical:
         object.__setattr__(self, "gamma", g)
 
 
-def _check_range(crystal: CrystalConfig, lambda_um, polarization: str) -> None:
-    """Sellmeier validity checks of a polarization (extraordinary uses both sets)."""
+def _index(crystal: CrystalConfig, lambda_um, polarization: str):
+    """(n, dn/dlambda, d2n/dlambda2) of a polarization with lambda in um, closed form.
+
+    The one dispersion model: ``refractive_index``, ``wave_vector`` and
+    ``wave_vector_derivatives`` all read it.  The extraordinary branch
+    differentiates u = 1/n^2, the uniaxial form of ``refractive_index``,
+    and takes n = 1/sqrt(u).
+    """
     if polarization not in ("ordinary", "extraordinary"):
         raise ValueError(f"unknown polarization {polarization!r}")
+    # The extraordinary index reads both Sellmeier sets, so both windows apply.
     crystal.sellmeier_o.check_range(lambda_um)
     if polarization == "extraordinary":
         crystal.sellmeier_e.check_range(lambda_um)
+    fo, fop, fopp = crystal.sellmeier_o.n_squared_derivatives(lambda_um)
+    if polarization == "ordinary":
+        n = np.sqrt(fo)
+        np1 = fop / (2.0 * n)
+        return n, np1, (fopp - 2.0 * np1**2) / (2.0 * n)
+    theta = math.radians(crystal.theta0_deg)
+    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    fe, fep, fepp = crystal.sellmeier_e.n_squared_derivatives(lambda_um)
+    u = c2 / fo + s2 / fe
+    up = -c2 * fop / fo**2 - s2 * fep / fe**2
+    upp = c2 * (2.0 * fop**2 / fo**3 - fopp / fo**2) + s2 * (
+        2.0 * fep**2 / fe**3 - fepp / fe**2
+    )
+    np1 = -0.5 * u ** (-1.5) * up
+    np2 = 0.75 * u ** (-2.5) * up**2 - 0.5 * u ** (-1.5) * upp
+    return 1.0 / np.sqrt(u), np1, np2
 
 
 def refractive_index(crystal: CrystalConfig, lambda_um, polarization: str):
@@ -269,45 +285,30 @@ def refractive_index(crystal: CrystalConfig, lambda_um, polarization: str):
     optic-axis angle, reducing to n_o at theta = 0 and to the principal
     n_e at theta = 90 deg.
     """
-    _check_range(crystal, lambda_um, polarization)
-    if polarization == "ordinary":
-        return np.sqrt(crystal.sellmeier_o.n_squared(lambda_um))
-    theta = math.radians(crystal.theta0_deg)
-    no2 = crystal.sellmeier_o.n_squared(lambda_um)
-    ne2 = crystal.sellmeier_e.n_squared(lambda_um)
-    inv_n2 = np.cos(theta) ** 2 / no2 + np.sin(theta) ** 2 / ne2
-    return 1.0 / np.sqrt(inv_n2)
+    return _index(crystal, lambda_um, polarization)[0]
 
 
-def _index_derivatives(crystal: CrystalConfig, lambda_um, polarization: str):
-    """(n, dn/dlambda, d2n/dlambda2) with lambda in um, closed form."""
-    if polarization == "ordinary":
-        f, fp, fpp = crystal.sellmeier_o.n_squared_derivatives(lambda_um)
-        n = np.sqrt(f)
-        np1 = fp / (2.0 * n)
-        np2 = (fpp - 2.0 * np1**2) / (2.0 * n)
-        return n, np1, np2
-    # extraordinary at the crystal angle: u(lambda) = 1/n^2
-    theta = math.radians(crystal.theta0_deg)
-    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
-    fo, fop, fopp = crystal.sellmeier_o.n_squared_derivatives(lambda_um)
-    fe, fep, fepp = crystal.sellmeier_e.n_squared_derivatives(lambda_um)
-    u = c2 / fo + s2 / fe
-    up = -c2 * fop / fo**2 - s2 * fep / fe**2
-    upp = c2 * (2.0 * fop**2 / fo**3 - fopp / fo**2) + s2 * (
-        2.0 * fep**2 / fe**3 - fepp / fe**2
-    )
-    n = u ** (-0.5)
-    np1 = -0.5 * u ** (-1.5) * up
-    np2 = 0.75 * u ** (-2.5) * up**2 - 0.5 * u ** (-1.5) * upp
-    return n, np1, np2
+def wave_vector(detuning, branch: str, crystal: CrystalConfig, pump: PumpConfig):
+    """Wave vector k = n(omega) omega / c (rad/mm) for either branch.
+
+    ``detuning`` is measured from the pump center (branch ``pump``) or from
+    omega_0 = omega_p0 / 2 (branch ``downconverted``); the pump is
+    extraordinary at theta0, the downconverted light ordinary.
+    """
+    return wave_vector_derivatives(detuning, branch, crystal, pump)[0]
 
 
-def _branch_optics(detuning, branch: str, pump: PumpConfig):
-    """(omega, lambda in um, polarization) of a branch at a detuning.
+def wave_vector_derivatives(
+    detuning: float, branch: str, crystal: CrystalConfig, pump: PumpConfig
+):
+    """(k, k', k'') at a detuning: rad/mm, fs/mm, fs^2/mm.
 
-    A detuning that puts the optical frequency at or below zero is a
-    ValueError naming the branch and that detuning.
+    Frequency derivatives are evaluated in closed form from the Sellmeier
+    model: k' = (n - lambda dn/dlambda)/c and
+    k'' = lambda^3 d2n/dlambda2 / (2 pi c^2).  An array of detunings gives
+    arrays; ``wave_vector`` is this k.  A detuning that puts the optical
+    frequency at or below zero is a ValueError naming the branch and that
+    detuning.
     """
     if branch == "pump":
         center, pol = pump.omega_p0, "extraordinary"
@@ -323,33 +324,8 @@ def _branch_optics(detuning, branch: str, pump: PumpConfig):
             f"{branch} detuning {low:.6g} rad/fs puts the optical frequency at "
             f"{center + low:.6g} rad/fs (center {center:.6g} rad/fs), at or below zero"
         )
-    return omega, 2.0 * math.pi * C_UM_PER_FS / omega, pol
-
-
-def wave_vector(detuning, branch: str, crystal: CrystalConfig, pump: PumpConfig):
-    """Wave vector k = n(omega) omega / c (rad/mm) for either branch.
-
-    ``detuning`` is measured from the pump center (branch ``pump``) or from
-    omega_0 = omega_p0 / 2 (branch ``downconverted``); the pump is
-    extraordinary at theta0, the downconverted light ordinary.
-    """
-    omega, lam, pol = _branch_optics(detuning, branch, pump)
-    return refractive_index(crystal, lam, pol) * omega / C_UM_PER_FS * UM_PER_MM
-
-
-def wave_vector_derivatives(
-    detuning: float, branch: str, crystal: CrystalConfig, pump: PumpConfig
-):
-    """(k, k', k'') at one detuning: rad/mm, fs/mm, fs^2/mm.
-
-    Frequency derivatives are evaluated in closed form from the Sellmeier
-    model: k' = (n - lambda dn/dlambda)/c and
-    k'' = lambda^3 d2n/dlambda2 / (2 pi c^2).
-    """
-    omega, lam, pol = _branch_optics(detuning, branch, pump)
-    omega, lam = float(omega), float(lam)
-    _check_range(crystal, lam, pol)
-    n, np1, np2 = _index_derivatives(crystal, lam, pol)
+    lam = 2.0 * math.pi * C_UM_PER_FS / omega
+    n, np1, np2 = _index(crystal, lam, pol)
     k = n * omega / C_UM_PER_FS * UM_PER_MM
     kp = (n - lam * np1) / C_UM_PER_FS * UM_PER_MM
     kpp = lam**3 * np2 / (2.0 * math.pi * C_UM_PER_FS**2) * UM_PER_MM
@@ -521,17 +497,26 @@ def find_central_detuning(crystal: CrystalConfig, pump: PumpConfig) -> float:
 
     Solves the full Delta(Omega, -Omega) = 0 within the Sellmeier validity
     window.  The quadratic-model closed form sqrt(Delta_0 / k''_0) is
-    ``mehler.characteristic_times(...).omega_s``.  The first scan sample
-    is Delta_0 itself, so Delta_0 = 0 returns exactly 0.0.
+    ``mehler.characteristic_times(...).omega_s``.  One vectorized scan of
+    129 samples brackets the first sign change, and bisection halves the
+    bracket until its ends are adjacent doubles; the end with the smaller
+    |Delta| is returned.  The first scan sample is Delta_0 itself, so
+    Delta_0 = 0 returns exactly 0.0.
     """
-    from scipy.optimize import brentq  # deferred: see the module docstring
-
-    fun = lambda w: float(phase_mismatch(w, -w, crystal, pump))
-    hi = _max_valid_detuning(crystal, pump)
-    omegas = np.linspace(0.0, hi, 129)
-    vals = np.array([fun(w) for w in omegas])
+    omegas = np.linspace(0.0, _max_valid_detuning(crystal, pump), 129)
+    vals = phase_mismatch(omegas, -omegas, crystal, pump)
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if len(sign_change) == 0:
         raise ValueError("no phase-matched solution in band")
     i = sign_change[0]
-    return float(brentq(fun, omegas[i], omegas[i + 1], xtol=1e-14))
+    (lo, hi), (f_lo, f_hi) = omegas[i : i + 2], vals[i : i + 2]
+    while f_lo != 0.0 and f_hi != 0.0:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        f_mid = phase_mismatch(mid, -mid, crystal, pump)
+        if np.sign(f_mid) == np.sign(f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return float(lo if abs(f_lo) <= abs(f_hi) else hi)

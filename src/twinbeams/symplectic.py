@@ -7,16 +7,16 @@ S K S^dagger = K with K = diag(I, -I).  Generators are Hermitian
 matrices H with blocks (h0 Hermitian, hI complex symmetric) and map to
 symplectic matrices through S = exp(-i K H).
 
-scipy is imported only inside the general-h0 branch of
-``exponentiate_generator`` (``scipy.linalg.expm``), when that branch is
-first reached.  No pipeline reaches it, and a module-level import would
-cost every run about 0.65 s of import time and a second OpenBLAS runtime
-(scipy's own, about 45 MB resident) next to numpy's.  Any future route on
-the run path, here or in the other layers, must keep to ``np.linalg`` or
-defer its scipy import in the same way, and then pays that cost on every
-run that takes it; one such idea is
-``scipy.linalg.eigh(subset_by_index=...)`` for the top half of the Takagi
-embedding spectrum (an open item in ROADMAP.md).
+The general-h0 branch of ``exponentiate_generator``
+(``scipy.linalg.expm``) is the package's one scipy user, and imports
+scipy only when that branch is first reached.  No pipeline reaches it,
+and a module-level import would cost every run about 0.65 s of import
+time and a second OpenBLAS runtime (scipy's own, about 45 MB resident)
+next to numpy's.  Any future route on the run path, here or in the other
+layers, must keep to ``np.linalg`` or defer its scipy import in the same
+way, and then pays that cost on every run that takes it; one such idea
+is ``scipy.linalg.eigh(subset_by_index=...)`` for the top half of the
+Takagi embedding spectrum (an open item in ROADMAP.md).
 """
 
 from __future__ import annotations

@@ -277,7 +277,7 @@ class TestDuoGram:
         [(0.0, None), (5e-11, None), (5e-11, 1), (5e-11, -1)],
         ids=["unperturbed", "independent", "sum-term", "difference-term"],
     )
-    def test_equals_the_modes_defect(self, rng, complex_, eps, d_shift):
+    def test_spectrum_bound_brackets_the_modes_defect(self, rng, complex_, eps, d_shift):
         """The spectrum's bound, the larger defect of C and D, lies between the
         modes' 2m x 2m Gram defect and twice it."""
         c, d, values = schmidt_factors(rng, 48, complex_, eps, d_shift)

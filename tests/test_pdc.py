@@ -213,6 +213,21 @@ class TestWaveVectors:
         with pytest.raises(ValueError, match="unknown branch"):
             wave_vector(0.0, "ancilla", CRYSTAL, PUMP)
 
+    @pytest.mark.parametrize("theta0", [28.56, 28.81, 29.18])
+    def test_one_dispersion_model(self, theta0):
+        """k of ``wave_vector`` (Gamma's build) and of ``wave_vector_derivatives``
+        (the analytic model) are one value, bit for bit, on both branches, and
+        so are ``refractive_index`` and the n behind the derivatives."""
+        crystal = bbo_crystal(2.0, theta0)
+        det = np.linspace(-0.8, 0.8, 2001)
+        for branch in ("pump", "downconverted"):
+            k = [wave_vector_derivatives(d, branch, crystal, PUMP)[0] for d in det]
+            assert np.array_equal(wave_vector(det, branch, crystal, PUMP), k)
+        lam = np.linspace(0.2, 1.4, 20001)
+        for polarization in ("ordinary", "extraordinary"):
+            n = pdc._index(crystal, lam, polarization)[0]
+            assert np.array_equal(refractive_index(crystal, lam, polarization), n)
+
 
 class TestCentralDetuning:
     """Location of the phase-matched signal band."""
@@ -230,6 +245,20 @@ class TestCentralDetuning:
         assert np.allclose(phase_mismatch(w, -w, CRYSTAL, PUMP), 0.0, atol=1e-9, rtol=0)
         closed = characteristic_times(CRYSTAL, PUMP).omega_s
         assert np.allclose(w - closed, 4.20e-4, atol=1e-5, rtol=0)
+
+    @pytest.mark.parametrize("theta0", [28.5, 28.81, 29.0, 29.18, 29.2])
+    def test_root_is_a_sign_change_between_adjacent_doubles(self, theta0):
+        """The bisection ends on a sign change of the computed Delta(Omega, -Omega)
+        between adjacent doubles, within 1e-12 rad/fs of scipy's brentq."""
+        from scipy.optimize import brentq
+
+        crystal = bbo_crystal(2.0, theta0)
+        fun = lambda w: float(phase_mismatch(w, -w, crystal, PUMP))
+        w = find_central_detuning(crystal, PUMP)
+        below, above = np.nextafter(w, 0.0), np.nextafter(w, 1.0)
+        assert fun(w) == 0.0 or np.sign(fun(w)) in (-np.sign(fun(below)), -np.sign(fun(above)))
+        reference = brentq(fun, 0.5 * w, 2.0 * w, xtol=1e-14)
+        assert abs(w - reference) <= 1e-12
 
     def test_zero_mismatch_at_degeneracy_is_exactly_zero(self, monkeypatch):
         """Delta_0 = 0 is the first sample of the scan: the root is exactly 0,

@@ -737,16 +737,22 @@ class TestSharedModelAndGrid:
             pipeline.build_frequency_grid,
         ):
             monkeypatch.setattr(pipeline, fn.__name__, counting(fn))
-        # Every module binding of the dispersion derivatives.
+        # Every module binding of the dispersion derivatives, and of
+        # wave_vector, which reads its k from one derivatives call.
         derivatives = counting(pdc.wave_vector_derivatives)
         for module in (pdc, mehler):
             monkeypatch.setattr(module, "wave_vector_derivatives", derivatives)
+        wave_vector = counting(pdc.wave_vector)
+        for module in (pdc, pipeline):
+            monkeypatch.setattr(module, "wave_vector", wave_vector)
         run_pipeline(small_config(pipeline=name, grid=band), out_dir=tmp_path)
         needs_model = name in ("analytic", "compare") or "half_width" not in band
         for model_step in ("characteristic_times", "gaussian_model_params", "mehler_factors"):
             assert calls.count(model_step) == int(needs_model)
-        # Pump and downconverted derivatives at zero detuning, once per model.
-        assert calls.count("wave_vector_derivatives") == 2 * int(needs_model)
+        # Pump and downconverted derivatives at zero detuning, once per model,
+        # besides wave_vector's own.
+        model_calls = calls.count("wave_vector_derivatives") - calls.count("wave_vector")
+        assert model_calls == 2 * int(needs_model)
         assert calls.count("build_frequency_grid") == 1
 
 
