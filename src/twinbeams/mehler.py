@@ -138,8 +138,12 @@ def characteristic_times(
 class GaussianModelParams:
     """Double-Gaussian kernel parameters (fs^2).
 
-    The kernel exp(-(mu x^2 + nu y^2)/2 + (eta + i xi) x y) is
-    square-integrable iff mu, nu > 0 and sqrt(mu nu) > |eta|.
+    The kernel K'(a, b) = exp(-(mu a^2 + nu b^2)/2 + eta a b + i (xi/2)
+    (a + b)^2), a = Omega - omega_s on the signal band and b = Omega' +
+    omega_s on the idler band, is square-integrable iff mu, nu > 0 and
+    sqrt(mu nu) > |eta|; ``analytic_schmidt_mode`` returns its modes.
+    exp(-(mu a^2 + nu b^2)/2 + (eta + i xi) a b), K' without the separable
+    phase e^{i xi (a^2 + b^2)/2}, has the same singular values, other modes.
     """
 
     mu: float
@@ -284,10 +288,12 @@ def analytic_schmidt_mode(
 
     Signal: C_k(Omega) = sqrt(tau1) h_k(tau1 dO) e^{i zeta1 tau1^2 dO^2}
     with dO = Omega - omega_s; the idler mode uses tau2, dO = Omega +
-    omega_s, and the conjugated phase sign.  The pump group-delay phase
-    e^{i tau_pd dO} is left out (the "properly delayed" mode), which is
-    how the modes are compared against numerical SVD modes.  The result
-    is l2-normalized with the grid-spacing weight.
+    omega_s, and the conjugated phase sign: the modes of the kernel K' of
+    ``GaussianModelParams``, K'(a, b) = sum_k lambda_k C_k(Omega)
+    D_k(Omega')^* with lambda_{k+1} / lambda_k = q e^{i theta}.  The pump
+    group-delay phase e^{i tau_pd dO} is left out (the "properly delayed"
+    mode), which is how the modes are compared against numerical SVD
+    modes.  The result is l2-normalized with the grid-spacing weight.
 
     The weight is the difference of the first two samples.  A one-point
     band has none, and takes ``spacing`` (the grid's own spacing) instead;

@@ -5,10 +5,11 @@ grid from crystal dispersion (Sellmeier data), pump parameters, and grid
 geometry; extracts the joint-spectral-amplitude block and locates the
 central detuning of the phase-matched bands.
 
-Conventions: detunings in rad/fs, wave vectors in rad/mm, crystal length
-in mm, wavelengths in um inside the dispersion model.  The pump is
-extraordinary-polarized at the optic-axis angle theta0; the downconverted
-light is ordinary (type-I phase matching).
+Units, chosen so the crystal's characteristic times are of order one:
+frequencies and detunings in rad/fs, wave vectors in rad/mm, lengths in
+mm, wavelengths in um inside the dispersion model and in nm at the pump
+config.  The pump is extraordinary-polarized at the optic-axis angle
+theta0; the downconverted light is ordinary (type-I phase matching).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .takagi import _as_square, _bit_symmetric, _check_finite, _check_symmetric
 from .takagi import _float_or_complex, _mirror_blocks
 from .twinbeam import JointSpectralAmplitude
-from .units import C_UM_PER_FS, UM_PER_MM, nm_to_um
 
 __all__ = [
     "SellmeierSet",
@@ -47,6 +47,11 @@ __all__ = [
     "extract_jsa",
     "find_central_detuning",
 ]
+
+#: Speed of light in micrometres per femtosecond.
+C_UM_PER_FS = 0.299792458
+#: Micrometres per millimetre.
+UM_PER_MM = 1.0e3
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,7 @@ class PumpConfig:
     @property
     def omega_p0(self) -> float:
         """Central pump angular frequency (rad/fs)."""
-        return 2.0 * math.pi * C_UM_PER_FS / nm_to_um(self.lambda_p_nm)
+        return 2.0 * math.pi * C_UM_PER_FS / (self.lambda_p_nm * 1.0e-3)
 
     @property
     def omega_0(self) -> float:
@@ -399,17 +404,18 @@ def build_squeezing_matrix(
     evaluated once, written in place and written transposed to its mirror
     (a diagonal block is its own, symmetric like Delta and the sums), so
     Gamma equals its transpose bit for bit and each mirror pair costs one
-    evaluation.  The peak is the first largest |element| in row order,
-    tracked block by block.  The unit phase is formed as p (1/|p|), the
-    value numpy's complex division gives for p / |p|; for a real p it is
-    sign(p) |p| (1/|p|), within one rounding of sign(p).  After the
-    rotation, adding +0.0 in place turns each -0.0 (a Gaussian that
-    underflows to 0 times a negative sinc) into +0.0, so every zero element
-    has the same bits.  Every element goes through the operations of the
-    whole-matrix expression on the same sums in the same order, so Gamma is
-    bit-identical to it.  Besides Gamma the build holds block-sized
-    temporaries and, in the final checks, one boolean matrix; at m = 512
-    its traced peak is under three times the bytes of Gamma.
+    evaluation.  The peak p is the first largest |element| in row order,
+    one ``np.argmax`` of |Gamma| after the fill.  The unit phase is formed
+    as p (1/|p|), the value numpy's complex division gives for p / |p|; for
+    a real p it is sign(p) |p| (1/|p|), within one rounding of sign(p).
+    After the rotation, adding +0.0 in place turns each -0.0 (a Gaussian
+    that underflows to 0 times a negative sinc) into +0.0, so every zero
+    element has the same bits.  Every element goes through the operations
+    of the whole-matrix expression on the same sums in the same order, so
+    Gamma is bit-identical to it.  Besides Gamma the build holds
+    block-sized temporaries in the fill and one |Gamma| temporary for the
+    peak; at m = 512 its traced peak is about 2.0 times the bytes of Gamma
+    for a real Gamma and 1.5 times for a complex one.
     """
     om = grid.detunings
     n = om.size
@@ -423,9 +429,6 @@ def build_squeezing_matrix(
     real = pump.prechirp_compensated and offset == 0.0
     gamma = np.empty((n, n), dtype=float if real else complex)
 
-    # The first largest |element| in row order: np.argmax over the whole
-    # Gamma, whose first hit is always on or above the diagonal.
-    peak, peak_abs, peak_at = 0.0, -1.0, (n, n)
     for rows, cols in _mirror_blocks(n):
         delta = kp[rows, cols] - (k[rows, None] + k[cols])
         block = e0[rows, cols]
@@ -435,12 +438,7 @@ def build_squeezing_matrix(
         np.multiply(block * np.sinc(0.5 * delta * length / math.pi), grid.spacing, out=out)
         if rows != cols:
             gamma[cols, rows] = out.T
-        mag = np.abs(out)
-        i = np.argmax(mag)
-        r, c = divmod(int(i), out.shape[1])
-        at = (rows.start + r, cols.start + c)
-        if mag.flat[i] > peak_abs or (mag.flat[i] == peak_abs and at < peak_at):
-            peak, peak_abs, peak_at = out.flat[i], mag.flat[i], at
+    peak = gamma.flat[np.argmax(np.abs(gamma))]
     if peak != 0.0:
         gamma *= (peak * (1.0 / abs(peak))).conjugate()
     gamma += 0.0

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import twinbeams.mehler as mehler
 from twinbeams.mehler import characteristic_times, gaussian_model_params, mehler_factors
 from twinbeams.pdc import (
     PumpConfig,
@@ -95,6 +96,19 @@ def rotating_first_schmidt_mode(make_schmidt):
         return dataclasses.replace(sd, c=c)
 
     return wrapper
+
+
+def miss_mehler_check(monkeypatch, above_xi=-float("inf")):
+    """Scale w of ``mehler._rescaled_coupling`` by 1 + 1e-9 for every model
+    whose xi exceeds ``above_xi``: ``mehler_factors`` then finds |q_c| off q
+    by about 1e-10 and raises its "inconsistent" ValueError."""
+    exact = mehler._rescaled_coupling
+
+    def scaled(params):
+        eta_p, xi_p, w = exact(params)
+        return eta_p, xi_p, (w * (1.0 + 1e-9) if params.xi > above_xi else w)
+
+    monkeypatch.setattr(mehler, "_rescaled_coupling", scaled)
 
 
 @dataclass

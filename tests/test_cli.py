@@ -9,7 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from conftest import artifact_bytes, rotating_first_schmidt_mode
+from conftest import artifact_bytes, miss_mehler_check, rotating_first_schmidt_mode
 from twinbeams import __version__
 from twinbeams.io import (
     cli,
@@ -20,6 +20,7 @@ from twinbeams.io import (
     serialize_config,
 )
 from twinbeams.io.cli import main
+from twinbeams.mehler import characteristic_times, gaussian_model_params
 
 
 @pytest.fixture()
@@ -300,20 +301,25 @@ class TestRun:
         ],
     )
     def test_mehler_consistency_failure_exits_3(
-        self, runner, tmp_path, pipeline_name, grid, stage
+        self, runner, tmp_path, monkeypatch, pipeline_name, grid, stage
     ):
-        """A 1000 mm crystal fails the Mehler factors' own checks; an automatic
-        band then cannot be sized."""
-        cfg_path = write_config(
-            tmp_path,
-            crystal={"length_mm": 1000.0, "theta0_deg": 28.81},
-            grid=grid,
-            pipeline=pipeline_name,
-        )
-        result = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert result.exit_code == 3
-        assert f"error: {stage}" in all_output(result)
-        assert "inconsistent" in all_output(result)
+        """A 1000 mm crystal fails the Mehler factors' own checks by rounding,
+        and a 2 mm crystal by construction; an automatic band then cannot be
+        sized."""
+        for length_mm in (1000.0, 2.0):
+            if length_mm == 2.0:
+                miss_mehler_check(monkeypatch)
+            cfg_path = write_config(
+                tmp_path,
+                crystal={"length_mm": length_mm, "theta0_deg": 28.81},
+                grid=grid,
+                pipeline=pipeline_name,
+            )
+            out = tmp_path / str(length_mm)
+            result = runner.invoke(main, ["run", str(cfg_path), "--out", str(out)])
+            assert result.exit_code == 3
+            assert f"error: {stage}" in all_output(result)
+            assert "inconsistent" in all_output(result)
 
     @pytest.mark.parametrize(
         "option",
@@ -448,27 +454,35 @@ class TestSweep:
         assert bad["failed_stage"] == "grid"
         assert (out / "crystal.theta0_deg=28.81" / "report.json").exists()
 
-    def test_mehler_failure_is_a_row_and_exit_3(self, runner, tmp_path):
+    def test_mehler_failure_is_a_row_and_exit_3(self, runner, tmp_path, monkeypatch):
+        """A point whose Mehler factors miss their own check is a failed row:
+        1000 mm by rounding, and 3 mm by construction (w scaled by 1 + 1e-9
+        for every model past the 2 mm one)."""
         cfg_path = write_config(tmp_path, pipeline="compare")
-        out = tmp_path / "sweep"
-        result = runner.invoke(
-            main,
-            [
-                "sweep", str(cfg_path),
-                "--param", "crystal.length_mm",
-                "--values", "2.0,1000.0",
-                "--out", str(out),
-            ],
-        )
-        assert result.exit_code == 3
-        header, rows = read_table(out / "sweep_summary.csv")
-        assert set(SIX_COLUMNS) <= set(header)
-        assert [row["value"] for row in rows] == ["2.0", "1000.0"]
-        assert float(rows[0]["r1"]) > 0.0
-        assert rows[0]["failed_stage"] == ""
-        assert rows[1]["r1"] == ""
-        assert rows[1]["failures"].startswith("[mehler-factors] ")
-        assert rows[1]["failed_stage"] == "mehler-factors"
+        for bad in ("1000.0", "3.0"):
+            if bad == "3.0":
+                cfg = parse_config(cfg_path)
+                xi_2mm = gaussian_model_params(characteristic_times(cfg.crystal, cfg.pump)).xi
+                miss_mehler_check(monkeypatch, above_xi=xi_2mm)
+            out = tmp_path / f"sweep{bad}"
+            result = runner.invoke(
+                main,
+                [
+                    "sweep", str(cfg_path),
+                    "--param", "crystal.length_mm",
+                    "--values", f"2.0,{bad}",
+                    "--out", str(out),
+                ],
+            )
+            assert result.exit_code == 3
+            header, rows = read_table(out / "sweep_summary.csv")
+            assert set(SIX_COLUMNS) <= set(header)
+            assert [row["value"] for row in rows] == ["2.0", bad]
+            assert float(rows[0]["r1"]) > 0.0
+            assert rows[0]["failed_stage"] == ""
+            assert rows[1]["r1"] == ""
+            assert rows[1]["failures"].startswith("[mehler-factors] ")
+            assert rows[1]["failed_stage"] == "mehler-factors"
 
     def test_a_new_summary_key_is_a_column(self, runner, tmp_path, monkeypatch):
         """The table is the report: a summary key the pipeline adds becomes a

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import miss_mehler_check
 from twinbeams.mehler import (
     GaussianModelParams,
     MehlerFactors,
@@ -19,7 +20,7 @@ from twinbeams.mehler import (
     mode_overlap,
     terms_for_tail_bound,
 )
-from twinbeams.pdc import PumpConfig, bbo_crystal
+from twinbeams.pdc import PumpConfig, bbo_crystal, build_frequency_grid
 
 np.random.seed(42)
 
@@ -179,11 +180,16 @@ class TestMehlerFactors:
         f_pos = mehler_factors(GaussianModelParams(mu=1.0, nu=1.0, eta=0.9, xi=0.0))
         assert f_pos.theta == 0.0
 
-    def test_failed_consistency_check_is_a_value_error(self):
-        """A 1000 mm crystal misses the 1e-12 check; the pipeline's stage
-        handler catches ValueError, not AssertionError."""
+    def test_failed_consistency_check_is_a_value_error(self, monkeypatch):
+        """A 1000 mm crystal misses the 1e-12 check by rounding, and the 2 mm
+        model with w scaled by 1 + 1e-9 misses it by construction; the
+        pipeline's stage handler catches ValueError, not AssertionError."""
         with pytest.raises(ValueError, match="inconsistent"):
             mehler_factors(gaussian_model_params(times_for(1000.0)))
+        params = gaussian_model_params(times_for(2.0))
+        miss_mehler_check(monkeypatch)
+        with pytest.raises(ValueError, match=r"\|q_c\| = .* inconsistent with q"):
+            mehler_factors(params)
 
     def test_separable_kernel_has_zero_q(self):
         f = mehler_factors(GaussianModelParams(mu=1.0, nu=1.0, eta=0.0, xi=0.0))
@@ -384,6 +390,41 @@ class TestAnalyticModes:
         mode = analytic_schmidt_mode(1, "idler", wp.factors, wp.times, om)
         given = analytic_schmidt_mode(1, "idler", wp.factors, wp.times, om, 2 * (om[1] - om[0]))
         assert np.array_equal(mode, given)
+
+    def test_modes_are_the_svd_modes_of_the_named_kernel(self, nondegenerate):
+        """On a converged band (half_width 0.6, m = 128) the first ten signal
+        and idler modes are the singular vectors of K'(a, b) = exp(-(mu a^2 +
+        nu b^2)/2 + eta a b + i (xi/2)(a + b)^2) to 1e-12, with singular
+        values in the ratio q^k.  exp(-(mu a^2 + nu b^2)/2 + (eta + i xi) a b)
+        has the same values, but its modes miss these by more than 1e-3."""
+        wp = nondegenerate
+        params = gaussian_model_params(wp.times)
+        grid = build_frequency_grid(128, 0.6)
+        a = (grid.signal - wp.times.omega_s)[:, None]
+        b = (grid.idler + wp.times.omega_s)[None, :]
+        envelope = -(params.mu * a**2 + params.nu * b**2) / 2
+        ks = np.arange(10)
+        signal = np.stack(
+            [analytic_schmidt_mode(k, "signal", wp.factors, wp.times, grid.signal) for k in ks], 1
+        )
+        idler = np.stack(
+            [analytic_schmidt_mode(k, "idler", wp.factors, wp.times, grid.idler) for k in ks], 1
+        )
+
+        def misses(kernel):
+            """Largest 1 - |overlap| of the signal and the idler modes, and of
+            the singular-value ratios against q^k."""
+            u, s, vh = np.linalg.svd(kernel)
+            weight = math.sqrt(grid.spacing)
+            sig = 1 - np.abs(np.sum(u[:, ks].conj() * signal, axis=0)) * weight
+            idl = 1 - np.abs(np.sum(vh[ks] * idler.T, axis=1)) * weight
+            ratio = s[ks] / s[0] - wp.factors.q**ks
+            return np.abs(sig).max(), np.abs(idl).max(), np.abs(ratio).max()
+
+        named = misses(np.exp(envelope + params.eta * a * b + 0.5j * params.xi * (a + b) ** 2))
+        assert max(named) <= 1e-12
+        other = misses(np.exp(envelope + (params.eta + 1j * params.xi) * a * b))
+        assert other[0] > 1e-3 and other[1] > 1e-3 and other[2] <= 1e-12
 
 
 class TestModeOverlap:

@@ -13,6 +13,7 @@ from twinbeams.mehler import characteristic_times
 from twinbeams.pdc import (
     BBO_SELLMEIER_EXTRAORDINARY,
     BBO_SELLMEIER_ORDINARY,
+    C_UM_PER_FS,
     CrystalConfig,
     FrequencyGrid,
     PumpConfig,
@@ -30,7 +31,6 @@ from twinbeams.pdc import (
     wave_vector,
     wave_vector_derivatives,
 )
-from twinbeams.units import C_UM_PER_FS
 
 np.random.seed(42)
 
@@ -633,7 +633,9 @@ class TestTiledBuild:
         assert abs(gamma[37, 63].imag) > 0.5 * peak
 
     def test_traced_peak_stays_within_three_gammas(self):
-        """Gamma plus block-sized temporaries: the whole-matrix build peaked at 9x."""
+        """Gamma, block-sized temporaries and one |Gamma| for the peak: about
+        2.0x for this real Gamma (1.5x complex); the whole-matrix build peaked
+        at 9x."""
         grid = build_frequency_grid(512, half_width=0.55)
         tracemalloc.start()
         try:
